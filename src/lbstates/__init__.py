@@ -19,7 +19,7 @@ from .fock import (
     oscillator_psi,
     vacuum_2d,
 )
-from .params import PhysicalParams, PotentialParams
+from .params import PhysicalParams
 from .spinor import (
     ModeIndex,
     ModeWindow,
@@ -45,10 +45,10 @@ from .coherent import (
     eigen_residual,
     resolution_identity_check,
 )
+from .levels import alpha, normalization_K
 from .pt import (
     BiorthVector,
     LevelClass,
-    alpha,
     apply_HV,
     build_biorth_pair,
     build_pt_ladders,
@@ -57,7 +57,6 @@ from .pt import (
     exceptional_diagnostics,
     factorization_defect,
     gain_loss_asymptotics,
-    normalization_K,
     theta,
 )
 from .bicoherent import (

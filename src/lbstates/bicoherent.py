@@ -33,19 +33,17 @@ import numpy as np
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
+from .levels import level_table, series_stack
 from .params import PhysicalParams
-from .pt import dual_spinor, phi_spinor, pt_spinor_ladder, theta
-from .spinor import (
-    SpinorState,
-    apply_first_register_operator,
-    apply_spinor_operator,
-    first_register_lowering,
-)
+from .pt import phi_norm_bound, pt_spinor_ladder, theta
+from .spinor import SpinorState, first_register_lowering, ladder_residual
 from .coherent import (
     DEFAULT_TAIL_TOL,
+    _fr_pairing,
     coherent_coefficients,
     coherent_series_length,
     first_register_coherent,
+    radial_factorial_ratio,
 )
 
 
@@ -137,6 +135,18 @@ class BicoherentSpec:
     def sigma(self, n: int) -> int:
         return n if self.branch == "plus" else -n - 1
 
+    @property
+    def level_cap(self) -> int:
+        """Largest usable series index so sigma stays inside the p window."""
+        return self.cutoff.pmax if self.branch == "plus" else self.cutoff.pmax - 1
+
+    def columns(self, n_terms: int):
+        """Sparse columns of the side's level spinors for the first n_terms
+        series indices: phi on the ket side, the regime dual on the bra."""
+        x, y = level_table([self.sigma(n) for n in range(n_terms)], self.params,
+                           self.cutoff.nmax2)
+        return x if self.side == "ket" else y
+
     def dual(self) -> "BicoherentSpec":
         other = "bra" if self.side == "ket" else "ket"
         return BicoherentSpec(self.z1, self.z2, self.family, other, self.branch,
@@ -154,7 +164,7 @@ def _theta_series_coefficients(spec: BicoherentSpec) -> tuple:
     pairing sum suffers heavy phase cancellation (broken-region shifts are
     purely imaginary, so its terms rotate by pi/2 per step).
     """
-    cap = spec.cutoff.pmax if spec.branch == "plus" else spec.cutoff.pmax - 1
+    cap = spec.level_cap
     seq = theta_sequence(cap + 1, spec.params, spec.branch)
     z = complex(spec.z2)
     # Cumulative multiplication; the modulus factorial |theta_n|! stays
@@ -203,10 +213,6 @@ def build_bicoherent(spec: BicoherentSpec) -> SpinorState:
     cut = spec.cutoff
     params = spec.params
     fr, tail1 = first_register_coherent(spec.z1, cut.nmax1, spec.tail_tol)
-
-    half = cut.nmax2 + 1
-    upper = np.zeros(half, dtype=complex)
-    lower = np.zeros(half, dtype=complex)
     meta = {
         "kind": "bicoherent",
         "family": spec.family,
@@ -219,35 +225,28 @@ def build_bicoherent(spec: BicoherentSpec) -> SpinorState:
     }
 
     if spec.family == "standard":
-        cap = spec.cutoff.pmax if spec.branch == "plus" else spec.cutoff.pmax - 1
-        n_terms, tail2 = coherent_series_length(spec.z2, cap, spec.tail_tol)
-        w = coherent_coefficients(spec.z2, n_terms)
+        n_terms, tail2 = coherent_series_length(spec.z2, spec.level_cap, spec.tail_tol)
+        weights = coherent_coefficients(spec.z2, n_terms)
         meta["tail_z2"] = tail2
-        for n in range(n_terms):
-            p = spec.sigma(n)
-            col = phi_spinor(p, params, cut) if spec.side == "ket" else dual_spinor(p, params, cut)
-            upper += w[n] * col[:half]
-            lower += w[n] * col[half:]
-        return SpinorState(fr, upper, lower, meta)
-
-    ket, bra, t_complex, tail2 = _theta_series_coefficients(spec)
-    coefs = ket if spec.side == "ket" else bra
-    ket_const, bra_const = _norm_constants(t_complex)
-    const = ket_const if spec.side == "ket" else bra_const
-    n_spec = normalization_N(spec.z2, params, cut, spec.branch)
-    meta.update(
-        tail_z2=tail2,
-        normalization_N=n_spec.value,
-        effective_N=abs(const),
-        normalization_phase=complex(const / abs(const)),
-        pairing_sum=t_complex,
-    )
-    for n in range(coefs.size):
-        p = spec.sigma(n)
-        col = phi_spinor(p, params, cut) if spec.side == "ket" else dual_spinor(p, params, cut)
-        upper += const * coefs[n] * col[:half]
-        lower += const * coefs[n] * col[half:]
-    return SpinorState(fr, upper, lower, meta)
+    else:
+        ket, bra, t_complex, tail2 = _theta_series_coefficients(spec)
+        coefs = ket if spec.side == "ket" else bra
+        ket_const, bra_const = _norm_constants(t_complex)
+        const = ket_const if spec.side == "ket" else bra_const
+        n_spec = normalization_N(spec.z2, params, cut, spec.branch)
+        meta.update(
+            tail_z2=tail2,
+            normalization_N=n_spec.value,
+            effective_N=abs(const),
+            normalization_phase=complex(const / abs(const)),
+            pairing_sum=t_complex,
+        )
+        # one scalar product per term: numpy's vectorized complex product
+        # can round the last bit differently, which would change the
+        # exported bytes of a state
+        weights = np.array([const * c for c in coefs])
+    stack = series_stack(spec.columns(weights.size), weights)
+    return SpinorState(fr, stack[:cut.nmax2 + 1], stack[cut.nmax2 + 1:], meta)
 
 
 def bi_product(ket_spec: BicoherentSpec, bra_spec: BicoherentSpec | None = None) -> complex:
@@ -257,35 +256,29 @@ def bi_product(ket_spec: BicoherentSpec, bra_spec: BicoherentSpec | None = None)
     return build_bicoherent(ket_spec).inner(build_bicoherent(bra_spec))
 
 
-# operator name -> (family, side, branch) with an eigenvalue equation
+# (family, side, branch) -> the ladder with an eigenvalue equation on it
 _LEGAL = {
-    "A_K_V": ("standard", "ket", "plus"),
-    "B_K_V": ("standard", "ket", "minus"),
-    "A_K_V_dag": ("standard", "bra", "minus"),
-    "B_K_V_dag": ("standard", "bra", "plus"),
-    "C2": ("theta", "ket", "plus"),
-    "D2": ("theta", "ket", "minus"),
-    "C2dag": ("theta", "bra", "minus"),
-    "D2dag": ("theta", "bra", "plus"),
+    ("standard", "ket", "plus"): "A_K_V",
+    ("standard", "ket", "minus"): "B_K_V",
+    ("standard", "bra", "minus"): "A_K_V_dag",
+    ("standard", "bra", "plus"): "B_K_V_dag",
+    ("theta", "ket", "plus"): "C2",
+    ("theta", "ket", "minus"): "D2",
+    ("theta", "bra", "minus"): "C2dag",
+    ("theta", "bra", "plus"): "D2dag",
 }
 
 
-def bicoherent_eigen_residual(spec: BicoherentSpec, operator: str) -> float:
-    """|| O state - z state ||; the first-register lowering operator pairs
-    with every state at eigenvalue z1, the spinor-register ladders only
-    with their own family/side/branch (eigenvalue z2)."""
-    state = build_bicoherent(spec)
+def bicoherent_eigen_residual(spec: BicoherentSpec, state: SpinorState, operator: str) -> float:
+    """|| O state - z state || for the state built from spec; the
+    first-register lowering operator pairs with every state at eigenvalue
+    z1, the spinor-register ladders only with their own family/side/branch
+    (eigenvalue z2)."""
     if operator == "A1":
-        a1 = first_register_lowering(spec.cutoff.nmax1)
-        moved = apply_first_register_operator(a1, state)
-        diff = moved.first_register - spec.z1 * state.first_register
-        spin_norm = math.sqrt(
-            float((np.vdot(state.upper, state.upper) + np.vdot(state.lower, state.lower)).real)
-        )
-        return float(np.linalg.norm(diff)) * spin_norm
-    if operator not in _LEGAL:
+        return ladder_residual(state, first_register_lowering(spec.cutoff.nmax1), spec.z1)
+    if operator not in _LEGAL.values():
         raise ContractError(f"unknown operator {operator!r}")
-    if _LEGAL[operator] != (spec.family, spec.side, spec.branch):
+    if _LEGAL[(spec.family, spec.side, spec.branch)] != operator:
         raise ContractError(
             f"{operator} has no eigenvalue equation on {spec.family}/{spec.side}/{spec.branch}"
         )
@@ -295,9 +288,7 @@ def bicoherent_eigen_residual(spec: BicoherentSpec, operator: str) -> float:
     op = pt_spinor_ladder(base, spec.params, spec.cutoff)
     if operator.endswith("dag"):
         op = op.dagger()
-    moved = apply_spinor_operator(op, state)
-    diff = moved.spinor_stack() - spec.z2 * state.spinor_stack()
-    return float(np.linalg.norm(diff)) * float(np.linalg.norm(state.first_register))
+    return ladder_residual(state, op, spec.z2)
 
 
 def quasi_basis_check(f: SpinorState, g: SpinorState, params: PhysicalParams,
@@ -310,21 +301,15 @@ def quasi_basis_check(f: SpinorState, g: SpinorState, params: PhysicalParams,
     order='phi_psi' evaluates int <f, phi><psi, g>; 'psi_phi' swaps the
     roles.  Either reproduces <f, g> on the branch span.
     """
-    from .coherent import radial_factorial_ratio, _fr_pairing
-
+    spec = BicoherentSpec(0.0, 0.0, "standard", "ket", branch, params, cutoff)
+    cap = spec.level_cap
     r1 = radial_factorial_ratio(cutoff.nmax1, quadrature)
-    cap = cutoff.pmax if branch == "plus" else cutoff.pmax - 1
     r2 = radial_factorial_ratio(cap, quadrature)
-    fr = _fr_pairing(f, g, r1)
-    fs, gs = f.spinor_stack(), g.spinor_stack()
-    total = 0.0 + 0.0j
-    for n in range(cap + 1):
-        p = n if branch == "plus" else -n - 1
-        x = phi_spinor(p, params, cutoff)
-        y = dual_spinor(p, params, cutoff)
-        left, right = (x, y) if order == "phi_psi" else (y, x)
-        total += r2[n] * np.vdot(fs, left) * np.vdot(right, gs)
-    return complex(fr * total)
+    x, y = level_table([spec.sigma(n) for n in range(cap + 1)], params, cutoff.nmax2)
+    left, right = (x, y) if order == "phi_psi" else (y, x)
+    f_left = np.conj(left.conjugate().T @ f.spinor_stack())
+    right_g = right.conjugate().T @ g.spinor_stack()
+    return complex(_fr_pairing(f, g, r1) * np.sum(r2 * f_left * right_g))
 
 
 def convergence_certificate(spec: BicoherentSpec) -> dict:
@@ -332,18 +317,8 @@ def convergence_certificate(spec: BicoherentSpec) -> dict:
     expansion vectors (exact for V < 1; the tail bound beyond the broken
     region for V > 1, plus the measured maximum inside it), the tail
     estimate at the chosen cutoff, and a pass/fail verdict."""
-    from .pt import phi_norm_bound
-
     params = spec.params
-    cut = spec.cutoff
-    measured = []
-    for n in range(cut.pmax + 1):
-        p = spec.sigma(n)
-        if abs(p) > cut.nmax2:
-            break
-        col = phi_spinor(p, params, cut) if spec.side == "ket" else dual_spinor(p, params, cut)
-        measured.append(float(np.linalg.norm(col) ** 2))
-    measured = np.asarray(measured)
+    measured = np.asarray(abs(spec.columns(spec.level_cap + 1)).power(2).sum(axis=0)).ravel()
     bound = phi_norm_bound(params)
     if params.regime() == "small":
         tail_start = 0
@@ -355,8 +330,7 @@ def convergence_certificate(spec: BicoherentSpec) -> dict:
         if spec.family == "theta":
             _, _, _, tail = _theta_series_coefficients(spec)
         else:
-            cap = cut.pmax if spec.branch == "plus" else cut.pmax - 1
-            _, tail = coherent_series_length(spec.z2, cap, spec.tail_tol)
+            _, tail = coherent_series_length(spec.z2, spec.level_cap, spec.tail_tol)
         tail_ok = True
     except CutoffError as err:
         tail = err.tail_estimate

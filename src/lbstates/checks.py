@@ -235,15 +235,11 @@ def check_coherent_norms():
 def check_coherent_residuals():
     cut = fock.FockCutoff(40, 40, 40)
     worst = 0.0
-    for (family, branch), op in (
-        (("A", "plus"), ld.LadderKind.A2),
-        (("A", "minus"), ld.LadderKind.A2DAG),
-        (("B", "plus"), ld.LadderKind.B2DAG),
-        (("B", "minus"), ld.LadderKind.B2),
-    ):
+    for (family, branch), op in ch._LEGAL_OPS.items():
         spec = ch.CoherentSpec(1 - 1j, 1 + 0.5j, family, branch, cut)
-        worst = max(worst, ch.eigen_residual(spec, op))
-        worst = max(worst, ch.eigen_residual(spec, ld.LadderKind.A1))
+        st = ch.build_coherent(spec)
+        worst = max(worst, ch.eigen_residual(spec, st, op))
+        worst = max(worst, ch.eigen_residual(spec, st, ld.LadderKind.A1))
     return _result("coherent.eigen_residuals", worst, 1e-8)
 
 
@@ -310,13 +306,11 @@ def check_hv_residuals():
         params = PhysicalParams(V=v)
         cut = fock.FockCutoff(2, 14, 12)
         h = spn.hamiltonian_spinor_matrix(params, cut).matrix
-        hd = h.conjugate().T
-        for p in range(-cut.pmax, cut.pmax + 1):
-            x = pt.phi_spinor(p, params, cut)
-            y = pt.dual_spinor(p, params, cut)
-            e = pt.eigenvalue_E(p, params)
-            worst = max(worst, float(np.linalg.norm(h @ x - e * x) / np.linalg.norm(x)))
-            worst = max(worst, float(np.linalg.norm(hd @ y - np.conj(e) * y) / np.linalg.norm(y)))
+        x, y = pt.biorth_level_matrices(params, cut)
+        e = np.array([pt.eigenvalue_E(p, params) for p in range(-cut.pmax, cut.pmax + 1)])
+        for vecs, op, ev in ((x, h, e), (y, h.conjugate().T, np.conj(e))):
+            res = np.linalg.norm(op @ vecs - vecs * ev, axis=0) / np.linalg.norm(vecs, axis=0)
+            worst = max(worst, float(res.max()))
     return _result("pt.eigen_residuals", worst, 1e-10)
 
 
@@ -331,19 +325,13 @@ def check_theta_modulus():
 
 def check_norm_bounds():
     worst_excess = 0.0
-    params = PhysicalParams(V=0.5)
-    cut = fock.FockCutoff(2, 20, 18)
-    bound = pt.phi_norm_bound(params)
-    for p in range(0, cut.pmax + 1):
-        worst_excess = max(worst_excess, np.linalg.norm(pt.phi_spinor(p, params, cut)) ** 2 - bound)
-    params = PhysicalParams(V=9.5)
-    cut = fock.FockCutoff(2, 120, 110)
-    bound = pt.phi_norm_bound(params)
-    for p in range(91, cut.pmax + 1):
-        worst_excess = max(
-            worst_excess,
-            np.linalg.norm(pt.dual_spinor(p, params, cut)) ** 2 - bound,
-        )
+    # phi_p for p >= 0 at V = 0.5; the duals beyond the broken region at 9.5
+    for v, window, family, p_from in ((0.5, (2, 20, 18), 0, 0), (9.5, (2, 120, 110), 1, 91)):
+        params = PhysicalParams(V=v)
+        cut = fock.FockCutoff(*window)
+        vecs = pt.biorth_level_matrices(params, cut)[family][:, cut.pmax + p_from:]
+        excess = np.linalg.norm(vecs, axis=0) ** 2 - pt.phi_norm_bound(params)
+        worst_excess = max(worst_excess, float(excess.max()))
     return _result("pt.norm_bounds", max(worst_excess, 0.0), 1e-12)
 
 
@@ -377,22 +365,18 @@ def check_ladder_duality():
         params = PhysicalParams(V=v)
         cut = fock.FockCutoff(2, 12, 10)
         adag = pt.pt_spinor_ladder("A_K_V", params, cut).dagger().matrix
-        for q in range(-cut.pmax + 1, cut.pmax - 1):
-            y = pt.dual_spinor(q, params, cut)
-            y_up = pt.dual_spinor(q + 1, params, cut)
-            worst = max(worst, float(np.linalg.norm(adag @ y - math.sqrt(abs(q + 1)) * y_up)))
+        _, y = pt.biorth_level_matrices(params, cut)
+        qs = np.arange(-cut.pmax + 1, cut.pmax - 1)
+        moved = adag @ y[:, qs + cut.pmax] - np.sqrt(np.abs(qs + 1)) * y[:, qs + cut.pmax + 1]
+        worst = max(worst, float(np.linalg.norm(moved, axis=0).max()))
     return _result("pt.ladder_duality", worst, 1e-10)
 
 
 def check_v0_continuity():
     cut = fock.FockCutoff(2, 16, 14)
-    params_eps = PhysicalParams(V=1e-4)
-    params0 = PhysicalParams(V=0.0)
-    worst = 0.0
-    for p in range(-cut.pmax, cut.pmax + 1):
-        a = np.abs(pt.phi_spinor(p, params_eps, cut))
-        b = np.abs(pt.phi_spinor(p, params0, cut))
-        worst = max(worst, float(np.abs(a - b).max()))
+    a, _ = pt.biorth_level_matrices(PhysicalParams(V=1e-4), cut)
+    b, _ = pt.biorth_level_matrices(PhysicalParams(V=0.0), cut)
+    worst = float(np.abs(np.abs(a) - np.abs(b)).max())
     return _result("pt.v0_continuity_moduli", worst, 1e-6)
 
 
@@ -416,19 +400,11 @@ def check_bicoherent_residuals():
     for v, window in ((0.5, 48), (9.5, 150)):
         params = PhysicalParams(V=v)
         cut = fock.FockCutoff(10, window, window)
-        for op, (family, side, branch) in (
-            ("A_K_V", ("standard", "ket", "plus")),
-            ("B_K_V", ("standard", "ket", "minus")),
-            ("A_K_V_dag", ("standard", "bra", "minus")),
-            ("B_K_V_dag", ("standard", "bra", "plus")),
-            ("C2", ("theta", "ket", "plus")),
-            ("D2", ("theta", "ket", "minus")),
-            ("C2dag", ("theta", "bra", "minus")),
-            ("D2dag", ("theta", "bra", "plus")),
-        ):
+        for (family, side, branch), op in bc._LEGAL.items():
             spec = bc.BicoherentSpec(0.0, 1 - 1j, family, side, branch, params, cut)
-            worst = max(worst, bc.bicoherent_eigen_residual(spec, op))
-            worst = max(worst, bc.bicoherent_eigen_residual(spec, "A1"))
+            st = bc.build_bicoherent(spec)
+            worst = max(worst, bc.bicoherent_eigen_residual(spec, st, op))
+            worst = max(worst, bc.bicoherent_eigen_residual(spec, st, "A1"))
     return _result("bicoherent.eigen_residuals", worst, 1e-8)
 
 

@@ -15,19 +15,14 @@ import sys
 
 import numpy as np
 
-from .bicoherent import BicoherentSpec, bicoherent_eigen_residual, build_bicoherent
+from .bicoherent import _LEGAL, BicoherentSpec, bicoherent_eigen_residual, build_bicoherent
 from .checks import run_checks
-from .coherent import CoherentSpec, build_coherent, eigen_residual
+from .coherent import _LEGAL_OPS, CoherentSpec, build_coherent, eigen_residual
 from .densities import DEFAULT_GRID, GridSpec, density, export, gain_loss
 from .errors import LbError
 from .fock import FockCutoff
 from .params import PhysicalParams
 from .pt import classify_levels, eigenvalue_E, gain_loss_asymptotics
-
-_COMPLEX_RE = re.compile(
-    r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-    r"(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?i?$"
-)
 
 
 def parse_complex(text: str) -> complex:
@@ -203,20 +198,6 @@ def _build_state(args, parser) -> tuple:
     return build_bicoherent(spec), spec, params
 
 
-_LEGAL_COHERENT = {("A", "plus"): "A2", ("A", "minus"): "A2dag",
-                   ("B", "plus"): "B2dag", ("B", "minus"): "B2"}
-_LEGAL_BICOHERENT = {
-    ("standard", "ket", "plus"): "A_K_V",
-    ("standard", "ket", "minus"): "B_K_V",
-    ("standard", "bra", "minus"): "A_K_V_dag",
-    ("standard", "bra", "plus"): "B_K_V_dag",
-    ("theta", "ket", "plus"): "C2",
-    ("theta", "ket", "minus"): "D2",
-    ("theta", "bra", "minus"): "C2dag",
-    ("theta", "bra", "plus"): "D2dag",
-}
-
-
 def cmd_state(args, parser) -> int:
     state, spec, params = _build_state(args, parser)
     up, lo = state.component_masses()
@@ -233,16 +214,16 @@ def cmd_state(args, parser) -> int:
         "tails": {k: v for k, v in state.meta.items() if k.startswith("tail")},
     }
     if isinstance(spec, CoherentSpec):
-        op = _LEGAL_COHERENT[(spec.family, spec.branch)]
+        op = _LEGAL_OPS[(spec.family, spec.branch)].value
         report["eigen_residuals"] = {
-            "A1": eigen_residual(spec, "A1"),
-            op: eigen_residual(spec, op),
+            "A1": eigen_residual(spec, state, "A1"),
+            op: eigen_residual(spec, state, op),
         }
     else:
-        op = _LEGAL_BICOHERENT[(spec.family, spec.side, spec.branch)]
+        op = _LEGAL[(spec.family, spec.side, spec.branch)]
         report["eigen_residuals"] = {
-            "A1": bicoherent_eigen_residual(spec, "A1"),
-            op: bicoherent_eigen_residual(spec, op),
+            "A1": bicoherent_eigen_residual(spec, state, "A1"),
+            op: bicoherent_eigen_residual(spec, state, op),
         }
         dual = build_bicoherent(spec.dual())
         bi = state.inner(dual) if spec.side == "ket" else dual.inner(state)
@@ -271,12 +252,15 @@ def cmd_density(args, parser) -> int:
         f" of {fld.meta['coefficient_norm2']:.6g})\n"
     )
     if fld.meta["mass_warning"]:
-        sys.stdout.write("warning: grid captures less than 99.9% of the state's mass\n")
+        sys.stdout.write("warning: grid-captured mass differs from the state's mass by more than 0.1%\n")
     return 0
 
 
 def cmd_check(args, parser) -> int:
     results = run_checks(args.suite)
+    if not results:
+        sys.stderr.write(f"error: no check name contains any of {args.suite}\n")
+        return 1
     failed = 0
     for res in results:
         status = "PASS" if res.ok else "FAIL"

@@ -26,13 +26,13 @@ from scipy.special import gammaln
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
 from .ladders import LadderKind, spinor_ladder_matrix
+from .levels import level_table, series_stack
 from .spinor import (
+    V0,
     SpinorState,
-    apply_first_register_operator,
-    apply_spinor_operator,
     first_register_lowering,
+    ladder_residual,
     level_coefficients,
-    level_vector,
 )
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -129,14 +129,8 @@ def build_coherent(spec: CoherentSpec) -> SpinorState:
     cut = spec.cutoff
     fr, tail1 = first_register_coherent(spec.z1, cut.nmax1, spec.tail_tol)
     n_terms2, tail2 = coherent_series_length(spec.z2, spec.level_cap, spec.tail_tol)
-    w = coherent_coefficients(spec.z2, n_terms2)
-
-    upper = np.zeros(cut.nmax2 + 1, dtype=complex)
-    lower = np.zeros(cut.nmax2 + 1, dtype=complex)
-    for n2 in range(n_terms2):
-        u, l = level_vector(spec.sigma(n2), cut.nmax2)
-        upper += w[n2] * u
-        lower += w[n2] * l
+    vm, _ = level_table([spec.sigma(n2) for n2 in range(n_terms2)], V0, cut.nmax2)
+    stack = series_stack(vm, coherent_coefficients(spec.z2, n_terms2))
     meta = {
         "kind": "coherent",
         "family": spec.family,
@@ -146,7 +140,7 @@ def build_coherent(spec: CoherentSpec) -> SpinorState:
         "tail_z1": tail1,
         "tail_z2": tail2,
     }
-    return SpinorState(fr, upper, lower, meta)
+    return SpinorState(fr, stack[:cut.nmax2 + 1], stack[cut.nmax2 + 1:], meta)
 
 
 # Ladder pairings for which the eigenvalue equation holds, per branch.
@@ -158,32 +152,22 @@ _LEGAL_OPS = {
 }
 
 
-def eigen_residual(spec: CoherentSpec, operator, strict: bool = True) -> float:
-    """|| O Phi - z Phi || with z = z1 for A1 and z2 otherwise.
+def eigen_residual(spec: CoherentSpec, state: SpinorState, operator, strict: bool = True) -> float:
+    """|| O Phi - z Phi || for the state built from spec, with z = z1 for
+    A1 and z2 otherwise.
 
     With strict=True (the contract), an operator/branch pairing without an
     eigenvalue equation raises ContractError; strict=False computes the
     residual anyway, which is how the branch asymmetry is documented.
     """
     operator = LadderKind(operator)
-    state = build_coherent(spec)
     if operator is LadderKind.A1:
-        a1 = first_register_lowering(spec.cutoff.nmax1)
-        moved = apply_first_register_operator(a1, state)
-        diff_fr = moved.first_register - spec.z1 * state.first_register
-        spin_norm = math.sqrt(
-            float((np.vdot(state.upper, state.upper) + np.vdot(state.lower, state.lower)).real)
-        )
-        return float(np.linalg.norm(diff_fr)) * spin_norm
+        return ladder_residual(state, first_register_lowering(spec.cutoff.nmax1), spec.z1)
     if strict and _LEGAL_OPS[(spec.family, spec.branch)] is not operator:
         raise ContractError(
             f"{operator.value} has no eigenvalue equation on family {spec.family}/{spec.branch}"
         )
-    op = spinor_ladder_matrix(operator, spec.cutoff)
-    moved = apply_spinor_operator(op, state)
-    diff = moved.spinor_stack() - spec.z2 * state.spinor_stack()
-    fr_norm = float(np.linalg.norm(state.first_register))
-    return float(np.linalg.norm(diff)) * fr_norm
+    return ladder_residual(state, spinor_ladder_matrix(operator, spec.cutoff), spec.z2)
 
 
 @lru_cache(maxsize=16)

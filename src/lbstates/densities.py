@@ -3,17 +3,13 @@
 A separable state (first register (x) spinor pair) is pushed to the
 Cartesian product basis through the anti-diagonal expansions of the
 circular modes, then evaluated on a rectangular grid as two matrix
-products per spinor component.  Row blocks may be evaluated in parallel
-(capped by LB_THREADS; 0 or unset means auto); results are written slot
-by slot so the output does not depend on the parallelism.
+products per spinor component.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,18 +74,6 @@ class DensityField:
         return float(simpson(simpson(self.total, x=self.grid.y, axis=1), x=self.grid.x))
 
 
-def thread_count() -> int:
-    """Worker count from LB_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("LB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return min(8, os.cpu_count() or 1)
-    return n
-
-
 def _component_cartesian(fr: np.ndarray, comp: np.ndarray, table) -> np.ndarray:
     """Product-basis coefficient matrix C[j,k] of sum fr[n1] comp[n2]
     e_{n1,n2}; each mode contributes one anti-diagonal."""
@@ -112,30 +96,15 @@ def _component_cartesian(fr: np.ndarray, comp: np.ndarray, table) -> np.ndarray:
     return out
 
 
-def _grid_values(cart: np.ndarray, px: np.ndarray, py: np.ndarray, workers: int) -> np.ndarray:
-    """psi(x_i, y_j) = (px^T C py)[i, j], row blocks in parallel."""
-    left = px.T @ cart  # (nx, J+1)
-    nx = left.shape[0]
-    out = np.empty((nx, py.shape[1]), dtype=complex)
-    if workers <= 1 or nx < 4 * workers:
-        np.matmul(left, py, out=out)
-        return out
-    chunk = (nx + workers - 1) // workers
-    def run(i0):
-        i1 = min(i0 + chunk, nx)
-        out[i0:i1] = left[i0:i1] @ py
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(0, nx, chunk)))
-    return out
-
-
 def density(state: SpinorState, grid: GridSpec, params: PhysicalParams | None = None,
             extra_meta: dict | None = None) -> DensityField:
     """Evaluate |psi|^2 (total and per component) on the grid.
 
     The metadata echoes the state's construction record, the parameters
     (eps0 included) and the mass captured by the grid; a warning flag is
-    set when less than 99.9% of the coefficient-space mass is captured.
+    set when the captured mass differs from the coefficient-space mass by
+    more than 0.1%.  Raises ContractError when the basis change does not
+    preserve the coefficient-space mass to 1e-8 relative.
     """
     if params is None:
         params = PhysicalParams()
@@ -145,16 +114,19 @@ def density(state: SpinorState, grid: GridSpec, params: PhysicalParams | None = 
     j_top = nmax1 + nmax2
     px = oscillator_table(j_top, grid.x)
     py = oscillator_table(j_top, grid.y)
-    workers = thread_count()
 
-    fields = {}
-    for name, comp in (("upper", state.upper), ("lower", state.lower)):
-        cart = _component_cartesian(state.first_register, comp, table)
-        vals = _grid_values(cart, px, py, workers)
-        fields[name] = np.abs(vals) ** 2
+    carts = {name: _component_cartesian(state.first_register, comp, table)
+             for name, comp in (("upper", state.upper), ("lower", state.lower))}
+    norm2 = state.norm2()
+    cart_mass = sum(float(np.vdot(c, c).real) for c in carts.values())
+    if abs(cart_mass - norm2) > 1e-8 * norm2:
+        raise ContractError(
+            f"the circular-to-Cartesian basis change is not isometric at this window:"
+            f" it maps coefficient mass {norm2:.6g} to {cart_mass:.6g}"
+        )
+    fields = {name: np.abs(px.T @ c @ py) ** 2 for name, c in carts.items()}
     total = fields["upper"] + fields["lower"]
 
-    norm2 = state.norm2()
     fld = DensityField(grid, total, fields["upper"], fields["lower"])
     captured = fld.integral()
     meta = {
@@ -167,7 +139,7 @@ def density(state: SpinorState, grid: GridSpec, params: PhysicalParams | None = 
         },
         "coefficient_norm2": norm2,
         "captured_mass": captured,
-        "mass_warning": bool(captured < 0.999 * norm2),
+        "mass_warning": bool(abs(captured - norm2) > 1e-3 * norm2),
     }
     if extra_meta:
         meta.update(_jsonable(extra_meta))

@@ -22,8 +22,10 @@ import scipy.sparse as sp
 
 from .errors import ShapeError
 from .fock import FockCutoff, SparseOperator
+from .levels import level_table, rank_one_sum, window_levels
 from .params import PhysicalParams
 from .spinor import (
+    V0,
     ModeIndex,
     ModeWindow,
     hamiltonian_spinor_matrix,
@@ -97,9 +99,8 @@ def spinor_ladder_matrix(kind: LadderKind, cutoff: FockCutoff) -> SparseOperator
     kind = LadderKind(kind)
     if kind is LadderKind.A1:
         raise ShapeError("A1 acts on the first register, not the spinor register")
-    vm = level_matrix(cutoff)
-    pm = level_ladder_matrix(kind, cutoff.pmax)
-    mat = sp.csr_matrix(vm @ pm.toarray() @ vm.conjugate().T)
+    vm, _ = level_table(window_levels(cutoff.pmax), V0, cutoff.nmax2)
+    mat = rank_one_sum(vm, level_ladder_matrix(kind, cutoff.pmax), vm)
     return SparseOperator(mat, "kregister", kind.value)
 
 

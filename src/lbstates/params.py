@@ -27,6 +27,8 @@ class PhysicalParams:
     bfield_sign: int = 1
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.vf, self.xi, self.V)):
+            raise ContractError("vf, xi and V must be finite")
         if self.vf <= 0 or self.xi <= 0:
             raise ContractError("vf and xi must be positive")
         if self.V < 0:
@@ -70,10 +72,6 @@ class PhysicalParams:
                 p=p,
                 V=self.V,
             )
-
-
-# Alias used by the chemical-potential modules.
-PotentialParams = PhysicalParams
 
 
 def level_discriminant(p_abs: int, V: float) -> float:

@@ -8,14 +8,9 @@ conjugate eigenvalue pairs), |p| > V^2 unbroken (real eigenvalues), and
 |p| = V^2 is an exceptional point where the two eigenvectors coalesce and
 every construction below refuses to proceed.
 
-Eigenvectors for level p >= 1 are, on the spinor register,
-
-    phi_p^{+-}  = K_phi^{+-} (e_p,  alpha^{+-} e_{p-1})
-    psi_p^{+-}  = K_psi^{+-} (e_p, -alpha^{-+} e_{p-1})
-
-with alpha^{+-} = (-V -+ i sqrt(p - V^2)) / sqrt(p) (principal root).  For
-V > 1 the dual family is re-paired on broken levels (psi-tilde), restoring
-biorthonormality of the x/y pairing.
+The eigenvectors phi_p and their biorthogonal duals are the two-entry
+level spinors of `levels`; for V > 1 the dual family is re-paired on
+broken levels (psi-tilde), restoring biorthonormality of the x/y pairing.
 """
 
 from __future__ import annotations
@@ -26,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, ExceptionalPointError
+from .errors import ContractError
 from .fock import FockCutoff, SparseOperator
 from .ladders import LadderKind, level_ladder_matrix
+from .levels import alpha, level_table, rank_one_sum, two_entry_columns, window_levels
 from .params import PhysicalParams, level_discriminant, sqrt_discriminant
 from .spinor import (
     ModeIndex,
@@ -37,67 +33,6 @@ from .spinor import (
     first_register_basis,
     hamiltonian_spinor_matrix,
 )
-
-
-def alpha(p: int, V: float, branch: str) -> complex:
-    """Spinor mixing coefficient of level p >= 1.
-
-    Unimodular for p > V^2; real with |alpha^+||alpha^-| = 1 in the broken
-    region; exactly -V/sqrt(p) = -1 at the exceptional point (the
-    discriminant is snapped to zero within tolerance).
-    """
-    if p < 1:
-        raise ContractError("alpha is defined for p >= 1")
-    sign = {"plus": -1.0, "minus": +1.0}[branch]
-    s = sqrt_discriminant(p, V)
-    return complex((-V + sign * 1j * s) / math.sqrt(p))
-
-
-def eq39_product(p: int, V: float, branch: str) -> complex:
-    """The constrained product conj(K_phi) K_psi = p / (2 (p - V^2 +- i V
-    sqrt(p - V^2))) for the given branch."""
-    d = level_discriminant(p, V)
-    s = sqrt_discriminant(p, V)
-    sign = {"plus": +1.0, "minus": -1.0}[branch]
-    den = 2.0 * (d + sign * 1j * V * s)
-    if den == 0:
-        raise ExceptionalPointError("normalization degenerates at p = V^2", p=p, V=V)
-    return complex(p / den)
-
-
-def normalization_K(p: int, params: PhysicalParams, branch: str = "plus") -> tuple:
-    """(K_phi, K_psi) for the branch, with the product constraint satisfied
-    against the branch's biorthogonal dual.
-
-    Magnitudes are split symmetrically, |K_phi| = |K_psi| = |product|^(1/2)
-    (equal to (p/(4(p-V^2)))^(1/4) in the unbroken region); K_psi is chosen
-    real positive and K_phi carries the product's phase.  In the broken
-    region the dual of phi^{+-} is psi^{-+}, so the branch constants are
-    fixed through the re-paired products.
-    """
-    if p < 1:
-        raise ContractError("normalization_K is defined for p >= 1")
-    d = level_discriminant(p, params.V)
-    if d == 0.0:
-        raise ExceptionalPointError(
-            f"level p = {p} is exceptional at V = {params.V}", p=p, V=params.V
-        )
-    if d > 0.0:
-        r = eq39_product(p, params.V, branch)
-        k_psi = math.sqrt(abs(r))
-        k_phi = np.conj(r) / k_psi
-        return complex(k_phi), complex(k_psi)
-    # broken region: conj(K_phi^+) K_psi^- = eq39(minus) > 0,
-    #                conj(K_phi^-) K_psi^+ = eq39(plus) < 0
-    r_plus_pair = eq39_product(p, params.V, "minus").real
-    r_minus_pair = eq39_product(p, params.V, "plus").real
-    if branch == "plus":
-        k_phi = math.sqrt(abs(r_plus_pair))
-        k_psi = math.sqrt(abs(r_minus_pair))
-    else:
-        k_phi = -math.sqrt(abs(r_minus_pair))
-        k_psi = math.sqrt(abs(r_plus_pair))
-    return complex(k_phi), complex(k_psi)
 
 
 def eigenvalue_E(p: int, params: PhysicalParams) -> complex:
@@ -120,58 +55,15 @@ def theta(p: int, params: PhysicalParams) -> complex:
     return -params.eps0 * (sqrt_discriminant(-p, params.V) + 1j * params.V)
 
 
-def is_repaired_level(p_abs: int, params: PhysicalParams) -> bool:
-    """True when the dual family at |p| is the swapped branch (V > 1 and
-    the level is broken)."""
-    return p_abs >= 1 and params.V > 1.0 and level_discriminant(p_abs, params.V) < 0.0
-
-
-def _two_entry_stack(nmax2: int, idx_upper: int, c_upper: complex,
-                     idx_lower: int, c_lower: complex) -> np.ndarray:
-    stack = np.zeros(2 * (nmax2 + 1), dtype=complex)
-    stack[idx_upper] = c_upper
-    if idx_lower >= 0:
-        stack[nmax2 + 1 + idx_lower] = c_lower
-    return stack
-
-
 def phi_spinor(p: int, params: PhysicalParams, cutoff: FockCutoff) -> np.ndarray:
     """Stacked (upper, lower) components of phi_p on the spinor register."""
-    if abs(p) > cutoff.nmax2:
-        raise ContractError(f"|p|={abs(p)} exceeds nmax2={cutoff.nmax2}")
-    if p == 0:
-        return _two_entry_stack(cutoff.nmax2, 0, 1.0, -1, 0.0)
-    q = abs(p)
-    branch = "plus" if p > 0 else "minus"
-    k_phi, _ = normalization_K(q, params, branch)
-    return _two_entry_stack(cutoff.nmax2, q, k_phi, q - 1, k_phi * alpha(q, params.V, branch))
-
-
-def psi_spinor(p: int, params: PhysicalParams, cutoff: FockCutoff,
-               repaired: bool | None = None) -> np.ndarray:
-    """Stacked components of psi_p (repaired=True gives the swapped-branch
-    dual used for V > 1 on broken levels; default follows the regime)."""
-    if abs(p) > cutoff.nmax2:
-        raise ContractError(f"|p|={abs(p)} exceeds nmax2={cutoff.nmax2}")
-    if p == 0:
-        return _two_entry_stack(cutoff.nmax2, 0, 1.0, -1, 0.0)
-    q = abs(p)
-    branch = "plus" if p > 0 else "minus"
-    if repaired is None:
-        repaired = is_repaired_level(q, params)
-    if repaired and not is_repaired_level(q, params):
-        raise ContractError("re-pairing only applies to broken levels at V > 1")
-    if repaired:
-        branch = "minus" if branch == "plus" else "plus"
-    other = "minus" if branch == "plus" else "plus"
-    _, k_psi = normalization_K(q, params, branch)
-    return _two_entry_stack(cutoff.nmax2, q, k_psi, q - 1, -k_psi * alpha(q, params.V, other))
+    return level_table([p], params, cutoff.nmax2)[0].toarray()[:, 0]
 
 
 def dual_spinor(p: int, params: PhysicalParams, cutoff: FockCutoff) -> np.ndarray:
     """The member of the dual family paired with phi_p: psi_p for V < 1,
     psi-tilde_p for V > 1."""
-    return psi_spinor(p, params, cutoff, repaired=is_repaired_level(abs(p), params))
+    return level_table([p], params, cutoff.nmax2)[1].toarray()[:, 0]
 
 
 @dataclass(frozen=True)
@@ -188,8 +80,7 @@ def build_biorth_pair(idx: ModeIndex, params: PhysicalParams, cutoff: FockCutoff
         raise ContractError(f"|p|={abs(p)} exceeds pmax={cutoff.pmax}")
     fr = first_register_basis(n, cutoff.nmax1)
     half = cutoff.nmax2 + 1
-    xs = phi_spinor(p, params, cutoff)
-    ys = dual_spinor(p, params, cutoff)
+    xs, ys = (m.toarray()[:, 0] for m in level_table([p], params, cutoff.nmax2))
     x = BiorthVector("phi", ModeIndex(n, p), SpinorState(fr.copy(), xs[:half], xs[half:]))
     role = "psi_tilde" if params.V > 1.0 else "psi"
     y = BiorthVector(role, ModeIndex(n, p), SpinorState(fr.copy(), ys[:half], ys[half:]))
@@ -198,11 +89,8 @@ def build_biorth_pair(idx: ModeIndex, params: PhysicalParams, cutoff: FockCutoff
 
 def biorth_level_matrices(params: PhysicalParams, cutoff: FockCutoff) -> tuple:
     """Column matrices X, Y of phi_p and its dual over p = -pmax..pmax."""
-    xs, ys = [], []
-    for p in range(-cutoff.pmax, cutoff.pmax + 1):
-        xs.append(phi_spinor(p, params, cutoff))
-        ys.append(dual_spinor(p, params, cutoff))
-    return np.array(xs).T, np.array(ys).T
+    x, y = level_table(window_levels(cutoff.pmax), params, cutoff.nmax2)
+    return x.toarray(), y.toarray()
 
 
 def apply_HV(state: SpinorState, params: PhysicalParams, cutoff: FockCutoff) -> SpinorState:
@@ -254,9 +142,8 @@ def pt_spinor_ladder(name: str, params: PhysicalParams, cutoff: FockCutoff) -> S
     """Spinor-register realization through the biorthogonal rank-one sums,
     sum_p amp(p) |phi_target><dual_p|."""
     params.require_non_exceptional(f"ladder {name}")
-    x, y = biorth_level_matrices(params, cutoff)
-    pmat = pt_level_ladder(name, params, cutoff)
-    mat = sp.csr_matrix(x @ pmat.toarray() @ y.conjugate().T)
+    x, y = level_table(window_levels(cutoff.pmax), params, cutoff.nmax2)
+    mat = rank_one_sum(x, pt_level_ladder(name, params, cutoff), y)
     return SparseOperator(mat, "kregister", name)
 
 
@@ -287,13 +174,9 @@ def factorization_defect(params: PhysicalParams, cutoff: FockCutoff) -> float:
     d2 = pt_spinor_ladder("d2", params, cutoff).matrix
     h = hamiltonian_spinor_matrix(params, cutoff).matrix
     e0 = eigenvalue_E(0, params)
-    shifted = h - e0 * sp.identity(h.shape[0], format="csr", dtype=complex)
-    worst = 0.0
-    for p in range(-cutoff.pmax + 1, cutoff.pmax):
-        col = phi_spinor(p, params, cutoff)
-        defect = np.linalg.norm(d2 @ (c2 @ col) - shifted @ col) / np.linalg.norm(col)
-        worst = max(worst, float(defect))
-    return worst
+    x, _ = level_table(range(-cutoff.pmax + 1, cutoff.pmax), params, cutoff.nmax2)
+    defect = d2 @ (c2 @ x) - h @ x + e0 * x
+    return float((sp.linalg.norm(defect, axis=0) / sp.linalg.norm(x, axis=0)).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -332,13 +215,11 @@ def exceptional_diagnostics(p: int, v_star: float, cutoff: FockCutoff) -> dict:
     a_plus = alpha(p, v_star, "plus")
     a_minus = alpha(p, v_star, "minus")
 
-    def unit(a):
-        v = _two_entry_stack(cutoff.nmax2, p, 1.0, p - 1, a)
-        return v / np.linalg.norm(v)
-
-    u_plus, u_minus = unit(a_plus), unit(a_minus)
-    # duals with the lower sign flipped, as in the psi family
-    w_plus, w_minus = unit(-a_minus), unit(-a_plus)
+    # the two branch vectors, then the duals with the lower sign flipped,
+    # as in the psi family
+    cols = two_entry_columns([p] * 4, np.ones(4), [a_plus, a_minus, -a_minus, -a_plus],
+                             cutoff.nmax2).toarray()
+    u_plus, u_minus, w_plus, w_minus = (cols / np.linalg.norm(cols, axis=0)).T
     coincidence = float(np.linalg.norm(u_plus - u_minus))
     self_orth = max(abs(np.vdot(u_plus, w_plus)), abs(np.vdot(u_minus, w_minus)))
     return {

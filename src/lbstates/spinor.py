@@ -23,9 +23,13 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, CutoffError, ShapeError
-from .fock import FockCutoff, SQRT2, SparseOperator, ladder_matrices
+from .errors import CutoffError, ShapeError
+from .fock import FockCutoff, SparseOperator, ladder_matrices
+from .levels import level_table, window_levels
 from .params import PhysicalParams
+
+# The V=0 basis spinors v_p are the level table at V = 0.
+V0 = PhysicalParams()
 
 
 class ModeIndex(NamedTuple):
@@ -111,10 +115,6 @@ class SpinorState:
         return up, lo
 
 
-def inner(f: SpinorState, g: SpinorState) -> complex:
-    return f.inner(g)
-
-
 def _padded_vdot(a: np.ndarray, b: np.ndarray) -> complex:
     m = min(a.size, b.size)
     return complex(np.vdot(a[:m], b[:m]))
@@ -122,20 +122,8 @@ def _padded_vdot(a: np.ndarray, b: np.ndarray) -> complex:
 
 def level_vector(p: int, nmax2: int) -> tuple:
     """Spinor-register components (upper, lower) of the basis spinor v_p."""
-    if abs(p) > nmax2:
-        raise CutoffError(f"level |p|={abs(p)} exceeds nmax2={nmax2}")
-    upper = np.zeros(nmax2 + 1, dtype=complex)
-    lower = np.zeros(nmax2 + 1, dtype=complex)
-    if p == 0:
-        upper[0] = 1.0
-    elif p >= 1:
-        upper[p] = 1.0 / SQRT2
-        lower[p - 1] = -1j / SQRT2
-    else:
-        q = -p
-        upper[q] = 1.0 / SQRT2
-        lower[q - 1] = 1j / SQRT2
-    return upper, lower
+    stack = level_table([p], V0, nmax2)[0].toarray()[:, 0]
+    return stack[:nmax2 + 1], stack[nmax2 + 1:]
 
 
 def first_register_basis(n: int, nmax1: int) -> np.ndarray:
@@ -160,16 +148,12 @@ def level_matrix(cutoff: FockCutoff) -> np.ndarray:
 
     Shape (2*(nmax2+1), 2*pmax+1); the columns are orthonormal.
     """
-    cols = []
-    for p in range(-cutoff.pmax, cutoff.pmax + 1):
-        u, l = level_vector(p, cutoff.nmax2)
-        cols.append(np.concatenate([u, l]))
-    return np.array(cols).T
+    return level_table(window_levels(cutoff.pmax), V0, cutoff.nmax2)[0].toarray()
 
 
 def level_coefficients(state: SpinorState, cutoff: FockCutoff) -> np.ndarray:
     """Array over p of <v_p, spinor part of state>, p = -pmax..pmax."""
-    vm = level_matrix(cutoff)
+    vm = level_table(window_levels(cutoff.pmax), V0, cutoff.nmax2)[0]
     return vm.conjugate().T @ state.spinor_stack()
 
 
@@ -191,18 +175,23 @@ def first_register_lowering(nmax1: int) -> SparseOperator:
     return SparseOperator(mat, "first", "A1_register")
 
 
+def _hamiltonian_block(params: PhysicalParams, a: sp.spmatrix, V: float) -> sp.csr_matrix:
+    """(2i v_F / xi) [[V I, a^+], [-a, -V I]] for the annihilator a of one
+    component."""
+    eye = sp.identity(a.shape[0], format="csr", dtype=complex)
+    scale = 1j * params.eps0
+    return sp.bmat(
+        [[scale * V * eye, scale * a.conjugate().T], [-scale * a, -scale * V * eye]],
+        format="csr",
+    )
+
+
 def hamiltonian_spinor_matrix(params: PhysicalParams, cutoff: FockCutoff, V: float | None = None) -> SparseOperator:
     """The spinor-register block matrix (2i v_F / xi) [[V, a^+], [-a, -V]]
     acting on the stacked (upper, lower) register.  V defaults to params.V."""
     if V is None:
         V = params.V
-    a = second_register_annihilation(cutoff.nmax2)
-    eye = sp.identity(cutoff.nmax2 + 1, format="csr", dtype=complex)
-    scale = 1j * params.eps0
-    mat = sp.bmat(
-        [[scale * V * eye, scale * a.conjugate().T], [-scale * a, -scale * V * eye]],
-        format="csr",
-    )
+    mat = _hamiltonian_block(params, second_register_annihilation(cutoff.nmax2), V)
     return SparseOperator(mat, "kregister", f"H(V={V})")
 
 
@@ -215,12 +204,18 @@ def apply_spinor_operator(op: SparseOperator, state: SpinorState) -> SpinorState
     return state.with_spinor_stack(op.matrix @ stack)
 
 
-def apply_first_register_operator(op: SparseOperator, state: SpinorState) -> SpinorState:
-    if op.space != "first":
-        raise ShapeError(f"expected a first-register operator, got {op.space}")
-    if op.shape[1] != state.first_register.size:
-        raise ShapeError("operator and state live on different first-register windows")
-    return SpinorState(op.matrix @ state.first_register, state.upper.copy(), state.lower.copy(), dict(state.meta))
+def ladder_residual(state: SpinorState, op: SparseOperator, z: complex) -> float:
+    """|| O state - z state || for an operator on either register of the
+    separable state; the other register enters through its norm."""
+    if op.space == "first":
+        own, other = state.first_register, state.spinor_stack()
+    elif op.space == "kregister":
+        own, other = state.spinor_stack(), state.first_register
+    else:
+        raise ShapeError(f"expected a first or kregister operator, got {op.space}")
+    if op.shape[1] != own.size:
+        raise ShapeError("operator and state live on different windows")
+    return float(np.linalg.norm(op.matrix @ own - z * own)) * float(np.linalg.norm(other))
 
 
 def apply_HK(state: SpinorState, params: PhysicalParams, cutoff: FockCutoff) -> SpinorState:
@@ -233,14 +228,7 @@ def dense_hamiltonian(params: PhysicalParams, cutoff: FockCutoff, V: float | Non
     (j, k) blocks.  Hermitian at V=0."""
     if V is None:
         V = params.V
-    ops = ladder_matrices(cutoff)
-    a2 = ops["A2"].matrix
-    eye = sp.identity(cutoff.cart_dim, format="csr", dtype=complex)
-    scale = 1j * params.eps0
-    mat = sp.bmat(
-        [[scale * V * eye, scale * a2.conjugate().T], [-scale * a2, -scale * V * eye]],
-        format="csr",
-    )
+    mat = _hamiltonian_block(params, ladder_matrices(cutoff)["A2"].matrix, V)
     return SparseOperator(mat, "cartesian_spinor", f"H_cart(V={V})")
 
 
@@ -264,19 +252,3 @@ def restricted_spinor_block(params: PhysicalParams, cutoff: FockCutoff) -> np.nd
     d = cutoff.nmax2 + 1
     keep = list(range(d)) + list(range(d, 2 * d - 1))
     return h[np.ix_(keep, keep)]
-
-
-def check_subspace_membership(state: SpinorState, cutoff: FockCutoff, sign: str, tol: float = 1e-12) -> None:
-    """Raise ContractError unless the state's level support matches the
-    requested half: 'plus' means p >= 0, 'minus' means p <= -1."""
-    coefs = level_coefficients(state, cutoff)
-    ps = np.arange(-cutoff.pmax, cutoff.pmax + 1)
-    if sign == "plus":
-        bad = np.abs(coefs[ps < 0]).max(initial=0.0)
-    elif sign == "minus":
-        bad = np.abs(coefs[ps >= 0]).max(initial=0.0)
-    else:
-        raise ContractError(f"unknown subspace sign {sign!r}")
-    scale = max(state.norm(), 1.0)
-    if bad > tol * scale:
-        raise ContractError(f"state has weight {bad:.3e} outside the {sign} subspace")

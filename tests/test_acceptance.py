@@ -118,8 +118,8 @@ def test_criterion_03_coherent_states():
                         st = build_coherent(spec)
                         assert abs(st.norm() - 1.0) < 1e-8
                 spec = CoherentSpec(1 - 1j, 1 + 0.5j, family, branch, DESK_WIDE)
-                assert eigen_residual(spec, legal[(family, branch)]) < 1e-8
-                assert eigen_residual(spec, LadderKind.A1) < 1e-8
+                assert eigen_residual(spec, build_coherent(spec), legal[(family, branch)]) < 1e-8
+                assert eigen_residual(spec, build_coherent(spec), LadderKind.A1) < 1e-8
         # quadrature resolutions reproduce the subspace Grams
         small = FockCutoff(8, 12, 10)
         for branch, sign in (("plus", +1), ("minus", -1)):
@@ -223,14 +223,14 @@ def test_criterion_10_bicoherent_identities():
             ("D2dag", ("theta", "bra", "plus")),
         ):
             s = BicoherentSpec(0.0, 1 - 1j, family, side, branch, params, DESK_WIDE)
-            assert bicoherent_eigen_residual(s, op) < 1e-8
-            assert bicoherent_eigen_residual(s, "A1") < 1e-8
+            assert bicoherent_eigen_residual(s, build_bicoherent(s), op) < 1e-8
+            assert bicoherent_eigen_residual(s, build_bicoherent(s), "A1") < 1e-8
         s1 = BicoherentSpec(2 + 1j, 1 - 1j, "theta", "ket", "plus", params, DESK_WIDE)
-        assert bicoherent_eigen_residual(s1, "A1") < 1e-8
+        assert bicoherent_eigen_residual(s1, build_bicoherent(s1), "A1") < 1e-8
         # the same identities hold deep in the broken phase
         s95 = BicoherentSpec(0.0, 1 - 1j, "theta", "ket", "plus", PhysicalParams(V=9.5), BIG)
         assert bi_product(s95) == pytest.approx(1.0, abs=1e-8)
-        assert bicoherent_eigen_residual(s95, "C2") < 1e-8
+        assert bicoherent_eigen_residual(s95, build_bicoherent(s95), "C2") < 1e-8
 
 
 def test_criterion_11_figure_reproduction():

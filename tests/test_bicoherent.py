@@ -154,24 +154,40 @@ class TestEigenEquations:
     @pytest.mark.parametrize("op,family,side,branch", CASES)
     def test_legal_pairings_small_v(self, op, family, side, branch):
         s = spec(1 - 1j, family=family, side=side, branch=branch)
-        assert bicoherent_eigen_residual(s, op) < 1e-8
+        assert bicoherent_eigen_residual(s, build_bicoherent(s), op) < 1e-8
 
     @pytest.mark.parametrize("op,family,side,branch", CASES)
     def test_legal_pairings_large_v(self, op, family, side, branch):
         s = spec(1 - 1j, family=family, side=side, branch=branch, params=P_BIG, cut=CUT_BIG)
         st_ = build_bicoherent(s)
         tol = 1e-8 * max(1.0, st_.norm())
-        assert bicoherent_eigen_residual(s, op) < tol
+        assert bicoherent_eigen_residual(s, build_bicoherent(s), op) < tol
 
     def test_first_register_label(self):
         s = spec(1.0, z1=2 + 1j, cut=FockCutoff(48, 48, 48))
-        assert bicoherent_eigen_residual(s, "A1") < 1e-8
+        assert bicoherent_eigen_residual(s, build_bicoherent(s), "A1") < 1e-8
 
     def test_illegal_pairing_rejected(self):
         with pytest.raises(ContractError):
-            bicoherent_eigen_residual(spec(1.0), "D2")
+            s = spec(1.0)
+            bicoherent_eigen_residual(s, build_bicoherent(s), "D2")
         with pytest.raises(ContractError):
-            bicoherent_eigen_residual(spec(1.0, family="standard"), "C2")
+            s = spec(1.0, family="standard")
+            bicoherent_eigen_residual(s, build_bicoherent(s), "C2")
+
+
+class TestExceptionalLevels:
+    # V = 2 makes p = V^2 = 4 exceptional; only a series that reaches it fails
+    P_EXC = PhysicalParams(V=2.0)
+
+    def test_series_stopping_before_exceptional_level_builds(self):
+        st = build_bicoherent(spec(1e-3, family="standard", params=self.P_EXC))
+        assert np.count_nonzero(st.upper) == 4  # levels 0..3
+        assert st.norm2() > 0.0
+
+    def test_series_reaching_exceptional_level_raises(self):
+        with pytest.raises(ExceptionalPointError):
+            build_bicoherent(spec(1 - 1j, family="standard", params=self.P_EXC))
 
 
 class TestQuasiBasis:

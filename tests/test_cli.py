@@ -89,6 +89,32 @@ class TestStateCommand:
         assert "error" in capsys.readouterr().err
 
 
+class TestStateBuilds:
+    @pytest.mark.parametrize("flags,builds", [
+        (["--family", "A"], 1),
+        (["--family", "eta", "--V", "0.5"], 2),
+    ])
+    def test_state_and_dual_built_once(self, monkeypatch, capsys, flags, builds):
+        from lbstates import bicoherent, cli, coherent
+
+        calls = []
+
+        def counted(fn):
+            def wrapper(spec):
+                calls.append(spec)
+                return fn(spec)
+            return wrapper
+
+        for mod, name, fn in ((cli, "build_coherent", coherent.build_coherent),
+                              (coherent, "build_coherent", coherent.build_coherent),
+                              (cli, "build_bicoherent", bicoherent.build_bicoherent),
+                              (bicoherent, "build_bicoherent", bicoherent.build_bicoherent)):
+            monkeypatch.setattr(mod, name, counted(fn))
+        assert cli_main(["state", "--z2", "1-1i", "--nmax", "64", "--pmax", "64"] + flags) == 0
+        capsys.readouterr()
+        assert len(calls) == builds
+
+
 class TestDensityCommand:
     def test_csv_with_sidecar(self, tmp_path, capsys):
         out = os.fspath(tmp_path / "eta.csv")
@@ -155,6 +181,20 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS fock.psi_recurrence_vs_polynomial" in out
+
+
+class TestInputBoundary:
+    def test_non_finite_v_exits_one(self, capsys):
+        assert cli_main(["spectrum", "--V", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
+
+    def test_empty_check_selection_exits_one(self, capsys):
+        assert cli_main(["check", "--suite", "nomatch"]) == 1
+        captured = capsys.readouterr()
+        assert "0/0" not in captured.out
+        assert "error" in captured.err
 
 
 class TestUsageErrors:

@@ -61,23 +61,23 @@ class TestEigenEquations:
     def test_legal_residuals_small(self, family, branch, op):
         for z2 in (1.0, 1 - 1j, 2 + 2j):
             spec = CoherentSpec(0.5j, z2, family, branch, CUT)
-            assert eigen_residual(spec, op) < 1e-8
-            assert eigen_residual(spec, LadderKind.A1) < 1e-8
+            assert eigen_residual(spec, build_coherent(spec), op) < 1e-8
+            assert eigen_residual(spec, build_coherent(spec), LadderKind.A1) < 1e-8
 
     def test_off_branch_is_not_an_eigenstate(self):
         spec = CoherentSpec(1.0, 1 - 1j, "A", "minus", CUT)
         with pytest.raises(ContractError):
-            eigen_residual(spec, LadderKind.A2)
-        residual = eigen_residual(spec, LadderKind.A2, strict=False)
+            eigen_residual(spec, build_coherent(spec), LadderKind.A2)
+        residual = eigen_residual(spec, build_coherent(spec), LadderKind.A2, strict=False)
         assert residual > 0.5  # documents the branch asymmetry
 
     def test_plus_branch_lowering_example(self):
         spec = CoherentSpec(1.0, 1 - 1j, "A", "plus", CUT)
-        assert eigen_residual(spec, LadderKind.A2) < 1e-8
+        assert eigen_residual(spec, build_coherent(spec), LadderKind.A2) < 1e-8
 
     def test_minus_branch_raising_acts_as_lowering(self):
         spec = CoherentSpec(1.0, 1 - 1j, "A", "minus", CUT)
-        assert eigen_residual(spec, LadderKind.A2DAG) < 1e-8
+        assert eigen_residual(spec, build_coherent(spec), LadderKind.A2DAG) < 1e-8
 
 
 class TestOrthogonality:

@@ -8,7 +8,7 @@ import pytest
 from lbstates import ContractError, FockCutoff, PhysicalParams
 from lbstates.bicoherent import BicoherentSpec, build_bicoherent
 from lbstates.coherent import CoherentSpec, build_coherent
-from lbstates.densities import GridSpec, density, export, gain_loss, thread_count
+from lbstates.densities import GridSpec, density, export, gain_loss
 from lbstates.spinor import ModeIndex, basis_vector_c
 
 CUT = FockCutoff(32, 32, 32)
@@ -63,15 +63,25 @@ class TestDensityField:
         assert fld.meta["cutoff"] == {"nmax1": 32, "nmax2": 32}
         assert fld.meta["state"]["family"] == "A"
 
-    def test_parallelism_does_not_change_values(self, coherent_field, monkeypatch):
-        st, fld = coherent_field
-        monkeypatch.setenv("LB_THREADS", "3")
-        assert thread_count() == 3
-        fld3 = density(st, GRID)
-        np.testing.assert_array_equal(fld3.total, fld.total)
-        monkeypatch.setenv("LB_THREADS", "1")
-        fld1 = density(st, GRID)
-        np.testing.assert_array_equal(fld1.total, fld.total)
+    def test_warning_on_overshooting_grid(self):
+        # Simpson's rule on three points per axis overestimates the vacuum
+        # Gaussian's integral (2.3 instead of 1)
+        st = basis_vector_c(ModeIndex(0, 0), FockCutoff(2, 6, 4))
+        fld = density(st, GridSpec(-2, 2, 3, -2, 2, 3))
+        assert fld.meta["captured_mass"] > 2.0
+        assert fld.meta["mass_warning"]
+
+    def test_large_label_window_is_refused_or_right(self):
+        # z1 = 7, z2 = 6 at window 150: the circular-mode table used to
+        # lose isometry here, giving a captured mass of 26.4 of 1.00
+        params = PhysicalParams(V=0.5)
+        st = build_bicoherent(BicoherentSpec(7.0, 6.0, "standard", "ket", "plus", params,
+                                             FockCutoff(150, 150, 150)))
+        try:
+            fld = density(st, GridSpec(-20, 20, 257, -20, 20, 257), params)
+        except ContractError:
+            return
+        assert fld.meta["captured_mass"] == pytest.approx(fld.meta["coefficient_norm2"], rel=1e-3)
 
 
 class TestGainLoss:

@@ -12,11 +12,12 @@ from lbstates.ladders import (
     decomposition_respected,
     factorization_defect_v0,
     hamiltonian_mode_matrix,
+    level_ladder_matrix,
     quasi_vacua,
     spinor_ladder_matrix,
     subspace_closure_check,
 )
-from lbstates.spinor import ModeWindow
+from lbstates.spinor import ModeWindow, level_matrix
 
 
 CUT = FockCutoff(3, 10, 8)
@@ -169,6 +170,13 @@ class TestSubspaceClosure:
 
 
 class TestSpinorRealization:
+    @pytest.mark.parametrize("kind", [LadderKind.A2, LadderKind.A2DAG, LadderKind.B2, LadderKind.B2DAG])
+    def test_sparse_product_matches_dense(self, kind):
+        vm = level_matrix(CUT)
+        dense = vm @ level_ladder_matrix(kind, CUT.pmax).toarray() @ vm.conj().T
+        got = spinor_ladder_matrix(kind, CUT).matrix.toarray()
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-14 * np.abs(dense).max())
+
     def test_matches_mode_action(self, params):
         # applying the spinor-register realization to a basis spinor moves
         # the level exactly like the mode matrix says

@@ -29,6 +29,7 @@ from lbstates.pt import (
     hv_adjoint_defect,
     phi_norm_bound,
     phi_spinor,
+    pt_level_ladder,
     pt_spinor_ladder,
 )
 from lbstates.spinor import apply_HK, basis_vector_c, hamiltonian_spinor_matrix
@@ -240,6 +241,15 @@ class TestPtLadders:
     def test_exceptional_refusal(self):
         with pytest.raises(ExceptionalPointError):
             build_pt_ladders(PhysicalParams(V=2.0), CUT)
+
+    @pytest.mark.parametrize("v", [0.5, 9.5])
+    @pytest.mark.parametrize("name", ["A_K_V", "B_K_V", "c2", "d2"])
+    def test_sparse_product_matches_dense(self, v, name):
+        params = PhysicalParams(V=v)
+        x, y = biorth_level_matrices(params, CUT)
+        dense = x @ pt_level_ladder(name, params, CUT).toarray() @ y.conj().T
+        got = pt_spinor_ladder(name, params, CUT).matrix.toarray()
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-14 * np.abs(dense).max())
 
     @pytest.mark.parametrize("v", [0.0, 0.25, 0.5, 9.5])
     def test_factorization(self, v):
