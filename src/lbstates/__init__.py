@@ -69,8 +69,15 @@ from .bicoherent import (
     theta_factorial,
 )
 from .densities import DensityField, GainLossReport, GridSpec, density, export, gain_loss
-from .cli import cli_main
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["cli_main"]
+
+
+def __getattr__(name):
+    # imported on first use, so `python -m lbstates.cli` runs a fresh module
+    if name != "cli_main":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .cli import cli_main
+    return cli_main

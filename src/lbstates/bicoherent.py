@@ -67,18 +67,6 @@ def theta_factorial(n: int, params: PhysicalParams, branch: str = "plus") -> tup
     return prod, abs(prod)
 
 
-def sqrt_theta_factorials(count: int, params: PhysicalParams, branch: str = "plus") -> np.ndarray:
-    """Cumulative products F_n = prod_{k<=n} sqrt(theta_k) of principal
-    roots, n = 0..count (F_0 = 1).  Note F_n^2 equals the complex factorial
-    but F_n itself is not the principal root of it."""
-    seq = theta_sequence(count, params, branch)
-    out = np.empty(count + 1, dtype=complex)
-    out[0] = 1.0
-    for k in range(1, count + 1):
-        out[k] = out[k - 1] * np.sqrt(seq[k])
-    return out
-
-
 class NormalizationN(NamedTuple):
     value: float
     tail: float

@@ -8,10 +8,12 @@ scale.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import simpson
@@ -35,10 +37,23 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name, value, tol, detail="", ok=None):
+def _result(value, tol, detail="", ok=None):
     if ok is None:
         ok = value <= tol
-    return CheckResult(name, bool(ok), float(value), float(tol), detail)
+    return CheckResult("", bool(ok), float(value), float(tol), detail)
+
+
+ALL_CHECKS = []  # in definition order; callers may wrap entries (setting __wrapped__)
+
+
+def _check(name):
+    """Register the decorated check under `name`, which its result carries."""
+    def register(fn):
+        run = functools.wraps(fn)(lambda: replace(fn(), name=name))
+        run.check_name = name
+        ALL_CHECKS.append(run)
+        return run
+    return register
 
 
 def _hermite_poly_psi(n, x):
@@ -56,6 +71,7 @@ def _hermite_poly_psi(n, x):
     return h * np.exp(-0.5 * x * x) / norm
 
 
+@_check("fock.psi_recurrence_vs_polynomial")
 def check_psi_recurrence():
     x = np.linspace(-10, 10, 401)
     worst = 0.0
@@ -64,18 +80,20 @@ def check_psi_recurrence():
         b = _hermite_poly_psi(n, x)
         scale = np.maximum(np.abs(b), 1e-30)
         worst = max(worst, float(np.max(np.abs(a - b) / scale)))
-    return _result("fock.psi_recurrence_vs_polynomial", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
+@_check("fock.circular_gram")
 def check_circular_gram():
     cut = fock.FockCutoff(0, 12)
     modes = [fock.circular_mode(n1, n2, cut).coeffs.ravel()
              for n1 in range(11) for n2 in range(11 - n1)]
     m = np.array(modes)
     gram = m.conj() @ m.T
-    return _result("fock.circular_gram", float(np.abs(gram - np.eye(len(modes))).max()), 1e-10)
+    return _result(float(np.abs(gram - np.eye(len(modes))).max()), 1e-10)
 
 
+@_check("fock.ccr_interior")
 def check_ccr_interior():
     cut = fock.FockCutoff(0, 10)
     ops = fock.ladder_matrices(cut)
@@ -89,9 +107,10 @@ def check_ccr_interior():
         worst = max(worst, float(np.abs(defect[np.ix_(interior, interior)]).max()))
     cross = (ops["A1"].matrix @ ops["A2"].matrix - ops["A2"].matrix @ ops["A1"].matrix).toarray()
     worst = max(worst, float(np.abs(cross[np.ix_(interior, interior)]).max()))
-    return _result("fock.ccr_interior", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
+@_check("fock.eval_mode_norm")
 def check_eval_mode_norm():
     cut = fock.FockCutoff(0, 8)
     xs = np.linspace(-7, 7, 141)
@@ -102,25 +121,28 @@ def check_eval_mode_norm():
         vals = px.T @ vec.coeffs @ px
         mass = simpson(simpson(np.abs(vals) ** 2, x=xs, axis=1), x=xs)
         worst = max(worst, abs(mass - 1.0))
-    return _result("fock.eval_mode_norm", worst, 1e-6)
+    return _result(worst, 1e-6)
 
 
+@_check("spinor.orthonormality")
 def check_c_basis_orthonormality():
     cut = fock.FockCutoff(6, 10, 8)
     vm = spn.level_matrix(cut)
     gram = vm.conj().T @ vm
-    return _result("spinor.orthonormality", float(np.abs(gram - np.eye(vm.shape[1])).max()), 1e-10)
+    return _result(float(np.abs(gram - np.eye(vm.shape[1])).max()), 1e-10)
 
 
+@_check("spinor.eigen_residuals")
 def check_eigen_residuals_v0():
     params = PhysicalParams()
     cut = fock.FockCutoff(4, 16, 14)
     worst = 0.0
     for p in range(-cut.pmax, cut.pmax + 1):
         worst = max(worst, spn.eigen_residual_hk(spn.ModeIndex(1, p), params, cut))
-    return _result("spinor.eigen_residuals", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
+@_check("spinor.dense_spectrum")
 def check_dense_spectrum():
     params = PhysicalParams()
     cut = fock.FockCutoff(0, 12)
@@ -130,9 +152,10 @@ def check_dense_spectrum():
     eigs = np.sort(np.linalg.eigvals(block).real)
     expect = np.sort(np.concatenate([[0.0], [s * 2 * math.sqrt(k) for k in range(1, 13) for s in (1, -1)]]))
     diff = float(np.abs(eigs - expect).max())
-    return _result("spinor.dense_spectrum", max(herm, diff), 1e-9)
+    return _result(max(herm, diff), 1e-9)
 
 
+@_check("spinor.subspace_orthogonality")
 def check_subspace_orthogonality():
     cut = fock.FockCutoff(5, 10, 8)
     worst = 0.0
@@ -144,9 +167,10 @@ def check_subspace_orthogonality():
         f = spn.SpinorState(fr, up_p, lo_p)
         g = spn.SpinorState(fr, up_q, lo_q)
         worst = max(worst, abs(f.inner(g)))
-    return _result("spinor.subspace_orthogonality", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
+@_check("ladders.entry_patterns")
 def check_ladder_patterns():
     cut = fock.FockCutoff(3, 8, 6)
     win = spn.ModeWindow.of(cut)
@@ -162,9 +186,10 @@ def check_ladder_patterns():
             for p in range(-cut.pmax + 1, cut.pmax):
                 got = mat[win.index(n, p + dp), win.index(n, p)]
                 worst = max(worst, abs(got - amp(p)))
-    return _result("ladders.entry_patterns", worst, 0.0, ok=worst == 0.0)
+    return _result(worst, 0.0, ok=worst == 0.0)
 
 
+@_check("ladders.number_diagonal")
 def check_number_operator():
     cut = fock.FockCutoff(2, 8, 6)
     a2 = ld.build_ladder(ld.LadderKind.A2, cut).matrix
@@ -176,9 +201,10 @@ def check_number_operator():
     diag_err = float(np.abs(np.diag(num)[interior] - diag_expect[interior]).max())
     worst = max(diag_err, float(np.abs(off).max()))
     neg = float(min(np.diag(num).real.min(), 0.0))
-    return _result("ladders.number_diagonal", max(worst, -neg), 1e-12)
+    return _result(max(worst, -neg), 1e-12)
 
 
+@_check("ladders.h_commutators")
 def check_h_commutators():
     params = PhysicalParams()
     cut = fock.FockCutoff(3, 12, 10)
@@ -191,9 +217,10 @@ def check_h_commutators():
         ld.commutator_defect(h, n_op, cut),
         ld.commutator_defect(h, bb, cut),
     )
-    return _result("ladders.h_commutators", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
+@_check("ladders.v0_factorization_formula")
 def check_v0_factorization_defect():
     cut = fock.FockCutoff(2, 12, 10)
     params = PhysicalParams()
@@ -202,9 +229,10 @@ def check_v0_factorization_defect():
         measured = ld.factorization_defect_v0(cut, params, p=p)
         expect = abs(params.eps0 * math.copysign(math.sqrt(abs(p)), p) - abs(p)) if p else 0.0
         worst = max(worst, abs(measured - expect))
-    return _result("ladders.v0_factorization_formula", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
+@_check("ladders.split_closure")
 def check_k_closure():
     cut = fock.FockCutoff(2, 8, 6)
     ok = (
@@ -214,12 +242,13 @@ def check_k_closure():
         and ld.decomposition_respected(ld.LadderKind.A2DAG, "H", cut)
         and not ld.subspace_closure_check(ld.LadderKind.B2, ld.SubspaceTag.H2MINUS, cut)
     )
-    return _result("ladders.split_closure", 0.0 if ok else 1.0, 0.5, ok=ok)
+    return _result(0.0 if ok else 1.0, 0.5, ok=ok)
 
 
 _ZGRID = (0, 1, -1, 1j, -1j, 1 - 1j, 2 + 2j)
 
 
+@_check("coherent.norms")
 def check_coherent_norms():
     cut = fock.FockCutoff(64, 64, 64)
     worst = 0.0
@@ -229,9 +258,10 @@ def check_coherent_norms():
                 for z2 in _ZGRID:
                     st = ch.build_coherent(ch.CoherentSpec(z1, z2, family, branch, cut))
                     worst = max(worst, abs(st.norm() - 1.0))
-    return _result("coherent.norms", worst, 1e-8)
+    return _result(worst, 1e-8)
 
 
+@_check("coherent.eigen_residuals")
 def check_coherent_residuals():
     cut = fock.FockCutoff(40, 40, 40)
     worst = 0.0
@@ -240,9 +270,10 @@ def check_coherent_residuals():
         st = ch.build_coherent(spec)
         worst = max(worst, ch.eigen_residual(spec, st, op))
         worst = max(worst, ch.eigen_residual(spec, st, ld.LadderKind.A1))
-    return _result("coherent.eigen_residuals", worst, 1e-8)
+    return _result(worst, 1e-8)
 
 
+@_check("coherent.branch_orthogonality")
 def check_coherent_orthogonality():
     cut = fock.FockCutoff(40, 40, 40)
     worst = 0.0
@@ -250,9 +281,10 @@ def check_coherent_orthogonality():
         plus = ch.build_coherent(ch.CoherentSpec(0.5, 1 - 1j, family, "plus", cut))
         minus = ch.build_coherent(ch.CoherentSpec(0.5, 1 - 1j, family, "minus", cut))
         worst = max(worst, abs(plus.inner(minus)))
-    return _result("coherent.branch_orthogonality", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
+@_check("coherent.resolution_identity")
 def check_resolution_identity():
     cut = fock.FockCutoff(8, 10, 8)
     worst = 0.0
@@ -263,18 +295,20 @@ def check_resolution_identity():
             g = spn.basis_vector_c(spn.ModeIndex(n2, p2), cut)
             got = ch.resolution_identity_check(branch, f, g, cut)
             worst = max(worst, abs(got - f.inner(g)))
-    return _result("coherent.resolution_identity", worst, 1e-6)
+    return _result(worst, 1e-6)
 
 
+@_check("coherent.combined_state_defect")
 def check_combined_defect():
     cut = fock.FockCutoff(8, 10, 8)
     f = spn.basis_vector_c(spn.ModeIndex(0, 0), cut)
     defect = ch.combined_state_defect(f, f, cut)
     ok = abs(defect + 0.5) < 1e-10 and abs(defect) > 0.1
-    return _result("coherent.combined_state_defect", abs(defect + 0.5), 1e-10, ok=ok,
+    return _result(abs(defect + 0.5), 1e-10, ok=ok,
                    detail=f"defect={defect:.6f}")
 
 
+@_check("pt.alpha_identities")
 def check_alpha_identities():
     worst = 0.0
     for v in (0.25, 0.5, 0.9):
@@ -286,9 +320,10 @@ def check_alpha_identities():
             ap, am = pt.gain_loss_asymptotics(p, v)
             worst = max(worst, abs(ap * am - 1.0))
     worst = max(worst, abs(pt.alpha(2, math.sqrt(2), "plus") + 1.0))
-    return _result("pt.alpha_identities", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
+@_check("pt.biorth_gram")
 def check_biorth_gram():
     worst = 0.0
     for v in (0.25, 0.5, 0.9, 1.5, 9.5):
@@ -297,9 +332,10 @@ def check_biorth_gram():
         x, y = pt.biorth_level_matrices(params, cut)
         gram = y.conj().T @ x
         worst = max(worst, float(np.abs(gram.conj().T - np.eye(x.shape[1])).max()))
-    return _result("pt.biorth_gram", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
+@_check("pt.eigen_residuals")
 def check_hv_residuals():
     worst = 0.0
     for v in (0.25, 0.5, 9.5):
@@ -311,18 +347,20 @@ def check_hv_residuals():
         for vecs, op, ev in ((x, h, e), (y, h.conjugate().T, np.conj(e))):
             res = np.linalg.norm(op @ vecs - vecs * ev, axis=0) / np.linalg.norm(vecs, axis=0)
             worst = max(worst, float(res.max()))
-    return _result("pt.eigen_residuals", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
+@_check("pt.theta_modulus")
 def check_theta_modulus():
     worst = 0.0
     for v in (0.25, 0.5, 0.9):
         params = PhysicalParams(V=v)
         for p in list(range(-12, 0)) + list(range(1, 13)):
             worst = max(worst, abs(abs(pt.theta(p, params)) - params.eps0 * math.sqrt(abs(p))))
-    return _result("pt.theta_modulus", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
+@_check("pt.norm_bounds")
 def check_norm_bounds():
     worst_excess = 0.0
     # phi_p for p >= 0 at V = 0.5; the duals beyond the broken region at 9.5
@@ -332,18 +370,20 @@ def check_norm_bounds():
         vecs = pt.biorth_level_matrices(params, cut)[family][:, cut.pmax + p_from:]
         excess = np.linalg.norm(vecs, axis=0) ** 2 - pt.phi_norm_bound(params)
         worst_excess = max(worst_excess, float(excess.max()))
-    return _result("pt.norm_bounds", max(worst_excess, 0.0), 1e-12)
+    return _result(max(worst_excess, 0.0), 1e-12)
 
 
+@_check("pt.factorization_defect")
 def check_pt_factorization():
     worst = 0.0
     for v in (0.25, 0.5, 9.5):
         params = PhysicalParams(V=v)
         cut = fock.FockCutoff(2, 14, 12)
         worst = max(worst, pt.factorization_defect(params, cut))
-    return _result("pt.factorization_defect", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
+@_check("pt.reality_pattern")
 def check_reality_pattern():
     ok = True
     for v, broken_top in ((0.5, 0), (9.5, 90)):
@@ -354,9 +394,10 @@ def check_reality_pattern():
                 ok = ok and abs(e.imag) > 0
             else:
                 ok = ok and abs(e.imag) < 1e-12
-    return _result("pt.reality_pattern", 0.0 if ok else 1.0, 0.5, ok=ok)
+    return _result(0.0 if ok else 1.0, 0.5, ok=ok)
 
 
+@_check("pt.ladder_duality")
 def check_ladder_duality():
     # the conjugate transpose of the spinor realization must raise the dual
     # family with the sqrt(|p+1|) weights
@@ -369,17 +410,19 @@ def check_ladder_duality():
         qs = np.arange(-cut.pmax + 1, cut.pmax - 1)
         moved = adag @ y[:, qs + cut.pmax] - np.sqrt(np.abs(qs + 1)) * y[:, qs + cut.pmax + 1]
         worst = max(worst, float(np.linalg.norm(moved, axis=0).max()))
-    return _result("pt.ladder_duality", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
+@_check("pt.v0_continuity_moduli")
 def check_v0_continuity():
     cut = fock.FockCutoff(2, 16, 14)
     a, _ = pt.biorth_level_matrices(PhysicalParams(V=1e-4), cut)
     b, _ = pt.biorth_level_matrices(PhysicalParams(V=0.0), cut)
     worst = float(np.abs(np.abs(a) - np.abs(b)).max())
-    return _result("pt.v0_continuity_moduli", worst, 1e-6)
+    return _result(worst, 1e-6)
 
 
+@_check("bicoherent.binormalization")
 def check_binormalization():
     worst = 0.0
     for v, window in ((0.25, 48), (0.5, 48), (9.5, 150)):
@@ -392,9 +435,10 @@ def check_binormalization():
                 other = bc.BicoherentSpec(0.0, 1 - 1j, family, "bra",
                                           "minus" if branch == "plus" else "plus", params, cut)
                 worst = max(worst, abs(bc.build_bicoherent(spec).inner(bc.build_bicoherent(other))))
-    return _result("bicoherent.binormalization", worst, 1e-8)
+    return _result(worst, 1e-8)
 
 
+@_check("bicoherent.eigen_residuals")
 def check_bicoherent_residuals():
     worst = 0.0
     for v, window in ((0.5, 48), (9.5, 150)):
@@ -405,9 +449,10 @@ def check_bicoherent_residuals():
             st = bc.build_bicoherent(spec)
             worst = max(worst, bc.bicoherent_eigen_residual(spec, st, op))
             worst = max(worst, bc.bicoherent_eigen_residual(spec, st, "A1"))
-    return _result("bicoherent.eigen_residuals", worst, 1e-8)
+    return _result(worst, 1e-8)
 
 
+@_check("bicoherent.v0_limit_moduli")
 def check_theta_family_v0_limit():
     cut = fock.FockCutoff(20, 48, 48)
     worst = 0.0
@@ -419,9 +464,10 @@ def check_theta_family_v0_limit():
         for a, b in ((eps.upper, zero.upper), (eps.lower, zero.lower),
                      (eps.first_register, zero.first_register)):
             worst = max(worst, float(np.abs(np.abs(a) - np.abs(b)).max()))
-    return _result("bicoherent.v0_limit_moduli", worst, 1e-6)
+    return _result(worst, 1e-6)
 
 
+@_check("bicoherent.normalization_monotone")
 def check_normalization_monotone():
     params = PhysicalParams(V=0.5)
     cut = fock.FockCutoff(2, 64, 64)
@@ -429,10 +475,11 @@ def check_normalization_monotone():
     ok = values[0] == 1.0 and all(b < a for a, b in zip(values, values[1:]))
     phase_same = bc.normalization_N(1.0, params, cut).value == bc.normalization_N(
         np.exp(0.7j), params, cut).value
-    return _result("bicoherent.normalization_monotone", 0.0 if (ok and phase_same) else 1.0,
+    return _result(0.0 if (ok and phase_same) else 1.0,
                    0.5, ok=ok and phase_same)
 
 
+@_check("bicoherent.quasi_basis")
 def check_quasi_basis():
     params = PhysicalParams(V=0.5)
     cut = fock.FockCutoff(8, 10, 8)
@@ -447,19 +494,21 @@ def check_quasi_basis():
         worst = max(worst, abs(got - 1.0))
         swapped = bc.quasi_basis_check(g, f, params, cut, branch="plus", order="psi_phi")
         worst = max(worst, abs(swapped - 1.0))
-    return _result("bicoherent.quasi_basis", worst, 1e-6)
+    return _result(worst, 1e-6)
 
 
+@_check("density.consistency")
 def check_density_consistency():
     cut = fock.FockCutoff(32, 32, 32)
     st = ch.build_coherent(ch.CoherentSpec(0.0, 1 - 1j, "A", "plus", cut))
     fld = density(st, GridSpec(-8, 8, 161, -8, 8, 161))
     split = float(np.abs(fld.total - fld.upper - fld.lower).max())
     agree = abs(fld.integral() - st.norm2())
-    return _result("density.consistency", max(split, agree), 1e-3,
+    return _result(max(split, agree), 1e-3,
                    detail=f"split={split:.2e} integral={agree:.2e}")
 
 
+@_check("density.gain_monotone")
 def check_gain_monotone():
     # per-level gain table at the pinned strengths (the coherent series
     # cannot be built at exceptional V^2 = 9, 36), plus the state-level
@@ -479,10 +528,11 @@ def check_gain_monotone():
         st = bc.build_bicoherent(bc.BicoherentSpec(0.0, 1 - 1j, "standard", "ket", "plus", params, cut))
         state_ratios.append(gain_loss(st, params).ratio)
     ok = ok and state_ratios[1] > state_ratios[0]
-    return _result("density.gain_monotone", 0.0 if ok else 1.0, 0.5, ok=ok,
+    return _result(0.0 if ok else 1.0, 0.5, ok=ok,
                    detail=f"levels={['%.3g' % r for r in ratios]} states={['%.3g' % r for r in state_ratios]}")
 
 
+@_check("density.export_determinism")
 def check_export_determinism():
     cut = fock.FockCutoff(2, 24, 24)
     st = ch.build_coherent(ch.CoherentSpec(0.0, 1.0, "A", "plus", cut))
@@ -498,53 +548,12 @@ def check_export_determinism():
         ok = b1 == b2
         data = np.genfromtxt(p1, delimiter=",", names=True)
         ok = ok and np.array_equal(data["total"].reshape(33, 33), fld.total)
-    return _result("density.export_determinism", 0.0 if ok else 1.0, 0.5, ok=ok)
-
-
-ALL_CHECKS = [
-    check_psi_recurrence,
-    check_circular_gram,
-    check_ccr_interior,
-    check_eval_mode_norm,
-    check_c_basis_orthonormality,
-    check_eigen_residuals_v0,
-    check_dense_spectrum,
-    check_subspace_orthogonality,
-    check_ladder_patterns,
-    check_number_operator,
-    check_h_commutators,
-    check_v0_factorization_defect,
-    check_k_closure,
-    check_coherent_norms,
-    check_coherent_residuals,
-    check_coherent_orthogonality,
-    check_resolution_identity,
-    check_combined_defect,
-    check_alpha_identities,
-    check_biorth_gram,
-    check_hv_residuals,
-    check_theta_modulus,
-    check_norm_bounds,
-    check_pt_factorization,
-    check_reality_pattern,
-    check_ladder_duality,
-    check_v0_continuity,
-    check_binormalization,
-    check_bicoherent_residuals,
-    check_theta_family_v0_limit,
-    check_normalization_monotone,
-    check_quasi_basis,
-    check_density_consistency,
-    check_gain_monotone,
-    check_export_determinism,
-]
+    return _result(0.0 if ok else 1.0, 0.5, ok=ok)
 
 
 def run_checks(names=None) -> list:
-    results = []
-    for fn in ALL_CHECKS:
-        res = fn()
-        if names and not any(s in res.name for s in names):
-            continue
-        results.append(res)
-    return results
+    """Run, in registry order, the checks whose name contains any of
+    `names` (every check when `names` is empty); unselected checks never run."""
+    named = ((fn, inspect.unwrap(fn, stop=lambda f: hasattr(f, "check_name")).check_name)
+             for fn in ALL_CHECKS)
+    return [fn() for fn, name in named if not names or any(s in name for s in names)]

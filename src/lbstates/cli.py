@@ -318,6 +318,8 @@ def cli_main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if min(args.nmax, args.pmax) < 0:
+            parser.error(f"--nmax and --pmax must be >= 0, got {args.nmax} and {args.pmax}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

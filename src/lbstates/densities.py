@@ -1,8 +1,8 @@
 """Position-space probability densities and their export.
 
 A separable state (first register (x) spinor pair) is pushed to the
-Cartesian product basis through the anti-diagonal expansions of the
-circular modes, then evaluated on a rectangular grid as two matrix
+Cartesian product basis one anti-diagonal at a time, as far as its
+weights reach, then evaluated on a rectangular grid as two matrix
 products per spinor component.
 """
 
@@ -74,25 +74,19 @@ class DensityField:
         return float(simpson(simpson(self.total, x=self.grid.y, axis=1), x=self.grid.x))
 
 
-def _component_cartesian(fr: np.ndarray, comp: np.ndarray, table) -> np.ndarray:
-    """Product-basis coefficient matrix C[j,k] of sum fr[n1] comp[n2]
-    e_{n1,n2}; each mode contributes one anti-diagonal."""
-    j_top = (fr.size - 1) + (comp.size - 1)
-    out = np.zeros((j_top + 1, j_top + 1), dtype=complex)
-    scale = np.abs(fr).max() * np.abs(comp).max()
-    if scale == 0.0:
-        return out
-    for n1, w1 in enumerate(fr):
-        if abs(w1) == 0.0:
-            continue
-        for n2, w2 in enumerate(comp):
-            w = w1 * w2
-            if abs(w) < 1e-18 * scale:
-                continue
-            diag = table[n1][n2]
-            t = n1 + n2
-            j = np.arange(t + 1)
-            out[j, t - j] += w * diag
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _component_cartesian(blocks, w: np.ndarray, n_top: int) -> np.ndarray:
+    """Product-basis coefficients C[c, j, k] (j + k <= n_top) of sum w[n1,
+    n2, c] e_{n1,n2} for both spinor components c, one product per block."""
+    out = np.zeros((2, n_top + 1, n_top + 1), dtype=complex)
+    n1_top, n2_top = w.shape[0] - 1, w.shape[1] - 1
+    for big_n, block in blocks:
+        n1s = np.arange(max(0, big_n - n2_top), min(big_n, n1_top) + 1)
+        j = np.arange(big_n + 1)
+        out[:, j, big_n - j] = (_I_POWERS[(big_n - j) % 4, None]
+                                * (block[:, n1s] @ w[n1s, big_n - n1s])).T
     return out
 
 
@@ -100,34 +94,38 @@ def density(state: SpinorState, grid: GridSpec, params: PhysicalParams | None = 
             extra_meta: dict | None = None) -> DensityField:
     """Evaluate |psi|^2 (total and per component) on the grid.
 
-    The metadata echoes the state's construction record, the parameters
-    (eps0 included) and the mass captured by the grid; a warning flag is
-    set when the captured mass differs from the coefficient-space mass by
-    more than 0.1%.  Raises ContractError when the basis change does not
-    preserve the coefficient-space mass to 1e-8 relative.
+    Weights below 1e-18 of a component's largest are dropped, and all work
+    stops at the last anti-diagonal that keeps one.  The metadata echoes
+    the state's construction record, the parameters (eps0 included) and
+    the mass captured by the grid; a warning flag is set when the captured
+    mass differs from the coefficient-space mass by more than 0.1%.
+    Raises ContractError when the basis change does not preserve the
+    coefficient-space mass to 1e-8 relative.
     """
     if params is None:
         params = PhysicalParams()
-    nmax1 = state.first_register.size - 1
-    nmax2 = state.upper.size - 1
-    table = circular_antidiagonals(nmax1, nmax2)
-    j_top = nmax1 + nmax2
-    px = oscillator_table(j_top, grid.x)
-    py = oscillator_table(j_top, grid.y)
+    fr = state.first_register
+    nmax1, nmax2 = fr.size - 1, state.upper.size - 1
+    comps = np.stack([state.upper, state.lower], axis=-1)
+    w = fr[:, None, None] * comps[None]
+    scale = np.abs(fr).max() * np.abs(comps).max(axis=0)
+    keep = (np.abs(w) >= 1e-18 * scale) & (w != 0)
+    n1s, n2s = np.nonzero(keep.any(axis=-1))
+    n_top, n1_top = int((n1s + n2s).max(initial=0)), int(n1s.max(initial=0))
+    w = np.where(keep, w, 0)[:n1_top + 1]
+    px = oscillator_table(n_top, grid.x)
+    py = oscillator_table(n_top, grid.y)
+    carts = _component_cartesian(circular_antidiagonals(n_top, n1_top), w, n_top)
 
-    carts = {name: _component_cartesian(state.first_register, comp, table)
-             for name, comp in (("upper", state.upper), ("lower", state.lower))}
     norm2 = state.norm2()
-    cart_mass = sum(float(np.vdot(c, c).real) for c in carts.values())
+    cart_mass = float(np.vdot(carts, carts).real)
     if abs(cart_mass - norm2) > 1e-8 * norm2:
         raise ContractError(
             f"the circular-to-Cartesian basis change is not isometric at this window:"
             f" it maps coefficient mass {norm2:.6g} to {cart_mass:.6g}"
         )
-    fields = {name: np.abs(px.T @ c @ py) ** 2 for name, c in carts.items()}
-    total = fields["upper"] + fields["lower"]
-
-    fld = DensityField(grid, total, fields["upper"], fields["lower"])
+    upper, lower = (np.abs(px.T @ c @ py) ** 2 for c in carts)
+    fld = DensityField(grid, upper + lower, upper, lower)
     captured = fld.integral()
     meta = {
         "state": _jsonable(state.meta),

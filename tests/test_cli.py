@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lbstates
 from lbstates.cli import cli_main, format_complex, parse_complex
 
 
@@ -195,6 +198,34 @@ class TestInputBoundary:
         captured = capsys.readouterr()
         assert "0/0" not in captured.out
         assert "error" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--pmax", "-3"],
+        ["spectrum", "--nmax=-1"],
+        ["state", "--family", "A", "--nmax=-2"],
+    ])
+    def test_negative_window_is_usage_error(self, argv, capsys):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be >= 0" in captured.err
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["lbstates.cli", "lbstates"])
+    def test_runs_as_module_without_warnings(self, module):
+        src = os.path.dirname(os.path.dirname(lbstates.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", module, "spectrum", "--pmax", "1"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert len(json.loads(proc.stdout)["levels"]) == 3
+
+    def test_package_exposes_cli_main(self):
+        assert lbstates.cli_main is cli_main
+        assert "cli_main" in lbstates.__all__
 
 
 class TestUsageErrors:

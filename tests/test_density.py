@@ -71,17 +71,27 @@ class TestDensityField:
         assert fld.meta["captured_mass"] > 2.0
         assert fld.meta["mass_warning"]
 
-    def test_large_label_window_is_refused_or_right(self):
-        # z1 = 7, z2 = 6 at window 150: the circular-mode table used to
-        # lose isometry here, giving a captured mass of 26.4 of 1.00
+    def test_large_label_window_is_answered_right(self):
+        # z1 = 7, z2 = 6 at window 150 reaches anti-diagonal 300, where
+        # raising single modes gave a captured mass of 26.4 of 1.00
         params = PhysicalParams(V=0.5)
         st = build_bicoherent(BicoherentSpec(7.0, 6.0, "standard", "ket", "plus", params,
                                              FockCutoff(150, 150, 150)))
-        try:
-            fld = density(st, GridSpec(-20, 20, 257, -20, 20, 257), params)
-        except ContractError:
-            return
+        fld = density(st, GridSpec(-20, 20, 257, -20, 20, 257), params)
         assert fld.meta["captured_mass"] == pytest.approx(fld.meta["coefficient_norm2"], rel=1e-3)
+        assert not fld.meta["mass_warning"]
+
+    def test_non_isometric_basis_change_is_refused(self, monkeypatch):
+        from lbstates import densities, fock
+
+        def doubled(n_top, n1_top):
+            for big_n, block in fock.circular_antidiagonals(n_top, n1_top):
+                yield big_n, 2.0 * block
+
+        monkeypatch.setattr(densities, "circular_antidiagonals", doubled)
+        st = basis_vector_c(ModeIndex(1, 3), FockCutoff(2, 6, 4))
+        with pytest.raises(ContractError, match="not isometric"):
+            density(st, GRID)
 
 
 class TestGainLoss:

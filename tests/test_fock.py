@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,13 +142,48 @@ class TestCircularModes:
         with pytest.raises(CutoffError):
             circular_mode(7, 6, small_cutoff)
 
-    def test_antidiagonal_table_matches_matrix_path(self, small_cutoff):
-        tab = circular_antidiagonals(4, 5)
-        for n1, n2 in ((0, 0), (1, 2), (4, 5), (3, 0)):
-            full = circular_mode(n1, n2, small_cutoff).coeffs
-            t = n1 + n2
-            diag = np.array([full[j, t - j] for j in range(t + 1)])
-            np.testing.assert_allclose(tab[n1][n2], diag, rtol=0, atol=1e-13)
+    def test_antidiagonal_blocks_match_matrix_path(self, small_cutoff):
+        # e_{n1,N-n1} = sum_j i^(N-j) R_N[j, n1] |j, N-j>
+        for big_n, block in circular_antidiagonals(9, 9):
+            j = np.arange(big_n + 1)
+            for n1 in range(big_n + 1):
+                full = circular_mode(n1, big_n - n1, small_cutoff).coeffs
+                np.testing.assert_allclose((1j) ** (big_n - j) * block[:, n1],
+                                           full[j, big_n - j], rtol=0, atol=1e-13)
+            assert block.shape == (big_n + 1, big_n + 1)
+
+
+def kravchuk_block_entry(big_n, n1, j):
+    """Exact R_N[j, n1] = K sqrt(j! k! / (2^N n1! n2!)) with the integer
+    Kravchuk sum K = sum_a C(n1, a) C(n2, j-a) (-1)^(n2-j+a), from the two
+    binomial expansions of (A1^+)^n1 (A2^+)^n2 |00>; k = N-j, n2 = N-n1."""
+    n2, k = big_n - n1, big_n - j
+    kr = sum(math.comb(n1, a) * math.comb(n2, j - a) * (-1) ** (n2 - j + a)
+             for a in range(max(0, j - n2), min(n1, j) + 1))
+    num = kr * kr * math.factorial(j) * math.factorial(k)
+    den = 2 ** big_n * math.factorial(n1) * math.factorial(n2)
+    # the exact rational square is rounded once to float before the root
+    mag = math.sqrt(Fraction(num, den)) if num else 0.0
+    return math.copysign(mag, kr)
+
+
+class TestAntidiagonalBlocks:
+    @pytest.mark.parametrize("big_n, cols", [(60, (0, 7, 30, 60)), (150, (1, 75, 149)),
+                                             (300, (0, 3, 150, 299)), (512, (5, 256, 512))])
+    def test_blocks_match_exact_kravchuk_sums(self, big_n, cols):
+        for n, block in circular_antidiagonals(big_n, max(cols)):
+            pass
+        assert n == big_n and block.shape == (big_n + 1, max(cols) + 1)
+        rows = range(0, big_n + 1, max(1, big_n // 64))
+        worst = max(abs(block[j, c] - kravchuk_block_entry(big_n, c, j))
+                    for c in cols for j in rows)
+        assert worst <= 1e-13
+        assert np.abs(block.T @ block - np.eye(max(cols) + 1)).max() <= 1e-13
+
+    def test_columns_do_not_depend_on_how_many_are_kept(self):
+        wide = list(circular_antidiagonals(40, 40))
+        for (n, narrow), (_, full) in zip(circular_antidiagonals(40, 6), wide):
+            np.testing.assert_array_equal(narrow, full[:, :7])
 
 
 class TestLadderMatrices:
