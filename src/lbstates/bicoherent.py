@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
-from .levels import level_table, series_stack
+from .levels import level_columns, level_table, series_stack
 from .params import PhysicalParams
 from .pt import phi_norm_bound, pt_spinor_ladder, theta
 from .spinor import SpinorState, first_register_lowering, ladder_residual
@@ -117,6 +117,8 @@ class BicoherentSpec:
             raise ContractError(f"unknown side {self.side!r}")
         if self.branch not in ("plus", "minus"):
             raise ContractError(f"unknown branch {self.branch!r}")
+        if not 0.0 < self.tail_tol < 1.0:
+            raise ContractError(f"tail tolerance must be in (0, 1), got {self.tail_tol!r}")
         if self.family == "theta":
             self.params.require_non_exceptional("theta-family bicoherent state")
 
@@ -128,12 +130,12 @@ class BicoherentSpec:
         """Largest usable series index so sigma stays inside the p window."""
         return self.cutoff.pmax if self.branch == "plus" else self.cutoff.pmax - 1
 
-    def columns(self, n_terms: int):
-        """Sparse columns of the side's level spinors for the first n_terms
-        series indices: phi on the ket side, the regime dual on the bra."""
-        x, y = level_table([self.sigma(n) for n in range(n_terms)], self.params,
-                           self.cutoff.nmax2)
-        return x if self.side == "ket" else y
+    def columns(self, n_terms: int) -> tuple:
+        """(levels, upper, lower) of the first n_terms series terms: phi on
+        the ket side, the regime dual on the bra."""
+        ps = [self.sigma(n) for n in range(n_terms)]
+        table = level_table(ps, self.params)
+        return (ps, *(table[:2] if self.side == "ket" else table[2:]))
 
     def dual(self) -> "BicoherentSpec":
         other = "bra" if self.side == "ket" else "ket"
@@ -233,7 +235,7 @@ def build_bicoherent(spec: BicoherentSpec) -> SpinorState:
         # can round the last bit differently, which would change the
         # exported bytes of a state
         weights = np.array([const * c for c in coefs])
-    stack = series_stack(spec.columns(weights.size), weights)
+    stack = series_stack(*spec.columns(weights.size), weights, cut.nmax2)
     return SpinorState(fr, stack[:cut.nmax2 + 1], stack[cut.nmax2 + 1:], meta)
 
 
@@ -293,7 +295,7 @@ def quasi_basis_check(f: SpinorState, g: SpinorState, params: PhysicalParams,
     cap = spec.level_cap
     r1 = radial_factorial_ratio(cutoff.nmax1, quadrature)
     r2 = radial_factorial_ratio(cap, quadrature)
-    x, y = level_table([spec.sigma(n) for n in range(cap + 1)], params, cutoff.nmax2)
+    x, y = level_columns([spec.sigma(n) for n in range(cap + 1)], params, cutoff.nmax2)
     left, right = (x, y) if order == "phi_psi" else (y, x)
     f_left = np.conj(left.conjugate().T @ f.spinor_stack())
     right_g = right.conjugate().T @ g.spinor_stack()
@@ -306,7 +308,7 @@ def convergence_certificate(spec: BicoherentSpec) -> dict:
     region for V > 1, plus the measured maximum inside it), the tail
     estimate at the chosen cutoff, and a pass/fail verdict."""
     params = spec.params
-    measured = np.asarray(abs(spec.columns(spec.level_cap + 1)).power(2).sum(axis=0)).ravel()
+    measured = (np.abs(spec.columns(spec.level_cap + 1)[1:]) ** 2).sum(axis=0)
     bound = phi_norm_bound(params)
     if params.regime() == "small":
         tail_start = 0

@@ -25,34 +25,30 @@ from .pt import classify_levels, eigenvalue_E, gain_loss_asymptotics
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' with optional parts: '2', '-1.5', '1-1i', 'i', '-2i'."""
+    """Parse 'a+bi' with optional parts: '2', '-1.5', '1-1i', 'i', '-2i'.
+    Both parts must be finite."""
     s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
-    if not s.endswith("i"):
-        return complex(float(s), 0.0)
     body = s[:-1]
-    if body in ("", "+"):
-        return complex(0.0, 1.0)
-    if body == "-":
-        return complex(0.0, -1.0)
     m = re.match(
         r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
         r"(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?|)$",
         body,
     )
-    if m and m.group("im") not in (None, ""):
-        re_part = float(m.group("re")) if m.group("re") else 0.0
-        im_raw = m.group("im")
-        im_part = {"+": 1.0, "-": -1.0}.get(im_raw, None)
-        if im_part is None:
-            im_part = float(im_raw)
-        return complex(re_part, im_part)
-    # purely imaginary with explicit magnitude, e.g. '2i' or '1.5e-3i'
     try:
-        return complex(0.0, float(body))
+        if not s.endswith("i"):
+            z = complex(float(s), 0.0)
+        elif body in ("", "+", "-"):
+            z = complex(0.0, -1.0 if body == "-" else 1.0)
+        elif m and m.group("im"):
+            im = m.group("im")
+            z = complex(float(m.group("re") or 0.0), float(im + "1" if im in "+-" else im))
+        else:  # purely imaginary with explicit magnitude, e.g. '2i' or '1.5e-3i'
+            z = complex(0.0, float(body))
     except ValueError:
         raise ValueError(f"bad complex literal {text!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def format_complex(z: complex) -> str:
@@ -74,8 +70,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _z_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--z1", default="0", help="first-register label, 'a+bi'")
-    p.add_argument("--z2", default="0", help="level-register label, 'a+bi'")
+    p.add_argument("--z1", type=parse_complex, default="0", help="first-register label, 'a+bi'")
+    p.add_argument("--z2", type=parse_complex, default="0", help="level-register label, 'a+bi'")
 
 
 def _family_flags(p: argparse.ArgumentParser) -> None:
@@ -177,12 +173,11 @@ def cmd_spectrum(args, parser) -> int:
 def _build_state(args, parser) -> tuple:
     params = _params(args)
     cutoff = _cutoff(args)
-    z1, z2 = parse_complex(args.z1), parse_complex(args.z2)
     family = args.family
     if family in ("A", "B"):
         if params.V != 0.0:
             parser.error(f"family {family} is the V=0 construction; got --V {params.V}")
-        spec = CoherentSpec(z1, z2, family, args.branch, cutoff, args.tol)
+        spec = CoherentSpec(args.z1, args.z2, family, args.branch, cutoff, args.tol)
         return build_coherent(spec), spec, params
     mapping = {
         "phi": ("standard", "ket"),
@@ -193,7 +188,7 @@ def _build_state(args, parser) -> tuple:
     fam, side = mapping[family]
     if params.V == 0.0 and fam == "standard":
         parser.error("families phi/psi/eta/xi describe the V != 0 system; use --V")
-    spec = BicoherentSpec(z1, z2, fam, side, args.branch, params, cutoff, args.tol)
+    spec = BicoherentSpec(args.z1, args.z2, fam, side, args.branch, params, cutoff, args.tol)
     return build_bicoherent(spec), spec, params
 
 
@@ -203,8 +198,8 @@ def cmd_state(args, parser) -> int:
     report = {
         "family": args.family,
         "branch": args.branch,
-        "z1": format_complex(parse_complex(args.z1)),
-        "z2": format_complex(parse_complex(args.z2)),
+        "z1": format_complex(args.z1),
+        "z2": format_complex(args.z2),
         "params": {"vf": params.vf, "xi": params.xi, "V": params.V, "eps0": params.eps0},
         "norm2": state.norm2(),
         "mass_upper": up,

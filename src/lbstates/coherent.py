@@ -60,6 +60,8 @@ class CoherentSpec:
             raise ContractError(f"unknown family {self.family!r}")
         if self.branch not in ("plus", "minus"):
             raise ContractError(f"unknown branch {self.branch!r}")
+        if not 0.0 < self.tail_tol < 1.0:
+            raise ContractError(f"tail tolerance must be in (0, 1), got {self.tail_tol!r}")
 
     def sigma(self, n2: int) -> int:
         """Level index carried by the n2-th series term."""
@@ -129,8 +131,9 @@ def build_coherent(spec: CoherentSpec) -> SpinorState:
     cut = spec.cutoff
     fr, tail1 = first_register_coherent(spec.z1, cut.nmax1, spec.tail_tol)
     n_terms2, tail2 = coherent_series_length(spec.z2, spec.level_cap, spec.tail_tol)
-    vm, _ = level_table([spec.sigma(n2) for n2 in range(n_terms2)], V0, cut.nmax2)
-    stack = series_stack(vm, coherent_coefficients(spec.z2, n_terms2))
+    ps = [spec.sigma(n2) for n2 in range(n_terms2)]
+    stack = series_stack(ps, *level_table(ps, V0)[:2], coherent_coefficients(spec.z2, n_terms2),
+                         cut.nmax2)
     meta = {
         "kind": "coherent",
         "family": spec.family,
@@ -194,9 +197,8 @@ def _fr_pairing(f: SpinorState, g: SpinorState, radial: np.ndarray) -> complex:
     return complex(np.sum(radial[:m] * np.conj(f.first_register[:m]) * g.first_register[:m]))
 
 
-def _require_support(state: SpinorState, cutoff: FockCutoff, pred, what: str,
-                     tol: float = 1e-12) -> None:
-    coefs = level_coefficients(state, cutoff)
+def _require_support(state: SpinorState, coefs: np.ndarray, cutoff: FockCutoff, pred,
+                     what: str, tol: float = 1e-12) -> None:
     ps = np.arange(-cutoff.pmax, cutoff.pmax + 1)
     outside = np.array([not pred(int(p)) for p in ps])
     bad = np.abs(coefs[outside]).max(initial=0.0)
@@ -215,14 +217,14 @@ def resolution_identity_check(branch: str, f: SpinorState, g: SpinorState,
     """
     spec = CoherentSpec(0.0, 0.0, family, branch, cutoff)
     pred = _BRANCH_PRED[(family, branch)]
-    _require_support(f, cutoff, pred, f"{family}/{branch}")
-    _require_support(g, cutoff, pred, f"{family}/{branch}")
+    lf = level_coefficients(f, cutoff)
+    lg = level_coefficients(g, cutoff)
+    for state, coefs in ((f, lf), (g, lg)):
+        _require_support(state, coefs, cutoff, pred, f"{family}/{branch}")
 
     r1 = radial_factorial_ratio(cutoff.nmax1, quadrature)
     cap2 = spec.level_cap
     r2 = radial_factorial_ratio(cap2, quadrature)
-    lf = level_coefficients(f, cutoff)
-    lg = level_coefficients(g, cutoff)
     pm = cutoff.pmax
     level = 0.0 + 0.0j
     for n2 in range(cap2 + 1):

@@ -14,7 +14,6 @@ B2 pair respects the p >= 1 / p <= 0 split instead.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
@@ -22,15 +21,9 @@ import scipy.sparse as sp
 
 from .errors import ShapeError
 from .fock import FockCutoff, SparseOperator
-from .levels import level_table, rank_one_sum, window_levels
+from .levels import bidiagonal, rank_one_sum, window_levels
 from .params import PhysicalParams
-from .spinor import (
-    V0,
-    ModeIndex,
-    ModeWindow,
-    hamiltonian_spinor_matrix,
-    level_matrix,
-)
+from .spinor import ModeIndex, ModeWindow, basis_columns, hamiltonian_spinor_matrix, level_matrix
 
 
 class LadderKind(str, Enum):
@@ -55,29 +48,19 @@ _SUBSPACE_PRED = {
     SubspaceTag.K2MINUS: lambda p: p <= 0,
 }
 
-# (amplitude(p), target p) for the level-index ladders.
+# (amplitude over the levels p, target shift) for the level-index ladders.
 _P_ACTION = {
-    LadderKind.A2: (lambda p: math.sqrt(abs(p)), -1),
-    LadderKind.A2DAG: (lambda p: math.sqrt(abs(p + 1)), +1),
-    LadderKind.B2: (lambda p: math.sqrt(abs(p)), +1),
-    LadderKind.B2DAG: (lambda p: math.sqrt(abs(p - 1)), -1),
+    LadderKind.A2: (lambda p: np.sqrt(np.abs(p)), -1),
+    LadderKind.A2DAG: (lambda p: np.sqrt(np.abs(p + 1)), +1),
+    LadderKind.B2: (lambda p: np.sqrt(np.abs(p)), +1),
+    LadderKind.B2DAG: (lambda p: np.sqrt(np.abs(p - 1)), -1),
 }
 
 
 def level_ladder_matrix(kind: LadderKind, pmax: int) -> sp.csr_matrix:
-    """The p-window matrix of a level-index ladder (boundary targets are
-    dropped, i.e. boundary rows are zeroed rather than wrapped)."""
-    amp, dp = _P_ACTION[kind]
-    dim = 2 * pmax + 1
-    rows, cols, vals = [], [], []
-    for p in range(-pmax, pmax + 1):
-        q = p + dp
-        a = amp(p)
-        if a != 0.0 and abs(q) <= pmax:
-            rows.append(q + pmax)
-            cols.append(p + pmax)
-            vals.append(a)
-    return sp.csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim))
+    """The p-window matrix of a level-index ladder."""
+    amp, shift = _P_ACTION[kind]
+    return bidiagonal(amp(window_levels(pmax)), shift, pmax)
 
 
 def build_ladder(kind: LadderKind, cutoff: FockCutoff) -> SparseOperator:
@@ -99,7 +82,7 @@ def spinor_ladder_matrix(kind: LadderKind, cutoff: FockCutoff) -> SparseOperator
     kind = LadderKind(kind)
     if kind is LadderKind.A1:
         raise ShapeError("A1 acts on the first register, not the spinor register")
-    vm, _ = level_table(window_levels(cutoff.pmax), V0, cutoff.nmax2)
+    vm = basis_columns(cutoff)
     mat = rank_one_sum(vm, level_ladder_matrix(kind, cutoff.pmax), vm)
     return SparseOperator(mat, "kregister", kind.value)
 
@@ -141,25 +124,11 @@ def quasi_vacua(kind: LadderKind, cutoff: FockCutoff) -> list:
     it is the n = 0 row across all p.
     """
     kind = LadderKind(kind)
-    op = build_ladder(kind, cutoff)
     win = ModeWindow.of(cutoff)
-    mat = op.matrix.tocsc()
-    annihilated = []
-    if kind is LadderKind.A1:
-        candidates = [ModeIndex(0, p) for p in range(-cutoff.pmax + 1, cutoff.pmax)]
-    else:
-        ps = []
-        for p in range(-cutoff.pmax + 1, cutoff.pmax):
-            if all(
-                sp.linalg.norm(mat[:, win.index(n, p)]) < 1e-14
-                for n in range(min(cutoff.nmax1, 2) + 1)
-            ):
-                ps.append(p)
-        candidates = [ModeIndex(n, p) for p in ps for n in range(cutoff.nmax1 + 1)]
-    for idx in candidates:
-        if sp.linalg.norm(mat[:, win.index(*idx)]) < 1e-14:
-            annihilated.append(idx)
-    return annihilated
+    norms = sp.linalg.norm(build_ladder(kind, cutoff).matrix, axis=0)
+    ns = [0] if kind is LadderKind.A1 else range(cutoff.nmax1 + 1)
+    return [ModeIndex(n, p) for p in range(-cutoff.pmax + 1, cutoff.pmax) for n in ns
+            if norms[win.index(n, p)] < 1e-14]
 
 
 def factorization_defect_v0(cutoff: FockCutoff, params: PhysicalParams | None = None,
@@ -195,20 +164,12 @@ def subspace_closure_check(kind: LadderKind, tag: SubspaceTag, cutoff: FockCutof
                            tol: float = 1e-12) -> bool:
     """True iff the ladder maps every interior basis vector of the tagged
     subspace to a vector with no component outside it."""
-    kind = LadderKind(kind)
-    tag = SubspaceTag(tag)
-    pred = _SUBSPACE_PRED[tag]
-    op = build_ladder(kind, cutoff)
+    pred = _SUBSPACE_PRED[SubspaceTag(tag)]
     win = ModeWindow.of(cutoff)
-    mat = op.matrix.tocsc()
     outside = np.array([not pred(idx.p) for idx in win.indices()])
-    for idx in win.interior(1, 1):
-        if not pred(idx.p):
-            continue
-        col = np.asarray(mat[:, win.index(*idx)].todense()).ravel()
-        if np.abs(col[outside]).max(initial=0.0) > tol:
-            return False
-    return True
+    inside = [win.index(*idx) for idx in win.interior(1, 1) if pred(idx.p)]
+    leak = build_ladder(LadderKind(kind), cutoff).matrix[outside][:, inside].toarray()
+    return bool(np.abs(leak).max(initial=0.0) <= tol)
 
 
 def decomposition_respected(kind: LadderKind, split: str, cutoff: FockCutoff) -> bool:

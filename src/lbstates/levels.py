@@ -13,19 +13,95 @@ and alpha' the other branch's coefficient; phi_0 = psi_0 = (e_0, 0).  For
 V > 1 the dual paired with phi_p is re-paired on broken levels
 (psi-tilde: the swapped branch).  At V = 0 both families reduce to the
 orthonormal basis v_p of the V=0 problem.
+
+One coefficient table, `level_table`, evaluates these over any set of
+levels as array expressions; the scalars `alpha` and `normalization_K`
+are one-level calls of the same code.  States and single-level spinors are filled
+from its rows; sparse columns are built only for ladder products and
+projections.  The table equals, bit for bit and with signed zeros, the
+scalar CPython complex arithmetic it replaced, so state and density
+outputs keep their bytes: complex products and quotients are spelled out
+on (re, im) pairs of float arrays in CPython's order (a float operand is
+(x, +0.0); a quotient is Smith's method, dividing by the denominator).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, CutoffError, ExceptionalPointError
-from .params import PhysicalParams, level_discriminant, sqrt_discriminant
+from .params import EXCEPTIONAL_RTOL, PhysicalParams, level_discriminant, sqrt_discriminant
 
-_OTHER = {"plus": "minus", "minus": "plus"}
+
+def _mul(a, b) -> tuple:
+    """CPython's complex product on (re, im) pairs."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _quot(a, b) -> tuple:
+    """CPython's complex quotient on (re, im) pairs (Smith's method)."""
+    by_re = np.abs(b[0]) >= np.abs(b[1])
+    small, large = np.where(by_re, b[1], b[0]), np.where(by_re, b[0], b[1])
+    ratio = small / large
+    denom = large + small * ratio
+    re = np.where(by_re, a[0], a[1]) + np.where(by_re, a[1], a[0]) * ratio
+    im = np.where(by_re, a[1], a[1] * ratio) - np.where(by_re, a[0] * ratio, a[0])
+    return re / denom, im / denom
+
+
+def _alpha(q, s, V: float, sign) -> tuple:
+    """(-V + sign i s) / sqrt(q) for level magnitudes q (arrays or floats)
+    and s = sqrt(q - V^2) as an (re, im) pair; sign = -1 on the plus
+    branch."""
+    t = _mul(_mul((sign, 0.0), (0.0, 1.0)), s)
+    u, sq = (-V + t[0], 0.0 + t[1]), np.sqrt(q)
+    # u / (sq, 0.0): Smith's ratio is 0.0 and the denominator sq
+    return (u[0] + u[1] * 0.0) / sq, (u[1] - u[0] * 0.0) / sq
+
+
+def level_table(ps, params: PhysicalParams) -> np.ndarray:
+    """Rows (upper, lower) of phi_p, then (upper, lower) of its regime
+    dual, over the levels ps: a complex array of shape (4, len(ps)).
+
+    Only the requested levels are evaluated, so an exceptional level
+    raises ExceptionalPointError only when it is requested.  K_psi > 0 and
+    K_phi = conj(r) / K_psi for r = conj(K_phi) K_psi = p / (2 (p - V^2 +-
+    i V sqrt(p - V^2))) of the dual's other branch (real when broken)."""
+    V = params.V
+    ps = np.asarray(ps, dtype=int).reshape(-1)
+    lv = ps[ps != 0]
+    q = np.abs(lv).astype(float)
+    d = q - V * V
+    d[np.abs(d) < EXCEPTIONAL_RTOL * max(1.0, V * V)] = 0.0
+    root = np.sqrt(np.abs(d))
+    s = np.where(d < 0.0, 0.0, root), np.where(d < 0.0, root, 0.0)
+    if (d == 0.0).any():
+        p = int(q[d == 0.0][0])
+        raise ExceptionalPointError(f"level p = {p} is exceptional at V = {V}", p=p, V=V)
+    plus, broken = lv > 0, d < 0.0
+    # alpha signs of phi_p and of its dual's lower entry (the other branch,
+    # or the own one on broken levels); r takes the dual's sign
+    own = np.where(plus, -1.0, 1.0)
+    dual = np.where(broken, own, -own)
+    a_re, a_im = _alpha(q, s, V, np.stack([own, dual]))
+    m = _mul(_mul(_mul((dual, 0.0), (0.0, 1.0)), (V, 0.0)), s)
+    r = _quot((q, 0.0), _mul((2.0, 0.0), (d + m[0], 0.0 + m[1])))
+    k_psi = np.sqrt(np.hypot(*r))
+    # conj(r) / K_psi as numpy divides by a float: times the reciprocal
+    inv = 1.0 / k_psi
+    k_phi = (np.where(broken, np.where(plus, k_psi, -k_psi), (r[0] + -r[1] * 0.0) * inv),
+             np.where(broken, 0.0, (-r[1] - r[0] * 0.0) * inv))
+    x_lo = _mul(k_phi, (a_re[0], a_im[0]))
+    y_lo = _mul((-k_psi, -0.0), (a_re[1], a_im[1]))
+    # set from parts: re + 1j * im would flip the sign of zero imaginary parts
+    vals = np.empty((4, lv.size), dtype=complex)
+    vals.real = (k_phi[0], x_lo[0], k_psi, y_lo[0])
+    vals.imag = (k_phi[1], x_lo[1], 0.0 * k_psi, y_lo[1])
+    table = np.zeros((4, ps.size), dtype=complex)
+    table[0::2] = 1.0
+    table[:, ps != 0] = vals
+    return table
 
 
 def alpha(p: int, V: float, branch: str) -> complex:
@@ -37,117 +113,80 @@ def alpha(p: int, V: float, branch: str) -> complex:
     """
     if p < 1:
         raise ContractError("alpha is defined for p >= 1")
-    sign = {"plus": -1.0, "minus": +1.0}[branch]
     s = sqrt_discriminant(p, V)
-    return complex((-V + sign * 1j * s) / math.sqrt(p))
-
-
-def eq39_product(p: int, V: float, branch: str) -> complex:
-    """The constrained product conj(K_phi) K_psi = p / (2 (p - V^2 +- i V
-    sqrt(p - V^2))) for the given branch."""
-    d = level_discriminant(p, V)
-    s = sqrt_discriminant(p, V)
-    sign = {"plus": +1.0, "minus": -1.0}[branch]
-    den = 2.0 * (d + sign * 1j * V * s)
-    if den == 0:
-        raise ExceptionalPointError("normalization degenerates at p = V^2", p=p, V=V)
-    return complex(p / den)
+    return complex(*_alpha(float(p), (s.real, s.imag), V, {"plus": -1.0, "minus": 1.0}[branch]))
 
 
 def normalization_K(p: int, params: PhysicalParams, branch: str = "plus") -> tuple:
-    """(K_phi, K_psi) for the branch, with the product constraint satisfied
-    against the branch's biorthogonal dual.
-
-    Magnitudes are split symmetrically, |K_phi| = |K_psi| = |product|^(1/2)
-    (equal to (p/(4(p-V^2)))^(1/4) in the unbroken region); K_psi is chosen
-    real positive and K_phi carries the product's phase.  In the broken
-    region the dual of phi^{+-} is psi^{-+}, so the branch constants are
-    fixed through the re-paired products.
-    """
+    """(K_phi, K_psi) of level p >= 1 on the branch, with the product
+    constraint satisfied against the branch's biorthogonal dual (on broken
+    levels, the dual constant of the mirrored level)."""
     if p < 1:
         raise ContractError("normalization_K is defined for p >= 1")
-    d = level_discriminant(p, params.V)
-    if d == 0.0:
-        raise ExceptionalPointError(
-            f"level p = {p} is exceptional at V = {params.V}", p=p, V=params.V
-        )
-    if d > 0.0:
-        r = eq39_product(p, params.V, branch)
-        k_psi = math.sqrt(abs(r))
-        k_phi = np.conj(r) / k_psi
-        return complex(k_phi), complex(k_psi)
-    # broken region: conj(K_phi^+) K_psi^- = eq39(minus) > 0,
-    #                conj(K_phi^-) K_psi^+ = eq39(plus) < 0
-    r_plus_pair = eq39_product(p, params.V, "minus").real
-    r_minus_pair = eq39_product(p, params.V, "plus").real
-    if branch == "plus":
-        k_phi = math.sqrt(abs(r_plus_pair))
-        k_psi = math.sqrt(abs(r_minus_pair))
-    else:
-        k_phi = -math.sqrt(abs(r_minus_pair))
-        k_psi = math.sqrt(abs(r_plus_pair))
-    return complex(k_phi), complex(k_psi)
+    level = {"plus": p, "minus": -p}[branch]
+    k_phi, _, k_psi, _ = level_table([level, -level], params)
+    mirrored = level_discriminant(p, params.V) < 0.0
+    return complex(k_phi[0]), complex(k_psi[1] if mirrored else k_psi[0])
 
 
-def is_repaired_level(p_abs: int, params: PhysicalParams) -> bool:
-    """True when the dual family at |p| is the swapped branch (V > 1 and
-    the level is broken)."""
-    return p_abs >= 1 and params.V > 1.0 and level_discriminant(p_abs, params.V) < 0.0
+def _rows(ps, nmax2: int) -> tuple:
+    """Stacked-register rows of e_|p| (upper component) and e_(|p|-1)
+    (lower component; none for p = 0) of each level p."""
+    q = np.abs(np.asarray(ps, dtype=int)).reshape(-1)
+    if q.size and q.max() > nmax2:
+        raise CutoffError(f"level |p|={q.max()} exceeds nmax2={nmax2}")
+    return q, nmax2 + q
 
 
 def two_entry_columns(ps, upper, lower, nmax2: int) -> sp.csc_matrix:
-    """Sparse columns over the levels ps on the stacked register: upper[k]
-    at e_|p_k| of the upper component, lower[k] at e_(|p_k|-1) of the lower
-    one (p = 0 has no lower entry)."""
-    q = np.abs(np.asarray(ps, dtype=int))
-    if q.size and q.max() > nmax2:
-        raise CutoffError(f"level |p|={q.max()} exceeds nmax2={nmax2}")
-    keep = np.stack([np.ones(q.size, dtype=bool), q > 0], axis=1)
-    rows = np.stack([q, nmax2 + q], axis=1)[keep]
+    """Sparse columns over the levels ps, upper[k] and lower[k] at the rows
+    of level ps[k], for matrix products."""
+    up, lo = _rows(ps, nmax2)
+    keep = np.stack([np.ones(up.size, dtype=bool), up > 0], axis=1)
+    rows = np.stack([up, lo], axis=1)[keep]
     data = np.stack([np.asarray(upper, dtype=complex), np.asarray(lower, dtype=complex)], axis=1)[keep]
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return sp.csc_matrix((data, rows, indptr), shape=(2 * (nmax2 + 1), q.size))
+    return sp.csc_matrix((data, rows, indptr), shape=(2 * (nmax2 + 1), up.size))
 
 
-def _coefficients(p: int, params: PhysicalParams) -> tuple:
-    """(upper, lower) of phi_p, then (upper, lower) of its regime dual."""
-    if p == 0:
-        return 1.0, 0.0, 1.0, 0.0
-    q = abs(p)
-    branch = "plus" if p > 0 else "minus"
-    k_phi, k_psi = normalization_K(q, params, branch)
-    dual = branch
-    if is_repaired_level(q, params):
-        dual = _OTHER[branch]
-        _, k_psi = normalization_K(q, params, dual)
-    return (k_phi, k_phi * alpha(q, params.V, branch),
-            k_psi, -k_psi * alpha(q, params.V, _OTHER[dual]))
-
-
-def level_table(ps, params: PhysicalParams, nmax2: int) -> tuple:
+def level_columns(ps, params: PhysicalParams, nmax2: int) -> tuple:
     """Sparse column matrices (X, Y) of phi_p and of its regime dual over
-    the levels ps, two nonzeros per column.
-
-    Only the requested levels are evaluated, so an exceptional level
-    raises ExceptionalPointError only when it is requested.
-    """
-    coefs = np.array([_coefficients(int(p), params) for p in ps], dtype=complex).reshape(-1, 4)
-    return (two_entry_columns(ps, coefs[:, 0], coefs[:, 1], nmax2),
-            two_entry_columns(ps, coefs[:, 2], coefs[:, 3], nmax2))
+    the levels ps, two nonzeros per column."""
+    xu, xl, yu, yl = level_table(ps, params)
+    return two_entry_columns(ps, xu, xl, nmax2), two_entry_columns(ps, yu, yl, nmax2)
 
 
-def series_stack(columns: sp.csc_matrix, weights: np.ndarray) -> np.ndarray:
-    """The stacked spinor sum_k weights[k] columns[:, k].  Each product is
-    formed weight first, as in the term-by-term series, which keeps the
-    result bit-identical to summing the terms one level at a time."""
-    out = np.zeros(columns.shape[0], dtype=complex)
-    np.add.at(out, columns.indices, np.repeat(weights, np.diff(columns.indptr)) * columns.data)
+def series_stack(ps, upper, lower, weights, nmax2: int) -> np.ndarray:
+    """The stacked spinor sum_k weights[k] (upper[k], lower[k]) at the rows
+    of level ps[k].  Products are formed weight first and added onto zeros,
+    bit-identical to summing the series term by term."""
+    up, lo = _rows(ps, nmax2)
+    out = np.zeros(2 * (nmax2 + 1), dtype=complex)
+    np.add.at(out, up, weights * upper)
+    np.add.at(out, lo[up > 0], (weights * lower)[up > 0])
     return out
+
+
+def level_spinors(p: int, params: PhysicalParams, nmax2: int) -> tuple:
+    """Stacked spinors of phi_p and of its regime dual (one-term series)."""
+    xu, xl, yu, yl = level_table([p], params)
+    return series_stack([p], xu, xl, np.ones(1), nmax2), series_stack([p], yu, yl, np.ones(1), nmax2)
 
 
 def window_levels(pmax: int) -> np.ndarray:
     """The level window p = -pmax..pmax."""
     return np.arange(-pmax, pmax + 1)
+
+
+def bidiagonal(amps, shift: int, pmax: int) -> sp.csr_matrix:
+    """The p-window matrix with amps[k] at (p_k + shift, p_k) over p_k =
+    -pmax..pmax; zero amplitudes and targets outside the window are dropped
+    (boundary rows are zeroed, not wrapped)."""
+    ps = window_levels(pmax)
+    amps = np.asarray(amps, dtype=complex)
+    keep = (amps != 0) & (np.abs(ps + shift) <= pmax)
+    return sp.csr_matrix((amps[keep], (ps[keep] + shift + pmax, ps[keep] + pmax)),
+                         shape=(ps.size, ps.size))
 
 
 def rank_one_sum(x: sp.spmatrix, pmat: sp.spmatrix, y: sp.spmatrix) -> sp.csr_matrix:

@@ -24,7 +24,8 @@ import scipy.sparse as sp
 from .errors import ContractError
 from .fock import FockCutoff, SparseOperator
 from .ladders import LadderKind, level_ladder_matrix
-from .levels import alpha, level_table, rank_one_sum, two_entry_columns, window_levels
+from .levels import (alpha, bidiagonal, level_columns, level_spinors, rank_one_sum,
+                     two_entry_columns, window_levels)
 from .params import PhysicalParams, level_discriminant, sqrt_discriminant
 from .spinor import (
     ModeIndex,
@@ -57,13 +58,13 @@ def theta(p: int, params: PhysicalParams) -> complex:
 
 def phi_spinor(p: int, params: PhysicalParams, cutoff: FockCutoff) -> np.ndarray:
     """Stacked (upper, lower) components of phi_p on the spinor register."""
-    return level_table([p], params, cutoff.nmax2)[0].toarray()[:, 0]
+    return level_spinors(p, params, cutoff.nmax2)[0]
 
 
 def dual_spinor(p: int, params: PhysicalParams, cutoff: FockCutoff) -> np.ndarray:
     """The member of the dual family paired with phi_p: psi_p for V < 1,
     psi-tilde_p for V > 1."""
-    return level_table([p], params, cutoff.nmax2)[1].toarray()[:, 0]
+    return level_spinors(p, params, cutoff.nmax2)[1]
 
 
 @dataclass(frozen=True)
@@ -80,16 +81,14 @@ def build_biorth_pair(idx: ModeIndex, params: PhysicalParams, cutoff: FockCutoff
         raise ContractError(f"|p|={abs(p)} exceeds pmax={cutoff.pmax}")
     fr = first_register_basis(n, cutoff.nmax1)
     half = cutoff.nmax2 + 1
-    xs, ys = (m.toarray()[:, 0] for m in level_table([p], params, cutoff.nmax2))
-    x = BiorthVector("phi", ModeIndex(n, p), SpinorState(fr.copy(), xs[:half], xs[half:]))
-    role = "psi_tilde" if params.V > 1.0 else "psi"
-    y = BiorthVector(role, ModeIndex(n, p), SpinorState(fr.copy(), ys[:half], ys[half:]))
-    return x, y
+    roles = ("phi", "psi_tilde" if params.V > 1.0 else "psi")
+    return tuple(BiorthVector(role, ModeIndex(n, p), SpinorState(fr.copy(), s[:half], s[half:]))
+                 for role, s in zip(roles, level_spinors(p, params, cutoff.nmax2)))
 
 
 def biorth_level_matrices(params: PhysicalParams, cutoff: FockCutoff) -> tuple:
     """Column matrices X, Y of phi_p and its dual over p = -pmax..pmax."""
-    x, y = level_table(window_levels(cutoff.pmax), params, cutoff.nmax2)
+    x, y = level_columns(window_levels(cutoff.pmax), params, cutoff.nmax2)
     return x.toarray(), y.toarray()
 
 
@@ -122,27 +121,18 @@ def pt_level_ladder(name: str, params: PhysicalParams, cutoff: FockCutoff) -> sp
         return level_ladder_matrix(LadderKind.A2, pm)
     if name == "B_K_V":
         return level_ladder_matrix(LadderKind.A2DAG, pm)
-    dim = 2 * pm + 1
-    rows, cols, vals = [], [], []
-    for p in range(-pm, pm + 1):
-        if name == "c2":
-            q, amp = p - 1, np.sqrt(theta(p, params))
-        elif name == "d2":
-            q, amp = p + 1, np.sqrt(theta(p + 1, params))
-        else:
-            raise ContractError(f"unknown ladder {name!r}")
-        if abs(q) <= pm and amp != 0:
-            rows.append(q + pm)
-            cols.append(p + pm)
-            vals.append(amp)
-    return sp.csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim))
+    if name not in ("c2", "d2"):
+        raise ContractError(f"unknown ladder {name!r}")
+    shift = -1 if name == "c2" else 1
+    amps = [np.sqrt(theta(p if name == "c2" else p + 1, params)) for p in window_levels(pm)]
+    return bidiagonal(amps, shift, pm)
 
 
 def pt_spinor_ladder(name: str, params: PhysicalParams, cutoff: FockCutoff) -> SparseOperator:
     """Spinor-register realization through the biorthogonal rank-one sums,
     sum_p amp(p) |phi_target><dual_p|."""
     params.require_non_exceptional(f"ladder {name}")
-    x, y = level_table(window_levels(cutoff.pmax), params, cutoff.nmax2)
+    x, y = level_columns(window_levels(cutoff.pmax), params, cutoff.nmax2)
     mat = rank_one_sum(x, pt_level_ladder(name, params, cutoff), y)
     return SparseOperator(mat, "kregister", name)
 
@@ -174,7 +164,7 @@ def factorization_defect(params: PhysicalParams, cutoff: FockCutoff) -> float:
     d2 = pt_spinor_ladder("d2", params, cutoff).matrix
     h = hamiltonian_spinor_matrix(params, cutoff).matrix
     e0 = eigenvalue_E(0, params)
-    x, _ = level_table(range(-cutoff.pmax + 1, cutoff.pmax), params, cutoff.nmax2)
+    x, _ = level_columns(range(-cutoff.pmax + 1, cutoff.pmax), params, cutoff.nmax2)
     defect = d2 @ (c2 @ x) - h @ x + e0 * x
     return float((sp.linalg.norm(defect, axis=0) / sp.linalg.norm(x, axis=0)).max(initial=0.0))
 
@@ -212,8 +202,7 @@ def exceptional_diagnostics(p: int, v_star: float, cutoff: FockCutoff) -> dict:
     if abs(v_star * v_star - p) > 1e-9 * max(1.0, p):
         raise ContractError(f"V*^2 = {v_star * v_star} does not match p = {p}")
     params = PhysicalParams(V=v_star)
-    a_plus = alpha(p, v_star, "plus")
-    a_minus = alpha(p, v_star, "minus")
+    a_plus, a_minus = alpha(p, v_star, "plus"), alpha(p, v_star, "minus")
 
     # the two branch vectors, then the duals with the lower sign flipped,
     # as in the psi family

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .errors import CutoffError, ShapeError
 from .fock import FockCutoff, SparseOperator, ladder_matrices
-from .levels import level_table, window_levels
+from .levels import level_spinors, level_table, two_entry_columns, window_levels
 from .params import PhysicalParams
 
 # The V=0 basis spinors v_p are the level table at V = 0.
@@ -122,7 +122,7 @@ def _padded_vdot(a: np.ndarray, b: np.ndarray) -> complex:
 
 def level_vector(p: int, nmax2: int) -> tuple:
     """Spinor-register components (upper, lower) of the basis spinor v_p."""
-    stack = level_table([p], V0, nmax2)[0].toarray()[:, 0]
+    stack = level_spinors(p, V0, nmax2)[0]
     return stack[:nmax2 + 1], stack[nmax2 + 1:]
 
 
@@ -143,18 +143,23 @@ def basis_vector_c(idx: ModeIndex, cutoff: FockCutoff) -> SpinorState:
     return SpinorState(first_register_basis(n, cutoff.nmax1), upper, lower)
 
 
+def basis_columns(cutoff: FockCutoff) -> sp.csc_matrix:
+    """Sparse columns v_p for p = -pmax..pmax, two nonzeros each."""
+    ps = window_levels(cutoff.pmax)
+    return two_entry_columns(ps, *level_table(ps, V0)[:2], cutoff.nmax2)
+
+
 def level_matrix(cutoff: FockCutoff) -> np.ndarray:
     """Columns are the stacked spinors v_p for p = -pmax..pmax.
 
     Shape (2*(nmax2+1), 2*pmax+1); the columns are orthonormal.
     """
-    return level_table(window_levels(cutoff.pmax), V0, cutoff.nmax2)[0].toarray()
+    return basis_columns(cutoff).toarray()
 
 
 def level_coefficients(state: SpinorState, cutoff: FockCutoff) -> np.ndarray:
     """Array over p of <v_p, spinor part of state>, p = -pmax..pmax."""
-    vm = level_table(window_levels(cutoff.pmax), V0, cutoff.nmax2)[0]
-    return vm.conjugate().T @ state.spinor_stack()
+    return basis_columns(cutoff).conjugate().T @ state.spinor_stack()
 
 
 def energy(idx: ModeIndex, params: PhysicalParams) -> float:

@@ -134,6 +134,12 @@ class TestConstruction:
         with pytest.raises(ExceptionalPointError):
             spec(1.0, params=PhysicalParams(V=2.0))
 
+    @pytest.mark.parametrize("tol", [2.0, 1.0, 0.0, -1e-12, math.nan, math.inf])
+    @pytest.mark.parametrize("family", ["standard", "theta"])
+    def test_tolerance_outside_unit_interval_is_refused(self, tol, family):
+        with pytest.raises(ContractError, match=r"tail tolerance must be in \(0, 1\)"):
+            BicoherentSpec(0.1, 0.1, family, "ket", "plus", P_HALF, CUT, tol)
+
     def test_window_too_small(self):
         with pytest.raises(CutoffError):
             build_bicoherent(spec(1 - 1j, params=P_BIG, cut=FockCutoff(4, 40, 40)))

@@ -30,7 +30,7 @@ class TestComplexParsing:
         assert parse_complex(text) == value
 
     def test_bad_literals(self):
-        for bad in ("", "abc", "1+2", "i2"):
+        for bad in ("", "abc", "1+2", "i2", "1+", "nan", "inf", "-inf", "1+nani", "infi", "1e999"):
             with pytest.raises(ValueError):
                 parse_complex(bad)
 
@@ -192,6 +192,28 @@ class TestInputBoundary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err
+
+    @pytest.mark.parametrize("label", ["abc", "1+", "nan", "inf", "1+nani"])
+    @pytest.mark.parametrize("cmd,flag", [("state", "--z1"), ("state", "--z2"), ("density", "--z1")])
+    def test_bad_label_is_usage_error(self, cmd, flag, label, tmp_path, capsys):
+        argv = [cmd, "--family", "A", f"{flag}={label}", "--nmax", "8", "--pmax", "8"]
+        if cmd == "density":
+            argv += ["--out", os.fspath(tmp_path / "d.csv")]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: invalid" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tol", ["2", "1", "0", "-1e-12", "nan", "inf"])
+    @pytest.mark.parametrize("family", [["--family", "A"], ["--family", "phi", "--V", "0.5"]])
+    def test_tolerance_outside_unit_interval_exits_one(self, tol, family, capsys):
+        argv = ["state", "--z1", "0.1", "--z2", "0.1", f"--tol={tol}",
+                "--nmax", "8", "--pmax", "8"] + family
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tail tolerance must be in (0, 1)" in captured.err
 
     def test_empty_check_selection_exits_one(self, capsys):
         assert cli_main(["check", "--suite", "nomatch"]) == 1

@@ -48,6 +48,11 @@ class TestConstruction:
             build_coherent(CoherentSpec(0.0, 3 + 3j, "A", "plus", FockCutoff(8, 8, 8)))
         assert err.value.tail_estimate > 0
 
+    @pytest.mark.parametrize("tol", [2.0, 1.0, 0.0, -1e-12, math.nan, math.inf])
+    def test_tolerance_outside_unit_interval_is_refused(self, tol):
+        with pytest.raises(ContractError, match=r"tail tolerance must be in \(0, 1\)"):
+            CoherentSpec(0.1, 0.1, "A", "plus", CUT, tol)
+
     def test_tail_bound_is_monotone_in_terms(self):
         bounds = [gaussian_series_tail(2 + 2j, n) for n in range(12, 40)]
         assert all(b <= a for a, b in zip(bounds, bounds[1:]))
