@@ -21,6 +21,10 @@ fixes only the product of the two normalization constants; we keep the
 ket constant real positive and let the bra constant carry the phase, so
 <ket, bra> = 1 holds exactly.  The classical real normalization over the
 modulus factorials is exposed separately as normalization_N.
+
+The shifted eigenvalues come from `pt.theta_table`, and the eigen
+residuals apply each ladder as X(P(Y^H s)) (`pt.pt_ladder_apply`) and A1
+as sqrt(n+1) fr[n+1], without realizing a matrix.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ import numpy as np
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
-from .levels import level_columns, level_table, series_stack
+from .levels import _mul, level_columns, level_table, series_stack
 from .params import PhysicalParams
-from .pt import phi_norm_bound, pt_spinor_ladder, theta
-from .spinor import SpinorState, first_register_lowering, ladder_residual
+from .pt import phi_norm_bound, pt_ladder_apply, theta_table
+from .spinor import SpinorState, lower_first_register, register_residual
 from .coherent import (
     DEFAULT_TAIL_TOL,
     _fr_pairing,
@@ -51,7 +55,7 @@ def theta_sequence(count: int, params: PhysicalParams, branch: str = "plus") -> 
     """theta values along the branch: theta_{+k} (plus) or theta_{-k}
     (minus) for k = 0..count."""
     sign = {"plus": +1, "minus": -1}[branch]
-    return np.array([theta(sign * k, params) for k in range(count + 1)])
+    return theta_table(sign * np.arange(count + 1), params)
 
 
 def theta_factorial(n: int, params: PhysicalParams, branch: str = "plus") -> tuple:
@@ -122,7 +126,8 @@ class BicoherentSpec:
         if self.family == "theta":
             self.params.require_non_exceptional("theta-family bicoherent state")
 
-    def sigma(self, n: int) -> int:
+    def sigma(self, n):
+        """Level of the n-th series term (n an int or an integer array)."""
         return n if self.branch == "plus" else -n - 1
 
     @property
@@ -133,7 +138,7 @@ class BicoherentSpec:
     def columns(self, n_terms: int) -> tuple:
         """(levels, upper, lower) of the first n_terms series terms: phi on
         the ket side, the regime dual on the bra."""
-        ps = [self.sigma(n) for n in range(n_terms)]
+        ps = self.sigma(np.arange(n_terms))
         table = level_table(ps, self.params)
         return (ps, *(table[:2] if self.side == "ket" else table[2:]))
 
@@ -155,17 +160,21 @@ def _theta_series_coefficients(spec: BicoherentSpec) -> tuple:
     purely imaginary, so its terms rotate by pi/2 per step).
     """
     cap = spec.level_cap
+    if cap < 0:
+        raise CutoffError(f"the minus branch has no level inside pmax={spec.cutoff.pmax}",
+                          tail_estimate=math.inf)
     seq = theta_sequence(cap + 1, spec.params, spec.branch)
     z = complex(spec.z2)
-    # Cumulative multiplication; the modulus factorial |theta_n|! stays
-    # inside the float range for the windows used here (pmax <~ 200).
-    ket = np.empty(cap + 1, dtype=complex)
-    bra = np.empty(cap + 1, dtype=complex)
-    ket[0] = bra[0] = 1.0
-    for n in range(1, cap + 1):
-        step = np.sqrt(seq[n])
-        ket[n] = ket[n - 1] * z / step
-        bra[n] = bra[n - 1] * z / np.conj(step)
+    # Cumulative multiplication by numpy complex scalars, one term at a
+    # time: each rounding is part of the state's bytes.  The modulus
+    # factorial |theta_n|! stays inside the float range for the windows
+    # used here (pmax <~ 200).
+    steps = np.sqrt(seq[1:cap + 1])
+    ket, bra = [np.complex128(1.0)], [np.complex128(1.0)]
+    for step, conj_step in zip(steps, np.conj(steps)):
+        ket.append(ket[-1] * z / step)
+        bra.append(bra[-1] * z / conj_step)
+    ket, bra = np.array(ket), np.array(bra)
     mods = np.abs(ket)
     t_complex = complex(np.conj(np.vdot(ket, bra)))
     # geometric tail bound from the first out-of-window term
@@ -231,10 +240,12 @@ def build_bicoherent(spec: BicoherentSpec) -> SpinorState:
             normalization_phase=complex(const / abs(const)),
             pairing_sum=t_complex,
         )
-        # one scalar product per term: numpy's vectorized complex product
-        # can round the last bit differently, which would change the
-        # exported bytes of a state
-        weights = np.array([const * c for c in coefs])
+        # CPython's product on (re, im) arrays: numpy's vectorized complex
+        # product can round the last bit differently, which would change
+        # the exported bytes of a state
+        const = complex(const)
+        weights = np.empty(coefs.size, dtype=complex)
+        weights.real, weights.imag = _mul((const.real, const.imag), (coefs.real, coefs.imag))
     stack = series_stack(*spec.columns(weights.size), weights, cut.nmax2)
     return SpinorState(fr, stack[:cut.nmax2 + 1], stack[cut.nmax2 + 1:], meta)
 
@@ -263,9 +274,10 @@ def bicoherent_eigen_residual(spec: BicoherentSpec, state: SpinorState, operator
     """|| O state - z state || for the state built from spec; the
     first-register lowering operator pairs with every state at eigenvalue
     z1, the spinor-register ladders only with their own family/side/branch
-    (eigenvalue z2)."""
+    (eigenvalue z2).  O is applied to the coefficients without realizing
+    its matrix."""
     if operator == "A1":
-        return ladder_residual(state, first_register_lowering(spec.cutoff.nmax1), spec.z1)
+        return register_residual(state, "first", lower_first_register, spec.z1)
     if operator not in _LEGAL.values():
         raise ContractError(f"unknown operator {operator!r}")
     if _LEGAL[(spec.family, spec.side, spec.branch)] != operator:
@@ -275,10 +287,8 @@ def bicoherent_eigen_residual(spec: BicoherentSpec, state: SpinorState, operator
     base = operator.removesuffix("dag").rstrip("_")
     if base in ("C2", "D2"):
         base = base.lower()
-    op = pt_spinor_ladder(base, spec.params, spec.cutoff)
-    if operator.endswith("dag"):
-        op = op.dagger()
-    return ladder_residual(state, op, spec.z2)
+    return register_residual(state, "kregister", lambda s: pt_ladder_apply(
+        base, spec.params, spec.cutoff, s, adjoint=operator.endswith("dag")), spec.z2)
 
 
 def quasi_basis_check(f: SpinorState, g: SpinorState, params: PhysicalParams,
@@ -295,7 +305,7 @@ def quasi_basis_check(f: SpinorState, g: SpinorState, params: PhysicalParams,
     cap = spec.level_cap
     r1 = radial_factorial_ratio(cutoff.nmax1, quadrature)
     r2 = radial_factorial_ratio(cap, quadrature)
-    x, y = level_columns([spec.sigma(n) for n in range(cap + 1)], params, cutoff.nmax2)
+    x, y = level_columns(spec.sigma(np.arange(cap + 1)), params, cutoff.nmax2)
     left, right = (x, y) if order == "phi_psi" else (y, x)
     f_left = np.conj(left.conjugate().T @ f.spinor_stack())
     right_g = right.conjugate().T @ g.spinor_stack()

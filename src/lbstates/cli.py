@@ -8,6 +8,7 @@ Complex literals use the locale-free "a+bi" form ("1-1i", "2i", "-3",
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -308,8 +309,12 @@ def cmd_scan(args, parser) -> int:
     return 0
 
 
+# built on the first call and reused: each parse starts from a fresh namespace
+_shared_parser = functools.cache(build_parser)
+
+
 def cli_main(argv) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if min(args.nmax, args.pmax) < 0:

@@ -25,15 +25,9 @@ from scipy.special import gammaln
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
-from .ladders import LadderKind, spinor_ladder_matrix
+from .ladders import LadderKind, spinor_ladder_apply
 from .levels import level_table, series_stack
-from .spinor import (
-    V0,
-    SpinorState,
-    first_register_lowering,
-    ladder_residual,
-    level_coefficients,
-)
+from .spinor import V0, SpinorState, level_coefficients, lower_first_register, register_residual
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -63,8 +57,9 @@ class CoherentSpec:
         if not 0.0 < self.tail_tol < 1.0:
             raise ContractError(f"tail tolerance must be in (0, 1), got {self.tail_tol!r}")
 
-    def sigma(self, n2: int) -> int:
-        """Level index carried by the n2-th series term."""
+    def sigma(self, n2):
+        """Level index carried by the n2-th series term (n2 an int or an
+        integer array)."""
         if self.family == "A":
             return n2 if self.branch == "plus" else -n2 - 1
         return n2 + 1 if self.branch == "plus" else -n2
@@ -96,11 +91,29 @@ def gaussian_series_tail(z: complex, n_terms: int) -> float:
 
 def coherent_series_length(z: complex, cap: int, tol: float) -> tuple:
     """Smallest number of terms whose tail bound is below tol; raises
-    CutoffError (carrying the bound at the cap) when the cap is too small."""
-    for n_terms in range(1, cap + 2):
-        est = gaussian_series_tail(z, n_terms)
-        if est < tol:
-            return n_terms, est
+    CutoffError (carrying the bound at the cap) when the cap is too small.
+
+    The bound is +inf and then strictly decreasing in the count, and below
+    2^(1-m) from m >= 4e|z|^2 terms on, so one array pass over the counts
+    up to max(4e|z|^2, 1 - log2(tol)) finds the first count below tol.
+    The scalar bound at that count and its predecessor confirms it, since
+    the array exp can differ from math.exp in the last bit.
+    """
+    r = abs(z)
+    need = max(4.0 * math.e * r * r, 1.0 - math.log2(tol)) if tol > 0.0 else math.inf
+    counts = np.arange(1, math.ceil(min(need, cap + 1)) + 1)
+    n_terms = 1
+    if r > 0.0:
+        finite = counts[r < np.sqrt(counts + 1.0)]
+        log_head = -0.5 * r * r + finite * math.log(r) - 0.5 * gammaln(finite + 1)
+        below = finite[np.exp(log_head) / (1.0 - r / np.sqrt(finite + 1.0)) < tol]
+        n_terms = int(below[0]) if below.size else counts.size + 1
+    while n_terms > 1 and gaussian_series_tail(z, n_terms - 1) < tol:
+        n_terms -= 1
+    while n_terms <= cap + 1 and not gaussian_series_tail(z, n_terms) < tol:
+        n_terms += 1
+    if n_terms <= cap + 1:
+        return n_terms, gaussian_series_tail(z, n_terms)
     est = gaussian_series_tail(z, cap + 1)
     raise CutoffError(
         f"series for |z|={abs(z):.3g} does not reach tail {tol:.1e} within {cap + 1} terms"
@@ -131,7 +144,7 @@ def build_coherent(spec: CoherentSpec) -> SpinorState:
     cut = spec.cutoff
     fr, tail1 = first_register_coherent(spec.z1, cut.nmax1, spec.tail_tol)
     n_terms2, tail2 = coherent_series_length(spec.z2, spec.level_cap, spec.tail_tol)
-    ps = [spec.sigma(n2) for n2 in range(n_terms2)]
+    ps = spec.sigma(np.arange(n_terms2))
     stack = series_stack(ps, *level_table(ps, V0)[:2], coherent_coefficients(spec.z2, n_terms2),
                          cut.nmax2)
     meta = {
@@ -157,7 +170,8 @@ _LEGAL_OPS = {
 
 def eigen_residual(spec: CoherentSpec, state: SpinorState, operator, strict: bool = True) -> float:
     """|| O Phi - z Phi || for the state built from spec, with z = z1 for
-    A1 and z2 otherwise.
+    A1 and z2 otherwise.  O is applied to the coefficients without
+    realizing its matrix.
 
     With strict=True (the contract), an operator/branch pairing without an
     eigenvalue equation raises ContractError; strict=False computes the
@@ -165,12 +179,13 @@ def eigen_residual(spec: CoherentSpec, state: SpinorState, operator, strict: boo
     """
     operator = LadderKind(operator)
     if operator is LadderKind.A1:
-        return ladder_residual(state, first_register_lowering(spec.cutoff.nmax1), spec.z1)
+        return register_residual(state, "first", lower_first_register, spec.z1)
     if strict and _LEGAL_OPS[(spec.family, spec.branch)] is not operator:
         raise ContractError(
             f"{operator.value} has no eigenvalue equation on family {spec.family}/{spec.branch}"
         )
-    return ladder_residual(state, spinor_ladder_matrix(operator, spec.cutoff), spec.z2)
+    return register_residual(state, "kregister",
+                             lambda s: spinor_ladder_apply(operator, spec.cutoff, s), spec.z2)
 
 
 @lru_cache(maxsize=16)

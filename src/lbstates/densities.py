@@ -100,6 +100,12 @@ def _component_cartesian(blocks, w: np.ndarray, n_top: int) -> np.ndarray:
     return out
 
 
+def _support_end(mask: np.ndarray) -> int:
+    """One past the last index where mask holds (0 when it never does)."""
+    idx = np.flatnonzero(mask)
+    return int(idx[-1]) + 1 if idx.size else 0
+
+
 def density(state: SpinorState, grid: GridSpec, params: PhysicalParams | None = None,
             extra_meta: dict | None = None) -> DensityField:
     """Evaluate |psi|^2 (total and per component) on the grid.
@@ -118,12 +124,22 @@ def density(state: SpinorState, grid: GridSpec, params: PhysicalParams | None = 
     fr = state.first_register
     nmax1, nmax2 = fr.size - 1, state.upper.size - 1
     comps = np.stack([state.upper, state.lower], axis=-1)
-    w = fr[:, None, None] * comps[None]
-    scale = np.abs(fr).max() * np.abs(comps).max(axis=0)
+    fr_abs, comps_abs = np.abs(fr), np.abs(comps)
+    scale = fr_abs.max() * comps_abs.max(axis=0)
+    # a kept weight has each factor within 1e-18 of that factor's largest,
+    # so both are cut to that support first (with a factor-2 margin for
+    # rounding): w grows with the state's support, not with the window
+    n1_end = _support_end((fr_abs > 0) & (fr_abs >= 0.5e-18 * fr_abs.max()))
+    n2_end = _support_end(((comps_abs > 0) & (comps_abs >= 0.5e-18 * comps_abs.max(axis=0)))
+                          .any(axis=-1))
+    w = fr[:n1_end, None, None] * comps[None, :n2_end]
     keep = (np.abs(w) >= 1e-18 * scale) & (w != 0)
     n1s, n2s = np.nonzero(keep.any(axis=-1))
     n_top, n1_top = int((n1s + n2s).max(initial=0)), int(n1s.max(initial=0))
-    w = np.where(keep, w, 0)[:n1_top + 1]
+    kept = np.where(keep, w, 0)[:n1_top + 1, :n_top + 1]
+    # zero columns up to n_top: the basis change reads n2 = N - n1 for N <= n_top
+    w = np.zeros((n1_top + 1, min(nmax2, n_top) + 1, 2), dtype=complex)
+    w[:kept.shape[0], :kept.shape[1]] = kept
     px = oscillator_table(n_top, grid.x)
     py = oscillator_table(n_top, grid.y)
     carts = _component_cartesian(circular_antidiagonals(n_top, n1_top), w, n_top)

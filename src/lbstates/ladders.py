@@ -21,9 +21,10 @@ import scipy.sparse as sp
 
 from .errors import ShapeError
 from .fock import FockCutoff, SparseOperator
-from .levels import bidiagonal, rank_one_sum, window_levels
+from .levels import bidiagonal, bidiagonal_apply, level_table, rank_one_sum, window_levels
 from .params import PhysicalParams
-from .spinor import ModeIndex, ModeWindow, basis_columns, hamiltonian_spinor_matrix, level_matrix
+from .spinor import (V0, ModeIndex, ModeWindow, basis_columns, hamiltonian_spinor_matrix,
+                     level_matrix)
 
 
 class LadderKind(str, Enum):
@@ -57,10 +58,15 @@ _P_ACTION = {
 }
 
 
+def level_ladder_action(kind: LadderKind, pmax: int) -> tuple:
+    """(amplitudes over p = -pmax..pmax, target shift) of a level-index ladder."""
+    amp, shift = _P_ACTION[kind]
+    return amp(window_levels(pmax)), shift
+
+
 def level_ladder_matrix(kind: LadderKind, pmax: int) -> sp.csr_matrix:
     """The p-window matrix of a level-index ladder."""
-    amp, shift = _P_ACTION[kind]
-    return bidiagonal(amp(window_levels(pmax)), shift, pmax)
+    return bidiagonal(*level_ladder_action(kind, pmax), pmax)
 
 
 def build_ladder(kind: LadderKind, cutoff: FockCutoff) -> SparseOperator:
@@ -85,6 +91,15 @@ def spinor_ladder_matrix(kind: LadderKind, cutoff: FockCutoff) -> SparseOperator
     vm = basis_columns(cutoff)
     mat = rank_one_sum(vm, level_ladder_matrix(kind, cutoff.pmax), vm)
     return SparseOperator(mat, "kregister", kind.value)
+
+
+def spinor_ladder_apply(kind: LadderKind, cutoff: FockCutoff, stack: np.ndarray) -> np.ndarray:
+    """The realization of `spinor_ladder_matrix` applied to a stacked spinor
+    as V(P(V^H stack)), without building a matrix."""
+    ps = window_levels(cutoff.pmax)
+    cols = level_table(ps, V0)[:2]
+    return bidiagonal_apply(ps, cols, *level_ladder_action(LadderKind(kind), cutoff.pmax), cols,
+                            stack, cutoff.nmax2)
 
 
 def hamiltonian_mode_matrix(params: PhysicalParams, cutoff: FockCutoff) -> SparseOperator:

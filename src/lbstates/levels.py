@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, CutoffError, ExceptionalPointError
+from .errors import ContractError, CutoffError, ExceptionalPointError, ShapeError
 from .params import EXCEPTIONAL_RTOL, PhysicalParams, level_discriminant, sqrt_discriminant
 
 
@@ -187,6 +187,30 @@ def bidiagonal(amps, shift: int, pmax: int) -> sp.csr_matrix:
     keep = (amps != 0) & (np.abs(ps + shift) <= pmax)
     return sp.csr_matrix((amps[keep], (ps[keep] + shift + pmax, ps[keep] + pmax)),
                          shape=(ps.size, ps.size))
+
+
+def bidiagonal_apply(ps, x, amps, shift: int, y, stack: np.ndarray, nmax2: int,
+                     adjoint: bool = False) -> np.ndarray:
+    """X P Y^H stack, or Y P^H X^H stack when adjoint, for the two-entry
+    column tables x = (upper, lower) and y over the window ps and the
+    bidiagonal P = `bidiagonal(amps, shift, pmax)` (shift +-1), computed as
+    X(P(Y^H stack)) without building a matrix: gather one coefficient per
+    level from its two rows, move it one level with its amplitude, and
+    scatter it back as `series_stack` does."""
+    if stack.size != 2 * (nmax2 + 1):
+        raise ShapeError("operator and state live on different spinor windows")
+    if adjoint:
+        x, y = y, x
+    up, lo = _rows(ps, nmax2)
+    # the lower entry of level 0 is zero, so its row index lo = nmax2 adds nothing
+    coef = np.conj(y[0]) * stack[up] + np.conj(y[1]) * stack[lo]
+    src, dst = (slice(None, -1), slice(1, None)) if shift > 0 else (slice(1, None), slice(None, -1))
+    moved = np.zeros_like(coef)
+    if adjoint:
+        moved[src] = np.conj(amps[src]) * coef[dst]
+    else:
+        moved[dst] = amps[src] * coef[src]
+    return series_stack(ps, *x, moved, nmax2)
 
 
 def rank_one_sum(x: sp.spmatrix, pmat: sp.spmatrix, y: sp.spmatrix) -> sp.csr_matrix:

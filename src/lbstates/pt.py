@@ -11,6 +11,11 @@ every construction below refuses to proceed.
 The eigenvectors phi_p and their biorthogonal duals are the two-entry
 level spinors of `levels`; for V > 1 the dual family is re-paired on
 broken levels (psi-tilde), restoring biorthonormality of the x/y pairing.
+The shifted eigenvalues theta_p = E_p - E_0 come from one array table,
+`theta_table`.  Each ladder is X P Y^H for a bidiagonal level matrix P:
+`pt_spinor_ladder` realizes it as a sparse matrix (for checks and as the
+tests' oracle), `pt_ladder_apply` applies it to a vector as X(P(Y^H s))
+without building a matrix.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ import scipy.sparse as sp
 
 from .errors import ContractError
 from .fock import FockCutoff, SparseOperator
-from .ladders import LadderKind, level_ladder_matrix
-from .levels import (alpha, bidiagonal, level_columns, level_spinors, rank_one_sum,
-                     two_entry_columns, window_levels)
-from .params import PhysicalParams, level_discriminant, sqrt_discriminant
+from .ladders import LadderKind, level_ladder_action
+from .levels import (_mul, alpha, bidiagonal, bidiagonal_apply, level_columns, level_spinors,
+                     level_table, rank_one_sum, two_entry_columns, window_levels)
+from .params import EXCEPTIONAL_RTOL, PhysicalParams, level_discriminant, sqrt_discriminant
 from .spinor import (
     ModeIndex,
     SpinorState,
@@ -46,14 +51,36 @@ def eigenvalue_E(p: int, params: PhysicalParams) -> complex:
     return -params.eps0 * sqrt_discriminant(-p, params.V)
 
 
+def theta_table(ps, params: PhysicalParams) -> np.ndarray:
+    """Shifted eigenvalues theta_p = E_p - E_0 over the levels ps: zero at
+    p = 0, eps0 (s - iV) for p >= 1 and -eps0 (s + iV) for p <= -1, with s
+    the principal root of |p| - V^2 (snapped to zero at exceptional
+    levels).  Moduli are eps0 sqrt(|p|) on unbroken levels.
+
+    Equal bit for bit, signed zeros included, to evaluating each level with
+    CPython complex scalars: the products are replayed on (re, im) pairs
+    with a float operand promoted to (x, +0.0), as in `levels.level_table`.
+    """
+    V = params.V
+    ps = np.asarray(ps, dtype=int).reshape(-1)
+    d = np.abs(ps) - V * V
+    d[np.abs(d) < EXCEPTIONAL_RTOL * max(1.0, V * V)] = 0.0
+    root = np.sqrt(np.abs(d))
+    s = np.where(d < 0.0, 0.0, root), np.where(d < 0.0, root, 0.0)
+    iv = _mul((0.0, 1.0), (V, 0.0))
+    plus = ps > 0
+    u = (np.where(plus, s[0] - iv[0], s[0] + iv[0]), np.where(plus, s[1] - iv[1], s[1] + iv[1]))
+    eps = np.where(plus, params.eps0, -params.eps0)
+    re, im = _mul((eps, 0.0), u)
+    out = np.empty(ps.size, dtype=complex)
+    out.real = np.where(ps == 0, 0.0, re)
+    out.imag = np.where(ps == 0, 0.0, im)
+    return out
+
+
 def theta(p: int, params: PhysicalParams) -> complex:
-    """Shifted eigenvalue E_p - E_0 (zero at p = 0; modulus eps0 sqrt(|p|)
-    whenever the level is unbroken)."""
-    if p == 0:
-        return 0.0 + 0.0j
-    if p >= 1:
-        return params.eps0 * (sqrt_discriminant(p, params.V) - 1j * params.V)
-    return -params.eps0 * (sqrt_discriminant(-p, params.V) + 1j * params.V)
+    """Shifted eigenvalue E_p - E_0 of one level (see `theta_table`)."""
+    return complex(theta_table([p], params)[0])
 
 
 def phi_spinor(p: int, params: PhysicalParams, cutoff: FockCutoff) -> np.ndarray:
@@ -116,16 +143,21 @@ def pt_level_ladder(name: str, params: PhysicalParams, cutoff: FockCutoff) -> sp
 
     with principal square roots throughout.
     """
-    pm = cutoff.pmax
+    return bidiagonal(*_pt_action(name, params, cutoff.pmax), cutoff.pmax)
+
+
+def _pt_action(name: str, params: PhysicalParams, pmax: int) -> tuple:
+    """(amplitudes over p = -pmax..pmax, target shift) of a PT ladder."""
     if name == "A_K_V":
-        return level_ladder_matrix(LadderKind.A2, pm)
+        return level_ladder_action(LadderKind.A2, pmax)
     if name == "B_K_V":
-        return level_ladder_matrix(LadderKind.A2DAG, pm)
+        return level_ladder_action(LadderKind.A2DAG, pmax)
     if name not in ("c2", "d2"):
         raise ContractError(f"unknown ladder {name!r}")
-    shift = -1 if name == "c2" else 1
-    amps = [np.sqrt(theta(p if name == "c2" else p + 1, params)) for p in window_levels(pm)]
-    return bidiagonal(amps, shift, pm)
+    ps = window_levels(pmax)
+    if name == "c2":
+        return np.sqrt(theta_table(ps, params)), -1
+    return np.sqrt(theta_table(ps + 1, params)), 1
 
 
 def pt_spinor_ladder(name: str, params: PhysicalParams, cutoff: FockCutoff) -> SparseOperator:
@@ -135,6 +167,17 @@ def pt_spinor_ladder(name: str, params: PhysicalParams, cutoff: FockCutoff) -> S
     x, y = level_columns(window_levels(cutoff.pmax), params, cutoff.nmax2)
     mat = rank_one_sum(x, pt_level_ladder(name, params, cutoff), y)
     return SparseOperator(mat, "kregister", name)
+
+
+def pt_ladder_apply(name: str, params: PhysicalParams, cutoff: FockCutoff, stack: np.ndarray,
+                    adjoint: bool = False) -> np.ndarray:
+    """The realization of `pt_spinor_ladder` (or its adjoint) applied to a
+    stacked spinor as X(P(Y^H stack)), without building a matrix."""
+    params.require_non_exceptional(f"ladder {name}")
+    ps = window_levels(cutoff.pmax)
+    table = level_table(ps, params)
+    return bidiagonal_apply(ps, table[:2], *_pt_action(name, params, cutoff.pmax), table[2:],
+                            stack, cutoff.nmax2, adjoint)
 
 
 def build_pt_ladders(params: PhysicalParams, cutoff: FockCutoff,

@@ -209,18 +209,35 @@ def apply_spinor_operator(op: SparseOperator, state: SpinorState) -> SpinorState
     return state.with_spinor_stack(op.matrix @ stack)
 
 
-def ladder_residual(state: SpinorState, op: SparseOperator, z: complex) -> float:
-    """|| O state - z state || for an operator on either register of the
-    separable state; the other register enters through its norm."""
-    if op.space == "first":
+def register_residual(state: SpinorState, space: str, apply, z: complex) -> float:
+    """|| O state - z state || for an operator O on one register ('first'
+    or 'kregister') of the separable state, given as the function `apply`
+    on that register's coefficients; the other register enters through
+    its norm."""
+    if space == "first":
         own, other = state.first_register, state.spinor_stack()
-    elif op.space == "kregister":
+    elif space == "kregister":
         own, other = state.spinor_stack(), state.first_register
     else:
-        raise ShapeError(f"expected a first or kregister operator, got {op.space}")
-    if op.shape[1] != own.size:
-        raise ShapeError("operator and state live on different windows")
-    return float(np.linalg.norm(op.matrix @ own - z * own)) * float(np.linalg.norm(other))
+        raise ShapeError(f"expected a first or kregister operator, got {space}")
+    return float(np.linalg.norm(apply(own) - z * own)) * float(np.linalg.norm(other))
+
+
+def ladder_residual(state: SpinorState, op: SparseOperator, z: complex) -> float:
+    """`register_residual` of a realized operator matrix."""
+    def apply(own):
+        if op.shape[1] != own.size:
+            raise ShapeError("operator and state live on different windows")
+        return op.matrix @ own
+    return register_residual(state, op.space, apply, z)
+
+
+def lower_first_register(fr: np.ndarray) -> np.ndarray:
+    """The lowering operator of `first_register_lowering` applied to the
+    first-register coefficients: sqrt(n+1) fr[n+1]."""
+    out = np.zeros_like(fr)
+    out[:-1] = np.sqrt(np.arange(1, fr.size)) * fr[1:]
+    return out
 
 
 def apply_HK(state: SpinorState, params: PhysicalParams, cutoff: FockCutoff) -> SpinorState:

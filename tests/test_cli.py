@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -288,6 +290,14 @@ class TestFailureExitCodes:
         assert code == 1
         assert "io error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["eta", "xi"])
+    def test_minus_branch_without_levels_exits_one(self, family, capsys):
+        # pmax = 0 leaves the minus branch (levels p <= -1) empty
+        code = cli_main(["state", "--family", family, "--branch", "minus", "--V", "0.5",
+                         "--z2=1", "--nmax", "4", "--pmax", "0"])
+        assert code == 1
+        assert "no level inside pmax=0" in capsys.readouterr().err
+
     def test_window_too_small_exits_one(self, capsys):
         # the theta series at large V only decays beyond the broken region;
         # the default window must refuse with the tail estimate
@@ -297,3 +307,75 @@ class TestFailureExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "error" in err and "pmax" in err
+
+
+def _run_in_process(argv) -> tuple:
+    """(exit code, stdout, stderr) of one in-process cli_main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_LABELS = ["0", "1", "-1", "1-1i", "0.5i", "-0.25+0.75i", "2+2i", "abc"]
+
+
+@st.composite
+def _small_argv(draw):
+    """spectrum/state argument lists over small windows, legal or not."""
+    cmd = draw(st.sampled_from(["spectrum", "state"]))
+    argv = [cmd]
+    if draw(st.booleans()):
+        argv.append("--V=" + draw(st.sampled_from(["0.5", "0", "0.9", "1.7", "2", "2.5", "9.5",
+                                                   "-1", "nan"])))
+    windows = [0, 1, 2, 3, 5, 8, 12, -1]
+    for flag, values in (("--pmax", windows), ("--nmax", windows)):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.sampled_from(values))}")
+    if draw(st.booleans()):
+        argv.append("--tol=" + draw(st.sampled_from(["1e-12", "1e-6", "0.5", "0", "1"])))
+    if cmd == "state":
+        argv.append("--family=" + draw(st.sampled_from(["eta", "xi", "phi", "psi", "A", "B"])))
+        argv.append("--branch=" + draw(st.sampled_from(["plus", "minus"])))
+        for flag in ("--z1", "--z2"):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(st.sampled_from(_LABELS))}")
+    return argv
+
+
+class TestSharedParser:
+    """cli_main builds its parser once per process; no call may see what
+    an earlier one parsed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_small_argv(), min_size=1, max_size=4))
+    def test_calls_are_independent(self, argvs):
+        for argv in argvs:
+            code, out, err = _run_in_process(argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err, argv
+            if out:
+                json.loads(out)
+            if code == 0:
+                # the same call answers the same, whatever ran before it
+                assert _run_in_process(argv) == (code, out, err)
+
+    def test_suite_selection_does_not_stick(self):
+        code, out, _ = _run_in_process(["check", "--suite", "fock."])
+        assert code == 0 and out.splitlines()[-1].endswith("/4 checks passed")
+        code, out, _ = _run_in_process(["check"])
+        assert code == 0
+        assert out.splitlines()[-1] == "35/35 checks passed"
+
+    def test_out_and_tol_defaults_come_back(self, tmp_path):
+        out_path = os.fspath(tmp_path / "spectrum.json")
+        assert _run_in_process(["spectrum", "--pmax", "1", "--out", out_path])[:2] == (0, "")
+        code, out, _ = _run_in_process(["spectrum", "--pmax", "1"])
+        assert code == 0 and json.loads(out)["levels"]
+        assert out == open(out_path, encoding="utf-8").read()
+
+        argv = ["state", "--family", "A", "--z2=2.5", "--nmax", "24", "--pmax", "24"]
+        assert _run_in_process(argv + ["--tol=1e-3"])[0] == 0
+        # the default tolerance 1e-12 is out of reach for |z2| = 2.5 at this window
+        code, out, err = _run_in_process(argv)
+        assert code == 1 and out == "" and "does not reach tail 1.0e-12" in err

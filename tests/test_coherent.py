@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from lbstates import (
     eigen_residual,
     resolution_identity_check,
 )
-from lbstates.coherent import CoherentSpec, gaussian_series_tail, radial_factorial_ratio
+from lbstates.coherent import (CoherentSpec, coherent_series_length, gaussian_series_tail,
+                               radial_factorial_ratio)
 
 CUT = FockCutoff(64, 64, 64)
 ZGRID = (0, 1, -1, 1j, -1j, 1 - 1j, 2 + 2j)
@@ -177,3 +179,42 @@ class TestBruteForceQuadratureOracle:
             return 2.0 * np.trapezoid(vals, rs)
 
         assert got == pytest.approx(radial(1) * radial(2), abs=1e-10)
+
+
+def scan_series_length(z, cap, tol):
+    """The term-by-term scan that coherent_series_length replaced."""
+    for n_terms in range(1, cap + 2):
+        est = gaussian_series_tail(z, n_terms)
+        if est < tol:
+            return n_terms, est
+    return None, gaussian_series_tail(z, cap + 1)
+
+
+class TestSeriesLength:
+    """The array pass must choose the count, and report the bound, that the
+    scalar scan does, byte for byte: both reach state metadata."""
+
+    @pytest.mark.parametrize("tol", [10.0 ** -k for k in range(6, 16)])
+    def test_matches_scalar_scan(self, tol):
+        for r in np.linspace(0.0, 6.0, 97):
+            for phase in (0.0, 2.3):
+                z = complex(r * math.cos(phase), r * math.sin(phase))
+                for cap in (0, 3, 12, 40, 64, 400):
+                    want = scan_series_length(z, cap, tol)
+                    if want[0] is None:
+                        with pytest.raises(CutoffError) as err:
+                            coherent_series_length(z, cap, tol)
+                        assert repr(err.value.tail_estimate) == repr(want[1])
+                    else:
+                        got = coherent_series_length(z, cap, tol)
+                        assert (got[0], repr(got[1])) == (want[0], repr(want[1]))
+
+    def test_work_follows_the_series_not_the_cap(self):
+        tracemalloc.start()
+        try:
+            n_terms, _ = coherent_series_length(0.1, 10 ** 9, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_terms == scan_series_length(0.1, 100, 1e-12)[0]
+        assert peak < 1e5

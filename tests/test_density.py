@@ -344,3 +344,41 @@ class TestDirectEvaluationOracle:
 
         for i, j in ((0, 1), (3, 3), (5, 6)):
             assert fld.total[i, j] == pytest.approx(direct(grid.x[i], grid.y[j]), abs=1e-14)
+
+
+class TestSupportBoundedWork:
+    """density() forms its weights over the state's support, not over the
+    window, so a huge window with a small state stays small."""
+
+    def test_huge_window_small_state(self, tmp_path, capsys):
+        from lbstates.cli import cli_main
+
+        out = os.fspath(tmp_path / "d.csv")
+        tracemalloc.start()
+        try:
+            code = cli_main(["density", "--family", "A", "--z1", "0.1", "--z2", "0.1",
+                             "--nmax", "100000", "--pmax", "100000",
+                             "--grid=-1:1:5,-1:1:5", "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < 100e6
+        assert os.path.getsize(out) > 0
+
+    @pytest.mark.parametrize("V", [0.0, 0.5])
+    def test_field_bytes_do_not_depend_on_the_window(self, V):
+        # series cut by their tail bound give the same state, zero-padded,
+        # at a wider window; its field keeps its bytes
+        grid = GridSpec(-5, 5, 41, -5, 5, 41)
+        fields = []
+        for window in (40, 300):
+            cut = FockCutoff(window, window, window)
+            if V == 0.0:
+                st = build_coherent(CoherentSpec(0.5 - 0.5j, 1 + 0.5j, "A", "plus", cut))
+            else:
+                st = build_bicoherent(BicoherentSpec(0.5 - 0.5j, 1 + 0.5j, "standard", "ket",
+                                                     "minus", PhysicalParams(V=V), cut))
+            fields.append(density(st, grid, PhysicalParams(V=V)))
+        for name in ("total", "upper", "lower"):
+            assert getattr(fields[0], name).tobytes() == getattr(fields[1], name).tobytes()

@@ -31,7 +31,9 @@ from lbstates.pt import (
     phi_spinor,
     pt_level_ladder,
     pt_spinor_ladder,
+    theta_table,
 )
+from lbstates.params import sqrt_discriminant
 from lbstates.spinor import apply_HK, basis_vector_c, hamiltonian_spinor_matrix
 
 CUT = FockCutoff(4, 16, 14)
@@ -133,6 +135,51 @@ class TestTheta:
         params = PhysicalParams(V=v)
         for q in (p, -p):
             assert abs(abs(theta(q, params)) - 2 * math.sqrt(p)) < 1e-12
+
+
+def ref_theta(p, params):
+    """The scalar theta that theta_table replaced: CPython complex
+    arithmetic, one level at a time."""
+    if p == 0:
+        return 0.0 + 0.0j
+    if p >= 1:
+        return params.eps0 * (sqrt_discriminant(p, params.V) - 1j * params.V)
+    return -params.eps0 * (sqrt_discriminant(-p, params.V) + 1j * params.V)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+class TestThetaTable:
+    """theta_table against the scalar oracle, bit for bit (signed zeros
+    included): theta-family states are byte-stable."""
+
+    @pytest.mark.parametrize("V", [0.0, 0.5, 0.9, 1.7, 2.5, 9.5])
+    @pytest.mark.parametrize("vf,xi", [(1.0, 1.0), (0.7, 1.3)])
+    def test_window_matches_scalar(self, V, vf, xi):
+        params = PhysicalParams(vf=vf, xi=xi, V=V)
+        ps = np.arange(-300, 301)
+        want = [ref_theta(int(p), params) for p in ps]
+        assert np.array_equal(_bits(theta_table(ps, params)), _bits(want))
+
+    @pytest.mark.parametrize("V", [0.0, 0.5, 0.9, 1.7, 2.5, 9.5])
+    @pytest.mark.parametrize("p", [0, 1, -1, 2, -3, 90, -91, 1200, -1200])
+    def test_single_levels_match_scalar(self, V, p):
+        params = PhysicalParams(V=V)
+        assert np.array_equal(_bits(theta_table([p], params)), _bits([ref_theta(p, params)]))
+        assert np.array_equal(_bits([theta(p, params)]), _bits([ref_theta(p, params)]))
+        assert type(theta(p, params)) is complex
+
+    def test_exceptional_level_is_not_refused(self):
+        params = PhysicalParams(V=2.0)
+        got = theta_table([4, -4, 3], params)
+        assert np.array_equal(_bits(got), _bits([ref_theta(q, params) for q in (4, -4, 3)]))
+
+    def test_zero_level_has_positive_zeros(self):
+        got = theta_table([0], PhysicalParams(V=0.5))
+        assert np.signbit(got.real).tolist() == [False]
+        assert np.signbit(got.imag).tolist() == [False]
 
 
 class TestBiorthFamilies:
