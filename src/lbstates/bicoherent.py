@@ -22,9 +22,11 @@ ket constant real positive and let the bra constant carry the phase, so
 <ket, bra> = 1 holds exactly.  The classical real normalization over the
 modulus factorials is exposed separately as normalization_N.
 
-The shifted eigenvalues come from `pt.theta_table`, and the eigen
-residuals apply each ladder as X(P(Y^H s)) (`pt.pt_ladder_apply`) and A1
-as sqrt(n+1) fr[n+1], without realizing a matrix.
+The shifted eigenvalues come from `levels.theta_table`.  The eigen
+residuals read the ladder paired with each family, side and branch from
+the one pairing table `ladders.PAIRINGS` (phi/psi: the standard ket/bra,
+eta/xi: the theta ket/bra) and apply it through `ladders.ladder_apply`,
+without realizing a matrix, as the V = 0 coherent residuals do.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ import numpy as np
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
-from .levels import _mul, level_columns, level_table, series_stack
+from .ladders import pairing_residual
+from .levels import _mul, level_columns, level_table, series_stack, theta_table
 from .params import PhysicalParams
-from .pt import phi_norm_bound, pt_ladder_apply, theta_table
-from .spinor import SpinorState, lower_first_register, register_residual
+from .pt import phi_norm_bound
+from .spinor import SpinorState
 from .coherent import (
     DEFAULT_TAIL_TOL,
     _fr_pairing,
@@ -101,6 +104,12 @@ def normalization_N(z2: complex, params: PhysicalParams, cutoff: FockCutoff,
         f" within pmax={cutoff.pmax} (tail estimate {tail:.3e})",
         tail_estimate=tail,
     )
+
+
+# CLI family -> (family, side)
+FAMILIES = {"phi": ("standard", "ket"), "psi": ("standard", "bra"),
+            "eta": ("theta", "ket"), "xi": ("theta", "bra")}
+_LABELS = {pair: label for label, pair in FAMILIES.items()}
 
 
 @dataclass(frozen=True)
@@ -257,38 +266,12 @@ def bi_product(ket_spec: BicoherentSpec, bra_spec: BicoherentSpec | None = None)
     return build_bicoherent(ket_spec).inner(build_bicoherent(bra_spec))
 
 
-# (family, side, branch) -> the ladder with an eigenvalue equation on it
-_LEGAL = {
-    ("standard", "ket", "plus"): "A_K_V",
-    ("standard", "ket", "minus"): "B_K_V",
-    ("standard", "bra", "minus"): "A_K_V_dag",
-    ("standard", "bra", "plus"): "B_K_V_dag",
-    ("theta", "ket", "plus"): "C2",
-    ("theta", "ket", "minus"): "D2",
-    ("theta", "bra", "minus"): "C2dag",
-    ("theta", "bra", "plus"): "D2dag",
-}
-
-
 def bicoherent_eigen_residual(spec: BicoherentSpec, state: SpinorState, operator: str) -> float:
     """|| O state - z state || for the state built from spec; the
     first-register lowering operator pairs with every state at eigenvalue
     z1, the spinor-register ladders only with their own family/side/branch
-    (eigenvalue z2).  O is applied to the coefficients without realizing
-    its matrix."""
-    if operator == "A1":
-        return register_residual(state, "first", lower_first_register, spec.z1)
-    if operator not in _LEGAL.values():
-        raise ContractError(f"unknown operator {operator!r}")
-    if _LEGAL[(spec.family, spec.side, spec.branch)] != operator:
-        raise ContractError(
-            f"{operator} has no eigenvalue equation on {spec.family}/{spec.side}/{spec.branch}"
-        )
-    base = operator.removesuffix("dag").rstrip("_")
-    if base in ("C2", "D2"):
-        base = base.lower()
-    return register_residual(state, "kregister", lambda s: pt_ladder_apply(
-        base, spec.params, spec.cutoff, s, adjoint=operator.endswith("dag")), spec.z2)
+    (eigenvalue z2; `ladders.pairing_residual`)."""
+    return pairing_residual(spec, state, operator, _LABELS[(spec.family, spec.side)], spec.params)
 
 
 def quasi_basis_check(f: SpinorState, g: SpinorState, params: PhysicalParams,

@@ -15,12 +15,13 @@ import sys
 
 import numpy as np
 
-from .bicoherent import _LEGAL, BicoherentSpec, bicoherent_eigen_residual, build_bicoherent
+from .bicoherent import FAMILIES, BicoherentSpec, bicoherent_eigen_residual, build_bicoherent
 from .checks import run_checks
-from .coherent import _LEGAL_OPS, CoherentSpec, build_coherent, eigen_residual
+from .coherent import CoherentSpec, build_coherent, eigen_residual
 from .densities import DEFAULT_GRID, GridSpec, density, export, finite_json, gain_loss
-from .errors import LbError
+from .errors import ContractError, LbError
 from .fock import FockCutoff
+from .ladders import PAIRINGS
 from .params import PhysicalParams
 from .pt import classify_levels, eigenvalue_E, gain_loss_asymptotics
 
@@ -139,6 +140,22 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
+# Rows one `spectrum` or `scan-v` call may write: 2 pmax + 1 levels per V
+# step plus the exceptional points m in [from^2, to^2].  A JSON row takes
+# 60-150 bytes, so this bounds the output near 150 MB.
+MAX_ROWS = 10 ** 6
+
+
+def _require_rows(pmax: int, steps: int = 1, v_from: float = 0.0, v_to: float = 0.0) -> None:
+    """Refuse (ContractError) an output of more than MAX_ROWS rows."""
+    top = v_to * v_to
+    points = (math.floor(top) - max(1, math.ceil(v_from * v_from)) + 1
+              if math.isfinite(top) else math.inf)
+    rows = (2 * pmax + 1) * steps + max(points, 0)
+    if rows > MAX_ROWS:
+        raise ContractError(f"the output would hold {rows} rows; the limit is {MAX_ROWS}")
+
+
 def _level_records(params: PhysicalParams, pmax: int) -> list:
     records = []
     for cls in classify_levels(params, range(-pmax, pmax + 1)):
@@ -155,6 +172,7 @@ def _level_records(params: PhysicalParams, pmax: int) -> list:
 
 def cmd_spectrum(args, parser) -> int:
     params = _params(args)
+    _require_rows(args.pmax)
     records = _level_records(params, args.pmax)
     if args.format == "csv":
         lines = ["p,re,im,class,energy"]
@@ -180,13 +198,7 @@ def _build_state(args, parser) -> tuple:
             parser.error(f"family {family} is the V=0 construction; got --V {params.V}")
         spec = CoherentSpec(args.z1, args.z2, family, args.branch, cutoff, args.tol)
         return build_coherent(spec), spec, params
-    mapping = {
-        "phi": ("standard", "ket"),
-        "psi": ("standard", "bra"),
-        "eta": ("theta", "ket"),
-        "xi": ("theta", "bra"),
-    }
-    fam, side = mapping[family]
+    fam, side = FAMILIES[family]
     if params.V == 0.0 and fam == "standard":
         parser.error("families phi/psi/eta/xi describe the V != 0 system; use --V")
     spec = BicoherentSpec(args.z1, args.z2, fam, side, args.branch, params, cutoff, args.tol)
@@ -208,18 +220,10 @@ def cmd_state(args, parser) -> int:
         "mass_ratio": up / lo if lo > 0 else None,
         "tails": {k: v for k, v in state.meta.items() if k.startswith("tail")},
     }
-    if isinstance(spec, CoherentSpec):
-        op = _LEGAL_OPS[(spec.family, spec.branch)].value
-        report["eigen_residuals"] = {
-            "A1": eigen_residual(spec, state, "A1"),
-            op: eigen_residual(spec, state, op),
-        }
-    else:
-        op = _LEGAL[(spec.family, spec.side, spec.branch)]
-        report["eigen_residuals"] = {
-            "A1": bicoherent_eigen_residual(spec, state, "A1"),
-            op: bicoherent_eigen_residual(spec, state, op),
-        }
+    op = PAIRINGS[(args.family, args.branch)][0]
+    residual = eigen_residual if isinstance(spec, CoherentSpec) else bicoherent_eigen_residual
+    report["eigen_residuals"] = {"A1": residual(spec, state, "A1"), op: residual(spec, state, op)}
+    if isinstance(spec, BicoherentSpec):
         dual = build_bicoherent(spec.dual())
         bi = state.inner(dual) if spec.side == "ket" else dual.inner(state)
         report["bi_product"] = {"re": bi.real, "im": bi.imag}
@@ -269,6 +273,7 @@ def cmd_check(args, parser) -> int:
 def cmd_scan(args, parser) -> int:
     if args.steps < 2 or not (0 <= args.v_from < args.v_to):
         parser.error("need 0 <= --from < --to and --steps >= 2")
+    _require_rows(args.pmax, args.steps, args.v_from, args.v_to)
     vs = np.linspace(args.v_from, args.v_to, args.steps)
     exceptional = []
     for m in range(max(1, math.ceil(args.v_from ** 2)), math.floor(args.v_to ** 2) + 1):

@@ -25,9 +25,9 @@ from scipy.special import gammaln
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
-from .ladders import LadderKind, spinor_ladder_apply
+from .ladders import pairing_residual
 from .levels import level_table, series_stack
-from .spinor import V0, SpinorState, level_coefficients, lower_first_register, register_residual
+from .spinor import V0, SpinorState, level_coefficients
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -159,33 +159,12 @@ def build_coherent(spec: CoherentSpec) -> SpinorState:
     return SpinorState(fr, stack[:cut.nmax2 + 1], stack[cut.nmax2 + 1:], meta)
 
 
-# Ladder pairings for which the eigenvalue equation holds, per branch.
-_LEGAL_OPS = {
-    ("A", "plus"): LadderKind.A2,
-    ("A", "minus"): LadderKind.A2DAG,
-    ("B", "plus"): LadderKind.B2DAG,
-    ("B", "minus"): LadderKind.B2,
-}
-
-
 def eigen_residual(spec: CoherentSpec, state: SpinorState, operator, strict: bool = True) -> float:
-    """|| O Phi - z Phi || for the state built from spec, with z = z1 for
-    A1 and z2 otherwise.  O is applied to the coefficients without
-    realizing its matrix.
-
-    With strict=True (the contract), an operator/branch pairing without an
-    eigenvalue equation raises ContractError; strict=False computes the
-    residual anyway, which is how the branch asymmetry is documented.
-    """
-    operator = LadderKind(operator)
-    if operator is LadderKind.A1:
-        return register_residual(state, "first", lower_first_register, spec.z1)
-    if strict and _LEGAL_OPS[(spec.family, spec.branch)] is not operator:
-        raise ContractError(
-            f"{operator.value} has no eigenvalue equation on family {spec.family}/{spec.branch}"
-        )
-    return register_residual(state, "kregister",
-                             lambda s: spinor_ladder_apply(operator, spec.cutoff, s), spec.z2)
+    """|| O Phi - z Phi || (`ladders.pairing_residual`).  With strict=True
+    (the contract), a ladder without an eigenvalue equation on the branch
+    raises ContractError; strict=False computes the residual anyway, which
+    is how the branch asymmetry is documented."""
+    return pairing_residual(spec, state, operator, spec.family, strict=strict)
 
 
 @lru_cache(maxsize=16)

@@ -1,15 +1,26 @@
-"""Ladder operators on the relabeled (n, p) basis at V=0.
+"""The ladder operators of every state family, in one table.
 
-Two non-standard pairs act on the level index p:
+Each ladder moves level p to p + shift with an amplitude (a bidiagonal
+level matrix P) and acts on the spinor register as the rank-one sum
+X P Y^H over two-entry level spinors.  At V = 0,
 
     A2  c_{n,p} = sqrt(|p|)   c_{n,p-1}      (quasi-vacuum p = 0)
     A2+ c_{n,p} = sqrt(|p+1|) c_{n,p+1}      (quasi-vacuum p = -1)
     B2  c_{n,p} = sqrt(|p|)   c_{n,p+1}      (quasi-vacuum p = 0)
     B2+ c_{n,p} = sqrt(|p-1|) c_{n,p-1}      (quasi-vacuum p = 1)
 
-while A1 lowers the degeneracy index n with the standard sqrt(n) weights.
-The A2 pair leaves each half of the p >= 0 / p <= -1 split invariant; the
-B2 pair respects the p >= 1 / p <= 0 split instead.
+act on the orthonormal basis v_p (X = Y), while A1 lowers the degeneracy
+index n with the standard sqrt(n) weights.  The A2 pair leaves each half
+of the p >= 0 / p <= -1 split invariant; the B2 pair respects the
+p >= 1 / p <= 0 split instead.  At strength V, A_K_V and B_K_V move the
+levels with the A2 and A2+ amplitudes, and c2 (sqrt(theta_p), down) and
+d2 (sqrt(theta_{p+1}), up) factorize the shifted Hamiltonian, d2 c2 =
+H - E_0; all four act between phi_p (X) and its regime dual (Y).
+
+`LADDERS` names each ladder once and `PAIRINGS` the one with an eigenvalue
+equation on each family and branch.  `ladder_apply` applies a ladder to a
+vector without a matrix; `ladder_matrix` realizes it as a sparse matrix
+(for checks and as the tests' oracle).
 """
 
 from __future__ import annotations
@@ -19,12 +30,13 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 from .fock import FockCutoff, SparseOperator
-from .levels import bidiagonal, bidiagonal_apply, level_table, rank_one_sum, window_levels
+from .levels import (_rows, bidiagonal, level_table, rank_one_sum, series_stack, theta_table,
+                     two_entry_columns, window_levels)
 from .params import PhysicalParams
-from .spinor import (V0, ModeIndex, ModeWindow, basis_columns, hamiltonian_spinor_matrix,
-                     level_matrix)
+from .spinor import (V0, ModeIndex, ModeWindow, hamiltonian_spinor_matrix, level_matrix,
+                     lower_first_register)
 
 
 class LadderKind(str, Enum):
@@ -49,24 +61,133 @@ _SUBSPACE_PRED = {
     SubspaceTag.K2MINUS: lambda p: p <= 0,
 }
 
-# (amplitude over the levels p, target shift) for the level-index ladders.
-_P_ACTION = {
-    LadderKind.A2: (lambda p: np.sqrt(np.abs(p)), -1),
-    LadderKind.A2DAG: (lambda p: np.sqrt(np.abs(p + 1)), +1),
-    LadderKind.B2: (lambda p: np.sqrt(np.abs(p)), +1),
-    LadderKind.B2DAG: (lambda p: np.sqrt(np.abs(p - 1)), -1),
+# ladder key -> (amplitudes over the levels ps at params, target shift)
+LADDERS = {
+    "A2": (lambda ps, params: np.sqrt(np.abs(ps)), -1),
+    "A2dag": (lambda ps, params: np.sqrt(np.abs(ps + 1)), +1),
+    "B2": (lambda ps, params: np.sqrt(np.abs(ps)), +1),
+    "B2dag": (lambda ps, params: np.sqrt(np.abs(ps - 1)), -1),
+    "A_K_V": (lambda ps, params: np.sqrt(np.abs(ps)), -1),
+    "B_K_V": (lambda ps, params: np.sqrt(np.abs(ps + 1)), +1),
+    "c2": (lambda ps, params: np.sqrt(theta_table(ps, params)), -1),
+    "d2": (lambda ps, params: np.sqrt(theta_table(ps + 1, params)), +1),
 }
+# the ladders on the V = 0 basis v_p; the others pair phi_p with its dual
+V0_LADDERS = ("A2", "A2dag", "B2", "B2dag")
+
+# (CLI family, branch) -> (reported operator name, ladder key, adjoint): the
+# ladder whose eigenvector the state is, with eigenvalue z2
+PAIRINGS = {
+    ("A", "plus"): ("A2", "A2", False), ("A", "minus"): ("A2dag", "A2dag", False),
+    ("B", "plus"): ("B2dag", "B2dag", False), ("B", "minus"): ("B2", "B2", False),
+    ("phi", "plus"): ("A_K_V", "A_K_V", False), ("phi", "minus"): ("B_K_V", "B_K_V", False),
+    ("psi", "minus"): ("A_K_V_dag", "A_K_V", True), ("psi", "plus"): ("B_K_V_dag", "B_K_V", True),
+    ("eta", "plus"): ("C2", "c2", False), ("eta", "minus"): ("D2", "d2", False),
+    ("xi", "minus"): ("C2dag", "c2", True), ("xi", "plus"): ("D2dag", "d2", True),
+}
+_BY_NAME = {name: (key, adjoint) for name, key, adjoint in PAIRINGS.values()}
 
 
-def level_ladder_action(kind: LadderKind, pmax: int) -> tuple:
-    """(amplitudes over p = -pmax..pmax, target shift) of a level-index ladder."""
-    amp, shift = _P_ACTION[kind]
-    return amp(window_levels(pmax)), shift
+def _ladder(key, params: PhysicalParams) -> tuple:
+    """(key, amplitude function, shift) of a ladder, refusing unknown keys
+    and, off V = 0, exceptional V."""
+    key = getattr(key, "value", key)
+    if key not in LADDERS:
+        raise ContractError(f"unknown ladder {key!r}")
+    if key not in V0_LADDERS:
+        params.require_non_exceptional(f"ladder {key}")
+    return (key, *LADDERS[key])
 
 
-def level_ladder_matrix(kind: LadderKind, pmax: int) -> sp.csr_matrix:
-    """The p-window matrix of a level-index ladder."""
-    return bidiagonal(*level_ladder_action(kind, pmax), pmax)
+def _bases(key: str, ps, params: PhysicalParams) -> tuple:
+    """Rows (upper, lower) of X and Y over the levels ps: the V = 0 basis
+    v_p twice, or phi_p and its regime dual."""
+    if key in V0_LADDERS:
+        x = level_table(ps, V0)[:2]
+        return x, x
+    table = level_table(ps, params)
+    return table[:2], table[2:]
+
+
+def level_ladder_matrix(key, pmax: int, params: PhysicalParams = V0) -> sp.csr_matrix:
+    """The bidiagonal p-window matrix P of a ladder."""
+    _, amp, shift = _ladder(key, params)
+    return bidiagonal(amp(window_levels(pmax), params), shift, pmax)
+
+
+def ladder_matrix(key, params: PhysicalParams, cutoff: FockCutoff) -> sp.csr_matrix:
+    """The ladder realized on the stacked (upper, lower) spinor register as
+    the sparse rank-one sum X P Y^H, sum_p amp(p) |x_{p+shift}><y_p|."""
+    key = _ladder(key, params)[0]
+    ps = window_levels(cutoff.pmax)
+    x, y = (two_entry_columns(ps, *rows, cutoff.nmax2) for rows in _bases(key, ps, params))
+    return rank_one_sum(x, level_ladder_matrix(key, cutoff.pmax, params), y)
+
+
+def support_levels(stack: np.ndarray, cutoff: FockCutoff) -> np.ndarray:
+    """The levels of the window whose two rows carry weight in the stacked
+    spinor, and their neighbours, in increasing order (p and -p share their
+    rows)."""
+    half, pmax = cutoff.nmax2 + 1, cutoff.pmax
+    live = stack[:pmax + 1] != 0
+    live[1:] |= stack[half:half + pmax] != 0
+    # the neighbours of +-q are the levels of magnitude q - 1 and q + 1
+    near = live.copy()
+    near[1:] |= live[:-1]
+    near[:-1] |= live[1:]
+    q = np.flatnonzero(near)
+    return np.concatenate([-q[::-1], q[q > 0]])
+
+
+def ladder_apply(key, params: PhysicalParams, cutoff: FockCutoff, stack: np.ndarray,
+                 adjoint: bool = False) -> np.ndarray:
+    """`ladder_matrix` (or its adjoint Y P^H X^H) applied to a stacked
+    spinor as X(P(Y^H stack)), without building a matrix: gather one
+    coefficient per level from its two rows, move it one level with its
+    amplitude and scatter it back as `series_stack` does.  Only the levels
+    of `support_levels` are evaluated; the others add exact zeros, so the
+    result does not depend on the window."""
+    key, amp, shift = _ladder(key, params)
+    if stack.size != 2 * (cutoff.nmax2 + 1):
+        raise ShapeError("operator and state live on different spinor windows")
+    ps = support_levels(stack, cutoff)
+    x, y = _bases(key, ps, params)
+    if adjoint:
+        x, y = y, x
+    up, lo = _rows(ps, cutoff.nmax2)
+    # the lower entry of level 0 is zero, so its row index lo = nmax2 adds nothing
+    coef = np.conj(y[0]) * stack[up] + np.conj(y[1]) * stack[lo]
+    # P moves level p to p + shift with amps(p); P^H takes level p from p + shift
+    src = ps + shift if adjoint else ps - shift
+    k = np.minimum(np.searchsorted(ps, src), ps.size - 1)
+    has = ps[k] == src
+    k, amps = k[has], amp(ps, params)
+    moved = np.zeros_like(coef)
+    moved[has] = (np.conj(amps[has]) if adjoint else amps[k]) * coef[k]
+    return series_stack(ps, *x, moved, cutoff.nmax2)
+
+
+def pairing_residual(spec, state, operator, family: str, params: PhysicalParams = V0,
+                     strict: bool = True) -> float:
+    """|| O state - z state || for the state built from spec (of the CLI
+    family `family`): O = A1 with z = z1 on the first register, or the
+    ladder `PAIRINGS` pairs with the family and branch, with z = z2 on the
+    spinor register, applied without a matrix; the other register enters
+    through its norm.  Any other ladder of the table raises ContractError
+    unless strict=False."""
+    operator = getattr(operator, "value", operator)
+    if operator == "A1":
+        own, other, z = state.first_register, state.spinor_stack(), spec.z1
+        moved = lower_first_register(own)
+    else:
+        if operator not in _BY_NAME:
+            raise ContractError(f"unknown operator {operator!r}")
+        if strict and PAIRINGS[(family, spec.branch)][0] != operator:
+            raise ContractError(f"{operator} has no eigenvalue equation on {family}/{spec.branch}")
+        key, adjoint = _BY_NAME[operator]
+        own, other, z = state.spinor_stack(), state.first_register, spec.z2
+        moved = ladder_apply(key, params, spec.cutoff, own, adjoint)
+    return float(np.linalg.norm(moved - z * own)) * float(np.linalg.norm(other))
 
 
 def build_ladder(kind: LadderKind, cutoff: FockCutoff) -> SparseOperator:
@@ -83,23 +204,12 @@ def build_ladder(kind: LadderKind, cutoff: FockCutoff) -> SparseOperator:
 
 
 def spinor_ladder_matrix(kind: LadderKind, cutoff: FockCutoff) -> SparseOperator:
-    """The same ladder realized on the stacked (upper, lower) spinor register
+    """A V = 0 ladder realized on the stacked (upper, lower) spinor register
     through the rank-one sums over the basis spinors v_p."""
     kind = LadderKind(kind)
     if kind is LadderKind.A1:
         raise ShapeError("A1 acts on the first register, not the spinor register")
-    vm = basis_columns(cutoff)
-    mat = rank_one_sum(vm, level_ladder_matrix(kind, cutoff.pmax), vm)
-    return SparseOperator(mat, "kregister", kind.value)
-
-
-def spinor_ladder_apply(kind: LadderKind, cutoff: FockCutoff, stack: np.ndarray) -> np.ndarray:
-    """The realization of `spinor_ladder_matrix` applied to a stacked spinor
-    as V(P(V^H stack)), without building a matrix."""
-    ps = window_levels(cutoff.pmax)
-    cols = level_table(ps, V0)[:2]
-    return bidiagonal_apply(ps, cols, *level_ladder_action(LadderKind(kind), cutoff.pmax), cols,
-                            stack, cutoff.nmax2)
+    return SparseOperator(ladder_matrix(kind, V0, cutoff), "kregister", kind.value)
 
 
 def hamiltonian_mode_matrix(params: PhysicalParams, cutoff: FockCutoff) -> SparseOperator:

@@ -16,13 +16,15 @@ orthonormal basis v_p of the V=0 problem.
 
 One coefficient table, `level_table`, evaluates these over any set of
 levels as array expressions; the scalars `alpha` and `normalization_K`
-are one-level calls of the same code.  States and single-level spinors are filled
-from its rows; sparse columns are built only for ladder products and
-projections.  The table equals, bit for bit and with signed zeros, the
-scalar CPython complex arithmetic it replaced, so state and density
-outputs keep their bytes: complex products and quotients are spelled out
-on (re, im) pairs of float arrays in CPython's order (a float operand is
-(x, +0.0); a quotient is Smith's method, dividing by the denominator).
+are one-level calls of the same code.  States and single-level spinors
+are filled from its rows; sparse columns are built only for ladder
+products and projections.  The shifted eigenvalues theta_p = E_p - E_0
+(behind the theta family and the c2/d2 ladders) come from `theta_table`.
+Both tables equal, bit for bit and with signed zeros, the scalar CPython
+complex arithmetic they replaced, so state and density outputs keep
+their bytes: complex products and quotients are spelled out on (re, im)
+pairs of float arrays in CPython's order (a float operand is (x, +0.0);
+a quotient is Smith's method, dividing by the denominator).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, CutoffError, ExceptionalPointError, ShapeError
+from .errors import ContractError, CutoffError, ExceptionalPointError
 from .params import EXCEPTIONAL_RTOL, PhysicalParams, level_discriminant, sqrt_discriminant
 
 
@@ -102,6 +104,33 @@ def level_table(ps, params: PhysicalParams) -> np.ndarray:
     table[0::2] = 1.0
     table[:, ps != 0] = vals
     return table
+
+
+def theta_table(ps, params: PhysicalParams) -> np.ndarray:
+    """Shifted eigenvalues theta_p = E_p - E_0 over the levels ps: zero at
+    p = 0, eps0 (s - iV) for p >= 1 and -eps0 (s + iV) for p <= -1, with s
+    the principal root of |p| - V^2 (snapped to zero at exceptional
+    levels).  Moduli are eps0 sqrt(|p|) on unbroken levels.
+
+    Equal bit for bit, signed zeros included, to evaluating each level with
+    CPython complex scalars: the products are replayed on (re, im) pairs
+    with a float operand promoted to (x, +0.0), as in `level_table`.
+    """
+    V = params.V
+    ps = np.asarray(ps, dtype=int).reshape(-1)
+    d = np.abs(ps) - V * V
+    d[np.abs(d) < EXCEPTIONAL_RTOL * max(1.0, V * V)] = 0.0
+    root = np.sqrt(np.abs(d))
+    s = np.where(d < 0.0, 0.0, root), np.where(d < 0.0, root, 0.0)
+    iv = _mul((0.0, 1.0), (V, 0.0))
+    plus = ps > 0
+    u = (np.where(plus, s[0] - iv[0], s[0] + iv[0]), np.where(plus, s[1] - iv[1], s[1] + iv[1]))
+    eps = np.where(plus, params.eps0, -params.eps0)
+    re, im = _mul((eps, 0.0), u)
+    out = np.empty(ps.size, dtype=complex)
+    out.real = np.where(ps == 0, 0.0, re)
+    out.imag = np.where(ps == 0, 0.0, im)
+    return out
 
 
 def alpha(p: int, V: float, branch: str) -> complex:
@@ -187,30 +216,6 @@ def bidiagonal(amps, shift: int, pmax: int) -> sp.csr_matrix:
     keep = (amps != 0) & (np.abs(ps + shift) <= pmax)
     return sp.csr_matrix((amps[keep], (ps[keep] + shift + pmax, ps[keep] + pmax)),
                          shape=(ps.size, ps.size))
-
-
-def bidiagonal_apply(ps, x, amps, shift: int, y, stack: np.ndarray, nmax2: int,
-                     adjoint: bool = False) -> np.ndarray:
-    """X P Y^H stack, or Y P^H X^H stack when adjoint, for the two-entry
-    column tables x = (upper, lower) and y over the window ps and the
-    bidiagonal P = `bidiagonal(amps, shift, pmax)` (shift +-1), computed as
-    X(P(Y^H stack)) without building a matrix: gather one coefficient per
-    level from its two rows, move it one level with its amplitude, and
-    scatter it back as `series_stack` does."""
-    if stack.size != 2 * (nmax2 + 1):
-        raise ShapeError("operator and state live on different spinor windows")
-    if adjoint:
-        x, y = y, x
-    up, lo = _rows(ps, nmax2)
-    # the lower entry of level 0 is zero, so its row index lo = nmax2 adds nothing
-    coef = np.conj(y[0]) * stack[up] + np.conj(y[1]) * stack[lo]
-    src, dst = (slice(None, -1), slice(1, None)) if shift > 0 else (slice(1, None), slice(None, -1))
-    moved = np.zeros_like(coef)
-    if adjoint:
-        moved[src] = np.conj(amps[src]) * coef[dst]
-    else:
-        moved[dst] = amps[src] * coef[src]
-    return series_stack(ps, *x, moved, nmax2)
 
 
 def rank_one_sum(x: sp.spmatrix, pmat: sp.spmatrix, y: sp.spmatrix) -> sp.csr_matrix:

@@ -11,11 +11,11 @@ every construction below refuses to proceed.
 The eigenvectors phi_p and their biorthogonal duals are the two-entry
 level spinors of `levels`; for V > 1 the dual family is re-paired on
 broken levels (psi-tilde), restoring biorthonormality of the x/y pairing.
-The shifted eigenvalues theta_p = E_p - E_0 come from one array table,
-`theta_table`.  Each ladder is X P Y^H for a bidiagonal level matrix P:
-`pt_spinor_ladder` realizes it as a sparse matrix (for checks and as the
-tests' oracle), `pt_ladder_apply` applies it to a vector as X(P(Y^H s))
-without building a matrix.
+The shifted eigenvalues theta_p = E_p - E_0 come from `levels.theta_table`
+(also reachable here).  The four ladders A_K_V, B_K_V, c2 and d2 are
+entries of the one ladder table of `ladders`; `pt_level_ladder` and
+`pt_spinor_ladder` are its bidiagonal level matrix and its sparse
+spinor-register realization X P Y^H.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ import scipy.sparse as sp
 
 from .errors import ContractError
 from .fock import FockCutoff, SparseOperator
-from .ladders import LadderKind, level_ladder_action
-from .levels import (_mul, alpha, bidiagonal, bidiagonal_apply, level_columns, level_spinors,
-                     level_table, rank_one_sum, two_entry_columns, window_levels)
-from .params import EXCEPTIONAL_RTOL, PhysicalParams, level_discriminant, sqrt_discriminant
+from .ladders import LADDERS, V0_LADDERS, ladder_matrix, level_ladder_matrix
+from .levels import (alpha, level_columns, level_spinors, theta_table, two_entry_columns,
+                     window_levels)
+from .params import PhysicalParams, level_discriminant, sqrt_discriminant
 from .spinor import (
     ModeIndex,
     SpinorState,
@@ -49,33 +49,6 @@ def eigenvalue_E(p: int, params: PhysicalParams) -> complex:
     if p >= 1:
         return params.eps0 * sqrt_discriminant(p, params.V)
     return -params.eps0 * sqrt_discriminant(-p, params.V)
-
-
-def theta_table(ps, params: PhysicalParams) -> np.ndarray:
-    """Shifted eigenvalues theta_p = E_p - E_0 over the levels ps: zero at
-    p = 0, eps0 (s - iV) for p >= 1 and -eps0 (s + iV) for p <= -1, with s
-    the principal root of |p| - V^2 (snapped to zero at exceptional
-    levels).  Moduli are eps0 sqrt(|p|) on unbroken levels.
-
-    Equal bit for bit, signed zeros included, to evaluating each level with
-    CPython complex scalars: the products are replayed on (re, im) pairs
-    with a float operand promoted to (x, +0.0), as in `levels.level_table`.
-    """
-    V = params.V
-    ps = np.asarray(ps, dtype=int).reshape(-1)
-    d = np.abs(ps) - V * V
-    d[np.abs(d) < EXCEPTIONAL_RTOL * max(1.0, V * V)] = 0.0
-    root = np.sqrt(np.abs(d))
-    s = np.where(d < 0.0, 0.0, root), np.where(d < 0.0, root, 0.0)
-    iv = _mul((0.0, 1.0), (V, 0.0))
-    plus = ps > 0
-    u = (np.where(plus, s[0] - iv[0], s[0] + iv[0]), np.where(plus, s[1] - iv[1], s[1] + iv[1]))
-    eps = np.where(plus, params.eps0, -params.eps0)
-    re, im = _mul((eps, 0.0), u)
-    out = np.empty(ps.size, dtype=complex)
-    out.real = np.where(ps == 0, 0.0, re)
-    out.imag = np.where(ps == 0, 0.0, im)
-    return out
 
 
 def theta(p: int, params: PhysicalParams) -> complex:
@@ -132,67 +105,23 @@ def hv_adjoint_defect(params: PhysicalParams, cutoff: FockCutoff) -> float:
     return float(np.linalg.norm(diff, ord=2))
 
 
-_PT_LADDER_NAMES = ("A_K_V", "B_K_V", "c2", "d2")
-
-
 def pt_level_ladder(name: str, params: PhysicalParams, cutoff: FockCutoff) -> sp.csr_matrix:
-    """Ladder matrix in the x/y (level) bases, where all four are bidiagonal.
-
-    A_K_V : sqrt(|p|)   at (p-1, p)     B_K_V : sqrt(|p+1|) at (p+1, p)
-    c2    : sqrt(th_p)  at (p-1, p)     d2    : sqrt(th_{p+1}) at (p+1, p)
-
-    with principal square roots throughout.
-    """
-    return bidiagonal(*_pt_action(name, params, cutoff.pmax), cutoff.pmax)
-
-
-def _pt_action(name: str, params: PhysicalParams, pmax: int) -> tuple:
-    """(amplitudes over p = -pmax..pmax, target shift) of a PT ladder."""
-    if name == "A_K_V":
-        return level_ladder_action(LadderKind.A2, pmax)
-    if name == "B_K_V":
-        return level_ladder_action(LadderKind.A2DAG, pmax)
-    if name not in ("c2", "d2"):
-        raise ContractError(f"unknown ladder {name!r}")
-    ps = window_levels(pmax)
-    if name == "c2":
-        return np.sqrt(theta_table(ps, params)), -1
-    return np.sqrt(theta_table(ps + 1, params)), 1
+    """Ladder matrix in the x/y (level) bases, where all four are
+    bidiagonal (amplitudes in `ladders.LADDERS`)."""
+    return level_ladder_matrix(name, cutoff.pmax, params)
 
 
 def pt_spinor_ladder(name: str, params: PhysicalParams, cutoff: FockCutoff) -> SparseOperator:
     """Spinor-register realization through the biorthogonal rank-one sums,
-    sum_p amp(p) |phi_target><dual_p|."""
-    params.require_non_exceptional(f"ladder {name}")
-    x, y = level_columns(window_levels(cutoff.pmax), params, cutoff.nmax2)
-    mat = rank_one_sum(x, pt_level_ladder(name, params, cutoff), y)
-    return SparseOperator(mat, "kregister", name)
+    sum_p amp(p) |phi_target><dual_p|.  Refuses exceptional V."""
+    return SparseOperator(ladder_matrix(name, params, cutoff), "kregister", name)
 
 
-def pt_ladder_apply(name: str, params: PhysicalParams, cutoff: FockCutoff, stack: np.ndarray,
-                    adjoint: bool = False) -> np.ndarray:
-    """The realization of `pt_spinor_ladder` (or its adjoint) applied to a
-    stacked spinor as X(P(Y^H stack)), without building a matrix."""
-    params.require_non_exceptional(f"ladder {name}")
-    ps = window_levels(cutoff.pmax)
-    table = level_table(ps, params)
-    return bidiagonal_apply(ps, table[:2], *_pt_action(name, params, cutoff.pmax), table[2:],
-                            stack, cutoff.nmax2, adjoint)
-
-
-def build_pt_ladders(params: PhysicalParams, cutoff: FockCutoff,
-                     representation: str = "level") -> dict:
-    """All four ladders, in the bidiagonal level representation (default) or
-    realized on the spinor register ('spinor').  Refuses exceptional V."""
-    params.require_non_exceptional("ladder construction")
-    if representation == "level":
-        return {
-            name: SparseOperator(pt_level_ladder(name, params, cutoff), "level", name)
-            for name in _PT_LADDER_NAMES
-        }
-    if representation == "spinor":
-        return {name: pt_spinor_ladder(name, params, cutoff) for name in _PT_LADDER_NAMES}
-    raise ContractError(f"unknown representation {representation!r}")
+def build_pt_ladders(params: PhysicalParams, cutoff: FockCutoff) -> dict:
+    """All four ladders realized on the spinor register.  Refuses
+    exceptional V."""
+    return {name: pt_spinor_ladder(name, params, cutoff)
+            for name in LADDERS if name not in V0_LADDERS}
 
 
 def factorization_defect(params: PhysicalParams, cutoff: FockCutoff) -> float:

@@ -209,29 +209,6 @@ def apply_spinor_operator(op: SparseOperator, state: SpinorState) -> SpinorState
     return state.with_spinor_stack(op.matrix @ stack)
 
 
-def register_residual(state: SpinorState, space: str, apply, z: complex) -> float:
-    """|| O state - z state || for an operator O on one register ('first'
-    or 'kregister') of the separable state, given as the function `apply`
-    on that register's coefficients; the other register enters through
-    its norm."""
-    if space == "first":
-        own, other = state.first_register, state.spinor_stack()
-    elif space == "kregister":
-        own, other = state.spinor_stack(), state.first_register
-    else:
-        raise ShapeError(f"expected a first or kregister operator, got {space}")
-    return float(np.linalg.norm(apply(own) - z * own)) * float(np.linalg.norm(other))
-
-
-def ladder_residual(state: SpinorState, op: SparseOperator, z: complex) -> float:
-    """`register_residual` of a realized operator matrix."""
-    def apply(own):
-        if op.shape[1] != own.size:
-            raise ShapeError("operator and state live on different windows")
-        return op.matrix @ own
-    return register_residual(state, op.space, apply, z)
-
-
 def lower_first_register(fr: np.ndarray) -> np.ndarray:
     """The lowering operator of `first_register_lowering` applied to the
     first-register coefficients: sqrt(n+1) fr[n+1]."""

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lbstates
-from lbstates.cli import cli_main, format_complex, parse_complex
+from lbstates.cli import MAX_ROWS, _require_rows, cli_main, format_complex, parse_complex
+from lbstates.errors import ContractError
 
 
 class TestComplexParsing:
@@ -180,6 +182,63 @@ class TestScanCommand:
         assert cli_main(["scan-v", "--from", "2.0", "--to", "1.0"]) == 2
 
 
+class TestRowBound:
+    """spectrum and scan-v refuse, before any work, an output of more than
+    MAX_ROWS rows: 2 pmax + 1 levels per V step plus the exceptional
+    points m in [from^2, to^2]."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--pmax", "100000000"],
+        ["scan-v", "--from=0.5", "--to=1000", "--steps", "3", "--pmax", "8"],
+        ["scan-v", "--from=0.5", "--to=1e4", "--steps", "3", "--pmax", "8"],
+        ["scan-v", "--from=0.5", "--to=1e200", "--steps", "3", "--pmax", "8"],
+        ["scan-v", "--from=0.5", "--to=inf", "--steps", "3", "--pmax", "8"],
+        ["scan-v", "--from=0", "--to=1", "--steps", "1000000000", "--pmax", "0"],
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_over_the_bound_exits_one_and_writes_nothing(self, argv, fmt, tmp_path):
+        out = tmp_path / "rows.out"
+        for extra in ([], ["--out", os.fspath(out)]):
+            code, stdout, err = _run_in_process(argv + ["--format", fmt] + extra)
+            assert code == 1 and stdout == "", (code, stdout)
+            assert "limit" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_bound_counts_levels_steps_and_exceptional_points(self):
+        _require_rows((MAX_ROWS - 1) // 2)
+        with pytest.raises(ContractError):
+            _require_rows((MAX_ROWS - 1) // 2 + 1)
+        # 17 levels at 3 steps plus m = 1..999,940 (999.97^2 = 999,940.0009)
+        _require_rows(8, 3, 0.5, 999.97)
+        with pytest.raises(ContractError):
+            _require_rows(8, 3, 0.5, 999.98)
+        # the README scan: 17 levels at 100 steps plus m = 1..12
+        _require_rows(8, 100, 0.5, 3.5)
+
+
+class TestReportedOperators:
+    """`state` reports A1 and the one ladder paired with its family and
+    branch, under these twelve names."""
+
+    NAMES = {
+        ("A", "plus"): "A2", ("A", "minus"): "A2dag", ("B", "plus"): "B2dag", ("B", "minus"): "B2",
+        ("phi", "plus"): "A_K_V", ("phi", "minus"): "B_K_V",
+        ("psi", "minus"): "A_K_V_dag", ("psi", "plus"): "B_K_V_dag",
+        ("eta", "plus"): "C2", ("eta", "minus"): "D2",
+        ("xi", "minus"): "C2dag", ("xi", "plus"): "D2dag",
+    }
+
+    @pytest.mark.parametrize("family,branch", list(NAMES))
+    def test_names_and_residuals(self, family, branch, capsys):
+        V = "0" if family in ("A", "B") else "0.5"
+        code = cli_main(["state", "--family", family, "--branch", branch, "--V", V,
+                         "--z1=0.5-0.25i", "--z2=1-1i", "--nmax", "48", "--pmax", "48"])
+        assert code == 0
+        residuals = json.loads(capsys.readouterr().out)["eigen_residuals"]
+        assert set(residuals) == {"A1", self.NAMES[(family, branch)]}
+        assert max(residuals.values()) < 1e-8
+
+
 class TestCheckCommand:
     def test_single_suite_passes(self, capsys):
         code = cli_main(["check", "--suite", "fock."])
@@ -318,13 +377,28 @@ def _run_in_process(argv) -> tuple:
 
 
 _LABELS = ["0", "1", "-1", "1-1i", "0.5i", "-0.25+0.75i", "2+2i", "abc"]
+# check selections that run at most a few of the fastest checks, and text
+# of characters that no check name holds (a leading "-" is a usage error)
+_SUITES = ["pt.theta", "pt.alpha", "theta_mod", "normalization_mono", "pt.v0", "nomatch"]
+_CHECK_REPORT = re.compile(r"(PASS|FAIL) \S+: value=.* tol=.*|\d+/\d+ checks passed")
 
 
 @st.composite
 def _small_argv(draw):
-    """spectrum/state argument lists over small windows, legal or not."""
-    cmd = draw(st.sampled_from(["spectrum", "state"]))
+    """spectrum/state/scan-v/check argument lists over small windows and
+    cheap selections, legal or not, plus scan-v ranges over the row bound."""
+    cmd = draw(st.sampled_from(["spectrum", "state", "scan-v", "check"]))
     argv = [cmd]
+    if cmd == "check":
+        suite = draw(st.one_of(st.sampled_from(_SUITES),
+                               st.text(alphabet="-#!%1QW", min_size=1, max_size=4)))
+        return argv + ["--suite", suite]
+    if cmd == "scan-v":
+        argv.append("--from=" + draw(st.sampled_from(["0", "0.5", "1.5", "-1", "nan"])))
+        argv.append("--to=" + draw(st.sampled_from(["0.8", "2.5", "3.5", "2000", "1e200", "inf",
+                                                    "nan"])))
+        if draw(st.booleans()):
+            argv.append("--steps=" + draw(st.sampled_from(["1", "2", "3", "7", "1000000000"])))
     if draw(st.booleans()):
         argv.append("--V=" + draw(st.sampled_from(["0.5", "0", "0.9", "1.7", "2", "2.5", "9.5",
                                                    "-1", "nan"])))
@@ -354,7 +428,9 @@ class TestSharedParser:
             code, out, err = _run_in_process(argv)
             assert code in (0, 1, 2), argv
             assert "Traceback" not in err, argv
-            if out:
+            if out and argv[0] == "check":
+                assert all(_CHECK_REPORT.fullmatch(line) for line in out.splitlines()), argv
+            elif out:
                 json.loads(out)
             if code == 0:
                 # the same call answers the same, whatever ran before it

@@ -251,7 +251,7 @@ class TestApplyHV:
 class TestPtLadders:
     def test_annihilation_points(self):
         params = PhysicalParams(V=0.5)
-        ops = build_pt_ladders(params, CUT, representation="spinor")
+        ops = build_pt_ladders(params, CUT)
         x0 = phi_spinor(0, params, CUT)
         assert np.linalg.norm(ops["A_K_V"].matrix @ x0) < 1e-12
         ym1 = dual_spinor(-1, params, CUT)
@@ -260,7 +260,7 @@ class TestPtLadders:
 
     def test_ladder_actions(self):
         params = PhysicalParams(V=0.5)
-        ops = build_pt_ladders(params, CUT, representation="spinor")
+        ops = build_pt_ladders(params, CUT)
         for p in (-3, 1, 5):
             x = phi_spinor(p, params, CUT)
             down = ops["A_K_V"].matrix @ x
@@ -270,7 +270,7 @@ class TestPtLadders:
 
     def test_c2_d2_theta_weights(self):
         params = PhysicalParams(V=0.5)
-        ops = build_pt_ladders(params, CUT, representation="spinor")
+        ops = build_pt_ladders(params, CUT)
         x1 = phi_spinor(1, params, CUT)
         want = np.sqrt(theta(2, params)) * phi_spinor(2, params, CUT)
         assert np.linalg.norm(ops["d2"].matrix @ x1 - want) < 1e-11
@@ -280,7 +280,7 @@ class TestPtLadders:
 
     def test_adjoints_on_dual_family(self):
         params = PhysicalParams(V=0.5)
-        ops = build_pt_ladders(params, CUT, representation="spinor")
+        ops = build_pt_ladders(params, CUT)
         y2 = dual_spinor(2, params, CUT)
         want = np.conj(np.sqrt(theta(3, params))) * dual_spinor(3, params, CUT)
         assert np.linalg.norm(ops["c2"].dagger().matrix @ y2 - want) < 1e-11

@@ -1,15 +1,18 @@
 """Matrix-free ladder residuals against the sparse realizations.
 
 `coherent.eigen_residual` and `bicoherent.bicoherent_eigen_residual` apply
-each ladder to the state as X(P(Y^H s)) and A1 as sqrt(n+1) fr[n+1],
-without building a matrix.  The oracle computes the same residual with
-`spinor.ladder_residual` on the realized matrices: `spinor_ladder_matrix`,
-`pt_spinor_ladder` (and its dagger) and `first_register_lowering`.  The
+the ladder that `ladders.PAIRINGS` pairs with the state as X(P(Y^H s))
+(`ladders.ladder_apply`) and A1 as sqrt(n+1) fr[n+1], without building a
+matrix.  The oracle computes the same residual with
+`ladder_residual` below on the realized matrices: `ladders.ladder_matrix`
+(and its dagger) and `first_register_lowering`.  The
 two sum in another order, so they agree to rounding only: to RTOL of the
 residual plus ATOL of |z| ||state||, the size of the two vectors whose
 difference the residual measures (theta states at V = 9.5 reach norms
 near 1e4).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +20,10 @@ import pytest
 from lbstates import FockCutoff, LadderKind, PhysicalParams, ShapeError
 from lbstates import bicoherent as bc
 from lbstates import coherent as ch
-from lbstates.ladders import spinor_ladder_apply, spinor_ladder_matrix
-from lbstates.pt import pt_ladder_apply, pt_spinor_ladder
-from lbstates.spinor import first_register_lowering, ladder_residual, lower_first_register
+from lbstates import ladders
+from lbstates.fock import SparseOperator
+from lbstates.ladders import PAIRINGS, V0_LADDERS, ladder_apply, ladder_matrix
+from lbstates.spinor import V0, SpinorState, first_register_lowering, lower_first_register
 
 RTOL, ATOL = 1e-12, 1e-15
 Z1, Z2 = 0.5 + 0.25j, 1 - 1j
@@ -33,28 +37,44 @@ def assert_close(fast, slow, state, z):
     assert abs(fast - slow) <= RTOL * abs(slow) + ATOL * scale, (fast, slow, scale)
 
 
-def realized(operator: str, params, cut):
-    """The sparse realization of a bicoherent pairing's ladder."""
-    base = operator.removesuffix("dag").rstrip("_")
-    op = pt_spinor_ladder(base.lower() if base in ("C2", "D2") else base, params, cut)
-    return op.dagger() if operator.endswith("dag") else op
+BICOHERENT_KEYS = [key for key in PAIRINGS if key[0] in bc.FAMILIES]
+COHERENT_KEYS = [key for key in PAIRINGS if key[0] in ("A", "B")]
+
+
+def ladder_residual(state, op, z):
+    """|| O state - z state || with the realized matrix of O."""
+    own, other = state.first_register, state.spinor_stack()
+    if op.space == "kregister":
+        own, other = other, own
+    return float(np.linalg.norm(op.matrix @ own - z * own) * np.linalg.norm(other))
+
+
+def realized(key, params, cut):
+    """The sparse realization of the ladder paired with a (family, branch)."""
+    _, ladder, adjoint = PAIRINGS[key]
+    op = SparseOperator(ladder_matrix(ladder, params, cut), "kregister", ladder)
+    return op.dagger() if adjoint else op
+
+
+def bicoherent_spec(key, params, cut):
+    family, branch = key
+    return bc.BicoherentSpec(Z1, Z2, *bc.FAMILIES[family], branch, params, cut)
 
 
 def bicoherent_states(params, cut):
-    specs = {key: bc.BicoherentSpec(Z1, Z2, *key, params, cut) for key in bc._LEGAL}
+    specs = {key: bicoherent_spec(key, params, cut) for key in BICOHERENT_KEYS}
     return specs, {key: bc.build_bicoherent(spec) for key, spec in specs.items()}
 
 
 class TestBicoherentResiduals:
     @pytest.mark.parametrize("V,cut", BICOHERENT_CASES)
-    @pytest.mark.parametrize("key", list(bc._LEGAL))
+    @pytest.mark.parametrize("key", BICOHERENT_KEYS)
     def test_legal_pairing_matches_realization(self, V, cut, key):
         params = PhysicalParams(V=V)
-        spec = bc.BicoherentSpec(Z1, Z2, *key, params, cut)
+        spec = bicoherent_spec(key, params, cut)
         state = bc.build_bicoherent(spec)
-        op = bc._LEGAL[key]
-        fast = bc.bicoherent_eigen_residual(spec, state, op)
-        assert_close(fast, ladder_residual(state, realized(op, params, cut), Z2), state, Z2)
+        fast = bc.bicoherent_eigen_residual(spec, state, PAIRINGS[key][0])
+        assert_close(fast, ladder_residual(state, realized(key, params, cut), Z2), state, Z2)
         assert fast < 1e-8
         fast_a1 = bc.bicoherent_eigen_residual(spec, state, "A1")
         assert_close(fast_a1, ladder_residual(state, first_register_lowering(cut.nmax1), Z1),
@@ -68,8 +88,8 @@ class TestBicoherentResiduals:
         specs, states = bicoherent_states(params, cut)
         largest = 0.0
         for key, spec in specs.items():
-            op = bc._LEGAL[key]
-            matrix = realized(op, params, cut)
+            op = PAIRINGS[key][0]
+            matrix = realized(key, params, cut)
             for other, state in states.items():
                 if other == key:
                     continue
@@ -80,22 +100,71 @@ class TestBicoherentResiduals:
 
 
 class TestCoherentResiduals:
-    @pytest.mark.parametrize("key", list(ch._LEGAL_OPS))
+    @pytest.mark.parametrize("key", COHERENT_KEYS)
     def test_every_ladder_on_every_branch(self, key):
         # the legal pairing is an eigen-equation; the other three are not
         spec = ch.CoherentSpec(Z1, Z2, *key, COHERENT_CUT)
         state = ch.build_coherent(spec)
-        for kind in ch._LEGAL_OPS.values():
+        for other in COHERENT_KEYS:
+            kind = PAIRINGS[other][0]
             fast = ch.eigen_residual(spec, state, kind, strict=False)
-            slow = ladder_residual(state, spinor_ladder_matrix(kind, COHERENT_CUT), Z2)
+            slow = ladder_residual(state, realized(other, V0, COHERENT_CUT), Z2)
             assert_close(fast, slow, state, Z2)
-            if kind is ch._LEGAL_OPS[key]:
+            if other == key:
                 assert fast < 1e-8
             else:
                 assert fast > 0.1
         fast_a1 = ch.eigen_residual(spec, state, LadderKind.A1)
         slow_a1 = ladder_residual(state, first_register_lowering(COHERENT_CUT.nmax1), Z1)
         assert_close(fast_a1, slow_a1, state, Z1)
+
+
+def zero_padded(spec, state, factor=10):
+    """The spec on a window `factor` times larger, and the state padded
+    with zeros to it."""
+    cut = spec.cutoff
+    big = FockCutoff(factor * cut.nmax1, factor * cut.nmax2, factor * cut.pmax)
+
+    def pad(a, size):
+        return np.concatenate([a, np.zeros(size - a.size, dtype=complex)])
+
+    return replace(spec, cutoff=big), SpinorState(
+        pad(state.first_register, big.nmax1 + 1), pad(state.upper, big.nmax2 + 1),
+        pad(state.lower, big.nmax2 + 1))
+
+
+class TestWindowIndependence:
+    """Residuals are evaluated on the levels that carry weight and their
+    neighbours, so padding the window with empty levels changes nothing."""
+
+    @pytest.mark.parametrize("V,cut", BICOHERENT_CASES)
+    @pytest.mark.parametrize("key", BICOHERENT_KEYS)
+    def test_bicoherent(self, V, cut, key, monkeypatch):
+        spec = bicoherent_spec(key, PhysicalParams(V=V), cut)
+        state = bc.build_bicoherent(spec)
+        big_spec, big_state = zero_padded(spec, state)
+        evaluated = []
+        table = ladders.level_table
+        monkeypatch.setattr(ladders, "level_table",
+                            lambda ps, params: evaluated.append(len(ps)) or table(ps, params))
+        for op in ("A1", PAIRINGS[key][0]):
+            small = bc.bicoherent_eigen_residual(spec, state, op)
+            big = bc.bicoherent_eigen_residual(big_spec, big_state, op)
+            assert big == pytest.approx(small, rel=1e-14, abs=0.0), (op, small, big)
+        # the padded window evaluates the state's levels and their neighbours
+        # only, two more when the state reaches the edge of its own window
+        assert len(evaluated) == 2 and evaluated[0] <= evaluated[1] <= evaluated[0] + 2
+
+    @pytest.mark.parametrize("key", COHERENT_KEYS)
+    def test_coherent(self, key):
+        # every V = 0 ladder, so most residuals are of order one
+        spec = ch.CoherentSpec(Z1, Z2, *key, COHERENT_CUT)
+        state = ch.build_coherent(spec)
+        big_spec, big_state = zero_padded(spec, state)
+        for op in ["A1"] + [PAIRINGS[other][0] for other in COHERENT_KEYS]:
+            small = ch.eigen_residual(spec, state, op, strict=False)
+            big = ch.eigen_residual(big_spec, big_state, op, strict=False)
+            assert big == pytest.approx(small, rel=1e-14, abs=0.0), (op, small, big)
 
 
 class TestLadderApplication:
@@ -108,18 +177,37 @@ class TestLadderApplication:
         params = PhysicalParams(V=V)
         cut = FockCutoff(2, 110, 100)
         stack = rng.normal(size=222) + 1j * rng.normal(size=222)
-        op = pt_spinor_ladder(name, params, cut)
-        want = (op.dagger() if adjoint else op).matrix @ stack
-        got = pt_ladder_apply(name, params, cut, stack, adjoint)
+        mat = ladder_matrix(name, params, cut)
+        want = (mat.conj().T if adjoint else mat) @ stack
+        got = ladder_apply(name, params, cut, stack, adjoint)
         assert np.linalg.norm(got - want) <= RTOL * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("kind", list(ch._LEGAL_OPS.values()))
+    @pytest.mark.parametrize("kind", V0_LADDERS)
     def test_level_ladder(self, kind, rng):
         cut = FockCutoff(2, 40, 33)
         stack = rng.normal(size=82) + 1j * rng.normal(size=82)
-        want = spinor_ladder_matrix(kind, cut).matrix @ stack
-        got = spinor_ladder_apply(kind, cut, stack)
+        mat = ladder_matrix(kind, V0, cut)
+        for adjoint in (False, True):
+            want = (mat.conj().T if adjoint else mat) @ stack
+            # the V = 0 ladders act on the V = 0 basis whatever V is passed
+            got = ladder_apply(kind, PhysicalParams(V=0.5), cut, stack, adjoint)
+            assert np.linalg.norm(got - want) <= RTOL * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("pairing", list(PAIRINGS.values()))
+    def test_sparse_vectors(self, pairing, rng):
+        # a few scattered levels, with weight on one row of a level only:
+        # the support and its neighbours must give the whole-window product
+        _, key, adjoint = pairing
+        params, cut = PhysicalParams(V=2.5), FockCutoff(2, 60, 50)
+        stack = np.zeros(122, dtype=complex)
+        for row in (0, 7, 8, 50, 60, 61 + 3, 61 + 30, 61 + 59):
+            stack[row] = rng.normal() + 1j * rng.normal()
+        mat = ladder_matrix(key, params, cut)
+        want = (mat.conj().T if adjoint else mat) @ stack
+        got = ladder_apply(key, params, cut, stack, adjoint)
         assert np.linalg.norm(got - want) <= RTOL * np.linalg.norm(want)
+        assert np.array_equal(ladder_apply(key, params, cut, np.zeros(122), adjoint),
+                              np.zeros(122))
 
     def test_first_register_lowering(self, rng):
         fr = rng.normal(size=17) + 1j * rng.normal(size=17)
@@ -127,4 +215,4 @@ class TestLadderApplication:
 
     def test_window_mismatch_is_refused(self):
         with pytest.raises(ShapeError):
-            pt_ladder_apply("c2", PhysicalParams(V=0.5), FockCutoff(2, 10, 10), np.ones(20))
+            ladder_apply("c2", PhysicalParams(V=0.5), FockCutoff(2, 10, 10), np.ones(20))
