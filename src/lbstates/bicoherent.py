@@ -10,9 +10,10 @@ Two families per branch and side:
     eigenvalue equations.
 
 The plus branch runs over levels p = n >= 0, the minus branch over
-p = -n-1; the minus branch's denominator sequence is built from the
-negative-level shifts (their moduli differ from the positive ones once
-V > 1, which is why the two branches carry separate normalizations).
+p = -n-1 (`ladders.BRANCHES`); the minus branch's denominator sequence is
+built from the negative-level shifts (their moduli differ from the
+positive ones once V > 1, which is why the two branches carry separate
+normalizations).
 
 Bi-normalization: with the ladder-determined coefficients, the dual
 pairing telescopes to sum |z|^(2n) / conj(Theta_n!) over the *complex*
@@ -39,26 +40,24 @@ import numpy as np
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
-from .ladders import pairing_residual
-from .levels import _mul, level_columns, level_table, series_stack, theta_table
+from .ladders import BRANCHES, BranchSeries, pairing_residual
+from .levels import _mul, level_table, series_stack, theta_table
 from .params import PhysicalParams
 from .pt import phi_norm_bound
 from .spinor import SpinorState
 from .coherent import (
     DEFAULT_TAIL_TOL,
-    _fr_pairing,
-    coherent_coefficients,
     coherent_series_length,
     first_register_coherent,
-    radial_factorial_ratio,
+    gaussian_series,
+    resolution_sum,
 )
 
 
 def theta_sequence(count: int, params: PhysicalParams, branch: str = "plus") -> np.ndarray:
     """theta values along the branch: theta_{+k} (plus) or theta_{-k}
     (minus) for k = 0..count."""
-    sign = {"plus": +1, "minus": -1}[branch]
-    return theta_table(sign * np.arange(count + 1), params)
+    return theta_table(BRANCHES[("eta", branch)].step * np.arange(count + 1), params)
 
 
 def theta_factorial(n: int, params: PhysicalParams, branch: str = "plus") -> tuple:
@@ -113,7 +112,7 @@ _LABELS = {pair: label for label, pair in FAMILIES.items()}
 
 
 @dataclass(frozen=True)
-class BicoherentSpec:
+class BicoherentSpec(BranchSeries):
     z1: complex
     z2: complex
     family: str  # "standard" | "theta"
@@ -135,21 +134,9 @@ class BicoherentSpec:
         if self.family == "theta":
             self.params.require_non_exceptional("theta-family bicoherent state")
 
-    def sigma(self, n):
-        """Level of the n-th series term (n an int or an integer array)."""
-        return n if self.branch == "plus" else -n - 1
-
     @property
-    def level_cap(self) -> int:
-        """Largest usable series index so sigma stays inside the p window."""
-        return self.cutoff.pmax if self.branch == "plus" else self.cutoff.pmax - 1
-
-    def columns(self, n_terms: int) -> tuple:
-        """(levels, upper, lower) of the first n_terms series terms: phi on
-        the ket side, the regime dual on the bra."""
-        ps = self.sigma(np.arange(n_terms))
-        table = level_table(ps, self.params)
-        return (ps, *(table[:2] if self.side == "ket" else table[2:]))
+    def key(self) -> tuple:
+        return (_LABELS[(self.family, self.side)], self.branch)
 
     def dual(self) -> "BicoherentSpec":
         other = "bra" if self.side == "ket" else "ket"
@@ -168,10 +155,7 @@ def _theta_series_coefficients(spec: BicoherentSpec) -> tuple:
     pairing sum suffers heavy phase cancellation (broken-region shifts are
     purely imaginary, so its terms rotate by pi/2 per step).
     """
-    cap = spec.level_cap
-    if cap < 0:
-        raise CutoffError(f"the minus branch has no level inside pmax={spec.cutoff.pmax}",
-                          tail_estimate=math.inf)
+    cap = spec.require_levels()
     seq = theta_sequence(cap + 1, spec.params, spec.branch)
     z = complex(spec.z2)
     # Cumulative multiplication by numpy complex scalars, one term at a
@@ -218,6 +202,7 @@ def _norm_constants(t_complex: complex) -> tuple:
 def build_bicoherent(spec: BicoherentSpec) -> SpinorState:
     """Assemble the state; meta records tails, the classical normalization
     value and the effective (phase-corrected) constant actually used."""
+    spec.require_levels()
     cut = spec.cutoff
     params = spec.params
     fr, tail1 = first_register_coherent(spec.z1, cut.nmax1, spec.tail_tol)
@@ -233,8 +218,7 @@ def build_bicoherent(spec: BicoherentSpec) -> SpinorState:
     }
 
     if spec.family == "standard":
-        n_terms, tail2 = coherent_series_length(spec.z2, spec.level_cap, spec.tail_tol)
-        weights = coherent_coefficients(spec.z2, n_terms)
+        stack, tail2 = gaussian_series(spec)
         meta["tail_z2"] = tail2
     else:
         ket, bra, t_complex, tail2 = _theta_series_coefficients(spec)
@@ -255,7 +239,7 @@ def build_bicoherent(spec: BicoherentSpec) -> SpinorState:
         const = complex(const)
         weights = np.empty(coefs.size, dtype=complex)
         weights.real, weights.imag = _mul((const.real, const.imag), (coefs.real, coefs.imag))
-    stack = series_stack(*spec.columns(weights.size), weights, cut.nmax2)
+        stack = series_stack(*spec.columns(weights.size), weights, cut.nmax2)
     return SpinorState(fr, stack[:cut.nmax2 + 1], stack[cut.nmax2 + 1:], meta)
 
 
@@ -271,7 +255,7 @@ def bicoherent_eigen_residual(spec: BicoherentSpec, state: SpinorState, operator
     first-register lowering operator pairs with every state at eigenvalue
     z1, the spinor-register ladders only with their own family/side/branch
     (eigenvalue z2; `ladders.pairing_residual`)."""
-    return pairing_residual(spec, state, operator, _LABELS[(spec.family, spec.side)], spec.params)
+    return pairing_residual(spec, state, operator)
 
 
 def quasi_basis_check(f: SpinorState, g: SpinorState, params: PhysicalParams,
@@ -284,15 +268,14 @@ def quasi_basis_check(f: SpinorState, g: SpinorState, params: PhysicalParams,
     order='phi_psi' evaluates int <f, phi><psi, g>; 'psi_phi' swaps the
     roles.  Either reproduces <f, g> on the branch span.
     """
-    spec = BicoherentSpec(0.0, 0.0, "standard", "ket", branch, params, cutoff)
-    cap = spec.level_cap
-    r1 = radial_factorial_ratio(cutoff.nmax1, quadrature)
-    r2 = radial_factorial_ratio(cap, quadrature)
-    x, y = level_columns(spec.sigma(np.arange(cap + 1)), params, cutoff.nmax2)
-    left, right = (x, y) if order == "phi_psi" else (y, x)
-    f_left = np.conj(left.conjugate().T @ f.spinor_stack())
-    right_g = right.conjugate().T @ g.spinor_stack()
-    return complex(_fr_pairing(f, g, r1) * np.sum(r2 * f_left * right_g))
+    if order not in ("phi_psi", "psi_phi"):
+        raise ContractError(f"unknown order {order!r}: expected 'phi_psi' or 'psi_phi'")
+    row = BRANCHES[("phi", branch)]
+    ps = row.sigma(np.arange(row.cap(cutoff.pmax) + 1))
+    table = level_table(ps, params)
+    x, y = table[:2], table[2:]
+    terms = [(ps, x, y) if order == "phi_psi" else (ps, y, x)]
+    return resolution_sum(f, g, cutoff, terms, quadrature)
 
 
 def convergence_certificate(spec: BicoherentSpec) -> dict:

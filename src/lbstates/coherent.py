@@ -9,9 +9,10 @@ decompositions of the level index:
     family B, minus:  levels p = -n2       (lowered by B2)
 
 with the standard double series over (n1, n2), Gaussian prefactor and
-sqrt(n1! n2!) denominators.  Quadrature resolutions of identity are
-evaluated with the angular integrals done analytically (they enforce
-index matching) and the radial integrals by Gauss-Laguerre.
+sqrt(n1! n2!) denominators; the levels are read from `ladders.BRANCHES`.
+Quadrature resolutions of identity (`resolution_sum`) are evaluated with
+the angular integrals done analytically (they enforce index matching)
+and the radial integrals by Gauss-Laguerre.
 """
 
 from __future__ import annotations
@@ -25,29 +26,24 @@ from scipy.special import gammaln
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
-from .ladders import pairing_residual
-from .levels import level_table, series_stack
-from .spinor import V0, SpinorState, level_coefficients
+from .ladders import BRANCHES, BranchSeries, pairing_residual
+from .levels import column_coefficients, level_table, series_stack, window_levels
+from .spinor import V0, SpinorState
 
 DEFAULT_TAIL_TOL = 1e-12
 
-# Level support of each family/branch.
-_BRANCH_PRED = {
-    ("A", "plus"): lambda p: p >= 0,
-    ("A", "minus"): lambda p: p <= -1,
-    ("B", "plus"): lambda p: p >= 1,
-    ("B", "minus"): lambda p: p <= 0,
-}
-
 
 @dataclass(frozen=True)
-class CoherentSpec:
+class CoherentSpec(BranchSeries):
     z1: complex
     z2: complex
     family: str  # "A" | "B"
     branch: str  # "plus" | "minus"
     cutoff: FockCutoff
     tail_tol: float = DEFAULT_TAIL_TOL
+    # not fields: the series runs over the V = 0 basis v_p, the level table's ket rows
+    params = V0
+    side = "ket"
 
     def __post_init__(self):
         if self.family not in ("A", "B"):
@@ -57,18 +53,9 @@ class CoherentSpec:
         if not 0.0 < self.tail_tol < 1.0:
             raise ContractError(f"tail tolerance must be in (0, 1), got {self.tail_tol!r}")
 
-    def sigma(self, n2):
-        """Level index carried by the n2-th series term (n2 an int or an
-        integer array)."""
-        if self.family == "A":
-            return n2 if self.branch == "plus" else -n2 - 1
-        return n2 + 1 if self.branch == "plus" else -n2
-
     @property
-    def level_cap(self) -> int:
-        """Largest usable series index so sigma stays inside the p window."""
-        pm = self.cutoff.pmax
-        return pm if (self.family, self.branch) in (("A", "plus"), ("B", "minus")) else pm - 1
+    def key(self) -> tuple:
+        return (self.family, self.branch)
 
 
 def gaussian_series_tail(z: complex, n_terms: int) -> float:
@@ -139,14 +126,21 @@ def first_register_coherent(z1: complex, nmax1: int, tol: float) -> tuple:
     return fr, est
 
 
+def gaussian_series(spec) -> tuple:
+    """(stacked spinor, tail bound) of the standard series
+    sum_n exp(-|z2|^2/2) z2^n / sqrt(n!) over the spec's columns, for the
+    V = 0 coherent and the standard bicoherent families."""
+    n_terms, tail = coherent_series_length(spec.z2, spec.level_cap, spec.tail_tol)
+    weights = coherent_coefficients(spec.z2, n_terms)
+    return series_stack(*spec.columns(n_terms), weights, spec.cutoff.nmax2), tail
+
+
 def build_coherent(spec: CoherentSpec) -> SpinorState:
     """Assemble the family/branch state; meta records the tail bounds."""
+    spec.require_levels()
     cut = spec.cutoff
     fr, tail1 = first_register_coherent(spec.z1, cut.nmax1, spec.tail_tol)
-    n_terms2, tail2 = coherent_series_length(spec.z2, spec.level_cap, spec.tail_tol)
-    ps = spec.sigma(np.arange(n_terms2))
-    stack = series_stack(ps, *level_table(ps, V0)[:2], coherent_coefficients(spec.z2, n_terms2),
-                         cut.nmax2)
+    stack, tail2 = gaussian_series(spec)
     meta = {
         "kind": "coherent",
         "family": spec.family,
@@ -164,7 +158,7 @@ def eigen_residual(spec: CoherentSpec, state: SpinorState, operator, strict: boo
     (the contract), a ladder without an eigenvalue equation on the branch
     raises ContractError; strict=False computes the residual anyway, which
     is how the branch asymmetry is documented."""
-    return pairing_residual(spec, state, operator, spec.family, strict=strict)
+    return pairing_residual(spec, state, operator, strict=strict)
 
 
 @lru_cache(maxsize=16)
@@ -186,18 +180,32 @@ def radial_factorial_ratio(nmax: int, order: int = 128) -> np.ndarray:
     return np.exp(log_terms).sum(axis=1)
 
 
-def _fr_pairing(f: SpinorState, g: SpinorState, radial: np.ndarray) -> complex:
-    m = min(f.first_register.size, g.first_register.size, radial.size)
-    return complex(np.sum(radial[:m] * np.conj(f.first_register[:m]) * g.first_register[:m]))
+def resolution_sum(f: SpinorState, g: SpinorState, cutoff: FockCutoff, terms,
+                   quadrature: int = 128) -> complex:
+    """The double coherent-state integral between f and g: the angular
+    integrals are exact (index Kronecker deltas) and the radial ones
+    Gauss-Laguerre, which leaves
+
+        sum_n1 r1[n1] conj(f1[n1]) g1[n1]  x  sum_n r2[n] conj(<L_n, f>) <R_n, g>.
+
+    `terms` lists (levels, L rows, R rows) over the series indices n;
+    L_n and R_n are the sums over the terms of their two-entry columns n."""
+    r1 = radial_factorial_ratio(cutoff.nmax1, quadrature)
+    m = min(f.first_register.size, g.first_register.size, r1.size)
+    fr = np.sum(r1[:m] * np.conj(f.first_register[:m]) * g.first_register[:m])
+    fs, gs = f.spinor_stack(), g.spinor_stack()
+    left = sum(column_coefficients(ps, *rows, fs, cutoff.nmax2) for ps, rows, _ in terms)
+    right = sum(column_coefficients(ps, *rows, gs, cutoff.nmax2) for ps, _, rows in terms)
+    r2 = radial_factorial_ratio(left.size - 1, quadrature)
+    return complex(fr * np.sum(r2 * np.conj(left) * right))
 
 
-def _require_support(state: SpinorState, coefs: np.ndarray, cutoff: FockCutoff, pred,
-                     what: str, tol: float = 1e-12) -> None:
-    ps = np.arange(-cutoff.pmax, cutoff.pmax + 1)
-    outside = np.array([not pred(int(p)) for p in ps])
-    bad = np.abs(coefs[outside]).max(initial=0.0)
-    if bad > tol * max(state.norm(), 1.0):
-        raise ContractError(f"state has weight {bad:.3e} outside the {what} subspace")
+def _v0_terms(branches, cutoff: FockCutoff, scale: float = 1.0) -> list:
+    """`resolution_sum` terms L = R = scale v_p over the branches' levels,
+    on the series indices all of them reach."""
+    n = np.arange(min(b.cap(cutoff.pmax) for b in branches) + 1)
+    rows = [(b.sigma(n), scale * level_table(b.sigma(n), V0)[:2]) for b in branches]
+    return [(ps, v, v) for ps, v in rows]
 
 
 def resolution_identity_check(branch: str, f: SpinorState, g: SpinorState,
@@ -205,26 +213,18 @@ def resolution_identity_check(branch: str, f: SpinorState, g: SpinorState,
                               quadrature: int = 128) -> complex:
     """Evaluate the double coherent-state integral against f, g.
 
-    The angular integrals are exact (index Kronecker deltas); the radial
-    integrals are 1D Gauss-Laguerre.  The result reproduces <f, g> when
-    both states live in the branch subspace (which is checked).
+    The result reproduces <f, g> when both states live in the branch
+    subspace (which is checked).
     """
-    spec = CoherentSpec(0.0, 0.0, family, branch, cutoff)
-    pred = _BRANCH_PRED[(family, branch)]
-    lf = level_coefficients(f, cutoff)
-    lg = level_coefficients(g, cutoff)
-    for state, coefs in ((f, lf), (g, lg)):
-        _require_support(state, coefs, cutoff, pred, f"{family}/{branch}")
-
-    r1 = radial_factorial_ratio(cutoff.nmax1, quadrature)
-    cap2 = spec.level_cap
-    r2 = radial_factorial_ratio(cap2, quadrature)
-    pm = cutoff.pmax
-    level = 0.0 + 0.0j
-    for n2 in range(cap2 + 1):
-        p = spec.sigma(n2)
-        level += r2[n2] * np.conj(lf[p + pm]) * lg[p + pm]
-    return complex(_fr_pairing(f, g, r1) * level)
+    row = BRANCHES[(family, branch)]
+    ps = window_levels(cutoff.pmax)
+    off = ps[~row.support(ps)]
+    for state in (f, g):
+        coefs = column_coefficients(off, *level_table(off, V0)[:2], state.spinor_stack(), cutoff.nmax2)
+        bad = np.abs(coefs).max(initial=0.0)
+        if bad > 1e-12 * max(state.norm(), 1.0):
+            raise ContractError(f"state has weight {bad:.3e} outside the {family}/{branch} subspace")
+    return resolution_sum(f, g, cutoff, _v0_terms([row], cutoff), quadrature)
 
 
 def combined_state_defect(f: SpinorState, g: SpinorState, cutoff: FockCutoff,
@@ -233,26 +233,6 @@ def combined_state_defect(f: SpinorState, g: SpinorState, cutoff: FockCutoff,
     two A-family branches, (Phi+ + Phi-)/sqrt(2): the double integral minus
     <f, g>.  Nonzero in general: the branch projectors each contribute only
     half of <f, g>, plus two cross terms coupling the halves."""
-    r1 = radial_factorial_ratio(cutoff.nmax1, quadrature)
-    cap2 = cutoff.pmax - 1
-    r2 = radial_factorial_ratio(cap2, quadrature)
-    lf = level_coefficients(f, cutoff)
-    lg = level_coefficients(g, cutoff)
-    pm = cutoff.pmax
-    fr = _fr_pairing(f, g, r1)
-
-    def level_sum(sig_left, sig_right) -> complex:
-        tot = 0.0 + 0.0j
-        for n2 in range(cap2 + 1):
-            tot += r2[n2] * np.conj(lf[sig_left(n2) + pm]) * lg[sig_right(n2) + pm]
-        return tot
-
-    plus = lambda n2: n2
-    minus = lambda n2: -n2 - 1
-    integral = 0.5 * fr * (
-        level_sum(plus, plus)
-        + level_sum(minus, minus)
-        + level_sum(plus, minus)
-        + level_sum(minus, plus)
-    )
+    branches = [BRANCHES[("A", "plus")], BRANCHES[("A", "minus")]]
+    integral = resolution_sum(f, g, cutoff, _v0_terms(branches, cutoff, math.sqrt(0.5)), quadrature)
     return complex(integral - f.inner(g))

@@ -89,36 +89,24 @@ class SparseOperator:
         return self.space == other.space and self.shape == other.shape
 
 
-def oscillator_psi(n: int, x, hard_limit: int = PSI_HARD_LIMIT):
-    """Normalized 1D oscillator eigenfunction psi_n(x).
+def oscillator_psi(n: int, x):
+    """Normalized 1D oscillator eigenfunction psi_n(x): row n of
+    `oscillator_table` (a float for scalar x)."""
+    row = oscillator_table(n, x)[n]
+    return float(row[0]) if np.ndim(x) == 0 else row
 
-    Evaluated by the stable three-term recurrence on the normalized
-    functions,
+
+def oscillator_table(nmax: int, x) -> np.ndarray:
+    """Matrix psi[j, i] = psi_j(x_i) for j = 0..nmax, by the stable
+    three-term recurrence on the normalized functions,
 
         psi_{k+1} = x sqrt(2/(k+1)) psi_k - sqrt(k/(k+1)) psi_{k-1},
 
-    never through raw Hermite polynomials (which overflow near n ~ 150).
-    """
-    if n < 0:
+    never through raw Hermite polynomials (which overflow near n ~ 150)."""
+    if nmax < 0:
         raise CutoffError("oscillator index must be >= 0")
-    if n > hard_limit:
-        raise CutoffError(f"oscillator index {n} above hard limit {hard_limit}")
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    prev = np.pi ** -0.25 * np.exp(-0.5 * arr * arr)
-    if n == 0:
-        return float(prev[0]) if scalar else prev
-    cur = SQRT2 * arr * prev
-    for k in range(1, n):
-        prev, cur = cur, arr * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
-    return float(cur[0]) if scalar else cur
-
-
-def oscillator_table(nmax: int, x, hard_limit: int = PSI_HARD_LIMIT) -> np.ndarray:
-    """Matrix psi[j, i] = psi_j(x_i) for j = 0..nmax, by the same recurrence."""
-    if nmax > hard_limit:
-        raise CutoffError(f"oscillator index {nmax} above hard limit {hard_limit}")
+    if nmax > PSI_HARD_LIMIT:
+        raise CutoffError(f"oscillator index {nmax} above hard limit {PSI_HARD_LIMIT}")
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((nmax + 1, arr.size), dtype=float)
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * arr * arr)
@@ -145,6 +133,11 @@ class CartesianModeVector:
     norm: float = field(default=0.0)
 
 
+def annihilator(nmax: int) -> sp.csr_matrix:
+    """The one-mode lowering matrix on 0..nmax: sqrt(k) at (k - 1, k)."""
+    return sp.diags(np.sqrt(np.arange(1, nmax + 1, dtype=float)), 1, format="csr").astype(complex)
+
+
 def ladder_matrices(cutoff: FockCutoff) -> dict:
     """Truncated matrices of a_X, a_Y, A1, A2 on the (j, k) grid.
 
@@ -152,9 +145,8 @@ def ladder_matrices(cutoff: FockCutoff) -> dict:
     total excitation < nmax2 (the interior window); the boundary row is
     zeroed rather than wrapped.
     """
-    d = cutoff.nmax2 + 1
-    a1d = sp.diags(np.sqrt(np.arange(1, d, dtype=float)), 1, format="csr").astype(complex)
-    eye = sp.identity(d, format="csr", dtype=complex)
+    a1d = annihilator(cutoff.nmax2)
+    eye = sp.identity(cutoff.nmax2 + 1, format="csr", dtype=complex)
     ax = sp.kron(a1d, eye, format="csr")
     ay = sp.kron(eye, a1d, format="csr")
     a_one = ((ax - 1j * ay) / SQRT2).tocsr()

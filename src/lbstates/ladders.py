@@ -18,22 +18,27 @@ d2 (sqrt(theta_{p+1}), up) factorize the shifted Hamiltonian, d2 c2 =
 H - E_0; all four act between phi_p (X) and its regime dual (Y).
 
 `LADDERS` names each ladder once and `PAIRINGS` the one with an eigenvalue
-equation on each family and branch.  `ladder_apply` applies a ladder to a
+equation on each family and branch.  `BRANCHES` gives the levels each
+family and branch builds its series on; the specs of both state modules
+read them through `BranchSeries`.  `ladder_apply` applies a ladder to a
 vector without a matrix; `ladder_matrix` realizes it as a sparse matrix
 (for checks and as the tests' oracle).
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, ShapeError
-from .fock import FockCutoff, SparseOperator
-from .levels import (_rows, bidiagonal, level_table, rank_one_sum, series_stack, theta_table,
-                     two_entry_columns, window_levels)
+from .errors import ContractError, CutoffError, ShapeError
+from .fock import FockCutoff, SparseOperator, annihilator
+from .levels import (bidiagonal, column_coefficients, level_table, rank_one_sum, series_stack,
+                     theta_table, two_entry_columns, window_levels)
 from .params import PhysicalParams
 from .spinor import (V0, ModeIndex, ModeWindow, hamiltonian_spinor_matrix, level_matrix,
                      lower_first_register)
@@ -53,13 +58,11 @@ class SubspaceTag(str, Enum):
     K2PLUS = "K2plus"    # p >= 1
     K2MINUS = "K2minus"  # p <= 0
 
+    @property
+    def branch(self) -> "Branch":
+        """The branch spanning the subspace: A's for the H split, B's for K."""
+        return BRANCHES[("A" if self.value[0] == "H" else "B", self.value[2:])]
 
-_SUBSPACE_PRED = {
-    SubspaceTag.H2PLUS: lambda p: p >= 0,
-    SubspaceTag.H2MINUS: lambda p: p <= -1,
-    SubspaceTag.K2PLUS: lambda p: p >= 1,
-    SubspaceTag.K2MINUS: lambda p: p <= 0,
-}
 
 # ladder key -> (amplitudes over the levels ps at params, target shift)
 LADDERS = {
@@ -86,6 +89,65 @@ PAIRINGS = {
     ("xi", "minus"): ("C2dag", "c2", True), ("xi", "plus"): ("D2dag", "d2", True),
 }
 _BY_NAME = {name: (key, adjoint) for name, key, adjoint in PAIRINGS.values()}
+
+
+class Branch(NamedTuple):
+    """The levels of one series branch: term n (an int or an integer array)
+    sits on level first + step n, with step +1 on plus and -1 on minus."""
+
+    first: int
+    step: int
+
+    def sigma(self, n):
+        return self.first + self.step * n
+
+    def cap(self, pmax: int) -> int:
+        """Largest series index whose level lies inside |p| <= pmax."""
+        return pmax - abs(self.first)
+
+    def support(self, ps) -> np.ndarray:
+        """Mask of the levels ps that lie on the branch."""
+        return self.step * (np.asarray(ps) - self.first) >= 0
+
+
+# (CLI family, branch) -> the levels of its series, from the first one.  With
+# no ground state to start from, each family builds on one half of a split:
+# A and the V != 0 families on p >= 0 / p <= -1, B on p >= 1 / p <= 0.
+BRANCHES = {key: Branch(first, 1 if key[1] == "plus" else -1) for key, first in {
+    ("A", "plus"): 0, ("A", "minus"): -1, ("B", "plus"): 1, ("B", "minus"): 0,
+    ("phi", "plus"): 0, ("phi", "minus"): -1, ("psi", "plus"): 0, ("psi", "minus"): -1,
+    ("eta", "plus"): 0, ("eta", "minus"): -1, ("xi", "plus"): 0, ("xi", "minus"): -1,
+}.items()}
+
+
+class BranchSeries:
+    """The series layout of a state spec from its `BRANCHES` row `key`; a
+    spec also provides `cutoff`, `params` and `side` ('ket': the rows of
+    phi_p, 'bra': those of its regime dual)."""
+
+    def sigma(self, n):
+        return BRANCHES[self.key].sigma(n)
+
+    @property
+    def level_cap(self) -> int:
+        """Largest usable series index so sigma stays inside the p window."""
+        return BRANCHES[self.key].cap(self.cutoff.pmax)
+
+    def require_levels(self) -> int:
+        """level_cap, refusing (CutoffError) a branch with no level inside
+        the window."""
+        cap = self.level_cap
+        if cap < 0:
+            family, branch = self.key
+            raise CutoffError(f"the {branch} branch of {family} has no level inside"
+                              f" pmax={self.cutoff.pmax}", tail_estimate=math.inf)
+        return cap
+
+    def columns(self, n_terms: int) -> tuple:
+        """(levels, upper, lower) of the first n_terms series terms."""
+        ps = self.sigma(np.arange(n_terms))
+        table = level_table(ps, self.params)
+        return (ps, *(table[:2] if self.side == "ket" else table[2:]))
 
 
 def _ladder(key, params: PhysicalParams) -> tuple:
@@ -154,9 +216,7 @@ def ladder_apply(key, params: PhysicalParams, cutoff: FockCutoff, stack: np.ndar
     x, y = _bases(key, ps, params)
     if adjoint:
         x, y = y, x
-    up, lo = _rows(ps, cutoff.nmax2)
-    # the lower entry of level 0 is zero, so its row index lo = nmax2 adds nothing
-    coef = np.conj(y[0]) * stack[up] + np.conj(y[1]) * stack[lo]
+    coef = column_coefficients(ps, *y, stack, cutoff.nmax2)
     # P moves level p to p + shift with amps(p); P^H takes level p from p + shift
     src = ps + shift if adjoint else ps - shift
     k = np.minimum(np.searchsorted(ps, src), ps.size - 1)
@@ -167,11 +227,10 @@ def ladder_apply(key, params: PhysicalParams, cutoff: FockCutoff, stack: np.ndar
     return series_stack(ps, *x, moved, cutoff.nmax2)
 
 
-def pairing_residual(spec, state, operator, family: str, params: PhysicalParams = V0,
-                     strict: bool = True) -> float:
-    """|| O state - z state || for the state built from spec (of the CLI
-    family `family`): O = A1 with z = z1 on the first register, or the
-    ladder `PAIRINGS` pairs with the family and branch, with z = z2 on the
+def pairing_residual(spec, state, operator, strict: bool = True) -> float:
+    """|| O state - z state || for the state built from spec: O = A1 with
+    z = z1 on the first register, or the ladder `PAIRINGS` pairs with the
+    spec's family and branch (`spec.key`), with z = z2 on the
     spinor register, applied without a matrix; the other register enters
     through its norm.  Any other ladder of the table raises ContractError
     unless strict=False."""
@@ -182,11 +241,11 @@ def pairing_residual(spec, state, operator, family: str, params: PhysicalParams 
     else:
         if operator not in _BY_NAME:
             raise ContractError(f"unknown operator {operator!r}")
-        if strict and PAIRINGS[(family, spec.branch)][0] != operator:
-            raise ContractError(f"{operator} has no eigenvalue equation on {family}/{spec.branch}")
+        if strict and PAIRINGS[spec.key][0] != operator:
+            raise ContractError(f"{operator} has no eigenvalue equation on {'/'.join(spec.key)}")
         key, adjoint = _BY_NAME[operator]
         own, other, z = state.spinor_stack(), state.first_register, spec.z2
-        moved = ladder_apply(key, params, spec.cutoff, own, adjoint)
+        moved = ladder_apply(key, spec.params, spec.cutoff, own, adjoint)
     return float(np.linalg.norm(moved - z * own)) * float(np.linalg.norm(other))
 
 
@@ -196,8 +255,7 @@ def build_ladder(kind: LadderKind, cutoff: FockCutoff) -> SparseOperator:
     win = ModeWindow.of(cutoff)
     eye_n = sp.identity(cutoff.nmax1 + 1, format="csr", dtype=complex)
     if kind is LadderKind.A1:
-        a1 = sp.diags(np.sqrt(np.arange(1, cutoff.nmax1 + 1, dtype=float)), 1, format="csr").astype(complex)
-        mat = sp.kron(a1, sp.identity(win.pdim, format="csr", dtype=complex), format="csr")
+        mat = sp.kron(annihilator(cutoff.nmax1), sp.identity(win.pdim, format="csr", dtype=complex), format="csr")
     else:
         mat = sp.kron(eye_n, level_ladder_matrix(kind, cutoff.pmax), format="csr")
     return SparseOperator(mat, "mode", kind.value)
@@ -217,7 +275,7 @@ def hamiltonian_mode_matrix(params: PhysicalParams, cutoff: FockCutoff) -> Spars
     realization to each v_p and projecting back (not from the eigenvalue
     formula), so commutator checks against it are a genuine cross-check."""
     vm = level_matrix(cutoff)
-    h = hamiltonian_spinor_matrix(params, cutoff, V=0.0).matrix
+    h = hamiltonian_spinor_matrix(replace(params, V=0.0), cutoff).matrix
     hp = vm.conjugate().T @ (h @ vm)
     mat = sp.kron(
         sp.identity(cutoff.nmax1 + 1, format="csr", dtype=complex),
@@ -271,7 +329,7 @@ def factorization_defect_v0(cutoff: FockCutoff, params: PhysicalParams | None = 
     if params is None:
         params = PhysicalParams()
     vm = level_matrix(cutoff)
-    h = hamiltonian_spinor_matrix(params, cutoff, V=0.0).matrix
+    h = hamiltonian_spinor_matrix(replace(params, V=0.0), cutoff).matrix
     a2 = spinor_ladder_matrix(LadderKind.A2, cutoff).matrix
     num = a2.conjugate().T @ a2
     diff = h - num
@@ -289,21 +347,17 @@ def subspace_closure_check(kind: LadderKind, tag: SubspaceTag, cutoff: FockCutof
                            tol: float = 1e-12) -> bool:
     """True iff the ladder maps every interior basis vector of the tagged
     subspace to a vector with no component outside it."""
-    pred = _SUBSPACE_PRED[SubspaceTag(tag)]
-    win = ModeWindow.of(cutoff)
-    outside = np.array([not pred(idx.p) for idx in win.indices()])
-    inside = [win.index(*idx) for idx in win.interior(1, 1) if pred(idx.p)]
-    leak = build_ladder(LadderKind(kind), cutoff).matrix[outside][:, inside].toarray()
+    ns, ps = np.divmod(np.arange(ModeWindow.of(cutoff).dim), 2 * cutoff.pmax + 1)
+    ps -= cutoff.pmax
+    on = SubspaceTag(tag).branch.support(ps)
+    inside = np.flatnonzero(on & (ns < cutoff.nmax1) & (np.abs(ps) < cutoff.pmax))
+    leak = build_ladder(LadderKind(kind), cutoff).matrix[~on][:, inside].toarray()
     return bool(np.abs(leak).max(initial=0.0) <= tol)
 
 
 def decomposition_respected(kind: LadderKind, split: str, cutoff: FockCutoff) -> bool:
     """True iff the ladder leaves both halves of the named split invariant
     ('H' for the p>=0 / p<=-1 split, 'K' for p>=1 / p<=0)."""
-    if split == "H":
-        tags = (SubspaceTag.H2PLUS, SubspaceTag.H2MINUS)
-    elif split == "K":
-        tags = (SubspaceTag.K2PLUS, SubspaceTag.K2MINUS)
-    else:
+    if split not in ("H", "K"):
         raise ShapeError(f"unknown split {split!r}")
-    return all(subspace_closure_check(kind, t, cutoff) for t in tags)
+    return all(subspace_closure_check(kind, t, cutoff) for t in SubspaceTag if t.value[0] == split)

@@ -196,6 +196,14 @@ def series_stack(ps, upper, lower, weights, nmax2: int) -> np.ndarray:
     return out
 
 
+def column_coefficients(ps, upper, lower, stack, nmax2: int) -> np.ndarray:
+    """The adjoint of `series_stack`: <(upper[k], lower[k]), stack> at the
+    rows of level ps[k], gathered from the two entries of each level."""
+    up, lo = _rows(ps, nmax2)
+    # the lower entry of level 0 is zero, so its row index lo = nmax2 adds nothing
+    return np.conj(upper) * stack[up] + np.conj(lower) * stack[lo]
+
+
 def level_spinors(p: int, params: PhysicalParams, nmax2: int) -> tuple:
     """Stacked spinors of phi_p and of its regime dual (one-term series)."""
     xu, xl, yu, yl = level_table([p], params)

@@ -17,14 +17,14 @@ enumeration is part of the public contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import CutoffError, ShapeError
-from .fock import FockCutoff, SparseOperator, ladder_matrices
+from .fock import FockCutoff, SparseOperator, annihilator, ladder_matrices
 from .levels import level_spinors, level_table, two_entry_columns, window_levels
 from .params import PhysicalParams
 
@@ -143,23 +143,13 @@ def basis_vector_c(idx: ModeIndex, cutoff: FockCutoff) -> SpinorState:
     return SpinorState(first_register_basis(n, cutoff.nmax1), upper, lower)
 
 
-def basis_columns(cutoff: FockCutoff) -> sp.csc_matrix:
-    """Sparse columns v_p for p = -pmax..pmax, two nonzeros each."""
-    ps = window_levels(cutoff.pmax)
-    return two_entry_columns(ps, *level_table(ps, V0)[:2], cutoff.nmax2)
-
-
 def level_matrix(cutoff: FockCutoff) -> np.ndarray:
     """Columns are the stacked spinors v_p for p = -pmax..pmax.
 
     Shape (2*(nmax2+1), 2*pmax+1); the columns are orthonormal.
     """
-    return basis_columns(cutoff).toarray()
-
-
-def level_coefficients(state: SpinorState, cutoff: FockCutoff) -> np.ndarray:
-    """Array over p of <v_p, spinor part of state>, p = -pmax..pmax."""
-    return basis_columns(cutoff).conjugate().T @ state.spinor_stack()
+    ps = window_levels(cutoff.pmax)
+    return two_entry_columns(ps, *level_table(ps, V0)[:2], cutoff.nmax2).toarray()
 
 
 def energy(idx: ModeIndex, params: PhysicalParams) -> float:
@@ -170,34 +160,27 @@ def energy(idx: ModeIndex, params: PhysicalParams) -> float:
     return math.copysign(params.eps0 * math.sqrt(abs(p)), p)
 
 
-def second_register_annihilation(nmax2: int) -> sp.csr_matrix:
-    return sp.diags(np.sqrt(np.arange(1, nmax2 + 1, dtype=float)), 1, format="csr").astype(complex)
-
-
 def first_register_lowering(nmax1: int) -> SparseOperator:
     """The degeneracy-register lowering operator (standard sqrt(n) entries)."""
-    mat = sp.diags(np.sqrt(np.arange(1, nmax1 + 1, dtype=float)), 1, format="csr").astype(complex)
-    return SparseOperator(mat, "first", "A1_register")
+    return SparseOperator(annihilator(nmax1), "first", "A1_register")
 
 
-def _hamiltonian_block(params: PhysicalParams, a: sp.spmatrix, V: float) -> sp.csr_matrix:
+def _hamiltonian_block(params: PhysicalParams, a: sp.spmatrix) -> sp.csr_matrix:
     """(2i v_F / xi) [[V I, a^+], [-a, -V I]] for the annihilator a of one
     component."""
     eye = sp.identity(a.shape[0], format="csr", dtype=complex)
     scale = 1j * params.eps0
     return sp.bmat(
-        [[scale * V * eye, scale * a.conjugate().T], [-scale * a, -scale * V * eye]],
+        [[scale * params.V * eye, scale * a.conjugate().T], [-scale * a, -scale * params.V * eye]],
         format="csr",
     )
 
 
-def hamiltonian_spinor_matrix(params: PhysicalParams, cutoff: FockCutoff, V: float | None = None) -> SparseOperator:
+def hamiltonian_spinor_matrix(params: PhysicalParams, cutoff: FockCutoff) -> SparseOperator:
     """The spinor-register block matrix (2i v_F / xi) [[V, a^+], [-a, -V]]
-    acting on the stacked (upper, lower) register.  V defaults to params.V."""
-    if V is None:
-        V = params.V
-    mat = _hamiltonian_block(params, second_register_annihilation(cutoff.nmax2), V)
-    return SparseOperator(mat, "kregister", f"H(V={V})")
+    acting on the stacked (upper, lower) register."""
+    mat = _hamiltonian_block(params, annihilator(cutoff.nmax2))
+    return SparseOperator(mat, "kregister", f"H(V={params.V})")
 
 
 def apply_spinor_operator(op: SparseOperator, state: SpinorState) -> SpinorState:
@@ -219,16 +202,14 @@ def lower_first_register(fr: np.ndarray) -> np.ndarray:
 
 def apply_HK(state: SpinorState, params: PhysicalParams, cutoff: FockCutoff) -> SpinorState:
     """Apply the V=0 Hamiltonian (2i v_F/xi) [[0, A2^+], [-A2, 0]] blockwise."""
-    return apply_spinor_operator(hamiltonian_spinor_matrix(params, cutoff, V=0.0), state)
+    return apply_spinor_operator(hamiltonian_spinor_matrix(replace(params, V=0.0), cutoff), state)
 
 
-def dense_hamiltonian(params: PhysicalParams, cutoff: FockCutoff, V: float | None = None) -> SparseOperator:
+def dense_hamiltonian(params: PhysicalParams, cutoff: FockCutoff) -> SparseOperator:
     """The Hamiltonian on the enumerated Cartesian spinor basis: two stacked
     (j, k) blocks.  Hermitian at V=0."""
-    if V is None:
-        V = params.V
-    mat = _hamiltonian_block(params, ladder_matrices(cutoff)["A2"].matrix, V)
-    return SparseOperator(mat, "cartesian_spinor", f"H_cart(V={V})")
+    mat = _hamiltonian_block(params, ladder_matrices(cutoff)["A2"].matrix)
+    return SparseOperator(mat, "cartesian_spinor", f"H_cart(V={params.V})")
 
 
 def eigen_residual_hk(idx: ModeIndex, params: PhysicalParams, cutoff: FockCutoff) -> float:
@@ -247,7 +228,7 @@ def restricted_spinor_block(params: PhysicalParams, cutoff: FockCutoff) -> np.nd
     Dense diagonalization of this block is an independent oracle for the
     spectrum: its eigenvalue multiset is exactly {0} + {+-eps0 sqrt(k)}.
     """
-    h = hamiltonian_spinor_matrix(params, cutoff, V=0.0).matrix.toarray()
+    h = hamiltonian_spinor_matrix(replace(params, V=0.0), cutoff).matrix.toarray()
     d = cutoff.nmax2 + 1
     keep = list(range(d)) + list(range(d, 2 * d - 1))
     return h[np.ix_(keep, keep)]

@@ -60,7 +60,7 @@ def criterion(number, title):
 
 def test_criterion_01_spectrum():
     with criterion(1, "V=0 spectrum: eigen-residuals and dense-diagonalization multiset"):
-        h = hamiltonian_spinor_matrix(PARAMS, DESK, V=0.0).matrix
+        h = hamiltonian_spinor_matrix(PARAMS, DESK).matrix
         vm = level_matrix(DESK)
         energies = np.array([math.copysign(2 * math.sqrt(abs(p)), p) if p else 0.0
                              for p in range(-DESK.pmax, DESK.pmax + 1)])

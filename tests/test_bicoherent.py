@@ -229,6 +229,12 @@ class TestQuasiBasis:
         assert quasi_basis_check(f, g, P_HALF, self.SMALL, branch="minus") == pytest.approx(
             1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("order", ["psi-phi", "phi", "", "PHI_PSI"])
+    def test_unknown_order_is_refused(self, order):
+        f, g = self._dual_pair(0, 1, P_HALF)
+        with pytest.raises(ContractError, match="unknown order"):
+            quasi_basis_check(f, g, P_HALF, self.SMALL, order=order)
+
 
 class TestV0Limit:
     def test_theta_family_reduces_in_modulus(self):

@@ -1,0 +1,146 @@
+"""The branch table `ladders.BRANCHES` against the hand-written level maps
+it replaced, and every series builder against its tail tolerance."""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from lbstates import CutoffError, FockCutoff, PhysicalParams, SubspaceTag
+from lbstates.bicoherent import FAMILIES, BicoherentSpec, build_bicoherent
+from lbstates.coherent import CoherentSpec, build_coherent
+from lbstates.ladders import BRANCHES, PAIRINGS
+from lbstates.levels import window_levels
+
+# (CLI family, branch) -> (sigma(n), level cap at pmax, support predicate),
+# as each spec class and check wrote them before the table
+OLD_MAPS = {
+    ("A", "plus"): (lambda n: n, lambda pm: pm, lambda p: p >= 0),
+    ("A", "minus"): (lambda n: -n - 1, lambda pm: pm - 1, lambda p: p <= -1),
+    ("B", "plus"): (lambda n: n + 1, lambda pm: pm - 1, lambda p: p >= 1),
+    ("B", "minus"): (lambda n: -n, lambda pm: pm, lambda p: p <= 0),
+    ("phi", "plus"): (lambda n: n, lambda pm: pm, lambda p: p >= 0),
+    ("phi", "minus"): (lambda n: -n - 1, lambda pm: pm - 1, lambda p: p <= -1),
+    ("psi", "plus"): (lambda n: n, lambda pm: pm, lambda p: p >= 0),
+    ("psi", "minus"): (lambda n: -n - 1, lambda pm: pm - 1, lambda p: p <= -1),
+    ("eta", "plus"): (lambda n: n, lambda pm: pm, lambda p: p >= 0),
+    ("eta", "minus"): (lambda n: -n - 1, lambda pm: pm - 1, lambda p: p <= -1),
+    ("xi", "plus"): (lambda n: n, lambda pm: pm, lambda p: p >= 0),
+    ("xi", "minus"): (lambda n: -n - 1, lambda pm: pm - 1, lambda p: p <= -1),
+}
+OLD_SUBSPACES = {
+    SubspaceTag.H2PLUS: lambda p: p >= 0,
+    SubspaceTag.H2MINUS: lambda p: p <= -1,
+    SubspaceTag.K2PLUS: lambda p: p >= 1,
+    SubspaceTag.K2MINUS: lambda p: p <= 0,
+}
+PMAXES = range(0, 13)
+
+
+def make_spec(key, z1, z2, params, cut):
+    family, branch = key
+    if family in ("A", "B"):
+        return CoherentSpec(z1, z2, family, branch, cut)
+    return BicoherentSpec(z1, z2, *FAMILIES[family], branch, params, cut)
+
+
+def test_one_row_per_pairing():
+    assert set(BRANCHES) == set(PAIRINGS) == set(OLD_MAPS)
+
+
+@pytest.mark.parametrize("key", sorted(OLD_MAPS))
+def test_table_matches_old_maps(key):
+    sigma, cap, pred = OLD_MAPS[key]
+    row = BRANCHES[key]
+    for pmax in PMAXES:
+        assert row.cap(pmax) == cap(pmax)
+        n = np.arange(cap(pmax) + 2)
+        assert row.sigma(n).tolist() == [sigma(k) for k in n]
+        assert [row.sigma(int(k)) for k in n] == [sigma(k) for k in n]
+        ps = window_levels(pmax)
+        assert row.support(ps).tolist() == [pred(p) for p in ps]
+        # the cap is the last series index inside the window
+        assert abs(sigma(cap(pmax))) <= pmax < abs(sigma(cap(pmax) + 1))
+
+
+@pytest.mark.parametrize("key", sorted(OLD_MAPS))
+def test_specs_read_the_table(key):
+    sigma, cap, _ = OLD_MAPS[key]
+    for pmax in PMAXES:
+        spec = make_spec(key, 0.0, 0.5, PhysicalParams(V=0.5), FockCutoff(2, max(pmax, 1), pmax))
+        assert spec.key == key
+        assert spec.level_cap == cap(pmax)
+        n = np.arange(max(cap(pmax), 0) + 1)
+        assert spec.sigma(n).tolist() == [sigma(k) for k in n]
+        assert spec.columns(n.size)[0].tolist() == [sigma(k) for k in n]
+
+
+@pytest.mark.parametrize("tag", list(SubspaceTag))
+def test_subspace_tags_read_the_table(tag):
+    ps = window_levels(12)
+    assert tag.branch.support(ps).tolist() == [OLD_SUBSPACES[tag](p) for p in ps]
+
+
+def theta_modulus(p: int, V: float, eps0: float = 2.0) -> float:
+    """|E_p - E_0| from the closed forms: eps0 sqrt(|p|) on unbroken levels,
+    eps0 (V -+ sqrt(V^2 - |p|)) on broken ones (p > 0, p < 0)."""
+    q = abs(p)
+    if q > V * V:
+        return eps0 * math.sqrt(q)
+    root = math.sqrt(V * V - q)
+    return eps0 * (V - root if p > 0 else V + root)
+
+
+def theta_scale(spec) -> float:
+    """Largest |z2|^n / |theta_1 ... theta_n|^(1/2) over the series: the
+    theta series' tail is held to tol times max(1, this)."""
+    r, best, term = abs(spec.z2), 1.0, 1.0
+    for n in range(1, spec.level_cap + 1):
+        term *= r / math.sqrt(theta_modulus(spec.sigma(n), spec.params.V))
+        best = max(best, term)
+    return best
+
+
+WINDOWS = [(4, 0), (4, 1), (6, 3), (8, 8), (12, 12), (24, 16), (40, 40)]
+
+
+@pytest.mark.parametrize("key", sorted(OLD_MAPS))
+def test_builders_meet_the_tolerance_or_refuse(key):
+    """Each builder at small windows either keeps every recorded tail under
+    its tolerance, or raises CutoffError with an estimate."""
+    family = key[0]
+    vs = [0.0] if family in ("A", "B") else [0.5, 1.7, 2.5]
+    built = refused = 0
+    for v in vs:
+        params = PhysicalParams(V=v)
+        for nmax, pmax in WINDOWS:
+            cut = FockCutoff(nmax, nmax, pmax)
+            for r1 in (0.0, 1.2):
+                for r2 in (0.0, 0.5, 1.5, 3.0):
+                    spec = make_spec(key, r1 * cmath.exp(0.3j), r2 * cmath.exp(-1.1j), params, cut)
+                    build = build_coherent if family in ("A", "B") else build_bicoherent
+                    try:
+                        state = build(spec)
+                    except CutoffError as err:
+                        assert err.tail_estimate is not None
+                        if spec.level_cap < 0:
+                            assert "no level inside" in str(err)
+                        refused += 1
+                        continue
+                    built += 1
+                    tails = {k: v for k, v in state.meta.items() if k.startswith("tail")}
+                    assert set(tails) == {"tail_z1", "tail_z2"}
+                    assert 0.0 <= tails["tail_z1"] < spec.tail_tol
+                    if family in ("eta", "xi"):
+                        assert tails["tail_z2"] <= spec.tail_tol * theta_scale(spec) * (1 + 1e-9)
+                    else:
+                        assert 0.0 <= tails["tail_z2"] < spec.tail_tol
+                    # the coefficient tail bounds the lost mass: ||fr||^2 is
+                    # 1 up to the square of the bound (and rounding)
+                    fr2 = float(np.vdot(state.first_register, state.first_register).real)
+                    assert abs(1.0 - fr2) <= tails["tail_z1"] ** 2 + 1e-13
+                    if family in ("A", "B"):
+                        sp2 = state.norm2() / fr2
+                        assert abs(1.0 - sp2) <= tails["tail_z2"] ** 2 + 1e-13
+    assert built and refused

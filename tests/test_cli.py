@@ -349,13 +349,19 @@ class TestFailureExitCodes:
         assert code == 1
         assert "io error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("family", ["eta", "xi"])
+    @pytest.mark.parametrize("family", ["eta", "xi", "A", "B", "phi", "psi"])
     def test_minus_branch_without_levels_exits_one(self, family, capsys):
-        # pmax = 0 leaves the minus branch (levels p <= -1) empty
-        code = cli_main(["state", "--family", family, "--branch", "minus", "--V", "0.5",
-                         "--z2=1", "--nmax", "4", "--pmax", "0"])
-        assert code == 1
-        assert "no level inside pmax=0" in capsys.readouterr().err
+        # pmax = 0 leaves B's plus branch (levels p >= 1) and every other
+        # minus branch (levels p <= -1) empty; the refusal says so
+        branch = "plus" if family == "B" else "minus"
+        v = "0" if family in ("A", "B") else "0.5"
+        for z2 in ("1", "0"):
+            code = cli_main(["state", "--family", family, "--branch", branch, "--V", v,
+                             f"--z2={z2}", "--nmax", "4", "--pmax", "0"])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"the {branch} branch of {family} has no level inside pmax=0" in err
+            assert "series" not in err
 
     def test_window_too_small_exits_one(self, capsys):
         # the theta series at large V only decays beyond the broken region;
@@ -455,3 +461,88 @@ class TestSharedParser:
         # the default tolerance 1e-12 is out of reach for |z2| = 2.5 at this window
         code, out, err = _run_in_process(argv)
         assert code == 1 and out == "" and "does not reach tail 1.0e-12" in err
+
+
+_GRIDS = ["-2:2:5,-2:2:5", "-3:3:9,-1:1:3", "-1:1:2,-1:1:2", "-6:6:17,-6:6:17",
+          # refused: too few points, decreasing or empty ranges, non-finite
+          # bounds, too many points, malformed text
+          "-1:1:1,-1:1:5", "1:-1:5,-1:1:5", "0:0:5,-1:1:5", "-inf:1:5,-1:1:5",
+          "nan:1:5,-1:1:5", "0:1:40000,0:1:40000", "-1:1:5", "abc", "-1:1:5.5,-1:1:5"]
+_DENSITY_WROTE = re.compile(r"wrote (?P<out>\S+) \(captured mass \S+ of \S+\)")
+_MASS_WARNING = "warning: grid-captured mass differs from the state's mass by more than 0.1%"
+
+
+@st.composite
+def _density_argv(draw):
+    """density argument lists over small windows, legal and refused grids
+    and both formats (the output path is added by the test)."""
+    argv = ["density", "--family=" + draw(st.sampled_from(["A", "B", "phi", "psi", "eta", "xi"])),
+            "--branch=" + draw(st.sampled_from(["plus", "minus"])),
+            "--grid=" + draw(st.sampled_from(_GRIDS)),
+            "--format=" + draw(st.sampled_from(["csv", "json"]))]
+    if draw(st.booleans()):
+        argv.append("--V=" + draw(st.sampled_from(["0", "0.5", "1.7", "2", "9.5", "nan"])))
+    for flag in ("--pmax", "--nmax"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.sampled_from([0, 1, 2, 3, 5, 8, 12, -1]))}")
+    for flag in ("--z1", "--z2"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.sampled_from(_LABELS))}")
+    if draw(st.booleans()):
+        argv.append("--tol=" + draw(st.sampled_from(["1e-12", "1e-6", "0", "1"])))
+    return argv
+
+
+class TestDensityProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=_density_argv())
+    def test_exit_codes_output_and_files(self, argv, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("density")
+        fmt = next(arg.split("=")[1] for arg in argv if arg.startswith("--format="))
+        out_path = os.fspath(out_dir / f"d.{fmt}")
+        code, out, err = _run_in_process(argv + ["--out", out_path])
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        written = sorted(os.listdir(out_dir))
+        if code != 0:
+            assert out == "" and written == [], argv
+            return
+        lines = out.splitlines()
+        match = _DENSITY_WROTE.fullmatch(lines[0])
+        assert match and match["out"] == out_path, argv
+        assert lines[1:] in ([], [_MASS_WARNING]), argv
+        assert written == (["d.csv", "d.csv.meta.json"] if fmt == "csv" else ["d.json"]), argv
+
+
+class TestTracedRunHooks:
+    """The traced benchmark run wraps the state builders and residuals that
+    `cli` calls through its own module namespace; a `state` job of each
+    family kind must reach all four wrappers."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from lbstates.cli import cli_main
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for family, v in (("A", "0"), ("eta", "0.5")):
+        codes.append(cli_main(["state", "--family", family, "--V", v, "--z1=1+1i", "--z2=1-1i",
+                               "--nmax", "64", "--pmax", "64"]))
+print(json.dumps({"codes": codes, "spans": sorted({s[0] for s in tracer.spans})}))
+"""
+
+    def test_state_jobs_reach_the_traced_layers(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(lbstates.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, os.path.join(root, "bench")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout.splitlines()[-1])
+        assert doc["codes"] == [0, 0]
+        assert {"coherent.build", "bicoherent.build", "coherent.eigen_residual",
+                "bicoherent.eigen_residual"} <= set(doc["spans"])
