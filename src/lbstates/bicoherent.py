@@ -23,11 +23,16 @@ ket constant real positive and let the bra constant carry the phase, so
 <ket, bra> = 1 holds exactly.  The classical real normalization over the
 modulus factorials is exposed separately as normalization_N.
 
-The shifted eigenvalues come from `levels.theta_table`.  The eigen
+The shifted eigenvalues come from `levels.theta_table`.  The theta series
+stops at the first term whose geometric tail bound is below the
+tolerance, and its `tail_z2` is that bound at the cut.  Both sides of a
+pair sit on the same levels with the same first register, so one build
+assembles the state and its dual from one level table.  The eigen
 residuals read the ladder paired with each family, side and branch from
 the one pairing table `ladders.PAIRINGS` (phi/psi: the standard ket/bra,
-eta/xi: the theta ket/bra) and apply it through `ladders.ladder_apply`,
-without realizing a matrix, as the V = 0 coherent residuals do.
+eta/xi: the theta ket/bra) and apply it through `ladders.ladder_apply` on
+the level rows the state carries, without realizing a matrix, as the
+V = 0 coherent residuals do.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
 from .ladders import BRANCHES, BranchSeries, pairing_residual
-from .levels import _mul, level_table, series_stack, theta_table
+from .levels import _mul, level_table, theta_table
 from .params import PhysicalParams
 from .pt import phi_norm_bound
 from .spinor import SpinorState
@@ -51,6 +56,7 @@ from .coherent import (
     first_register_coherent,
     gaussian_series,
     resolution_sum,
+    series_state,
 )
 
 
@@ -146,48 +152,66 @@ class BicoherentSpec(BranchSeries):
 
 def _theta_series_coefficients(spec: BicoherentSpec) -> tuple:
     """Ladder-determined series coefficients z^n / F_n (ket) and
-    z^n / conj(F_n) (bra), cut by the explicit super-factorial tail bound;
-    raises CutoffError when the window is too small.
+    z^n / conj(F_n) (bra), cut at their tail bound; raises CutoffError when
+    the window is too small.
 
-    Returns (ket, bra, pairing sum T, tail estimate).  T is derived from
-    the very same cumulative arrays the states are assembled from, so the
-    bi-normalization below is exact in floating point even when the
-    pairing sum suffers heavy phase cancellation (broken-region shifts are
-    purely imaginary, so its terms rotate by pi/2 per step).
+    Returns (ket, bra, pairing sum T, tail bound).  The terms are kept up
+    to the first n with |c_n| r / (1 - r) <= tail_tol max(1, max |c|),
+    where r = |z| / sqrt(min_{k>n} |theta_k|) bounds the ratio of every
+    later term to its predecessor; the minimum, not theta_{n+1}, because
+    |theta_k| falls through the broken levels k < V^2 of the minus branch.
+    A series that meets no cut inside the window is judged at its edge,
+    as the whole window.  T is derived from the very same cumulative
+    arrays the states are assembled from, so the bi-normalization below
+    is exact in floating point even when the pairing sum suffers heavy
+    phase cancellation (broken-region shifts are purely imaginary, so its
+    terms rotate by pi/2 per step).
     """
     cap = spec.require_levels()
-    seq = theta_sequence(cap + 1, spec.params, spec.branch)
+    # |theta_k| rises with k except through the broken levels of the minus
+    # branch, so past the window it is smallest at the first level beyond
+    # it or at one of the two levels around V^2
+    v2 = math.floor(spec.params.V ** 2)
+    ks = [*range(cap + 2), *(k for k in (cap + 2, v2, v2 + 1) if k > cap + 1)]
+    seq = theta_table(BRANCHES[("eta", spec.branch)].step * np.array(ks), spec.params)
+    mods = np.abs(seq[1:])
     z = complex(spec.z2)
+    ratio = abs(z) / np.sqrt(np.minimum.accumulate(mods[::-1])[::-1][:cap + 1])
+    bound = np.divide(ratio, 1.0 - ratio, out=np.full(ratio.size, math.inf),
+                      where=ratio < 1.0).tolist()
     # Cumulative multiplication by numpy complex scalars, one term at a
-    # time: each rounding is part of the state's bytes.  The modulus
-    # factorial |theta_n|! stays inside the float range for the windows
-    # used here (pmax <~ 200).
+    # time: each rounding is part of the state's bytes.
     steps = np.sqrt(seq[1:cap + 1])
-    ket, bra = [np.complex128(1.0)], [np.complex128(1.0)]
-    for step, conj_step in zip(steps, np.conj(steps)):
-        ket.append(ket[-1] * z / step)
-        bra.append(bra[-1] * z / conj_step)
-    ket, bra = np.array(ket), np.array(bra)
-    mods = np.abs(ket)
-    t_complex = complex(np.conj(np.vdot(ket, bra)))
-    # geometric tail bound from the first out-of-window term
-    if abs(z) == 0.0:
-        tail = 0.0
+    conj_steps = np.conj(steps)
+    ket, bra, top = [np.complex128(1.0)], [np.complex128(1.0)], 1.0
+    for n in range(cap + 1):
+        mod = abs(ket[n])
+        top = max(top, mod)
+        tail = mod * bound[n]
+        if tail <= spec.tail_tol * top:
+            break
+        if n < cap:
+            ket.append(ket[n] * z / steps[n])
+            bra.append(bra[n] * z / conj_steps[n])
     else:
-        ratio = abs(z) / math.sqrt(abs(seq[cap + 1]))
-        if ratio >= 1.0:
+        # no cut inside the window: the whole window is kept, with the
+        # geometric bound from the first out-of-window term
+        edge = abs(z) / math.sqrt(abs(seq[cap + 1]))
+        if edge >= 1.0:
             raise CutoffError(
                 f"theta series for |z2|={abs(z):.3g} is still growing at the window edge"
                 f" pmax={spec.cutoff.pmax}",
                 tail_estimate=math.inf,
             )
-        tail = mods[cap] * ratio / (1.0 - ratio)
+        mods = np.abs(ket)  # array moduli: numpy's scalar abs can differ in the last bit
+        tail = mods[cap] * edge / (1.0 - edge)
         if tail > spec.tail_tol * max(1.0, mods.max()):
             raise CutoffError(
                 f"theta series tail {tail:.3e} above tolerance at pmax={spec.cutoff.pmax}",
                 tail_estimate=tail,
             )
-    return ket, bra, t_complex, tail
+    ket, bra = np.array(ket), np.array(bra)
+    return ket, bra, complex(np.conj(np.vdot(ket, bra))), tail
 
 
 def _norm_constants(t_complex: complex) -> tuple:
@@ -200,8 +224,11 @@ def _norm_constants(t_complex: complex) -> tuple:
 
 
 def build_bicoherent(spec: BicoherentSpec) -> SpinorState:
-    """Assemble the state; meta records tails, the classical normalization
-    value and the effective (phase-corrected) constant actually used."""
+    """Assemble the state and, as its `dual`, the state of the other side:
+    one first register, one series of weights per side and one level
+    table serve both, and the dual equals `build_bicoherent(spec.dual())`.
+    meta records tails, the classical normalization value and the
+    effective (phase-corrected) constant actually used."""
     spec.require_levels()
     cut = spec.cutoff
     params = spec.params
@@ -218,36 +245,38 @@ def build_bicoherent(spec: BicoherentSpec) -> SpinorState:
     }
 
     if spec.family == "standard":
-        stack, tail2 = gaussian_series(spec)
+        ps, rows, weights, tail2 = gaussian_series(spec)
         meta["tail_z2"] = tail2
+        sides = {side: (weights, dict(meta, side=side)) for side in ("ket", "bra")}
     else:
         ket, bra, t_complex, tail2 = _theta_series_coefficients(spec)
-        coefs = ket if spec.side == "ket" else bra
-        ket_const, bra_const = _norm_constants(t_complex)
-        const = ket_const if spec.side == "ket" else bra_const
+        ps, rows = spec.series_rows(ket.size)
         n_spec = normalization_N(spec.z2, params, cut, spec.branch)
-        meta.update(
-            tail_z2=tail2,
-            normalization_N=n_spec.value,
-            effective_N=abs(const),
-            normalization_phase=complex(const / abs(const)),
-            pairing_sum=t_complex,
-        )
-        # CPython's product on (re, im) arrays: numpy's vectorized complex
-        # product can round the last bit differently, which would change
-        # the exported bytes of a state
-        const = complex(const)
-        weights = np.empty(coefs.size, dtype=complex)
-        weights.real, weights.imag = _mul((const.real, const.imag), (coefs.real, coefs.imag))
-        stack = series_stack(*spec.columns(weights.size), weights, cut.nmax2)
-    return SpinorState(fr, stack[:cut.nmax2 + 1], stack[cut.nmax2 + 1:], meta)
+        sides = {}
+        for side, coefs, const in zip(("ket", "bra"), (ket, bra), _norm_constants(t_complex)):
+            # CPython's product on (re, im) arrays: numpy's vectorized complex
+            # product can round the last bit differently, which would change
+            # the exported bytes of a state
+            c = complex(const)
+            weights = np.empty(coefs.size, dtype=complex)
+            weights.real, weights.imag = _mul((c.real, c.imag), (coefs.real, coefs.imag))
+            sides[side] = weights, dict(
+                meta, side=side, tail_z2=tail2, normalization_N=n_spec.value,
+                effective_N=abs(const), normalization_phase=complex(const / abs(const)),
+                pairing_sum=t_complex)
+    weights, side_meta = sides[spec.side]
+    state = series_state(fr, ps, rows, spec.side, weights, cut.nmax2, side_meta)
+    other = "bra" if spec.side == "ket" else "ket"
+    weights, side_meta = sides[other]
+    state.dual = series_state(fr.copy(), ps, rows, other, weights, cut.nmax2, side_meta)
+    return state
 
 
 def bi_product(ket_spec: BicoherentSpec, bra_spec: BicoherentSpec | None = None) -> complex:
-    """<ket, bra> for the matching dual pair (defaults to the spec's dual)."""
-    if bra_spec is None:
-        bra_spec = ket_spec.dual()
-    return build_bicoherent(ket_spec).inner(build_bicoherent(bra_spec))
+    """<ket, bra> for the matching dual pair (defaults to the spec's dual,
+    built with it)."""
+    ket = build_bicoherent(ket_spec)
+    return ket.inner(ket.dual if bra_spec is None else build_bicoherent(bra_spec))
 
 
 def bicoherent_eigen_residual(spec: BicoherentSpec, state: SpinorState, operator: str) -> float:

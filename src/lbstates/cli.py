@@ -140,6 +140,13 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
+# The largest --nmax/--pmax.  States and their registers are arrays as
+# long as the window (16 MB per complex array at the limit), so this bounds
+# the memory of any command; the README, the tests and the benchmark use
+# windows of at most 10^5.
+MAX_WINDOW = 10 ** 6
+
+
 # Rows one `spectrum` or `scan-v` call may write: 2 pmax + 1 levels per V
 # step plus the exceptional points m in [from^2, to^2].  A JSON row takes
 # 60-150 bytes, so this bounds the output near 150 MB.
@@ -224,7 +231,7 @@ def cmd_state(args, parser) -> int:
     residual = eigen_residual if isinstance(spec, CoherentSpec) else bicoherent_eigen_residual
     report["eigen_residuals"] = {"A1": residual(spec, state, "A1"), op: residual(spec, state, op)}
     if isinstance(spec, BicoherentSpec):
-        dual = build_bicoherent(spec.dual())
+        dual = state.dual
         bi = state.inner(dual) if spec.side == "ket" else dual.inner(state)
         report["bi_product"] = {"re": bi.real, "im": bi.imag}
         if "normalization_N" in state.meta:
@@ -327,6 +334,9 @@ def cli_main(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if max(args.nmax, args.pmax) > MAX_WINDOW:
+            raise ContractError(f"--nmax {args.nmax} and --pmax {args.pmax}: a window above the"
+                                f" limit MAX_WINDOW = {MAX_WINDOW} is refused")
         return args.func(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)

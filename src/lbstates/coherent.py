@@ -127,12 +127,22 @@ def first_register_coherent(z1: complex, nmax1: int, tol: float) -> tuple:
 
 
 def gaussian_series(spec) -> tuple:
-    """(stacked spinor, tail bound) of the standard series
-    sum_n exp(-|z2|^2/2) z2^n / sqrt(n!) over the spec's columns, for the
-    V = 0 coherent and the standard bicoherent families."""
+    """(levels, carried rows, weights, tail bound) of the standard series
+    sum_n exp(-|z2|^2/2) z2^n / sqrt(n!) over the spec's branch, for the
+    V = 0 coherent and the standard bicoherent families (whose two sides
+    share the weights)."""
     n_terms, tail = coherent_series_length(spec.z2, spec.level_cap, spec.tail_tol)
-    weights = coherent_coefficients(spec.z2, n_terms)
-    return series_stack(*spec.columns(n_terms), weights, spec.cutoff.nmax2), tail
+    return (*spec.series_rows(n_terms), coherent_coefficients(spec.z2, n_terms), tail)
+
+
+def series_state(fr: np.ndarray, ps, rows, side: str, weights, nmax2: int,
+                 meta: dict) -> SpinorState:
+    """fr (x) sum_k weights[k] chi_k, with chi_k the spinor of phi_p (side
+    'ket') or of its dual ('bra') at level ps[k], read from the carried
+    rows, which the state keeps."""
+    cols = rows.at(ps)
+    stack = series_stack(ps, *(cols[:2] if side == "ket" else cols[2:]), weights, nmax2)
+    return SpinorState(fr, stack[:nmax2 + 1], stack[nmax2 + 1:], meta, rows)
 
 
 def build_coherent(spec: CoherentSpec) -> SpinorState:
@@ -140,7 +150,7 @@ def build_coherent(spec: CoherentSpec) -> SpinorState:
     spec.require_levels()
     cut = spec.cutoff
     fr, tail1 = first_register_coherent(spec.z1, cut.nmax1, spec.tail_tol)
-    stack, tail2 = gaussian_series(spec)
+    ps, rows, weights, tail2 = gaussian_series(spec)
     meta = {
         "kind": "coherent",
         "family": spec.family,
@@ -150,7 +160,7 @@ def build_coherent(spec: CoherentSpec) -> SpinorState:
         "tail_z1": tail1,
         "tail_z2": tail2,
     }
-    return SpinorState(fr, stack[:cut.nmax2 + 1], stack[cut.nmax2 + 1:], meta)
+    return series_state(fr, ps, rows, spec.side, weights, cut.nmax2, meta)
 
 
 def eigen_residual(spec: CoherentSpec, state: SpinorState, operator, strict: bool = True) -> float:

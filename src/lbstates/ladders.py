@@ -37,8 +37,8 @@ import scipy.sparse as sp
 
 from .errors import ContractError, CutoffError, ShapeError
 from .fock import FockCutoff, SparseOperator, annihilator
-from .levels import (bidiagonal, column_coefficients, level_table, rank_one_sum, series_stack,
-                     theta_table, two_entry_columns, window_levels)
+from .levels import (LevelRows, bidiagonal, column_coefficients, level_rows, level_table,
+                     rank_one_sum, series_stack, theta_table, two_entry_columns, window_levels)
 from .params import PhysicalParams
 from .spinor import (V0, ModeIndex, ModeWindow, hamiltonian_spinor_matrix, level_matrix,
                      lower_first_register)
@@ -149,6 +149,17 @@ class BranchSeries:
         table = level_table(ps, self.params)
         return (ps, *(table[:2] if self.side == "ket" else table[2:]))
 
+    def series_rows(self, n_terms: int) -> tuple:
+        """(levels of the first n_terms series terms, the `LevelRows` a state
+        on them carries): one table over those levels and their neighbours,
+        which serves both sides and the residuals.  At an exceptional V only
+        the series levels are evaluated: a neighbour may be the exceptional
+        level, and no ladder pairs with the state there (`_ladder` refuses)."""
+        ps = self.sigma(np.arange(n_terms))
+        if self.params.exceptional_level() is None:
+            return ps, level_rows(near_levels(np.abs(ps), self.cutoff.pmax), self.params)
+        return ps, level_rows(np.sort(ps), self.params)
+
 
 def _ladder(key, params: PhysicalParams) -> tuple:
     """(key, amplitude function, shift) of a ladder, refusing unknown keys
@@ -161,14 +172,10 @@ def _ladder(key, params: PhysicalParams) -> tuple:
     return (key, *LADDERS[key])
 
 
-def _bases(key: str, ps, params: PhysicalParams) -> tuple:
-    """Rows (upper, lower) of X and Y over the levels ps: the V = 0 basis
-    v_p twice, or phi_p and its regime dual."""
-    if key in V0_LADDERS:
-        x = level_table(ps, V0)[:2]
-        return x, x
-    table = level_table(ps, params)
-    return table[:2], table[2:]
+def _bases(key: str, table: np.ndarray) -> tuple:
+    """Rows (upper, lower) of X and Y in a level table: the V = 0 basis v_p
+    twice (a table at V = 0), or phi_p and its regime dual."""
+    return table[:2], table[:2] if key in V0_LADDERS else table[2:]
 
 
 def level_ladder_matrix(key, pmax: int, params: PhysicalParams = V0) -> sp.csr_matrix:
@@ -182,38 +189,48 @@ def ladder_matrix(key, params: PhysicalParams, cutoff: FockCutoff) -> sp.csr_mat
     the sparse rank-one sum X P Y^H, sum_p amp(p) |x_{p+shift}><y_p|."""
     key = _ladder(key, params)[0]
     ps = window_levels(cutoff.pmax)
-    x, y = (two_entry_columns(ps, *rows, cutoff.nmax2) for rows in _bases(key, ps, params))
+    table = level_table(ps, V0 if key in V0_LADDERS else params)
+    x, y = (two_entry_columns(ps, *rows, cutoff.nmax2) for rows in _bases(key, table))
     return rank_one_sum(x, level_ladder_matrix(key, cutoff.pmax, params), y)
 
 
+def near_levels(q, pmax: int) -> np.ndarray:
+    """The levels of magnitude q or q +- 1 inside |p| <= pmax, in
+    increasing order (p and -p share their rows): the levels a ladder
+    gathers from or scatters to when the rows of magnitude q carry weight."""
+    near = np.unique(np.concatenate([q - 1, q, q + 1]))
+    near = near[(near >= 0) & (near <= pmax)]
+    return np.concatenate([-near[::-1], near[near > 0]])
+
+
 def support_levels(stack: np.ndarray, cutoff: FockCutoff) -> np.ndarray:
-    """The levels of the window whose two rows carry weight in the stacked
-    spinor, and their neighbours, in increasing order (p and -p share their
-    rows)."""
+    """The levels of the window whose two rows carry weight in a bare
+    stacked spinor, and their neighbours, in increasing order."""
     half, pmax = cutoff.nmax2 + 1, cutoff.pmax
     live = stack[:pmax + 1] != 0
     live[1:] |= stack[half:half + pmax] != 0
-    # the neighbours of +-q are the levels of magnitude q - 1 and q + 1
-    near = live.copy()
-    near[1:] |= live[:-1]
-    near[:-1] |= live[1:]
-    q = np.flatnonzero(near)
-    return np.concatenate([-q[::-1], q[q > 0]])
+    return near_levels(np.flatnonzero(live), pmax)
 
 
-def ladder_apply(key, params: PhysicalParams, cutoff: FockCutoff, stack: np.ndarray,
+def ladder_apply(key, rows: LevelRows, stack: np.ndarray, cutoff: FockCutoff,
                  adjoint: bool = False) -> np.ndarray:
     """`ladder_matrix` (or its adjoint Y P^H X^H) applied to a stacked
     spinor as X(P(Y^H stack)), without building a matrix: gather one
     coefficient per level from its two rows, move it one level with its
     amplitude and scatter it back as `series_stack` does.  Only the levels
-    of `support_levels` are evaluated; the others add exact zeros, so the
-    result does not depend on the window."""
+    of `rows` are evaluated (a built state's carried rows, or those of
+    `support_levels` for a bare stack); they must hold every level whose
+    rows carry weight and its neighbours, and the others add exact zeros,
+    so the result does not depend on the window.  The rows are at the
+    ladder's parameters; the V = 0 ladders need rows at V = 0."""
+    params = rows.params
     key, amp, shift = _ladder(key, params)
+    if key in V0_LADDERS and params.V != 0.0:
+        raise ContractError(f"ladder {key} acts on the V = 0 basis, not on rows at V = {params.V}")
     if stack.size != 2 * (cutoff.nmax2 + 1):
         raise ShapeError("operator and state live on different spinor windows")
-    ps = support_levels(stack, cutoff)
-    x, y = _bases(key, ps, params)
+    ps = rows.ps
+    x, y = _bases(key, rows.table)
     if adjoint:
         x, y = y, x
     coef = column_coefficients(ps, *y, stack, cutoff.nmax2)
@@ -231,9 +248,10 @@ def pairing_residual(spec, state, operator, strict: bool = True) -> float:
     """|| O state - z state || for the state built from spec: O = A1 with
     z = z1 on the first register, or the ladder `PAIRINGS` pairs with the
     spec's family and branch (`spec.key`), with z = z2 on the
-    spinor register, applied without a matrix; the other register enters
-    through its norm.  Any other ladder of the table raises ContractError
-    unless strict=False."""
+    spinor register, applied without a matrix on the level rows the state
+    carries; the other register enters through its norm.  Any other ladder
+    of the table raises ContractError unless strict=False, and so does a
+    state without rows at the spec's parameters."""
     operator = getattr(operator, "value", operator)
     if operator == "A1":
         own, other, z = state.first_register, state.spinor_stack(), spec.z1
@@ -244,8 +262,11 @@ def pairing_residual(spec, state, operator, strict: bool = True) -> float:
         if strict and PAIRINGS[spec.key][0] != operator:
             raise ContractError(f"{operator} has no eigenvalue equation on {'/'.join(spec.key)}")
         key, adjoint = _BY_NAME[operator]
+        if state.rows is None or state.rows.params != spec.params:
+            raise ContractError(f"{operator} reads the level rows a state carries; this state"
+                                f" carries none built at V = {spec.params.V}")
         own, other, z = state.spinor_stack(), state.first_register, spec.z2
-        moved = ladder_apply(key, spec.params, spec.cutoff, own, adjoint)
+        moved = ladder_apply(key, state.rows, own, spec.cutoff, adjoint)
     return float(np.linalg.norm(moved - z * own)) * float(np.linalg.norm(other))
 
 

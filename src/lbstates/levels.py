@@ -17,8 +17,9 @@ orthonormal basis v_p of the V=0 problem.
 One coefficient table, `level_table`, evaluates these over any set of
 levels as array expressions; the scalars `alpha` and `normalization_K`
 are one-level calls of the same code.  States and single-level spinors
-are filled from its rows; sparse columns are built only for ladder
-products and projections.  The shifted eigenvalues theta_p = E_p - E_0
+are filled from its rows, and a built state keeps the rows it was filled
+from (`LevelRows`) for its residuals; sparse columns are built only for
+ladder products and projections.  The shifted eigenvalues theta_p = E_p - E_0
 (behind the theta family and the c2/d2 ladders) come from `theta_table`.
 Both tables equal, bit for bit and with signed zeros, the scalar CPython
 complex arithmetic they replaced, so state and density outputs keep
@@ -28,6 +29,8 @@ a quotient is Smith's method, dividing by the denominator).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,6 +107,25 @@ def level_table(ps, params: PhysicalParams) -> np.ndarray:
     table[0::2] = 1.0
     table[:, ps != 0] = vals
     return table
+
+
+class LevelRows(NamedTuple):
+    """Levels ps in increasing order with their `level_table` rows at
+    params: what a built state carries and `ladders.ladder_apply` reads."""
+
+    ps: np.ndarray
+    table: np.ndarray
+    params: PhysicalParams
+
+    def at(self, levels) -> np.ndarray:
+        """The table columns of the given levels, all of them carried."""
+        return self.table[:, np.searchsorted(self.ps, levels)]
+
+
+def level_rows(ps, params: PhysicalParams) -> LevelRows:
+    """The rows of the levels ps, given in increasing order."""
+    ps = np.asarray(ps, dtype=int).reshape(-1)
+    return LevelRows(ps, level_table(ps, params), params)
 
 
 def theta_table(ps, params: PhysicalParams) -> np.ndarray:

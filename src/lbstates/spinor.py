@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .errors import CutoffError, ShapeError
 from .fock import FockCutoff, SparseOperator, annihilator, ladder_matrices
-from .levels import level_spinors, level_table, two_entry_columns, window_levels
+from .levels import LevelRows, level_spinors, level_table, two_entry_columns, window_levels
 from .params import PhysicalParams
 
 # The V=0 basis spinors v_p are the level table at V = 0.
@@ -81,12 +81,19 @@ class SpinorState:
     The scalar product is the spinor-register sum tensored with the
     first-register product, ``<f,g> = <fr_f,fr_g> (<u_f,u_g> + <l_f,l_g>)``,
     antilinear in the first argument.
+
+    A built state also carries `rows`, the level rows it was filled from
+    (its series levels and their neighbours, `levels.LevelRows`), which its
+    residuals read; a bicoherent state carries `dual`, the state of the
+    other side built from the same first register, weights and rows.
     """
 
     first_register: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
     meta: dict = field(default_factory=dict)
+    rows: LevelRows | None = None
+    dual: SpinorState | None = None
 
     def norm2(self) -> float:
         fr = float(np.vdot(self.first_register, self.first_register).real)

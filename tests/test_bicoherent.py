@@ -18,7 +18,9 @@ from lbstates import (
     quasi_basis_check,
     theta_factorial,
 )
-from lbstates.bicoherent import BicoherentSpec, bi_product, theta_sequence
+from lbstates.bicoherent import (FAMILIES, BicoherentSpec, _theta_series_coefficients, bi_product,
+                                 theta_sequence)
+from lbstates.ladders import PAIRINGS
 from lbstates.pt import dual_spinor, phi_spinor
 from lbstates.spinor import SpinorState, first_register_basis
 
@@ -143,6 +145,92 @@ class TestConstruction:
     def test_window_too_small(self):
         with pytest.raises(CutoffError):
             build_bicoherent(spec(1 - 1j, params=P_BIG, cut=FockCutoff(4, 40, 40)))
+
+
+def full_window_series(spec):
+    """The theta series as it was summed before the cut: every term of the
+    window, one numpy-scalar step at a time, with the tail judged at the
+    window edge.  Returns (ket, bra, tail) or raises CutoffError."""
+    cap = spec.require_levels()
+    seq = theta_sequence(cap + 1, spec.params, spec.branch)
+    z = complex(spec.z2)
+    steps = np.sqrt(seq[1:cap + 1])
+    ket, bra = [np.complex128(1.0)], [np.complex128(1.0)]
+    for step, conj_step in zip(steps, np.conj(steps)):
+        ket.append(ket[-1] * z / step)
+        bra.append(bra[-1] * z / conj_step)
+    ket, bra = np.array(ket), np.array(bra)
+    if abs(z) == 0.0:
+        return ket, bra, 0.0
+    ratio = abs(z) / math.sqrt(abs(seq[cap + 1]))
+    if ratio >= 1.0:
+        raise CutoffError(f"theta series for |z2|={abs(z):.3g} is still growing at the window"
+                          f" edge pmax={spec.cutoff.pmax}", tail_estimate=math.inf)
+    mods = np.abs(ket)
+    tail = mods[cap] * ratio / (1.0 - ratio)
+    if tail > spec.tail_tol * max(1.0, mods.max()):
+        raise CutoffError(f"theta series tail {tail:.3e} above tolerance at"
+                          f" pmax={spec.cutoff.pmax}", tail_estimate=tail)
+    return ket, bra, tail
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestThetaCut:
+    """The theta series stops at its tail bound; the full-window recurrence
+    it replaced is the oracle."""
+
+    CASES = [(v, branch, z2) for v in (0.5, 1.7, 2.5, 9.5) for branch in ("plus", "minus")
+             for z2 in (0.5 + 0.5j, 1 - 1j, 1.5j, -2 + 0.5j)]
+
+    @pytest.mark.parametrize("V,branch,z2", CASES)
+    def test_kept_terms_are_the_old_prefix_and_the_tail_bounds_the_rest(self, V, branch, z2):
+        s = spec(z2, branch=branch, params=PhysicalParams(V=V), cut=FockCutoff(24, 150, 150))
+        old_ket, old_bra, _ = full_window_series(s)
+        ket, bra, _, tail = _theta_series_coefficients(s)
+        assert ket.size < old_ket.size
+        for new, old in ((ket, old_ket), (bra, old_bra)):
+            assert np.array_equal(bits(new), bits(old[:new.size]))
+            assert np.abs(old[new.size:]).sum() <= tail
+        assert tail <= s.tail_tol * max(1.0, np.abs(ket).max())
+
+    def test_refusals_at_the_window_edge_are_unchanged(self):
+        outcomes = set()
+        for v in (0.5, 1.7, 2.5, 9.5):
+            for branch in ("plus", "minus"):
+                for window in (2, 4, 8, 12, 24, 40, 96):
+                    for z2 in (0.5, 1.5 - 1j, 3j, 6.0):
+                        s = spec(z2, branch=branch, params=PhysicalParams(V=v),
+                                 cut=FockCutoff(4, window, window))
+                        try:
+                            old_ket = full_window_series(s)[0]
+                        except CutoffError as err:
+                            with pytest.raises(CutoffError) as new:
+                                _theta_series_coefficients(s)
+                            assert (str(new.value), new.value.tail_estimate) == (
+                                str(err), err.tail_estimate)
+                            outcomes.add("growing" if "still growing" in str(err) else "tail")
+                            continue
+                        ket = _theta_series_coefficients(s)[0]
+                        assert np.array_equal(bits(ket), bits(old_ket[:ket.size]))
+                        outcomes.add("built")
+        # both refusals and builds occur
+        assert outcomes == {"built", "growing", "tail"}
+
+    @pytest.mark.parametrize("V,cut", [(0.5, CUT), (9.5, CUT_BIG)])
+    @pytest.mark.parametrize("key", [key for key in PAIRINGS if key[0] in FAMILIES])
+    def test_dual_equals_a_separate_build(self, V, cut, key):
+        family, branch = key
+        s = BicoherentSpec(0.5 - 0.25j, 1 - 1j, *FAMILIES[family], branch, PhysicalParams(V=V),
+                           cut)
+        dual, separate = build_bicoherent(s).dual, build_bicoherent(s.dual())
+        for a, b in ((dual.first_register, separate.first_register), (dual.upper, separate.upper),
+                     (dual.lower, separate.lower), (dual.rows.table, separate.rows.table)):
+            assert np.array_equal(bits(a), bits(b))
+        assert np.array_equal(dual.rows.ps, separate.rows.ps)
+        assert dual.meta == separate.meta and dual.meta["side"] != s.side
 
 
 class TestEigenEquations:

@@ -6,14 +6,16 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lbstates
-from lbstates.cli import MAX_ROWS, _require_rows, cli_main, format_complex, parse_complex
+from lbstates.cli import MAX_ROWS, MAX_WINDOW, _require_rows, cli_main, format_complex, parse_complex
 from lbstates.errors import ContractError
+from lbstates.ladders import PAIRINGS
 
 
 class TestComplexParsing:
@@ -99,7 +101,7 @@ class TestStateCommand:
 class TestStateBuilds:
     @pytest.mark.parametrize("flags,builds", [
         (["--family", "A"], 1),
-        (["--family", "eta", "--V", "0.5"], 2),
+        (["--family", "eta", "--V", "0.5"], 1),
     ])
     def test_state_and_dual_built_once(self, monkeypatch, capsys, flags, builds):
         from lbstates import bicoherent, cli, coherent
@@ -120,6 +122,61 @@ class TestStateBuilds:
         assert cli_main(["state", "--z2", "1-1i", "--nmax", "64", "--pmax", "64"] + flags) == 0
         capsys.readouterr()
         assert len(calls) == builds
+
+
+class TestOneLevelTablePerJob:
+    """A state job evaluates the level table once: the build reads both
+    sides from it, and the residuals read the rows the state carries."""
+
+    @pytest.mark.parametrize("key", list(PAIRINGS))
+    def test_level_table_runs_once(self, key, monkeypatch, capsys):
+        from lbstates import levels
+
+        original, calls = levels.level_table, []
+
+        def counted(ps, params):
+            calls.append(len(ps))
+            return original(ps, params)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("lbstates") and getattr(mod, "level_table", None) is original:
+                monkeypatch.setattr(mod, "level_table", counted)
+        family, branch = key
+        v = "0" if family in ("A", "B") else "2.5"
+        assert cli_main(["state", "--family", family, "--branch", branch, "--V", v,
+                         "--z1=1+1i", "--z2=1-1i", "--nmax", "96", "--pmax", "96"]) == 0
+        assert json.loads(capsys.readouterr().out)["eigen_residuals"]
+        assert len(calls) == 1
+
+
+class TestWindowBound:
+    """A window above MAX_WINDOW is refused with exit 1 before any array is
+    allocated."""
+
+    @pytest.mark.parametrize("argv", [
+        ["state", "--family", "A", "--nmax", str(10 ** 9)],
+        ["state", "--family", "eta", "--V", "0.5", "--pmax", str(10 ** 9)],
+        ["density", "--family", "phi", "--V", "0.5", "--nmax", str(10 ** 9), "--pmax", "8"],
+        ["spectrum", "--nmax", str(MAX_WINDOW + 1)],
+        ["scan-v", "--from=0.5", "--to=1", "--pmax", str(10 ** 9)],
+        ["check", "--suite", "pt.alpha", "--nmax", str(10 ** 9)],
+    ])
+    def test_over_the_bound_exits_one(self, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = _run_in_process(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == "", (code, out)
+        assert f"limit MAX_WINDOW = {MAX_WINDOW}" in err and "Traceback" not in err
+        assert peak < 2 ** 20
+
+    def test_a_window_at_the_bound_passes_it(self):
+        # and then meets the row bound, which refuses it before any work
+        code, out, err = _run_in_process(["spectrum", "--pmax", str(MAX_WINDOW)])
+        assert code == 1 and out == ""
+        assert "MAX_WINDOW" not in err and "rows; the limit is" in err
 
 
 class TestDensityCommand:

@@ -17,12 +17,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lbstates import FockCutoff, LadderKind, PhysicalParams, ShapeError
+from lbstates import ContractError, FockCutoff, LadderKind, PhysicalParams, ShapeError
 from lbstates import bicoherent as bc
 from lbstates import coherent as ch
-from lbstates import ladders
 from lbstates.fock import SparseOperator
-from lbstates.ladders import PAIRINGS, V0_LADDERS, ladder_apply, ladder_matrix
+from lbstates.ladders import PAIRINGS, V0_LADDERS, ladder_apply, ladder_matrix, support_levels
+from lbstates.levels import level_rows, window_levels
 from lbstates.spinor import V0, SpinorState, first_register_lowering, lower_first_register
 
 RTOL, ATOL = 1e-12, 1e-15
@@ -121,7 +121,7 @@ class TestCoherentResiduals:
 
 def zero_padded(spec, state, factor=10):
     """The spec on a window `factor` times larger, and the state padded
-    with zeros to it."""
+    with zeros to it, carrying the state's level rows."""
     cut = spec.cutoff
     big = FockCutoff(factor * cut.nmax1, factor * cut.nmax2, factor * cut.pmax)
 
@@ -130,30 +130,27 @@ def zero_padded(spec, state, factor=10):
 
     return replace(spec, cutoff=big), SpinorState(
         pad(state.first_register, big.nmax1 + 1), pad(state.upper, big.nmax2 + 1),
-        pad(state.lower, big.nmax2 + 1))
+        pad(state.lower, big.nmax2 + 1), rows=state.rows)
 
 
 class TestWindowIndependence:
-    """Residuals are evaluated on the levels that carry weight and their
-    neighbours, so padding the window with empty levels changes nothing."""
+    """Residuals are evaluated on the levels the state carries, its series
+    levels and their neighbours, so padding the window with empty levels
+    changes nothing."""
 
     @pytest.mark.parametrize("V,cut", BICOHERENT_CASES)
     @pytest.mark.parametrize("key", BICOHERENT_KEYS)
-    def test_bicoherent(self, V, cut, key, monkeypatch):
+    def test_bicoherent(self, V, cut, key):
         spec = bicoherent_spec(key, PhysicalParams(V=V), cut)
         state = bc.build_bicoherent(spec)
         big_spec, big_state = zero_padded(spec, state)
-        evaluated = []
-        table = ladders.level_table
-        monkeypatch.setattr(ladders, "level_table",
-                            lambda ps, params: evaluated.append(len(ps)) or table(ps, params))
         for op in ("A1", PAIRINGS[key][0]):
             small = bc.bicoherent_eigen_residual(spec, state, op)
             big = bc.bicoherent_eigen_residual(big_spec, big_state, op)
             assert big == pytest.approx(small, rel=1e-14, abs=0.0), (op, small, big)
-        # the padded window evaluates the state's levels and their neighbours
-        # only, two more when the state reaches the edge of its own window
-        assert len(evaluated) == 2 and evaluated[0] <= evaluated[1] <= evaluated[0] + 2
+        # built on the larger window, the state stops its series at the same
+        # term, so it carries a table of the same length
+        assert bc.build_bicoherent(big_spec).rows.ps.size == state.rows.ps.size
 
     @pytest.mark.parametrize("key", COHERENT_KEYS)
     def test_coherent(self, key):
@@ -165,6 +162,12 @@ class TestWindowIndependence:
             small = ch.eigen_residual(spec, state, op, strict=False)
             big = ch.eigen_residual(big_spec, big_state, op, strict=False)
             assert big == pytest.approx(small, rel=1e-14, abs=0.0), (op, small, big)
+
+
+def bare_rows(stack, cut, params):
+    """The rows a bare stack is evaluated on: the levels whose rows carry
+    weight, and their neighbours."""
+    return level_rows(support_levels(stack, cut), params)
 
 
 class TestLadderApplication:
@@ -179,7 +182,7 @@ class TestLadderApplication:
         stack = rng.normal(size=222) + 1j * rng.normal(size=222)
         mat = ladder_matrix(name, params, cut)
         want = (mat.conj().T if adjoint else mat) @ stack
-        got = ladder_apply(name, params, cut, stack, adjoint)
+        got = ladder_apply(name, bare_rows(stack, cut, params), stack, cut, adjoint)
         assert np.linalg.norm(got - want) <= RTOL * np.linalg.norm(want)
 
     @pytest.mark.parametrize("kind", V0_LADDERS)
@@ -189,30 +192,35 @@ class TestLadderApplication:
         mat = ladder_matrix(kind, V0, cut)
         for adjoint in (False, True):
             want = (mat.conj().T if adjoint else mat) @ stack
-            # the V = 0 ladders act on the V = 0 basis whatever V is passed
-            got = ladder_apply(kind, PhysicalParams(V=0.5), cut, stack, adjoint)
+            got = ladder_apply(kind, bare_rows(stack, cut, V0), stack, cut, adjoint)
             assert np.linalg.norm(got - want) <= RTOL * np.linalg.norm(want)
+        # the V = 0 ladders act on the V = 0 basis, not on rows at another V
+        with pytest.raises(ContractError):
+            ladder_apply(kind, bare_rows(stack, cut, PhysicalParams(V=0.5)), stack, cut)
 
     @pytest.mark.parametrize("pairing", list(PAIRINGS.values()))
     def test_sparse_vectors(self, pairing, rng):
         # a few scattered levels, with weight on one row of a level only:
         # the support and its neighbours must give the whole-window product
         _, key, adjoint = pairing
-        params, cut = PhysicalParams(V=2.5), FockCutoff(2, 60, 50)
+        params = V0 if key in V0_LADDERS else PhysicalParams(V=2.5)
+        cut = FockCutoff(2, 60, 50)
         stack = np.zeros(122, dtype=complex)
         for row in (0, 7, 8, 50, 60, 61 + 3, 61 + 30, 61 + 59):
             stack[row] = rng.normal() + 1j * rng.normal()
         mat = ladder_matrix(key, params, cut)
         want = (mat.conj().T if adjoint else mat) @ stack
-        got = ladder_apply(key, params, cut, stack, adjoint)
+        got = ladder_apply(key, bare_rows(stack, cut, params), stack, cut, adjoint)
         assert np.linalg.norm(got - want) <= RTOL * np.linalg.norm(want)
-        assert np.array_equal(ladder_apply(key, params, cut, np.zeros(122), adjoint),
-                              np.zeros(122))
+        zero = np.zeros(122)
+        assert np.array_equal(ladder_apply(key, bare_rows(zero, cut, params), zero, cut, adjoint),
+                              zero)
 
     def test_first_register_lowering(self, rng):
         fr = rng.normal(size=17) + 1j * rng.normal(size=17)
         assert np.array_equal(lower_first_register(fr), first_register_lowering(16).matrix @ fr)
 
     def test_window_mismatch_is_refused(self):
+        rows = level_rows(window_levels(10), PhysicalParams(V=0.5))
         with pytest.raises(ShapeError):
-            ladder_apply("c2", PhysicalParams(V=0.5), FockCutoff(2, 10, 10), np.ones(20))
+            ladder_apply("c2", rows, np.ones(20), FockCutoff(2, 10, 10))
