@@ -24,8 +24,10 @@ ket constant real positive and let the bra constant carry the phase, so
 modulus factorials is exposed separately as normalization_N.
 
 The shifted eigenvalues come from `levels.theta_table`.  The theta series
-stops at the first term whose geometric tail bound is below the
-tolerance, and its `tail_z2` is that bound at the cut.  Both sides of a
+is a cumulative product that stops at the first term whose geometric tail
+bound is below the tolerance, and its `tail_z2` is that bound at the cut;
+its terms and normalization_N come from one evaluation over the levels up
+to the cut, not over the window.  Both sides of a
 pair sit on the same levels with the same first register, so one build
 assembles the state and its dual from one level table.  The eigen
 residuals read the ladder paired with each family, side and branch from
@@ -46,7 +48,7 @@ import numpy as np
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
 from .ladders import BRANCHES, BranchSeries, pairing_residual
-from .levels import _mul, level_table, theta_table
+from .levels import level_table, theta_table
 from .params import PhysicalParams
 from .pt import phi_norm_bound
 from .spinor import SpinorState
@@ -85,30 +87,42 @@ class NormalizationN(NamedTuple):
     n_terms: int
 
 
+def _normalization(rho: float, mods: np.ndarray, pmax: int, tail_tol: float):
+    """normalization_N at |z2| = rho from the moduli |theta_0| .. |theta_K|
+    along the branch (K <= pmax): the sum of term_n = rho^(2n) / |theta_n|!
+    stops at the first n < pmax whose geometric tail term_n q / (1 - q),
+    q = rho^2 / |theta_(n+1)| < 1, is below tail_tol.  None when K < pmax
+    and the prefix holds no such n."""
+    r2 = rho ** 2
+    terms = np.cumprod(np.concatenate([[1.0], r2 / mods[1:]]))  # term_n, n = 0..K
+    totals = np.cumsum(terms)
+    q = r2 / mods[2:]
+    tails = np.divide(terms[1:-1] * q, 1.0 - q, out=np.full(q.size, math.inf), where=q < 1.0)
+    hit = np.flatnonzero(tails < tail_tol)
+    if hit.size:
+        n = int(hit[0]) + 1
+        return NormalizationN(float(totals[n]) ** -0.5, float(tails[n - 1]), n + 1)
+    if mods.size <= pmax:
+        return None
+    if r2 == 0.0:
+        return NormalizationN(1.0, 0.0, 1)
+    q = r2 / mods[-1] if mods[-1] > r2 else 1.0
+    tail = float(terms[-1] * q / (1.0 - q)) if q < 1.0 else math.inf
+    if tail < tail_tol:
+        return NormalizationN(float(totals[-1]) ** -0.5, tail, pmax + 1)
+    raise CutoffError(
+        f"normalization series for |z2|={rho:.3g} does not reach tail {tail_tol:.1e}"
+        f" within pmax={pmax} (tail estimate {tail:.3e})",
+        tail_estimate=tail,
+    )
+
+
 def normalization_N(z2: complex, params: PhysicalParams, cutoff: FockCutoff,
                     branch: str = "plus", tail_tol: float = 1e-14) -> NormalizationN:
     """(sum_n |z2|^(2n) / |theta_n|!)^(-1/2), in (0, 1], with the computed
     tail estimate.  Depends on z2 only through |z2|."""
-    r2 = abs(z2) ** 2
     mods = np.abs(theta_sequence(cutoff.pmax, params, branch))
-    total, term = 1.0, 1.0
-    for n in range(1, cutoff.pmax + 1):
-        term *= r2 / mods[n]
-        total += term
-        if n < cutoff.pmax and mods[n + 1] > r2:
-            tail = term * (r2 / mods[n + 1]) / (1.0 - r2 / mods[n + 1])
-            if tail < tail_tol:
-                return NormalizationN(total ** -0.5, tail, n + 1)
-    if r2 == 0.0:
-        return NormalizationN(1.0, 0.0, 1)
-    tail = math.inf if mods[-1] <= r2 else term * (r2 / mods[-1]) / (1.0 - r2 / mods[-1])
-    if tail < tail_tol:
-        return NormalizationN(total ** -0.5, tail, cutoff.pmax + 1)
-    raise CutoffError(
-        f"normalization series for |z2|={abs(z2):.3g} does not reach tail {tail_tol:.1e}"
-        f" within pmax={cutoff.pmax} (tail estimate {tail:.3e})",
-        tail_estimate=tail,
-    )
+    return _normalization(abs(z2), mods, cutoff.pmax, tail_tol)
 
 
 # CLI family -> (family, side)
@@ -150,68 +164,77 @@ class BicoherentSpec(BranchSeries):
                               self.params, self.cutoff, self.tail_tol)
 
 
-def _theta_series_coefficients(spec: BicoherentSpec) -> tuple:
-    """Ladder-determined series coefficients z^n / F_n (ket) and
-    z^n / conj(F_n) (bra), cut at their tail bound; raises CutoffError when
-    the window is too small.
+class ThetaSeries(NamedTuple):
+    ket: np.ndarray
+    bra: np.ndarray
+    pairing_sum: complex
+    tail: float
+    normalization: NormalizationN
 
-    Returns (ket, bra, pairing sum T, tail bound).  The terms are kept up
-    to the first n with |c_n| r / (1 - r) <= tail_tol max(1, max |c|),
-    where r = |z| / sqrt(min_{k>n} |theta_k|) bounds the ratio of every
-    later term to its predecessor; the minimum, not theta_{n+1}, because
-    |theta_k| falls through the broken levels k < V^2 of the minus branch.
-    A series that meets no cut inside the window is judged at its edge,
-    as the whole window.  T is derived from the very same cumulative
-    arrays the states are assembled from, so the bi-normalization below
-    is exact in floating point even when the pairing sum suffers heavy
-    phase cancellation (broken-region shifts are purely imaginary, so its
-    terms rotate by pi/2 per step).
+
+def _theta_series(spec: BicoherentSpec) -> ThetaSeries:
+    """Ladder-determined series coefficients z^n / F_n (ket) and
+    z^n / conj(F_n) (bra), F_n = sqrt(theta_1) ... sqrt(theta_n), as
+    cumulative products cut at their tail bound, with normalization_N from
+    the same theta values; raises CutoffError when the window is too small.
+
+    The terms are kept up to the first n with |c_n| r / (1 - r) <=
+    tail_tol max(1, max |c|), r = |z| / sqrt(min_{k>n} |theta_k|).  As
+    |theta_k| rises with k except through the broken levels k <= [V^2] of
+    the minus branch, the minimum is |theta_(n+1)|, or the smaller of the
+    two levels around V^2 while n < [V^2] on the minus branch.  A series
+    with no cut inside the window is judged at its edge.  One `theta_table`
+    call covers a first guess of levels (the broken ones, those up to where
+    |z| / sqrt|theta_k| falls to 1/sqrt(2), and 64 more), doubled until
+    both cuts lie inside it.  T comes from the arrays the states are built
+    from, so the bi-normalization is exact in floating point even when T
+    cancels heavily (broken-region terms rotate by pi/2 per step).
     """
-    cap = spec.require_levels()
-    # |theta_k| rises with k except through the broken levels of the minus
-    # branch, so past the window it is smallest at the first level beyond
-    # it or at one of the two levels around V^2
-    v2 = math.floor(spec.params.V ** 2)
-    ks = [*range(cap + 2), *(k for k in (cap + 2, v2, v2 + 1) if k > cap + 1)]
-    seq = theta_table(BRANCHES[("eta", spec.branch)].step * np.array(ks), spec.params)
-    mods = np.abs(seq[1:])
-    z = complex(spec.z2)
-    ratio = abs(z) / np.sqrt(np.minimum.accumulate(mods[::-1])[::-1][:cap + 1])
-    bound = np.divide(ratio, 1.0 - ratio, out=np.full(ratio.size, math.inf),
-                      where=ratio < 1.0).tolist()
-    # Cumulative multiplication by numpy complex scalars, one term at a
-    # time: each rounding is part of the state's bytes.
-    steps = np.sqrt(seq[1:cap + 1])
-    conj_steps = np.conj(steps)
-    ket, bra, top = [np.complex128(1.0)], [np.complex128(1.0)], 1.0
-    for n in range(cap + 1):
-        mod = abs(ket[n])
-        top = max(top, mod)
-        tail = mod * bound[n]
-        if tail <= spec.tail_tol * top:
+    cap, pmax = spec.require_levels(), spec.cutoff.pmax
+    params, z = spec.params, complex(spec.z2)
+    rho, v2 = abs(z), math.floor(params.V ** 2)
+    step = BRANCHES[("eta", spec.branch)].step
+    m = min(cap, v2 + 64 + math.ceil(4.0 * (rho * rho / params.eps0) ** 2))
+    while True:
+        # levels 0..m+1 along the branch, then the two around V^2
+        seq = theta_table(step * np.concatenate([np.arange(m + 2), [v2, v2 + 1]]), params)
+        mods = np.abs(seq)
+        lows = mods[1:m + 2].copy()  # min_{k>n} |theta_k| for n = 0..m
+        if step < 0:
+            lows[:v2] = mods[-2:].min()
+        ratio = rho / np.sqrt(lows)
+        bound = np.divide(ratio, 1.0 - ratio, out=np.full(m + 1, math.inf), where=ratio < 1.0)
+        steps = np.sqrt(seq[1:m + 1])
+        ket = np.cumprod(np.concatenate([[1.0 + 0.0j], z / steps]))
+        size = np.abs(ket)
+        tails = size * bound
+        hit = np.flatnonzero(tails <= spec.tail_tol * np.maximum.accumulate(np.maximum(size, 1.0)))
+        norm = _normalization(rho, mods[:min(m + 1, pmax) + 1], pmax, 1e-14) if hit.size else None
+        if norm is not None or m == cap:
             break
-        if n < cap:
-            ket.append(ket[n] * z / steps[n])
-            bra.append(bra[n] * z / conj_steps[n])
+        m = min(cap, 2 * m)
+    if hit.size:
+        n = int(hit[0])
+        ket, tail = ket[:n + 1], float(tails[n])
     else:
         # no cut inside the window: the whole window is kept, with the
         # geometric bound from the first out-of-window term
-        edge = abs(z) / math.sqrt(abs(seq[cap + 1]))
+        edge = rho / math.sqrt(mods[cap + 1])
         if edge >= 1.0:
             raise CutoffError(
-                f"theta series for |z2|={abs(z):.3g} is still growing at the window edge"
-                f" pmax={spec.cutoff.pmax}",
+                f"theta series for |z2|={rho:.3g} is still growing at the window edge"
+                f" pmax={pmax}",
                 tail_estimate=math.inf,
             )
-        mods = np.abs(ket)  # array moduli: numpy's scalar abs can differ in the last bit
-        tail = mods[cap] * edge / (1.0 - edge)
-        if tail > spec.tail_tol * max(1.0, mods.max()):
+        tail = float(size[cap] * edge / (1.0 - edge))
+        if tail > spec.tail_tol * max(1.0, size.max()):
             raise CutoffError(
-                f"theta series tail {tail:.3e} above tolerance at pmax={spec.cutoff.pmax}",
+                f"theta series tail {tail:.3e} above tolerance at pmax={pmax}",
                 tail_estimate=tail,
             )
-    ket, bra = np.array(ket), np.array(bra)
-    return ket, bra, complex(np.conj(np.vdot(ket, bra))), tail
+        norm = _normalization(rho, mods[:pmax + 1], pmax, 1e-14)
+    bra = np.cumprod(np.concatenate([[1.0 + 0.0j], z / np.conj(steps[:ket.size - 1])]))
+    return ThetaSeries(ket, bra, complex(np.conj(np.vdot(ket, bra))), tail, norm)
 
 
 def _norm_constants(t_complex: complex) -> tuple:
@@ -249,19 +272,14 @@ def build_bicoherent(spec: BicoherentSpec) -> SpinorState:
         meta["tail_z2"] = tail2
         sides = {side: (weights, dict(meta, side=side)) for side in ("ket", "bra")}
     else:
-        ket, bra, t_complex, tail2 = _theta_series_coefficients(spec)
-        ps, rows = spec.series_rows(ket.size)
-        n_spec = normalization_N(spec.z2, params, cut, spec.branch)
+        series = _theta_series(spec)
+        ps, rows = spec.series_rows(series.ket.size)
+        t_complex = series.pairing_sum
         sides = {}
-        for side, coefs, const in zip(("ket", "bra"), (ket, bra), _norm_constants(t_complex)):
-            # CPython's product on (re, im) arrays: numpy's vectorized complex
-            # product can round the last bit differently, which would change
-            # the exported bytes of a state
-            c = complex(const)
-            weights = np.empty(coefs.size, dtype=complex)
-            weights.real, weights.imag = _mul((c.real, c.imag), (coefs.real, coefs.imag))
-            sides[side] = weights, dict(
-                meta, side=side, tail_z2=tail2, normalization_N=n_spec.value,
+        for side, coefs, const in zip(("ket", "bra"), (series.ket, series.bra),
+                                      _norm_constants(t_complex)):
+            sides[side] = const * coefs, dict(
+                meta, side=side, tail_z2=series.tail, normalization_N=series.normalization.value,
                 effective_N=abs(const), normalization_phase=complex(const / abs(const)),
                 pairing_sum=t_complex)
     weights, side_meta = sides[spec.side]
@@ -323,7 +341,7 @@ def convergence_certificate(spec: BicoherentSpec) -> dict:
     bound_holds = bool(tail_region.size == 0 or tail_region.max() <= bound * (1 + 1e-12))
     try:
         if spec.family == "theta":
-            _, _, _, tail = _theta_series_coefficients(spec)
+            tail = _theta_series(spec).tail
         else:
             _, tail = coherent_series_length(spec.z2, spec.level_cap, spec.tail_tol)
         tail_ok = True

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
@@ -72,7 +71,7 @@ def gaussian_series_tail(z: complex, n_terms: int) -> float:
     big_n = n_terms - 1
     if r >= math.sqrt(big_n + 2):
         return math.inf
-    log_head = -0.5 * r * r + (big_n + 1) * math.log(r) - 0.5 * gammaln(big_n + 2)
+    log_head = -0.5 * r * r + (big_n + 1) * math.log(r) - 0.5 * math.lgamma(big_n + 2)
     return math.exp(log_head) / (1.0 - r / math.sqrt(big_n + 2))
 
 
@@ -81,42 +80,38 @@ def coherent_series_length(z: complex, cap: int, tol: float) -> tuple:
     CutoffError (carrying the bound at the cap) when the cap is too small.
 
     The bound is +inf and then strictly decreasing in the count, and below
-    2^(1-m) from m >= 4e|z|^2 terms on, so one array pass over the counts
-    up to max(4e|z|^2, 1 - log2(tol)) finds the first count below tol.
-    The scalar bound at that count and its predecessor confirms it, since
-    the array exp can differ from math.exp in the last bit.
+    2^(1-m) from m >= 4e|z|^2 terms on, so the first count below tol is at
+    most max(4e|z|^2, 1 - log2(tol)); it is found by bisection on the
+    bound below that count (or the cap), a few scalar evaluations.
     """
     r = abs(z)
     need = max(4.0 * math.e * r * r, 1.0 - math.log2(tol)) if tol > 0.0 else math.inf
-    counts = np.arange(1, math.ceil(min(need, cap + 1)) + 1)
-    n_terms = 1
-    if r > 0.0:
-        finite = counts[r < np.sqrt(counts + 1.0)]
-        log_head = -0.5 * r * r + finite * math.log(r) - 0.5 * gammaln(finite + 1)
-        below = finite[np.exp(log_head) / (1.0 - r / np.sqrt(finite + 1.0)) < tol]
-        n_terms = int(below[0]) if below.size else counts.size + 1
-    while n_terms > 1 and gaussian_series_tail(z, n_terms - 1) < tol:
-        n_terms -= 1
-    while n_terms <= cap + 1 and not gaussian_series_tail(z, n_terms) < tol:
-        n_terms += 1
-    if n_terms <= cap + 1:
-        return n_terms, gaussian_series_tail(z, n_terms)
-    est = gaussian_series_tail(z, cap + 1)
-    raise CutoffError(
-        f"series for |z|={abs(z):.3g} does not reach tail {tol:.1e} within {cap + 1} terms"
-        f" (tail estimate {est:.3e})",
-        tail_estimate=est,
-    )
+    lo, hi = 1, max(1, math.ceil(min(need, cap + 1)))
+    while hi <= cap + 1 and not gaussian_series_tail(z, hi) < tol:
+        hi += 1
+    if hi > cap + 1:
+        est = gaussian_series_tail(z, cap + 1)
+        raise CutoffError(
+            f"series for |z|={abs(z):.3g} does not reach tail {tol:.1e} within {cap + 1} terms"
+            f" (tail estimate {est:.3e})",
+            tail_estimate=est,
+        )
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if gaussian_series_tail(z, mid) < tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi, gaussian_series_tail(z, hi)
 
 
 def coherent_coefficients(z: complex, n_terms: int) -> np.ndarray:
-    """exp(-|z|^2/2) z^n / sqrt(n!) for n = 0..n_terms-1, by stable
-    cumulative multiplication."""
-    out = np.zeros(n_terms, dtype=complex)
-    out[0] = math.exp(-0.5 * abs(z) ** 2)
-    for n in range(1, n_terms):
-        out[n] = out[n - 1] * z / math.sqrt(n)
-    return out
+    """exp(-|z|^2/2) z^n / sqrt(n!) for n = 0..n_terms-1, as the cumulative
+    product of the prefactor and the ratios z / sqrt(n)."""
+    steps = np.empty(n_terms, dtype=complex)
+    steps[0] = math.exp(-0.5 * abs(z) ** 2)
+    steps[1:] = z / np.sqrt(np.arange(1, n_terms))
+    return np.cumprod(steps)
 
 
 def first_register_coherent(z1: complex, nmax1: int, tol: float) -> tuple:
@@ -182,11 +177,8 @@ def radial_factorial_ratio(nmax: int, order: int = 128) -> np.ndarray:
     order = max(order, (nmax + 2) // 2 + 1)
     nodes, weights = np.polynomial.laguerre.laggauss(order)
     n = np.arange(nmax + 1)
-    log_terms = (
-        np.log(weights)[None, :]
-        + n[:, None] * np.log(nodes)[None, :]
-        - gammaln(n + 1)[:, None]
-    )
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(n[1:]))])  # log(n!)
+    log_terms = np.log(weights)[None, :] + n[:, None] * np.log(nodes)[None, :] - log_fact[:, None]
     return np.exp(log_terms).sum(axis=1)
 
 

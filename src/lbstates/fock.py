@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -159,6 +160,14 @@ def ladder_matrices(cutoff: FockCutoff) -> dict:
     }
 
 
+@lru_cache(maxsize=8)
+def _raising_matrices(nmax2: int) -> tuple:
+    """A1^+ and A2^+ on the (j, k) grid, built once per window and shared
+    by every `circular_mode` call on it (read only)."""
+    ops = ladder_matrices(FockCutoff(0, nmax2))
+    return tuple(ops[name].matrix.conjugate().T.tocsr() for name in ("A1", "A2"))
+
+
 def circular_mode(n1: int, n2: int, cutoff: FockCutoff) -> CartesianModeVector:
     """Normalized circular mode e_{n1,n2} built by repeated application of
     the truncated raising matrices to the vacuum unit vector.
@@ -172,9 +181,7 @@ def circular_mode(n1: int, n2: int, cutoff: FockCutoff) -> CartesianModeVector:
         raise CutoffError(
             f"circular mode ({n1},{n2}) needs total excitation {n1 + n2} > nmax2={cutoff.nmax2}"
         )
-    ops = ladder_matrices(cutoff)
-    a1dag = ops["A1"].matrix.conjugate().T.tocsr()
-    a2dag = ops["A2"].matrix.conjugate().T.tocsr()
+    a1dag, a2dag = _raising_matrices(cutoff.nmax2)
     d = cutoff.nmax2 + 1
     v = np.zeros(d * d, dtype=complex)
     v[0] = 1.0

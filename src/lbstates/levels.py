@@ -15,17 +15,17 @@ V > 1 the dual paired with phi_p is re-paired on broken levels
 orthonormal basis v_p of the V=0 problem.
 
 One coefficient table, `level_table`, evaluates these over any set of
-levels as array expressions; the scalars `alpha` and `normalization_K`
-are one-level calls of the same code.  States and single-level spinors
-are filled from its rows, and a built state keeps the rows it was filled
-from (`LevelRows`) for its residuals; sparse columns are built only for
-ladder products and projections.  The shifted eigenvalues theta_p = E_p - E_0
-(behind the theta family and the c2/d2 ladders) come from `theta_table`.
-Both tables equal, bit for bit and with signed zeros, the scalar CPython
-complex arithmetic they replaced, so state and density outputs keep
-their bytes: complex products and quotients are spelled out on (re, im)
-pairs of float arrays in CPython's order (a float operand is (x, +0.0);
-a quotient is Smith's method, dividing by the denominator).
+levels as plain numpy complex expressions; the scalars `alpha` and
+`normalization_K` are one-level evaluations of the same code.  States and
+single-level spinors are filled from its rows, and a built state keeps the
+rows it was filled from (`LevelRows`) for its residuals; sparse columns
+are built only for ladder products and projections.  The shifted
+eigenvalues theta_p = E_p - E_0 (behind the theta family and the c2/d2
+ladders) come from `theta_table`.  Both tables take p - V^2 from
+`params.discriminant`, which is exact next to the exceptional points, and
+avoid every cancelling difference, so each entry is within 1e-14 relative
+of its 50-digit value (`tests/test_levels.py` checks this with mpmath over
+whole windows and at V within 1e-4 to 1e-11 of sqrt(p)).
 """
 
 from __future__ import annotations
@@ -36,33 +36,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, CutoffError, ExceptionalPointError
-from .params import EXCEPTIONAL_RTOL, PhysicalParams, level_discriminant, sqrt_discriminant
+from .params import PhysicalParams, discriminant
 
 
-def _mul(a, b) -> tuple:
-    """CPython's complex product on (re, im) pairs."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _quot(a, b) -> tuple:
-    """CPython's complex quotient on (re, im) pairs (Smith's method)."""
-    by_re = np.abs(b[0]) >= np.abs(b[1])
-    small, large = np.where(by_re, b[1], b[0]), np.where(by_re, b[0], b[1])
-    ratio = small / large
-    denom = large + small * ratio
-    re = np.where(by_re, a[0], a[1]) + np.where(by_re, a[1], a[0]) * ratio
-    im = np.where(by_re, a[1], a[1] * ratio) - np.where(by_re, a[0] * ratio, a[0])
-    return re / denom, im / denom
-
-
-def _alpha(q, s, V: float, sign) -> tuple:
-    """(-V + sign i s) / sqrt(q) for level magnitudes q (arrays or floats)
-    and s = sqrt(q - V^2) as an (re, im) pair; sign = -1 on the plus
-    branch."""
-    t = _mul(_mul((sign, 0.0), (0.0, 1.0)), s)
-    u, sq = (-V + t[0], 0.0 + t[1]), np.sqrt(q)
-    # u / (sq, 0.0): Smith's ratio is 0.0 and the denominator sq
-    return (u[0] + u[1] * 0.0) / sq, (u[1] - u[0] * 0.0) / sq
+def _mixing(q, d, V: float) -> tuple:
+    """(alpha^+, alpha^-) over level magnitudes q >= 1 with discriminants d
+    = q - V^2: (-V -+ i sqrt(d)) / sqrt(q).  On broken levels both are
+    real, and the cancelling V - sqrt(V^2 - q) is taken as
+    q / (V + sqrt(V^2 - q))."""
+    sq, root = np.sqrt(q), np.sqrt(np.abs(d))
+    w = V + root
+    broken = d < 0.0
+    return (np.where(broken, -sq / w, (-V - 1j * root) / sq),
+            np.where(broken, -w / sq, (-V + 1j * root) / sq))
 
 
 def level_table(ps, params: PhysicalParams) -> np.ndarray:
@@ -70,42 +56,34 @@ def level_table(ps, params: PhysicalParams) -> np.ndarray:
     dual, over the levels ps: a complex array of shape (4, len(ps)).
 
     Only the requested levels are evaluated, so an exceptional level
-    raises ExceptionalPointError only when it is requested.  K_psi > 0 and
-    K_phi = conj(r) / K_psi for r = conj(K_phi) K_psi = p / (2 (p - V^2 +-
-    i V sqrt(p - V^2))) of the dual's other branch (real when broken)."""
+    raises ExceptionalPointError only when it is requested.  The dual's
+    lower entry takes alpha of the other branch, or of the own one on
+    broken levels.  K_psi = |r|^(1/2) and K_phi = conj(r) / K_psi for r =
+    conj(K_phi) K_psi = p / (2 (d -+ i V s)), d = p - V^2, s its root and
+    -+ by the dual's branch (plus/minus); without cancellation, r is
+    (s +- i V) / (2 s) on unbroken levels and (V + |s|) / (2 |s|) or
+    -p / (2 |s| (V + |s|)) on broken ones."""
     V = params.V
     ps = np.asarray(ps, dtype=int).reshape(-1)
     lv = ps[ps != 0]
-    q = np.abs(lv).astype(float)
-    d = q - V * V
-    d[np.abs(d) < EXCEPTIONAL_RTOL * max(1.0, V * V)] = 0.0
-    root = np.sqrt(np.abs(d))
-    s = np.where(d < 0.0, 0.0, root), np.where(d < 0.0, root, 0.0)
+    q = np.abs(lv)
+    d = discriminant(q, V)
     if (d == 0.0).any():
         p = int(q[d == 0.0][0])
         raise ExceptionalPointError(f"level p = {p} is exceptional at V = {V}", p=p, V=V)
+    root = np.sqrt(np.abs(d))
     plus, broken = lv > 0, d < 0.0
-    # alpha signs of phi_p and of its dual's lower entry (the other branch,
-    # or the own one on broken levels); r takes the dual's sign
-    own = np.where(plus, -1.0, 1.0)
-    dual = np.where(broken, own, -own)
-    a_re, a_im = _alpha(q, s, V, np.stack([own, dual]))
-    m = _mul(_mul(_mul((dual, 0.0), (0.0, 1.0)), (V, 0.0)), s)
-    r = _quot((q, 0.0), _mul((2.0, 0.0), (d + m[0], 0.0 + m[1])))
-    k_psi = np.sqrt(np.hypot(*r))
-    # conj(r) / K_psi as numpy divides by a float: times the reciprocal
-    inv = 1.0 / k_psi
-    k_phi = (np.where(broken, np.where(plus, k_psi, -k_psi), (r[0] + -r[1] * 0.0) * inv),
-             np.where(broken, 0.0, (-r[1] - r[0] * 0.0) * inv))
-    x_lo = _mul(k_phi, (a_re[0], a_im[0]))
-    y_lo = _mul((-k_psi, -0.0), (a_re[1], a_im[1]))
-    # set from parts: re + 1j * im would flip the sign of zero imaginary parts
-    vals = np.empty((4, lv.size), dtype=complex)
-    vals.real = (k_phi[0], x_lo[0], k_psi, y_lo[0])
-    vals.imag = (k_phi[1], x_lo[1], 0.0 * k_psi, y_lo[1])
+    dual_plus = plus == broken
+    a_plus, a_minus = _mixing(q, d, V)
+    t = np.where(broken, np.where(dual_plus, V + root, -q / (V + root)),
+                 root + 1j * np.where(dual_plus, V, -V))
+    r = t / (2.0 * root)
+    k_psi = np.sqrt(np.abs(r))
+    k_phi = np.conj(r) / k_psi
     table = np.zeros((4, ps.size), dtype=complex)
     table[0::2] = 1.0
-    table[:, ps != 0] = vals
+    table[:, ps != 0] = (k_phi, k_phi * np.where(plus, a_plus, a_minus),
+                         k_psi, -k_psi * np.where(dual_plus, a_plus, a_minus))
     return table
 
 
@@ -131,27 +109,21 @@ def level_rows(ps, params: PhysicalParams) -> LevelRows:
 def theta_table(ps, params: PhysicalParams) -> np.ndarray:
     """Shifted eigenvalues theta_p = E_p - E_0 over the levels ps: zero at
     p = 0, eps0 (s - iV) for p >= 1 and -eps0 (s + iV) for p <= -1, with s
-    the principal root of |p| - V^2 (snapped to zero at exceptional
-    levels).  Moduli are eps0 sqrt(|p|) on unbroken levels.
-
-    Equal bit for bit, signed zeros included, to evaluating each level with
-    CPython complex scalars: the products are replayed on (re, im) pairs
-    with a float operand promoted to (x, +0.0), as in `level_table`.
-    """
-    V = params.V
+    the principal root of |p| - V^2 (zero at exceptional levels).  Moduli
+    are eps0 sqrt(|p|) on unbroken levels; on the broken levels of the plus
+    branch the cancelling V - |s| is taken as |p| / (V + |s|)."""
+    V, eps0 = params.V, params.eps0
     ps = np.asarray(ps, dtype=int).reshape(-1)
-    d = np.abs(ps) - V * V
-    d[np.abs(d) < EXCEPTIONAL_RTOL * max(1.0, V * V)] = 0.0
+    q = np.abs(ps)
+    d = discriminant(q, V)
     root = np.sqrt(np.abs(d))
-    s = np.where(d < 0.0, 0.0, root), np.where(d < 0.0, root, 0.0)
-    iv = _mul((0.0, 1.0), (V, 0.0))
-    plus = ps > 0
-    u = (np.where(plus, s[0] - iv[0], s[0] + iv[0]), np.where(plus, s[1] - iv[1], s[1] + iv[1]))
-    eps = np.where(plus, params.eps0, -params.eps0)
-    re, im = _mul((eps, 0.0), u)
+    broken, plus = d < 0.0, ps > 0
+    gap = np.divide(q, V + root, out=np.zeros(q.size), where=broken)
     out = np.empty(ps.size, dtype=complex)
-    out.real = np.where(ps == 0, 0.0, re)
-    out.imag = np.where(ps == 0, 0.0, im)
+    out.real = np.where(broken, 0.0, np.where(plus, eps0, -eps0) * root)
+    # 0.0 - x: at V = 0 the minus branch sits on the upper side of sqrt's cut
+    out.imag = 0.0 - eps0 * np.where(broken, np.where(plus, gap, V + root), V)
+    out[ps == 0] = 0.0
     return out
 
 
@@ -164,8 +136,8 @@ def alpha(p: int, V: float, branch: str) -> complex:
     """
     if p < 1:
         raise ContractError("alpha is defined for p >= 1")
-    s = sqrt_discriminant(p, V)
-    return complex(*_alpha(float(p), (s.real, s.imag), V, {"plus": -1.0, "minus": 1.0}[branch]))
+    pair = _mixing(np.array([p]), discriminant(np.array([p]), V), V)
+    return complex(pair[{"plus": 0, "minus": 1}[branch]][0])
 
 
 def normalization_K(p: int, params: PhysicalParams, branch: str = "plus") -> tuple:
@@ -176,7 +148,7 @@ def normalization_K(p: int, params: PhysicalParams, branch: str = "plus") -> tup
         raise ContractError("normalization_K is defined for p >= 1")
     level = {"plus": p, "minus": -p}[branch]
     k_phi, _, k_psi, _ = level_table([level, -level], params)
-    mirrored = level_discriminant(p, params.V) < 0.0
+    mirrored = discriminant(p, params.V) < 0.0
     return complex(k_phi[0]), complex(k_psi[1] if mirrored else k_psi[0])
 
 

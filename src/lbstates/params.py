@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ContractError, ExceptionalPointError
 
 # Relative tolerance used to decide that V**2 has hit a positive integer
@@ -29,6 +31,7 @@ class PhysicalParams:
     def __post_init__(self):
         if not all(math.isfinite(x) for x in (self.vf, self.xi, self.V)):
             raise ContractError("vf, xi and V must be finite")
+        _square(self.V)  # refuses a V whose square overflows
         if self.vf <= 0 or self.xi <= 0:
             raise ContractError("vf and xi must be positive")
         if self.V < 0:
@@ -50,19 +53,14 @@ class PhysicalParams:
             return "large"
         raise ContractError("V = 1 is the regime boundary and is not supported")
 
-    def is_exceptional_config(self) -> bool:
-        """True when V**2 is a positive integer within tolerance, i.e. some
-        level p = V**2 is an exceptional point."""
-        v2 = self.V * self.V
-        if v2 < 0.5:
-            return False
-        return abs(v2 - round(v2)) < EXCEPTIONAL_RTOL * max(1.0, v2)
-
     def exceptional_level(self) -> int | None:
-        """The integer level p = V**2, when the configuration is exceptional."""
-        if self.is_exceptional_config():
-            return int(round(self.V * self.V))
-        return None
+        """The level p = V**2 when V**2 is a positive integer within
+        tolerance (p is then an exceptional point), else None."""
+        p = round(self.V * self.V)
+        return p if p >= 1 and discriminant(p, self.V) == 0.0 else None
+
+    def is_exceptional_config(self) -> bool:
+        return self.exceptional_level() is not None
 
     def require_non_exceptional(self, what: str) -> None:
         p = self.exceptional_level()
@@ -74,21 +72,28 @@ class PhysicalParams:
             )
 
 
-def level_discriminant(p_abs: int, V: float) -> float:
-    """p - V**2 for a level magnitude p >= 1, snapped to exactly 0 when the
-    level is exceptional within tolerance."""
-    if p_abs < 1:
-        raise ContractError("level discriminant is defined for |p| >= 1")
-    d = p_abs - V * V
-    if abs(d) < EXCEPTIONAL_RTOL * max(1.0, V * V):
-        return 0.0
-    return d
+def _square(V: float) -> tuple:
+    """V * V as an exact sum h + l of two floats (Dekker's two-product,
+    splitting V into 26-bit halves); refuses a V whose square overflows."""
+    h = V * V
+    if not math.isfinite(h):
+        raise ContractError(f"V = {V!r} is too large: V^2 is not finite")
+    c = 134217729.0 * V  # 2^27 + 1
+    hi = c - (c - V)
+    lo = V - hi
+    return h, ((hi * hi - h) + 2.0 * hi * lo) + lo * lo
 
 
-def sqrt_discriminant(p_abs: int, V: float) -> complex:
-    """Principal square root of p - V**2 as a complex number (purely
-    imaginary in the broken region)."""
-    d = level_discriminant(p_abs, V)
-    if d >= 0.0:
-        return complex(math.sqrt(d), 0.0)
-    return complex(0.0, math.sqrt(-d))
+def discriminant(q, V: float):
+    """p - V**2 for level magnitudes q (an integer or an integer array), the
+    one place it is computed.  With V * V = h + l exact, q - h is exact
+    wherever the two are within a factor 2 of each other (Sterbenz), so the
+    result is the exact difference rounded once, even next to an
+    exceptional point; elsewhere it is within a few ulps.  Values below
+    EXCEPTIONAL_RTOL max(1, V**2) in modulus are snapped to exactly 0."""
+    h, l = _square(V)
+    d = (q - h) - l
+    snap = abs(d) < EXCEPTIONAL_RTOL * max(1.0, h)
+    if isinstance(d, np.ndarray):
+        return np.where(snap, 0.0, d)
+    return 0.0 if snap else float(d)

@@ -31,7 +31,7 @@ from .fock import FockCutoff, SparseOperator
 from .ladders import LADDERS, V0_LADDERS, ladder_matrix, level_ladder_matrix
 from .levels import (alpha, level_columns, level_spinors, theta_table, two_entry_columns,
                      window_levels)
-from .params import PhysicalParams, level_discriminant, sqrt_discriminant
+from .params import PhysicalParams, discriminant
 from .spinor import (
     ModeIndex,
     SpinorState,
@@ -46,9 +46,9 @@ def eigenvalue_E(p: int, params: PhysicalParams) -> complex:
     broken); i eps0 V at p = 0; -eps0 sqrt(-p - V^2) for p <= -1."""
     if p == 0:
         return complex(0.0, params.eps0 * params.V)
-    if p >= 1:
-        return params.eps0 * sqrt_discriminant(p, params.V)
-    return -params.eps0 * sqrt_discriminant(-p, params.V)
+    d = discriminant(abs(p), params.V)
+    root = complex(math.sqrt(d), 0.0) if d >= 0.0 else complex(0.0, math.sqrt(-d))
+    return params.eps0 * root if p >= 1 else -params.eps0 * root
 
 
 def theta(p: int, params: PhysicalParams) -> complex:
@@ -151,17 +151,14 @@ def classify_levels(params: PhysicalParams, p_range) -> list:
     """Classify each level: zero mode at p=0, exceptional at |p| = V^2,
     broken for 1 <= |p| < V^2, unbroken beyond."""
     out = []
-    v2 = params.V * params.V
     for p in p_range:
-        q = abs(p)
+        d = discriminant(abs(p), params.V)
         if p == 0:
             label = "zero_mode"
-        elif level_discriminant(q, params.V) == 0.0:
+        elif d == 0.0:
             label = "exceptional"
-        elif q < v2:
-            label = "broken"
         else:
-            label = "unbroken"
+            label = "broken" if d < 0.0 else "unbroken"
         out.append(LevelClass(int(p), label))
     return out
 
@@ -197,10 +194,9 @@ def exceptional_diagnostics(p: int, v_star: float, cutoff: FockCutoff) -> dict:
 def gain_loss_asymptotics(p: int, V: float) -> tuple:
     """(|alpha^+_p|, |alpha^-_p|) in the broken region: (V -+ sqrt(V^2-p)) /
     sqrt(p); their product is 1 identically."""
-    if not (1 <= p and level_discriminant(p, V) < 0.0):
+    if not (1 <= p and discriminant(p, V) < 0.0):
         raise ContractError("asymptotics are defined for broken levels 1 <= p < V^2")
-    root = math.sqrt(V * V - p)
-    return (V - root) / math.sqrt(p), (V + root) / math.sqrt(p)
+    return abs(alpha(p, V, "plus")), abs(alpha(p, V, "minus"))
 
 
 def phi_norm_bound(params: PhysicalParams) -> float:

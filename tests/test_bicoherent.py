@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import mp_reference
 from lbstates import (
     ContractError,
     CutoffError,
@@ -18,8 +19,8 @@ from lbstates import (
     quasi_basis_check,
     theta_factorial,
 )
-from lbstates.bicoherent import (FAMILIES, BicoherentSpec, _theta_series_coefficients, bi_product,
-                                 theta_sequence)
+from lbstates.bicoherent import FAMILIES, BicoherentSpec, _theta_series, bi_product, theta_sequence
+from lbstates import bicoherent
 from lbstates.ladders import PAIRINGS
 from lbstates.pt import dual_spinor, phi_spinor
 from lbstates.spinor import SpinorState, first_register_basis
@@ -178,23 +179,45 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def series_bound(n):
+    """Relative error bound of term n of a cumulative-product series (and
+    of a normalization over n terms): each step rounds a few times (the
+    theta entry, its root, one complex quotient and one product), so
+    8 (n + 1) eps; measured at most 1.2 (n + 1) eps."""
+    return 8 * (np.asarray(n) + 1) * mp_reference.EPS
+
+
+def within_series_bound(got, want):
+    """got within series_bound of the 50-digit want term by term; terms
+    below the normal range of doubles (1e-290) lose relative precision and
+    are held to 1e-290 absolute instead."""
+    got = np.asarray(got)
+    want_c = np.array([complex(w) for w in want])
+    err = np.abs(got - want_c)
+    return bool((err <= series_bound(np.arange(got.size)) * np.abs(want_c) + 1e-290).all())
+
+
 class TestThetaCut:
-    """The theta series stops at its tail bound; the full-window recurrence
-    it replaced is the oracle."""
+    """The theta series stops at its tail bound.  The full-window
+    recurrence it replaced is the oracle for the cut and the refusals, and
+    50-digit mpmath for the terms kept."""
 
     CASES = [(v, branch, z2) for v in (0.5, 1.7, 2.5, 9.5) for branch in ("plus", "minus")
              for z2 in (0.5 + 0.5j, 1 - 1j, 1.5j, -2 + 0.5j)]
 
     @pytest.mark.parametrize("V,branch,z2", CASES)
-    def test_kept_terms_are_the_old_prefix_and_the_tail_bounds_the_rest(self, V, branch, z2):
+    def test_kept_terms_are_true_and_the_tail_bounds_the_rest(self, V, branch, z2):
         s = spec(z2, branch=branch, params=PhysicalParams(V=V), cut=FockCutoff(24, 150, 150))
-        old_ket, old_bra, _ = full_window_series(s)
-        ket, bra, _, tail = _theta_series_coefficients(s)
-        assert ket.size < old_ket.size
-        for new, old in ((ket, old_ket), (bra, old_bra)):
-            assert np.array_equal(bits(new), bits(old[:new.size]))
-            assert np.abs(old[new.size:]).sum() <= tail
-        assert tail <= s.tail_tol * max(1.0, np.abs(ket).max())
+        old_ket = full_window_series(s)[0]
+        series = _theta_series(s)
+        assert series.ket.size < old_ket.size
+        step = 1 if branch == "plus" else -1
+        ket, bra = mp_reference.theta_series(z2, V, 2.0, step, old_ket.size)
+        assert within_series_bound(series.ket, ket[:series.ket.size])
+        assert within_series_bound(series.bra, bra[:series.ket.size])
+        dropped = sum(abs(complex(c)) for c in ket[series.ket.size:])
+        assert dropped <= series.tail
+        assert series.tail <= s.tail_tol * max(1.0, np.abs(series.ket).max())
 
     def test_refusals_at_the_window_edge_are_unchanged(self):
         outcomes = set()
@@ -208,16 +231,50 @@ class TestThetaCut:
                             old_ket = full_window_series(s)[0]
                         except CutoffError as err:
                             with pytest.raises(CutoffError) as new:
-                                _theta_series_coefficients(s)
-                            assert (str(new.value), new.value.tail_estimate) == (
-                                str(err), err.tail_estimate)
+                                _theta_series(s)
+                            assert str(new.value) == str(err)
+                            old, got = err.tail_estimate, new.value.tail_estimate
+                            assert got == old or abs(got - old) <= series_bound(window) * old
                             outcomes.add("growing" if "still growing" in str(err) else "tail")
                             continue
-                        ket = _theta_series_coefficients(s)[0]
-                        assert np.array_equal(bits(ket), bits(old_ket[:ket.size]))
+                        ket = _theta_series(s).ket
+                        # both sides are within series_bound of the truth
+                        assert np.all(np.abs(ket - old_ket[:ket.size])
+                                      <= 2 * series_bound(np.arange(ket.size)) * np.abs(ket))
                         outcomes.add("built")
         # both refusals and builds occur
         assert outcomes == {"built", "growing", "tail"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([0.5, 1.7, 2.5, 9.5]), st.sampled_from(["plus", "minus"]),
+           st.floats(0.0, 2.0), st.floats(0.0, 2 * math.pi))
+    def test_series_and_normalization_match_mpmath(self, V, branch, rho, angle):
+        z2 = complex(rho * math.cos(angle), rho * math.sin(angle))
+        s = spec(z2, branch=branch, params=PhysicalParams(V=V), cut=CUT_BIG)
+        try:
+            series = _theta_series(s)
+        except CutoffError:
+            assume(False)
+        step = 1 if branch == "plus" else -1
+        ket, bra = mp_reference.theta_series(z2, V, 2.0, step, series.ket.size)
+        assert within_series_bound(series.ket, ket)
+        assert within_series_bound(series.bra, bra)
+        norm = series.normalization
+        assert norm == normalization_N(z2, s.params, s.cutoff, branch)
+        want = float(mp_reference.normalization(abs(z2), V, 2.0, step, norm.n_terms))
+        assert abs(norm.value - want) <= series_bound(norm.n_terms) * want
+
+    def test_one_theta_evaluation_follows_the_cut(self, monkeypatch):
+        calls = []
+        table = bicoherent.theta_table
+        monkeypatch.setattr(bicoherent, "theta_table",
+                            lambda ps, params: calls.append(len(ps)) or table(ps, params))
+        cut = FockCutoff(4, 200000, 200000)
+        for V, branch in ((0.5, "plus"), (9.5, "minus"), (9.5, "plus")):
+            calls.clear()
+            series = _theta_series(spec(0.1 + 0.1j, branch=branch, params=PhysicalParams(V=V),
+                                        cut=cut))
+            assert len(calls) == 1 and calls[0] < 300 and series.ket.size < 100
 
     @pytest.mark.parametrize("V,cut", [(0.5, CUT), (9.5, CUT_BIG)])
     @pytest.mark.parametrize("key", [key for key in PAIRINGS if key[0] in FAMILIES])

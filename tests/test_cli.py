@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import lbstates
 from lbstates.cli import MAX_ROWS, MAX_WINDOW, _require_rows, cli_main, format_complex, parse_complex
 from lbstates.errors import ContractError
+from lbstates.params import PhysicalParams
 from lbstates.ladders import PAIRINGS
 
 
@@ -149,6 +150,32 @@ class TestOneLevelTablePerJob:
         assert len(calls) == 1
 
 
+class TestOneThetaTablePerJob:
+    """An eta/xi state job evaluates theta_table once for its build (the
+    series cut and normalization_N), and once more for the c2/d2 residual
+    on the carried levels; neither call spans the window."""
+
+    @pytest.mark.parametrize("family", ["eta", "xi"])
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("V", ["0.5", "9.5"])
+    def test_theta_table_runs_twice(self, family, branch, V, monkeypatch, capsys):
+        from lbstates import levels
+
+        original, calls = levels.theta_table, []
+
+        def counted(ps, params):
+            calls.append(len(ps))
+            return original(ps, params)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("lbstates") and getattr(mod, "theta_table", None) is original:
+                monkeypatch.setattr(mod, "theta_table", counted)
+        assert cli_main(["state", "--family", family, "--branch", branch, "--V", V,
+                         "--z1=0.1", "--z2=0.1", "--nmax", "200000", "--pmax", "200000"]) == 0
+        assert json.loads(capsys.readouterr().out)["eigen_residuals"]
+        assert len(calls) == 2 and max(calls) < 1000, calls
+
+
 class TestWindowBound:
     """A window above MAX_WINDOW is refused with exit 1 before any array is
     allocated."""
@@ -177,6 +204,24 @@ class TestWindowBound:
         code, out, err = _run_in_process(["spectrum", "--pmax", str(MAX_WINDOW)])
         assert code == 1 and out == ""
         assert "MAX_WINDOW" not in err and "rows; the limit is" in err
+
+
+class TestOverflowingV:
+    """A V whose square overflows is refused at the boundary (exit 1 and a
+    reason), not carried into the discriminant."""
+
+    @pytest.mark.parametrize("family", ["phi", "eta", "xi"])
+    @pytest.mark.parametrize("V", ["1e300", "1.4e154"])
+    def test_state_exits_one(self, family, V):
+        code, out, err = _run_in_process(["state", "--family", family, "--V", V, "--z2", "1-1i",
+                                          "--nmax", "64", "--pmax", "64"])
+        assert code == 1 and out == "", (code, out)
+        assert "V^2 is not finite" in err and "Traceback" not in err
+
+    def test_largest_finite_square_is_accepted(self):
+        PhysicalParams(V=1.3e154)
+        with pytest.raises(ContractError, match=r"V\^2 is not finite"):
+            PhysicalParams(V=1.4e154)
 
 
 class TestDensityCommand:

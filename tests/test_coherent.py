@@ -1,9 +1,13 @@
+import inspect
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 
+import mp_reference
 from lbstates import (
     ContractError,
     CutoffError,
@@ -16,8 +20,9 @@ from lbstates import (
     eigen_residual,
     resolution_identity_check,
 )
-from lbstates.coherent import (CoherentSpec, coherent_series_length, gaussian_series_tail,
-                               radial_factorial_ratio)
+from lbstates import coherent
+from lbstates.coherent import (CoherentSpec, coherent_coefficients, coherent_series_length,
+                               gaussian_series_tail, radial_factorial_ratio)
 
 CUT = FockCutoff(64, 64, 64)
 ZGRID = (0, 1, -1, 1j, -1j, 1 - 1j, 2 + 2j)
@@ -218,3 +223,74 @@ class TestSeriesLength:
             tracemalloc.stop()
         assert n_terms == scan_series_length(0.1, 100, 1e-12)[0]
         assert peak < 1e5
+
+
+def gammaln_series_length(z, cap, tol):
+    """The first count whose tail bound, evaluated with scipy's gammaln as
+    the package did before it used math.lgamma, is below tol (None when no
+    count up to cap + 1 is)."""
+    r = abs(z)
+    if r == 0.0:
+        return 1
+    for n_terms in range(1, cap + 2):
+        if r < math.sqrt(n_terms + 1):
+            head = -0.5 * r * r + n_terms * math.log(r) - 0.5 * float(gammaln(n_terms + 1))
+            if math.exp(head) / (1.0 - r / math.sqrt(n_terms + 1)) < tol:
+                return n_terms
+    return None
+
+
+# |z|^2 of the benchmark's labels with the windows they are drawn for
+# (bench/jobs.py: STATE_SLOTS, the cli round, WINDOW_SLOTS and GRID_SLOTS),
+# and the README's labels at theirs
+LABEL_WINDOWS = [(2.5, 500), (1.25, 300), (3.25, 300), (2.5, 400), (1.25, 400), (1.25, 200),
+                 (2.5, 200), (2.5, 250), (1.25, 350), (3.25, 350), (2.5, 450), (3.25, 220),
+                 (1.25, 220), (2.5, 280), (1.25, 64), (2.5, 64), (0.625, 32), (1.25, 32),
+                 (1.25, 250), (0.125, 24), (0.3125, 24), (0.625, 40), (1.25, 40), (1.25, 48),
+                 (2.125, 48), (2.0, 64), (2.0, 150), (0.0, 150)]
+LATTICE = [k * 0.25 for k in range(-6, 7)]
+
+
+class TestScipyFreeBounds:
+    def test_counts_unchanged_at_benchmark_and_readme_labels(self):
+        checked = 0
+        for r2, window in LABEL_WINDOWS:
+            labels = [complex(a, b) for a in LATTICE for b in LATTICE if a * a + b * b == r2]
+            for z in labels or [complex(math.sqrt(r2))]:
+                for cap in (window, window - 1):
+                    want = gammaln_series_length(z, cap, 1e-12)
+                    assert want is not None
+                    assert coherent_series_length(z, cap, 1e-12)[0] == want
+                    checked += 1
+        assert checked > 300
+
+    def test_tail_bound_agrees_with_gammaln(self):
+        for z in (0.1, 1 - 1j, 2.5j, 6.0):
+            for n_terms in range(1, 200):
+                r, big_n = abs(z), n_terms - 1
+                if r >= math.sqrt(big_n + 2):
+                    continue
+                head = -0.5 * r * r + (big_n + 1) * math.log(r) - 0.5 * float(gammaln(big_n + 2))
+                want = math.exp(head) / (1.0 - r / math.sqrt(big_n + 2))
+                assert gaussian_series_tail(z, n_terms) == pytest.approx(want, rel=1e-13)
+
+    def test_radial_ratio_log_factorials(self):
+        n = np.arange(301)
+        log_fact = np.concatenate([[0.0], np.cumsum(np.log(n[1:]))])
+        np.testing.assert_allclose(log_fact, gammaln(n + 1), rtol=1e-15, atol=1e-12)
+
+    def test_module_imports_no_scipy(self):
+        assert "scipy" not in inspect.getsource(coherent)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 8.0), st.floats(0.0, 2 * math.pi), st.integers(1, 300))
+    def test_coefficients_match_mpmath(self, rho, angle, n_terms):
+        # relative error of term n below 8 (n + 1 + |z|^2) eps: a few
+        # roundings per step, and exp(-|z|^2/2) inherits the rounding of
+        # |z|^2 / 2; measured at most 1.2 (n + 1 + |z|^2) eps.  Terms below
+        # the normal range (1e-290) are held to 1e-290 absolute.
+        z = complex(rho * math.cos(angle), rho * math.sin(angle))
+        got = coherent_coefficients(z, n_terms)
+        want = np.array([complex(w) for w in mp_reference.gaussian_series(z, n_terms)])
+        bound = 8 * (np.arange(n_terms) + 1 + rho * rho) * mp_reference.EPS
+        assert (np.abs(got - want) <= bound * np.abs(want) + 1e-290).all()

@@ -15,6 +15,7 @@ from lbstates import (
     oscillator_psi,
     vacuum_2d,
 )
+from lbstates import fock
 from lbstates.fock import circular_antidiagonals, oscillator_table
 
 SQRT2 = math.sqrt(2.0)
@@ -133,6 +134,29 @@ class TestCircularModes:
         m = np.array(vecs)
         gram = m.conj() @ m.T
         assert np.abs(gram - np.eye(len(vecs))).max() < 1e-10
+
+    def test_raising_matrices_built_once_per_window(self, monkeypatch):
+        # the modes equal, bit for bit, a build from fresh matrices each time
+        cut = FockCutoff(0, 12)
+        fresh = []
+        for n1 in range(11):
+            for n2 in range(11 - n1):
+                ops = ladder_matrices(cut)
+                v = np.zeros(13 * 13, dtype=complex)
+                v[0] = 1.0
+                for k in range(n2):
+                    v = ops["A2"].matrix.conjugate().T.tocsr() @ v / math.sqrt(k + 1.0)
+                for k in range(n1):
+                    v = ops["A1"].matrix.conjugate().T.tocsr() @ v / math.sqrt(k + 1.0)
+                fresh.append(v)
+        calls = []
+        real = fock.ladder_matrices
+        monkeypatch.setattr(fock, "ladder_matrices", lambda c: calls.append(c) or real(c))
+        fock._raising_matrices.cache_clear()
+        modes = [circular_mode(n1, n2, cut).coeffs.ravel()
+                 for n1 in range(11) for n2 in range(11 - n1)]
+        assert len(calls) == 1
+        assert np.array_equal(np.array(modes), np.array(fresh))
 
     def test_norms_near_one(self, small_cutoff):
         for a, b in ((0, 0), (3, 4), (5, 0)):

@@ -1,10 +1,10 @@
-"""The array level table against the scalar coefficient chain it replaced.
+"""The array level table against 50-digit truth.
 
-The reference below evaluates each level with CPython complex scalars, one
-call per level (alpha, the constrained product conj(K_phi) K_psi, the
-normalization constants, the re-paired duals).  The table must equal it bit
-for bit, signed zeros included, because states and exported densities are
-byte-stable.
+`mp_reference.level_entries` evaluates each level from its definition with
+mpmath at 50 digits (alpha, the constrained product conj(K_phi) K_psi, the
+normalization constants, the re-paired duals).  Every entry of the table
+must lie within REL = 1e-14 relative of it, over whole windows and next to
+the exceptional points p = V^2, where p - V^2 cancels.
 """
 
 import math
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mp_reference as ref
 from lbstates import (
     CoherentSpec,
     ContractError,
@@ -25,61 +26,18 @@ from lbstates import (
 )
 from lbstates import bicoherent, coherent, levels, pt, spinor
 from lbstates.bicoherent import BicoherentSpec
-from lbstates.params import level_discriminant, sqrt_discriminant
+from lbstates.params import discriminant
 from lbstates.spinor import ModeIndex
 
-_OTHER = {"plus": "minus", "minus": "plus"}
+REL = 1e-14
 
 
-def ref_alpha(p, V, branch):
-    sign = {"plus": -1.0, "minus": +1.0}[branch]
-    s = sqrt_discriminant(p, V)
-    return complex((-V + sign * 1j * s) / math.sqrt(p))
+def ref_table(ps, V):
+    return np.array([ref.level_entries(int(p), V) for p in ps], dtype=object).T
 
 
-def ref_eq39_product(p, V, branch):
-    d = level_discriminant(p, V)
-    s = sqrt_discriminant(p, V)
-    sign = {"plus": +1.0, "minus": -1.0}[branch]
-    den = 2.0 * (d + sign * 1j * V * s)
-    return complex(p / den)
-
-
-def ref_normalization_K(p, params, branch):
-    d = level_discriminant(p, params.V)
-    if d == 0.0:
-        raise ExceptionalPointError(
-            f"level p = {p} is exceptional at V = {params.V}", p=p, V=params.V
-        )
-    if d > 0.0:
-        r = ref_eq39_product(p, params.V, branch)
-        k_psi = math.sqrt(abs(r))
-        k_phi = np.conj(r) / k_psi
-        return complex(k_phi), complex(k_psi)
-    r_plus_pair = ref_eq39_product(p, params.V, "minus").real
-    r_minus_pair = ref_eq39_product(p, params.V, "plus").real
-    if branch == "plus":
-        return complex(math.sqrt(abs(r_plus_pair))), complex(math.sqrt(abs(r_minus_pair)))
-    return complex(-math.sqrt(abs(r_minus_pair))), complex(math.sqrt(abs(r_plus_pair)))
-
-
-def ref_coefficients(p, params):
-    if p == 0:
-        return 1.0, 0.0, 1.0, 0.0
-    q = abs(p)
-    branch = "plus" if p > 0 else "minus"
-    k_phi, k_psi = ref_normalization_K(q, params, branch)
-    dual = branch
-    if params.V > 1.0 and level_discriminant(q, params.V) < 0.0:
-        dual = _OTHER[branch]
-        _, k_psi = ref_normalization_K(q, params, dual)
-    return (k_phi, k_phi * ref_alpha(q, params.V, branch),
-            k_psi, -k_psi * ref_alpha(q, params.V, _OTHER[dual]))
-
-
-def ref_table(ps, params):
-    coefs = np.array([ref_coefficients(int(p), params) for p in ps], dtype=complex)
-    return coefs.reshape(-1, 4).T
+def table_error(ps, V):
+    return ref.rel_errors(levels.level_table(ps, PhysicalParams(V=V)), ref_table(ps, V)).max()
 
 
 def bits(a):
@@ -87,62 +45,73 @@ def bits(a):
 
 
 PMAX = {0.0: 1200, 0.5: 4000, 0.9: 4000, 1.7: 600, 2.5: 600, 9.5: 600}
+# V within 1e-4 .. 1e-11 of sqrt(p), on both sides, for p = 1..9
+NEAR_EXCEPTIONAL = [(p, sign * 10.0 ** -e) for p in range(1, 10) for e in range(4, 12)
+                    for sign in (1, -1)]
 
 
-class TestBitwiseOracle:
+class TestMpmathOracle:
     @pytest.mark.parametrize("V", sorted(PMAX))
-    def test_window_matches_scalar_chain(self, V):
-        params = PhysicalParams(V=V)
-        ps = np.arange(-PMAX[V], PMAX[V] + 1)
-        got = np.array(levels.level_table(ps, params))
-        assert np.array_equal(bits(got), bits(ref_table(ps, params)))
+    def test_window_within_bound(self, V):
+        assert table_error(np.arange(-PMAX[V], PMAX[V] + 1), V) <= REL
+
+    @pytest.mark.parametrize("p,offset", NEAR_EXCEPTIONAL)
+    def test_next_to_exceptional_points(self, p, offset):
+        V = math.sqrt(p) + offset
+        assert discriminant(p, V) != 0.0  # not snapped: the level is built
+        assert table_error(np.arange(-12, 13), V) <= REL
 
     @pytest.mark.parametrize("V", sorted(PMAX))
     def test_windows_across_v_squared_and_single_levels(self, V):
-        params = PhysicalParams(V=V)
         v2 = int(V * V)
         for ps in (range(0, v2 + 3), range(-v2 - 2, 1), range(-v2 - 2, v2 + 3, 3),
                    [v2 + 1, -(v2 + 1), 0, 1, -1]):
-            got = np.array(levels.level_table(list(ps), params))
-            assert np.array_equal(bits(got), bits(ref_table(ps, params)))
-        for p in range(-v2 - 3, v2 + 4):
-            got = np.array(levels.level_table([p], params))
-            assert np.array_equal(bits(got), bits(ref_table([p], params)))
+            assert table_error(list(ps), V) <= REL
+        whole = levels.level_table(np.arange(-v2 - 3, v2 + 4), PhysicalParams(V=V))
+        for k, p in enumerate(range(-v2 - 3, v2 + 4)):
+            # a level's entries do not depend on the other levels requested
+            assert np.array_equal(bits(levels.level_table([p], PhysicalParams(V=V))[:, 0]),
+                                  bits(whole[:, k]))
 
-    def test_signed_zeros_are_present(self):
-        # the contract is only meaningful if signed zeros occur in the table
-        got = np.array(levels.level_table(np.arange(-6, 7), PhysicalParams(V=0.0)))
-        parts = np.concatenate([got.real.ravel(), got.imag.ravel()])
-        zeros = parts[parts == 0.0]
-        assert np.signbit(zeros).any() and (~np.signbit(zeros)).any()
-
-    @pytest.mark.parametrize("V", [0.0, 0.5, 0.9, 1.7, 2.5, 9.5, math.sqrt(2)])
-    def test_scalars_match_scalar_chain(self, V):
+    @pytest.mark.parametrize("V", [0.0, 0.5, 0.9, 1.7, 2.5, 9.5, math.sqrt(2), 2.0 + 1e-9])
+    def test_scalars_within_bound(self, V):
         params = PhysicalParams(V=V)
         for p in range(1, 120):
-            for branch in ("plus", "minus"):
-                assert bits(alpha(p, V, branch)).tolist() == bits(ref_alpha(p, V, branch)).tolist()
-                if level_discriminant(p, V) == 0.0:
+            for branch, sign in (("plus", 1), ("minus", -1)):
+                if discriminant(p, V) == 0.0:
+                    # snapped exceptional level: alpha is -V / sqrt(p) by definition
+                    assert alpha(p, V, branch) == -V / math.sqrt(p)
                     continue
+                assert ref.rel_errors([alpha(p, V, branch)], [ref.alpha(p, V, sign)]).max() <= REL
+                level = sign * p
+                want = ref.level_entries(level, V)
+                k_psi = ref.level_entries(-level, V)[2] if discriminant(p, V) < 0 else want[2]
                 got = normalization_K(p, params, branch)
-                ref = ref_normalization_K(p, params, branch)
-                assert bits(np.array(got)).tolist() == bits(np.array(ref)).tolist()
+                assert ref.rel_errors(got, [want[0], k_psi]).max() <= REL
         assert pt.alpha is alpha
+
+    def test_exact_discriminant(self):
+        # p - V^2 rounded once from its exact value, next to p = V^2 where
+        # q - V * V in floats keeps only the rounding error of V * V
+        from fractions import Fraction
+        for p, offset in NEAR_EXCEPTIONAL:
+            V = math.sqrt(p) + offset
+            exact = p - Fraction(V) ** 2
+            assert discriminant(p, V) == float(exact)
+        assert discriminant(np.arange(1, 5), 2.0).tolist() == [-3.0, -2.0, -1.0, 0.0]
+        assert discriminant(4, 2.0 + 1e-14) == 0.0  # snapped within EXCEPTIONAL_RTOL
 
 
 class TestRefusals:
     def test_exceptional_level_raises_only_when_requested(self):
         params = PhysicalParams(V=2.0)
         for ps in ([-3, -2, -1, 0, 1, 2, 3], [5, -5, 6], [0]):
-            got = np.array(levels.level_table(ps, params))
-            assert np.array_equal(bits(got), bits(ref_table(ps, params)))
+            assert table_error(ps, 2.0) <= REL
         for ps in ([4], [-4], [0, 1, 2, 3, 4, 5], [-6, -5, -4, -3]):
             with pytest.raises(ExceptionalPointError) as new:
                 levels.level_table(ps, params)
-            with pytest.raises(ExceptionalPointError) as ref:
-                ref_table(ps, params)
-            assert str(new.value) == str(ref.value) == "level p = 4 is exceptional at V = 2.0"
-            assert (new.value.p, new.value.V) == (ref.value.p, ref.value.V) == (4, 2.0)
+            assert str(new.value) == "level p = 4 is exceptional at V = 2.0"
+            assert (new.value.p, new.value.V) == (4, 2.0)
             assert type(new.value.p) is int
 
     def test_exceptional_scalar_refusals(self):
@@ -172,7 +141,7 @@ class TestDenseFills:
         params = PhysicalParams(V=V)
         nmax2 = 12
         for p in range(-nmax2, nmax2 + 1):
-            if V == 0.0 or level_discriminant(max(abs(p), 1), V) != 0.0:
+            if V == 0.0 or discriminant(max(abs(p), 1), V) != 0.0:
                 x, y = levels.level_columns([p], params, nmax2)
                 got = levels.level_spinors(p, params, nmax2)
                 assert np.array_equal(bits(got[0]), bits(x.toarray()[:, 0]))
