@@ -23,6 +23,7 @@ from . import coherent as ch
 from . import fock
 from . import ladders as ld
 from . import pt
+from . import densities
 from . import spinor as spn
 from .densities import GridSpec, density, export, gain_loss
 from .params import PhysicalParams
@@ -539,19 +540,23 @@ def check_gain_monotone():
 
 @_check("density.export_determinism")
 def check_export_determinism():
+    # the same bytes twice from one process, and from two processes (forked
+    # children format their share of the rows) as from one, in both formats
     cut = fock.FockCutoff(2, 24, 24)
     st = ch.build_coherent(ch.CoherentSpec(0.0, 1.0, "A", "plus", cut))
     fld = density(st, GridSpec(-6, 6, 33, -6, 6, 33))
+    ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        p1, p2 = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
-        export(fld, "csv", p1)
-        export(fld, "csv", p2)
-        with open(p1, "rb") as fh:
-            b1 = fh.read()
-        with open(p2, "rb") as fh:
-            b2 = fh.read()
-        ok = b1 == b2
-        data = np.genfromtxt(p1, delimiter=",", names=True)
+        for fmt in ("csv", "json"):
+            texts = []
+            for k, write in enumerate((export, functools.partial(densities._export, shares=1),
+                                       functools.partial(densities._export, shares=2))):
+                path = os.path.join(tmp, f"{k}.{fmt}")
+                write(fld, fmt, path)
+                with open(path, "rb") as fh:
+                    texts.append(fh.read())
+            ok = ok and texts[0] == texts[1] == texts[2]
+        data = np.genfromtxt(os.path.join(tmp, "0.csv"), delimiter=",", names=True)
         ok = ok and np.array_equal(data["total"].reshape(33, 33), fld.total)
     return _result(0.0 if ok else 1.0, 0.5, ok=ok)
 

@@ -8,16 +8,24 @@ products per spinor component.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
+import os
+import shutil
+import signal
+import tempfile
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import simpson
 
 from .errors import ContractError
 from .fock import circular_antidiagonals, oscillator_table
-from .params import PhysicalParams
+from .levels import _mixing
+from .params import PhysicalParams, discriminant
 from .spinor import SpinorState
 
 DEFAULT_GRID = "-8:8:257,-8:8:257"
@@ -182,17 +190,21 @@ class GainLossReport:
 
 def gain_loss(state: SpinorState, params: PhysicalParams | None = None) -> GainLossReport:
     """Component masses from coefficient space (no grid), their ratio, and
-    the broken-region |alpha| table for context when V is large."""
-    from .pt import gain_loss_asymptotics
-
+    the broken-region |alpha| table for context when V is large (the values
+    of `pt.gain_loss_asymptotics`, from one evaluation over the levels)."""
     up, lo = state.component_masses()
     table = []
     if params is not None and params.V > 1.0:
-        top = min(int(math.ceil(params.V ** 2)) - 1, state.upper.size - 1)
-        for p in range(1, top + 1):
-            if p < params.V ** 2:
-                ap, am = gain_loss_asymptotics(p, params.V)
-                table.append({"p": p, "abs_alpha_plus": ap, "abs_alpha_minus": am})
+        V = params.V
+        top = min(int(math.ceil(V ** 2)) - 1, state.upper.size - 1)
+        ps = np.arange(1, top + 1)
+        ps = ps[ps < V ** 2]
+        d = discriminant(ps, V)
+        if (d >= 0.0).any():
+            raise ContractError("asymptotics are defined for broken levels 1 <= p < V^2")
+        aps, ams = np.abs(_mixing(ps, d, V))
+        table = [{"p": p, "abs_alpha_plus": ap, "abs_alpha_minus": am}
+                 for p, ap, am in zip(ps.tolist(), aps.tolist(), ams.tolist())]
     ratio = up / lo if lo > 0 else math.inf
     return GainLossReport(up, lo, ratio, table)
 
@@ -209,45 +221,175 @@ def _jsonable(obj):
     return obj
 
 
+# An export runs in at most one process per usable CPU, each formatting at
+# least this many values (about 60 ms at 1 us a value).  Forking and
+# reaping a process that holds a density costs about 5 ms, and a forked
+# 65^2 export was 7 ms slower than one process; grids up to 129^2 (5e4
+# values) stay in one process.
+MIN_VALUES_PER_PROC = 60_000
+
+
+def _process_count(values: int) -> int:
+    """How many processes format an export of `values` numbers: at most one
+    per usable CPU and one per MIN_VALUES_PER_PROC values; one where the
+    platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, values // MIN_VALUES_PER_PROC))
+
+
+class _Rows(NamedTuple):
+    """`count` rows of a document, row i rendered as the text render(i)."""
+
+    count: int
+    render: Callable[[int], str]
+
+
 def export(fld: DensityField, fmt: str, path: str) -> None:
     """Write the field: CSV (header x,y,total,upper,lower, row-major over
     x then y, 17 significant digits, metadata in a .meta.json sidecar) or
     a single JSON document in the ``json.dumps(doc, indent=2,
-    sort_keys=True)`` layout.  Either file is streamed one x-row at a time,
-    so memory is bounded by a row, not by the document.  Byte-stable for
-    identical inputs.  Raises ContractError, before any file is opened,
-    when the field or its metadata holds a non-finite value."""
+    sort_keys=True)`` layout.
+
+    The rows are formatted by min(usable CPUs, values //
+    MIN_VALUES_PER_PROC) processes (at least one, and one where os.fork is
+    missing), for the 3 nx ny values of the field: this process formats the
+    first contiguous share of rows straight into the file, and each forked
+    child formats the next share into an unnamed temporary file, appended
+    in order.  The bytes do not depend on the number of processes and are
+    stable for identical inputs.  Memory is bounded by a row in this
+    process and by its share's rows in each child (formatted a row at a
+    time, held in its temporary file until appended).  Raises ContractError,
+    before any file is opened, when the field or its metadata holds a
+    non-finite value; raises OSError, after removing what it wrote and
+    reaping every child, when a write or a child fails."""
+    _export(fld, fmt, path, _process_count(3 * fld.total.size))
+
+
+def _export(fld: DensityField, fmt: str, path: str, shares: int) -> None:
+    """`export` with the rows cut into the given number of shares."""
     if fmt not in ("csv", "json"):
         raise ContractError(f"unknown export format {fmt!r}")
     fields = {"total": fld.total, "upper": fld.upper, "lower": fld.lower}
     if not all(np.isfinite(a).all() for a in fields.values()):
         raise ContractError("the density field holds non-finite values; nothing written")
     if fmt == "csv":
-        meta = finite_json(fld.meta, sort_keys=True) + "\n"
         # one %-template per x-row: the y column is formatted once, the x
         # value joined in front of every line, the fields filled in by one call
         lines = ["", *(",%.17g,%%.17g,%%.17g,%%.17g\n" % y for y in fld.grid.y.tolist())]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,y,total,upper,lower\n")
-            for x, *rows in zip(fld.grid.x.tolist(), *fields.values()):
-                fh.write(("%.17g" % x).join(lines) % tuple(np.stack(rows, -1).ravel().tolist()))
-        with open(path + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(meta)
-        return
-    # json.dumps lays out all but the three fields, which stand in as null at
-    # the top level (the only keys indented by two) and are streamed in place
-    doc = {"meta": fld.meta, "grid": {"x": fld.grid.x.tolist(), "y": fld.grid.y.tolist()}}
-    rest = finite_json({**doc, **dict.fromkeys(fields)}, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        xs = fld.grid.x.tolist()
+
+        def csv_row(i):
+            row = np.stack([a[i] for a in fields.values()], -1)
+            return ("%.17g" % xs[i]).join(lines) % tuple(row.ravel().tolist())
+
+        documents = [(path, ["x,y,total,upper,lower\n", _Rows(len(xs), csv_row)]),
+                     (path + ".meta.json", [finite_json(fld.meta, sort_keys=True) + "\n"])]
+    else:
+        # json.dumps lays out all but the three fields, which stand in as null
+        # at the top level (the only keys indented by two) and are rows here
+        doc = {"meta": fld.meta, "grid": {"x": fld.grid.x.tolist(), "y": fld.grid.y.tolist()}}
+        rest = finite_json({**doc, **dict.fromkeys(fields)}, sort_keys=True) + "\n"
+        pieces = []
         for name in sorted(fields):
             head, rest = rest.split(f'\n  "{name}": null', 1)
-            fh.write(f'{head}\n  "{name}": [')
-            for i, row in enumerate(fields[name]):
-                fh.write(",\n    [\n      " if i else "\n    [\n      ")
-                fh.write(",\n      ".join(map(float.__repr__, row.tolist())))
-                fh.write("\n    ]")
-            fh.write("\n  ]")
-        fh.write(rest)
+            pieces += [f'{head}\n  "{name}": [', _Rows(len(fields[name]),
+                                                      functools.partial(_json_row, fields[name])),
+                       "\n  ]"]
+        documents = [(path, pieces + [rest])]
+    written = []
+    try:
+        for out, pieces in documents:
+            _write(out, pieces, shares)
+            written.append(out)
+    except BaseException:
+        for out in written:
+            os.remove(out)
+        raise
+
+
+def _json_row(values: np.ndarray, i: int) -> str:
+    lead = ",\n    [\n      " if i else "\n    [\n      "
+    return lead + ",\n      ".join(map(float.__repr__, values[i].tolist())) + "\n    ]"
+
+
+def _render(pieces: list, start: int, stop: int, write) -> None:
+    """Write the rows numbered start..stop-1 of the pieces (numbered across
+    all row pieces in order), and each fixed string whose preceding row
+    count lies in [start, stop)."""
+    done = 0
+    for piece in pieces:
+        if isinstance(piece, str):
+            if start <= done < stop:
+                write(piece.encode())
+            continue
+        for i in range(max(start - done, 0), min(stop - done, piece.count)):
+            write(piece.render(i).encode())
+        done += piece.count
+
+
+def _write(path: str, pieces: list, shares: int) -> None:
+    """Write the pieces to path, their rows cut into contiguous shares; on
+    any failure the file is removed."""
+    total = sum(p.count for p in pieces if isinstance(p, _Rows))
+    shares = max(1, min(shares, total))
+    # the last share also takes the strings after the last row
+    cuts = [total * k // shares for k in range(shares)] + [total + 1]
+    fh = open(path, "wb")
+    try:
+        with fh:
+            _write_shares(fh, pieces, cuts)
+    except BaseException:
+        os.remove(path)
+        raise
+
+
+def _write_shares(fh, pieces: list, cuts: list) -> None:
+    """Share 0 is formatted here, each other share by a forked child into a
+    temporary file opened before the fork; the children are reaped in order
+    and their files appended.  Every child is reaped, and killed first if
+    it may still run, before this returns or raises."""
+    temps, pids = [], []
+    try:
+        for start, stop in zip(cuts[1:], cuts[2:]):
+            temps.append(tempfile.TemporaryFile())
+            pid = os.fork()
+            if pid == 0:
+                _format_share(pieces, start, stop, temps[-1])
+            pids.append(pid)
+        _render(pieces, cuts[0], cuts[1], fh.write)
+        for k, tmp in enumerate(temps):
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
+            pids[k] = None
+            if code:
+                raise OSError(f"the process formatting share {k + 1} of {fh.name} failed"
+                              f" with exit status {code}")
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh)  # in blocks of shutil.COPY_BUFSIZE (64 KiB)
+    finally:
+        for pid in pids:
+            if pid is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for tmp in temps:
+            tmp.close()
+
+
+def _format_share(pieces: list, start: int, stop: int, tmp) -> None:
+    """In a forked child: format one share into tmp and leave by os._exit,
+    so that no buffer inherited from the parent is flushed twice."""
+    code = 1
+    try:
+        _render(pieces, start, stop, tmp.write)
+        tmp.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def finite_json(doc, sort_keys: bool = False) -> str:

@@ -121,8 +121,9 @@ def theta_table(ps, params: PhysicalParams) -> np.ndarray:
     gap = np.divide(q, V + root, out=np.zeros(q.size), where=broken)
     out = np.empty(ps.size, dtype=complex)
     out.real = np.where(broken, 0.0, np.where(plus, eps0, -eps0) * root)
-    # 0.0 - x: at V = 0 the minus branch sits on the upper side of sqrt's cut
-    out.imag = 0.0 - eps0 * np.where(broken, np.where(plus, gap, V + root), V)
+    # -(x), not 0.0 - x: at V = 0 the imaginary part is -0.0, so the minus
+    # branch sits below sqrt's cut, on the side it takes for every V > 0
+    out.imag = -(eps0 * np.where(broken, np.where(plus, gap, V + root), V))
     out[ps == 0] = 0.0
     return out
 

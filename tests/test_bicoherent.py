@@ -393,6 +393,19 @@ class TestV0Limit:
                          (eps.first_register, zero.first_register)):
                 assert np.abs(np.abs(a) - np.abs(b)).max() < 1e-6
 
+    @pytest.mark.parametrize("side", ["ket", "bra"])
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_theta_family_is_continuous_entrywise(self, side, branch):
+        # theta_-k has imaginary part -eps0 V < 0 for V > 0 and -0.0 at V = 0,
+        # so sqrt(theta) takes the same side of its cut on both
+        cut = FockCutoff(8, 80, 80)
+        zero, eps = (build_bicoherent(BicoherentSpec(0.0, 1 - 1j, "theta", side, branch,
+                                                     PhysicalParams(V=v), cut))
+                     for v in (0.0, 1e-9))
+        for a, b in ((eps.upper, zero.upper), (eps.lower, zero.lower),
+                     (eps.first_register, zero.first_register)):
+            assert np.abs(a - b).max() < 1e-8
+
 
 class TestConvergenceCertificate:
     def test_small_v_bound(self):

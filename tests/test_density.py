@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lbstates import ContractError, FockCutoff, PhysicalParams
+from lbstates import ContractError, FockCutoff, PhysicalParams, densities
 from lbstates.bicoherent import BicoherentSpec, build_bicoherent
 from lbstates.coherent import CoherentSpec, build_coherent
 from lbstates.densities import (MAX_GRID_POINTS, DensityField, GridSpec, density, export,
@@ -148,6 +148,19 @@ class TestGainLoss:
         rep = gain_loss(st, params)
         assert rep.mass_lower / rep.mass_upper > 10
 
+    @pytest.mark.parametrize("V", [1.7, 2.5, 9.5, 30.3])
+    def test_alpha_table_equals_scalar_asymptotics(self, V):
+        from lbstates.pt import gain_loss_asymptotics
+
+        params = PhysicalParams(V=V)
+        st = build_bicoherent(BicoherentSpec(0.0, 1 - 1j, "standard", "ket", "plus", params,
+                                             FockCutoff(4, 1000, 1000)))
+        table = gain_loss(st, params).per_level_alpha_table
+        assert [row["p"] for row in table] == [p for p in range(1, 1001) if p < V ** 2]
+        for row in table:
+            assert (row["abs_alpha_plus"], row["abs_alpha_minus"]) == gain_loss_asymptotics(
+                row["p"], V)
+
     def test_standard_ket_ratio_grows_with_v(self):
         ratios = []
         for v in (0.5, 9.5):
@@ -237,8 +250,11 @@ def _reference_export(fld, fmt, path):
     return {p: t.encode("utf-8") for p, t in texts.items()}
 
 
-def _exported_bytes(fld, fmt, path):
-    export(fld, fmt, path)
+def _exported_bytes(fld, fmt, path, shares=None):
+    if shares is None:
+        export(fld, fmt, path)
+    else:
+        densities._export(fld, fmt, path, shares)
     out = {}
     for p in (path, path + ".meta.json") if fmt == "csv" else (path,):
         with open(p, "rb") as fh:
@@ -311,6 +327,109 @@ class TestStreamedExportBytes:
         finally:
             tracemalloc.stop()
         assert peak < os.path.getsize(path) / 4
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _failing_render(where):
+    """_render that raises in the child processes (where="child", shares
+    after the first) or in this process (where="parent", share 0)."""
+    render = densities._render
+
+    def failing(pieces, start, stop, write):
+        if (start > 0) == (where == "child"):
+            raise OSError("simulated write failure")
+        render(pieces, start, stop, write)
+
+    return failing
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split export forks")
+class TestSplitExport:
+    """Rows formatted by forked processes, in contiguous shares: the bytes
+    are those of one process, and a failure leaves no file and no process."""
+
+    GRIDS = [GridSpec(-3.5, -1.25, 2, -7, 11, 5), GridSpec(-1, 1, 7, -2e-3, 5e-3, 3),
+             GridSpec(0.1, 0.7, 4, 0, 1, 2)]
+
+    @pytest.mark.parametrize("shares", [1, 2, 3])
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_matches_reference_writer(self, grid, fmt, shares, tmp_path):
+        rng = np.random.default_rng(grid.nx * 10 + grid.ny)
+        n = grid.nx * grid.ny
+        upper = rng.random(n) * 10.0 ** rng.integers(-300, 3, n)
+        lower = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+        fld = _synthetic_field(grid, (upper + lower, upper, lower))
+        path = os.fspath(tmp_path / f"f.{fmt}")
+        assert _exported_bytes(fld, fmt, path, shares) == _reference_export(fld, fmt, path)
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("shares", [2, 3])
+    def test_density_field_matches_reference_writer(self, coherent_field, shares, tmp_path):
+        _, fld = coherent_field
+        for fmt in ("csv", "json"):
+            path = os.fspath(tmp_path / f"f.{fmt}")
+            assert _exported_bytes(fld, fmt, path, shares) == _reference_export(fld, fmt, path)
+
+    @settings(max_examples=20, deadline=None)
+    @given(nx=st.integers(2, 5), ny=st.integers(2, 5),
+           x_min=st.floats(-1e3, 1e3), y_min=st.floats(-1e3, 1e3),
+           span=st.floats(1e-6, 1e3), data=st.data())
+    def test_random_finite_fields_match_reference(self, nx, ny, x_min, y_min, span, data):
+        grid = GridSpec(x_min, x_min + span, nx, y_min, y_min + 2 * span, ny)
+        values = [data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                     min_size=nx * ny, max_size=nx * ny))
+                  for _ in range(3)]
+        fld = _synthetic_field(grid, values)
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt in ("csv", "json"):
+                path = os.path.join(tmp, f"f.{fmt}")
+                want = _reference_export(fld, fmt, path)
+                for shares in (2, 3):
+                    assert _exported_bytes(fld, fmt, path, shares) == want
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_raises_and_leaves_nothing(self, fmt, where, monkeypatch, tmp_path):
+        monkeypatch.setattr(densities, "_render", _failing_render(where))
+        grid = GridSpec(0, 1, 6, 0, 1, 4)
+        fld = _synthetic_field(grid, np.ones((3, 24)))
+        with pytest.raises(OSError):
+            densities._export(fld, fmt, os.fspath(tmp_path / f"f.{fmt}"), 3)
+        assert list(tmp_path.iterdir()) == []
+        assert _no_child_left()
+
+    def test_cli_density_exits_1_on_a_failed_child(self, monkeypatch, tmp_path, capsys):
+        from lbstates.cli import cli_main
+
+        monkeypatch.setattr(densities, "_process_count", lambda values: 2)
+        monkeypatch.setattr(densities, "_render", _failing_render("child"))
+        out = os.fspath(tmp_path / "d.csv")
+        code = cli_main(["density", "--family", "A", "--z1", "0.1", "--z2", "0.1",
+                         "--nmax", "16", "--pmax", "16", "--format", "csv",
+                         "--grid=-1:1:5,-1:1:5", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("io error: ")
+        assert list(tmp_path.iterdir()) == []
+        assert _no_child_left()
+
+    def test_process_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        least = densities.MIN_VALUES_PER_PROC
+        assert densities._process_count(3 * 129 ** 2) == 1
+        assert densities._process_count(3 * 257 ** 2) == 3
+        assert densities._process_count(2 * least + 1) == 2
+        assert densities._process_count(0) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert densities._process_count(100 * least) == 2
+        monkeypatch.delattr(os, "fork")
+        assert densities._process_count(100 * least) == 1
 
 
 class TestDirectEvaluationOracle:

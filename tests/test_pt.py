@@ -170,6 +170,11 @@ class TestThetaTable:
     def test_exceptional_level_is_not_refused(self):
         assert theta_error([4, -4, 3], PhysicalParams(V=2.0)) <= 1e-14
 
+    def test_v0_imaginary_parts_are_negative_zeros(self):
+        # the sign that V > 0 gives them, so sqrt(theta) is continuous at V = 0
+        got = theta_table(np.arange(-5, 6), PhysicalParams(V=0.0))
+        assert np.signbit(got.imag).tolist() == [True] * 5 + [False] + [True] * 5
+
     def test_zero_level_has_positive_zeros(self):
         got = theta_table([0], PhysicalParams(V=0.5))
         assert np.signbit(got.real).tolist() == [False]
