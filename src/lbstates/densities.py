@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import simpson
 
+from . import floattext
 from .errors import ContractError
 from .fock import circular_antidiagonals, oscillator_table
 from .levels import _mixing
@@ -191,17 +192,17 @@ class GainLossReport:
 def gain_loss(state: SpinorState, params: PhysicalParams | None = None) -> GainLossReport:
     """Component masses from coefficient space (no grid), their ratio, and
     the broken-region |alpha| table for context when V is large (the values
-    of `pt.gain_loss_asymptotics`, from one evaluation over the levels)."""
+    of `pt.gain_loss_asymptotics`, from one evaluation over the levels).
+    The table holds the window's levels p >= 1 whose discriminant p - V^2
+    is negative, so a level snapped to exceptional is left out."""
     up, lo = state.component_masses()
     table = []
     if params is not None and params.V > 1.0:
         V = params.V
         top = min(int(math.ceil(V ** 2)) - 1, state.upper.size - 1)
         ps = np.arange(1, top + 1)
-        ps = ps[ps < V ** 2]
         d = discriminant(ps, V)
-        if (d >= 0.0).any():
-            raise ContractError("asymptotics are defined for broken levels 1 <= p < V^2")
+        ps, d = ps[d < 0.0], d[d < 0.0]
         aps, ams = np.abs(_mixing(ps, d, V))
         table = [{"p": p, "abs_alpha_plus": ap, "abs_alpha_minus": am}
                  for p, ap, am in zip(ps.tolist(), aps.tolist(), ams.tolist())]
@@ -222,10 +223,10 @@ def _jsonable(obj):
 
 
 # An export runs in at most one process per usable CPU, each formatting at
-# least this many values (about 60 ms at 1 us a value).  Forking and
-# reaping a process that holds a density costs about 5 ms, and a forked
-# 65^2 export was 7 ms slower than one process; grids up to 129^2 (5e4
-# values) stay in one process.
+# least this many values (about 15 ms at 0.25 us a value).  Measured on 2
+# CPUs with numpy printing, two processes were slower than one up to 385^2
+# (by 11 ms at 129^2) and faster at 513^2, by amounts that vary with how
+# the CPUs are shared; grids up to 129^2 (5e4 values) stay in one process.
 MIN_VALUES_PER_PROC = 60_000
 
 
@@ -243,30 +244,60 @@ def _process_count(values: int) -> int:
 
 
 class _Rows(NamedTuple):
-    """`count` rows of a document, row i rendered as the text render(i)."""
+    """`count` rows of a document; render(start, stop) is the text of rows
+    start..stop-1, rendered at most `step` rows at a time."""
 
     count: int
-    render: Callable[[int], str]
+    step: int
+    render: Callable[[int, int], bytes]
+
+
+# Values formatted by one floattext.cells call: a block's temporaries peak
+# near 250 bytes a value, about 1 MB.
+BLOCK_VALUES = 4096
+
+
+def _rows(count: int, per_row: int, render: Callable[[int, int], bytes]) -> _Rows:
+    return _Rows(count, max(1, BLOCK_VALUES // per_row), render)
+
+
+def _padded(texts: list, tail: bytes) -> np.ndarray:
+    """Rows of the encoded texts, each followed by tail and NUL-padded to
+    the longest."""
+    raw = [t.encode() + tail for t in texts]
+    width = max(map(len, raw))
+    return np.frombuffer(b"".join(r.ljust(width, b"\0") for r in raw),
+                         dtype=np.uint8).reshape(len(raw), width)
 
 
 def export(fld: DensityField, fmt: str, path: str) -> None:
     """Write the field: CSV (header x,y,total,upper,lower, row-major over
-    x then y, 17 significant digits, metadata in a .meta.json sidecar) or
-    a single JSON document in the ``json.dumps(doc, indent=2,
+    x then y, ``'%.17g'`` for every value, metadata in a .meta.json
+    sidecar) or a single JSON document in the ``json.dumps(doc, indent=2,
     sort_keys=True)`` layout.
 
+    The field values are printed by `floattext.cells`, which gives Python's
+    own ``'%.17g'`` and ``float.__repr__`` bytes: it decides almost every
+    value with numpy and hands the few it cannot decide (zeros,
+    subnormals, magnitudes outside [1e-290, 1e290), repr of a power of two,
+    and roundings within 2^-30 of a tie) to Python.  The grid coordinates
+    are formatted by Python once per axis.  Rows are printed in blocks of
+    about BLOCK_VALUES (4096) values, at least one row.
+
     The rows are formatted by min(usable CPUs, values //
-    MIN_VALUES_PER_PROC) processes (at least one, and one where os.fork is
-    missing), for the 3 nx ny values of the field: this process formats the
-    first contiguous share of rows straight into the file, and each forked
-    child formats the next share into an unnamed temporary file, appended
-    in order.  The bytes do not depend on the number of processes and are
-    stable for identical inputs.  Memory is bounded by a row in this
-    process and by its share's rows in each child (formatted a row at a
-    time, held in its temporary file until appended).  Raises ContractError,
-    before any file is opened, when the field or its metadata holds a
-    non-finite value; raises OSError, after removing what it wrote and
-    reaping every child, when a write or a child fails."""
+    MIN_VALUES_PER_PROC) processes, MIN_VALUES_PER_PROC = 60,000 (at least
+    one, and one where os.fork is missing), for the 3 nx ny values of the
+    field: this process formats the first contiguous share of rows straight
+    into the file, and each forked child formats the next share into an
+    unnamed temporary file, appended in order.  The bytes do not depend on
+    the number of processes or the block size and are stable for identical
+    inputs.  Memory is bounded by a block (about 1 MB, or one row if
+    longer) in this process and by its share's rows in each child
+    (formatted a block at a time, held in its temporary file until
+    appended).  Raises ContractError, before any file is
+    opened, when the field or its metadata holds a non-finite value;
+    raises OSError, after removing what it wrote and reaping every child,
+    when a write or a child fails."""
     _export(fld, fmt, path, _process_count(3 * fld.total.size))
 
 
@@ -277,17 +308,26 @@ def _export(fld: DensityField, fmt: str, path: str, shares: int) -> None:
     fields = {"total": fld.total, "upper": fld.upper, "lower": fld.lower}
     if not all(np.isfinite(a).all() for a in fields.values()):
         raise ContractError("the density field holds non-finite values; nothing written")
+    ny = fld.grid.ny
     if fmt == "csv":
-        # one %-template per x-row: the y column is formatted once, the x
-        # value joined in front of every line, the fields filled in by one call
-        lines = ["", *(",%.17g,%%.17g,%%.17g,%%.17g\n" % y for y in fld.grid.y.tolist())]
-        xs = fld.grid.x.tolist()
+        # a line is "x,y," (formatted once per coordinate) and the three
+        # values, each followed by a comma or the newline
+        xs = _padded(["%.17g" % x for x in fld.grid.x.tolist()], b",")
+        ys = _padded(["%.17g" % y for y in fld.grid.y.tolist()], b",")
+        seps = np.frombuffer(b",,\n", dtype=np.uint8).reshape(3, 1)
 
-        def csv_row(i):
-            row = np.stack([a[i] for a in fields.values()], -1)
-            return ("%.17g" % xs[i]).join(lines) % tuple(row.ravel().tolist())
+        def csv_rows(start, stop):
+            n = stop - start
+            values = np.stack([a[start:stop] for a in fields.values()], -1)
+            texts = floattext.cells(values, "g17").reshape(n, ny, 3, floattext.WIDTH)
+            lines = np.concatenate(
+                [np.broadcast_to(xs[start:stop, None], (n, ny, xs.shape[1])),
+                 np.broadcast_to(ys, (n, ny, ys.shape[1])),
+                 np.concatenate([texts, np.broadcast_to(seps, (n, ny, 3, 1))], -1)
+                 .reshape(n, ny, -1)], -1)
+            return floattext.pack(lines)
 
-        documents = [(path, ["x,y,total,upper,lower\n", _Rows(len(xs), csv_row)]),
+        documents = [(path, ["x,y,total,upper,lower\n", _rows(fld.grid.nx, 3 * ny, csv_rows)]),
                      (path + ".meta.json", [finite_json(fld.meta, sort_keys=True) + "\n"])]
     else:
         # json.dumps lays out all but the three fields, which stand in as null
@@ -297,8 +337,8 @@ def _export(fld: DensityField, fmt: str, path: str, shares: int) -> None:
         pieces = []
         for name in sorted(fields):
             head, rest = rest.split(f'\n  "{name}": null', 1)
-            pieces += [f'{head}\n  "{name}": [', _Rows(len(fields[name]),
-                                                      functools.partial(_json_row, fields[name])),
+            pieces += [f'{head}\n  "{name}": [',
+                       _rows(len(fields[name]), ny, functools.partial(_json_rows, fields[name])),
                        "\n  ]"]
         documents = [(path, pieces + [rest])]
     written = []
@@ -312,9 +352,26 @@ def _export(fld: DensityField, fmt: str, path: str, shares: int) -> None:
         raise
 
 
-def _json_row(values: np.ndarray, i: int) -> str:
-    lead = ",\n    [\n      " if i else "\n    [\n      "
-    return lead + ",\n      ".join(map(float.__repr__, values[i].tolist())) + "\n    ]"
+_JSON_HEAD = np.frombuffer(b",\n    [\n      ", dtype=np.uint8)
+_JSON_SEP = np.frombuffer(b",\n      ", dtype=np.uint8)
+_JSON_TAIL = np.frombuffer(b"\n    ]", dtype=np.uint8)
+
+
+def _json_rows(values: np.ndarray, start: int, stop: int) -> bytes:
+    """Rows start..stop-1 of a field as the inner lists of its json.dumps
+    indent=2 layout; the rows after the first open with a comma."""
+    n, ny = stop - start, values.shape[1]
+    texts = floattext.cells(values[start:stop], "repr").reshape(n, ny, floattext.WIDTH)
+    seps = np.empty((n, ny, _JSON_SEP.size), dtype=np.uint8)
+    seps[:] = _JSON_SEP
+    seps[:, -1] = 0
+    heads = np.empty((n, _JSON_HEAD.size), dtype=np.uint8)
+    heads[:] = _JSON_HEAD
+    if start == 0:
+        heads[0, 0] = 0
+    return floattext.pack(np.concatenate(
+        [heads, np.concatenate([texts, seps], -1).reshape(n, -1),
+         np.broadcast_to(_JSON_TAIL, (n, _JSON_TAIL.size))], -1))
 
 
 def _render(pieces: list, start: int, stop: int, write) -> None:
@@ -327,8 +384,9 @@ def _render(pieces: list, start: int, stop: int, write) -> None:
             if start <= done < stop:
                 write(piece.encode())
             continue
-        for i in range(max(start - done, 0), min(stop - done, piece.count)):
-            write(piece.render(i).encode())
+        first, last = max(start - done, 0), min(stop - done, piece.count)
+        for i in range(first, last, piece.step):
+            write(piece.render(i, min(i + piece.step, last)))
         done += piece.count
 
 

@@ -161,6 +161,23 @@ class TestGainLoss:
             assert (row["abs_alpha_plus"], row["abs_alpha_minus"]) == gain_loss_asymptotics(
                 row["p"], V)
 
+    def test_level_snapped_to_exceptional_is_left_out(self, tmp_path, capsys):
+        # V^2 = 9 + 4.8e-12: p = 9 lies below V^2 but its discriminant is
+        # snapped to 0, so it is no broken level and the density is written
+        from lbstates.cli import cli_main
+
+        out = os.fspath(tmp_path / "d.csv")
+        code = cli_main(["density", "--family", "phi", "--V", "3.0000000000008", "--z1", "0",
+                         "--z2", "0.01", "--nmax", "20", "--pmax", "20",
+                         "--grid=-2:2:5,-2:2:5", "--out", out])
+        assert code == 0, capsys.readouterr().err
+        assert os.path.getsize(out) > 0
+        params = PhysicalParams(V=3.0000000000008)
+        st = build_bicoherent(BicoherentSpec(0.0, 0.01, "standard", "ket", "plus", params,
+                                             FockCutoff(4, 20, 20)))
+        assert [row["p"] for row in gain_loss(st, params).per_level_alpha_table] == list(
+            range(1, 9))
+
     def test_standard_ket_ratio_grows_with_v(self):
         ratios = []
         for v in (0.5, 9.5):
