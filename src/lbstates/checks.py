@@ -24,7 +24,6 @@ from . import coherent as ch
 from . import fock
 from . import ladders as ld
 from . import pt
-from . import densities
 from . import floattext
 from . import spinor as spn
 from .densities import GridSpec, density, export, gain_loss
@@ -560,8 +559,7 @@ def _reference_csv(fld) -> bytes:
 
 @_check("density.export_determinism")
 def check_export_determinism():
-    # the bytes of one process and of two (forked children format their
-    # share of the rows) equal Python's own formatting of the field, and
+    # the exported bytes equal Python's own formatting of the field, and
     # floattext prints the edge values as Python does
     cut = fock.FockCutoff(2, 24, 24)
     st = ch.build_coherent(ch.CoherentSpec(0.0, 1.0, "A", "plus", cut))
@@ -573,11 +571,10 @@ def check_export_determinism():
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in ("csv", "json"):
-            for k, write in enumerate((export, functools.partial(densities._export, shares=2))):
-                path = os.path.join(tmp, f"{k}.{fmt}")
-                write(fld, fmt, path)
-                with open(path, "rb") as fh:
-                    bad += fh.read() != want[fmt]
+            path = os.path.join(tmp, f"field.{fmt}")
+            export(fld, fmt, path)
+            with open(path, "rb") as fh:
+                bad += fh.read() != want[fmt]
     edges = np.array(_FLOAT_EDGES)
     edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges[:-1], np.inf)])
     edges = np.concatenate([edges, -edges])

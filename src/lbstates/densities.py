@@ -8,16 +8,12 @@ products per spinor component.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
 import os
-import shutil
-import signal
-import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import simpson
@@ -222,52 +218,17 @@ def _jsonable(obj):
     return obj
 
 
-# An export runs in at most one process per usable CPU, each formatting at
-# least this many values (about 15 ms at 0.25 us a value).  Measured on 2
-# CPUs with numpy printing, two processes were slower than one up to 385^2
-# (by 11 ms at 129^2) and faster at 513^2, by amounts that vary with how
-# the CPUs are shared; grids up to 129^2 (5e4 values) stay in one process.
-MIN_VALUES_PER_PROC = 60_000
+# Values printed by one floattext.Texts call: a block's temporaries peak
+# near 130 bytes a value, about 1 MB (test_memory_is_bounded_by_a_row).
+BLOCK_VALUES = 8192
 
 
-def _process_count(values: int) -> int:
-    """How many processes format an export of `values` numbers: at most one
-    per usable CPU and one per MIN_VALUES_PER_PROC values; one where the
-    platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, values // MIN_VALUES_PER_PROC))
-
-
-class _Rows(NamedTuple):
-    """`count` rows of a document; render(start, stop) is the text of rows
-    start..stop-1, rendered at most `step` rows at a time."""
-
-    count: int
-    step: int
-    render: Callable[[int, int], bytes]
-
-
-# Values formatted by one floattext.cells call: a block's temporaries peak
-# near 250 bytes a value, about 1 MB.
-BLOCK_VALUES = 4096
-
-
-def _rows(count: int, per_row: int, render: Callable[[int, int], bytes]) -> _Rows:
-    return _Rows(count, max(1, BLOCK_VALUES // per_row), render)
-
-
-def _padded(texts: list, tail: bytes) -> np.ndarray:
-    """Rows of the encoded texts, each followed by tail and NUL-padded to
-    the longest."""
-    raw = [t.encode() + tail for t in texts]
-    width = max(map(len, raw))
-    return np.frombuffer(b"".join(r.ljust(width, b"\0") for r in raw),
-                         dtype=np.uint8).reshape(len(raw), width)
+def _blocks(count: int, per_row: int, render: Callable[[int, int], np.ndarray]):
+    """render(start, stop) over rows 0..count-1, about BLOCK_VALUES values
+    (at least one row) at a time."""
+    step = max(1, BLOCK_VALUES // per_row)
+    for start in range(0, count, step):
+        yield render(start, min(start + step, count))
 
 
 def export(fld: DensityField, fmt: str, path: str) -> None:
@@ -276,33 +237,21 @@ def export(fld: DensityField, fmt: str, path: str) -> None:
     sidecar) or a single JSON document in the ``json.dumps(doc, indent=2,
     sort_keys=True)`` layout.
 
-    The field values are printed by `floattext.cells`, which gives Python's
+    The field values are printed by `floattext.Texts`, which gives Python's
     own ``'%.17g'`` and ``float.__repr__`` bytes: it decides almost every
     value with numpy and hands the few it cannot decide (zeros,
     subnormals, magnitudes outside [1e-290, 1e290), repr of a power of two,
-    and roundings within 2^-30 of a tie) to Python.  The grid coordinates
-    are formatted by Python once per axis.  Rows are printed in blocks of
-    about BLOCK_VALUES (4096) values, at least one row.
-
-    The rows are formatted by min(usable CPUs, values //
-    MIN_VALUES_PER_PROC) processes, MIN_VALUES_PER_PROC = 60,000 (at least
-    one, and one where os.fork is missing), for the 3 nx ny values of the
-    field: this process formats the first contiguous share of rows straight
-    into the file, and each forked child formats the next share into an
-    unnamed temporary file, appended in order.  The bytes do not depend on
-    the number of processes or the block size and are stable for identical
-    inputs.  Memory is bounded by a block (about 1 MB, or one row if
-    longer) in this process and by its share's rows in each child
-    (formatted a block at a time, held in its temporary file until
-    appended).  Raises ContractError, before any file is
-    opened, when the field or its metadata holds a non-finite value;
-    raises OSError, after removing what it wrote and reaping every child,
-    when a write or a child fails."""
-    _export(fld, fmt, path, _process_count(3 * fld.total.size))
-
-
-def _export(fld: DensityField, fmt: str, path: str, shares: int) -> None:
-    """`export` with the rows cut into the given number of shares."""
+    and roundings within 2^-30 of a tie) and the texts under 8 bytes from
+    their first digit to Python.  The grid coordinates are formatted by
+    Python once per axis.  Rows are rendered in this process in blocks of
+    about BLOCK_VALUES values (at least one row), each straight into a
+    buffer of its exact length, laid out from a cumulative sum of the
+    lengths of its texts and separators; so memory is bounded by a block,
+    about 1 MB, or by one row if longer.  The bytes do not depend on the
+    block size and are stable for identical inputs.  Raises ContractError,
+    before any file is opened, when the field or its metadata holds a
+    non-finite value; raises OSError, after removing what it wrote, when a
+    write fails."""
     if fmt not in ("csv", "json"):
         raise ContractError(f"unknown export format {fmt!r}")
     fields = {"total": fld.total, "upper": fld.upper, "lower": fld.lower}
@@ -310,24 +259,34 @@ def _export(fld: DensityField, fmt: str, path: str, shares: int) -> None:
         raise ContractError("the density field holds non-finite values; nothing written")
     ny = fld.grid.ny
     if fmt == "csv":
-        # a line is "x,y," (formatted once per coordinate) and the three
-        # values, each followed by a comma or the newline
-        xs = _padded(["%.17g" % x for x in fld.grid.x.tolist()], b",")
-        ys = _padded(["%.17g" % y for y in fld.grid.y.tolist()], b",")
-        seps = np.frombuffer(b",,\n", dtype=np.uint8).reshape(3, 1)
+        # a line is "x," and "y," (formatted once per coordinate) and the
+        # three values, each followed by a comma or the newline
+        xs = _prefixes([b"%.17g," % x for x in fld.grid.x.tolist()])
+        ys = _prefixes([b"%.17g," % y for y in fld.grid.y.tolist()])
 
         def csv_rows(start, stop):
             n = stop - start
-            values = np.stack([a[start:stop] for a in fields.values()], -1)
-            texts = floattext.cells(values, "g17").reshape(n, ny, 3, floattext.WIDTH)
-            lines = np.concatenate(
-                [np.broadcast_to(xs[start:stop, None], (n, ny, xs.shape[1])),
-                 np.broadcast_to(ys, (n, ny, ys.shape[1])),
-                 np.concatenate([texts, np.broadcast_to(seps, (n, ny, 3, 1))], -1)
-                 .reshape(n, ny, -1)], -1)
-            return floattext.pack(lines)
+            texts = floattext.Texts(np.stack([a[start:stop] for a in fields.values()], -1),
+                                    "g17", _CSV_SEPS)
+            # each line: its prefix, then each value with its comma or newline
+            size = np.empty((n, ny, 4), dtype=np.int64)
+            size[..., 0] = xs[0][start:stop, None] + ys[0]
+            size[..., 1:] = texts.length.reshape(n, ny, 3)
+            end = np.cumsum(size).reshape(n, ny, 4)
+            begin = end[..., 0] - size[..., 0]
+            del size
+            out = np.empty(end[-1, -1, -1], dtype=np.uint8)
+            words = floattext.words(out)
+            # the prefixes first: a short one's word runs on into what follows
+            for k in range(xs[1].shape[1]):
+                words[begin + xs[1][start:stop, None, k]] = xs[2][start:stop, None, k]
+            begin += xs[0][start:stop, None]
+            for k in range(ys[1].shape[1]):
+                words[begin + ys[1][:, k]] = ys[2][:, k]
+            texts.write(out, end[..., :3].ravel())
+            return out
 
-        documents = [(path, ["x,y,total,upper,lower\n", _rows(fld.grid.nx, 3 * ny, csv_rows)]),
+        documents = [(path, ["x,y,total,upper,lower\n", _blocks(fld.grid.nx, 3 * ny, csv_rows)]),
                      (path + ".meta.json", [finite_json(fld.meta, sort_keys=True) + "\n"])]
     else:
         # json.dumps lays out all but the three fields, which stand in as null
@@ -338,13 +297,13 @@ def _export(fld: DensityField, fmt: str, path: str, shares: int) -> None:
         for name in sorted(fields):
             head, rest = rest.split(f'\n  "{name}": null', 1)
             pieces += [f'{head}\n  "{name}": [',
-                       _rows(len(fields[name]), ny, functools.partial(_json_rows, fields[name])),
+                       _blocks(len(fields[name]), ny, functools.partial(_json_rows, fields[name])),
                        "\n  ]"]
         documents = [(path, pieces + [rest])]
     written = []
     try:
         for out, pieces in documents:
-            _write(out, pieces, shares)
+            _write(out, pieces)
             written.append(out)
     except BaseException:
         for out in written:
@@ -352,102 +311,66 @@ def _export(fld: DensityField, fmt: str, path: str, shares: int) -> None:
         raise
 
 
-_JSON_HEAD = np.frombuffer(b",\n    [\n      ", dtype=np.uint8)
-_JSON_SEP = np.frombuffer(b",\n      ", dtype=np.uint8)
-_JSON_TAIL = np.frombuffer(b"\n    ]", dtype=np.uint8)
+def _prefixes(texts: list) -> tuple:
+    """(lengths, offsets, words): the 8-byte words that write each bytes
+    object of texts (at most 32 bytes) at their offsets in it.  The last
+    word of a text of 8 bytes or more ends with it; a shorter text takes
+    one word that runs on by up to 6 bytes."""
+    size = np.array([len(t) for t in texts])
+    offsets = np.minimum(8 * np.arange(-(-size.max() // 8)), np.maximum(size - 8, 0)[:, None])
+    table = np.frombuffer(b"".join(t.ljust(32, b"\0") for t in texts), dtype=np.uint8)
+    return size, offsets, floattext.words(table)[32 * np.arange(len(texts))[:, None] + offsets]
 
 
-def _json_rows(values: np.ndarray, start: int, stop: int) -> bytes:
+_CSV_SEPS = np.frombuffer(b",,\n", dtype=np.uint8)
+_JSON_HEAD, _JSON_SEP, _JSON_TAIL = b",\n    [\n      ", b",\n      ", b"\n    ]"
+
+
+def _json_rows(values: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of a field as the inner lists of its json.dumps
     indent=2 layout; the rows after the first open with a comma."""
     n, ny = stop - start, values.shape[1]
-    texts = floattext.cells(values[start:stop], "repr").reshape(n, ny, floattext.WIDTH)
-    seps = np.empty((n, ny, _JSON_SEP.size), dtype=np.uint8)
-    seps[:] = _JSON_SEP
-    seps[:, -1] = 0
-    heads = np.empty((n, _JSON_HEAD.size), dtype=np.uint8)
-    heads[:] = _JSON_HEAD
-    if start == 0:
-        heads[0, 0] = 0
-    return floattext.pack(np.concatenate(
-        [heads, np.concatenate([texts, seps], -1).reshape(n, -1),
-         np.broadcast_to(_JSON_TAIL, (n, _JSON_TAIL.size))], -1))
+    # each value is followed by the first byte of its separator or row tail
+    texts = floattext.Texts(values[start:stop], "repr",
+                            np.where(np.arange(ny) < ny - 1, _JSON_SEP[0], _JSON_TAIL[0]))
+    head = _JSON_HEAD[start == 0:]
+    length = texts.length.reshape(n, ny)
+    size = length + len(_JSON_SEP) - 1
+    size[:, -1] += len(_JSON_TAIL + _JSON_HEAD) - len(_JSON_SEP)
+    at = len(head) + np.cumsum(size).reshape(n, ny) - size
+    # spaces, then the values and the other bytes of the separators
+    out = np.full(at[-1, -1] + length[-1, -1] + len(_JSON_TAIL) - 1, ord(" "), dtype=np.uint8)
+    texts.write(out, at.ravel())
+    end = at + length
+    for where, text in ((0, head), (end[:, :-1], _JSON_SEP[1:]), (end[:, -1], _JSON_TAIL[1:]),
+                        (end[:-1, -1] + len(_JSON_TAIL) - 1, _JSON_HEAD)):
+        for k, ch in enumerate(text):
+            if ch != ord(" "):
+                out[where + k] = ch
+    return out
 
 
-def _render(pieces: list, start: int, stop: int, write) -> None:
-    """Write the rows numbered start..stop-1 of the pieces (numbered across
-    all row pieces in order), and each fixed string whose preceding row
-    count lies in [start, stop)."""
-    done = 0
+def _render(pieces: list, write) -> None:
+    """Write the pieces of a document in order: strings, and iterables of
+    rendered row blocks."""
     for piece in pieces:
         if isinstance(piece, str):
-            if start <= done < stop:
-                write(piece.encode())
-            continue
-        first, last = max(start - done, 0), min(stop - done, piece.count)
-        for i in range(first, last, piece.step):
-            write(piece.render(i, min(i + piece.step, last)))
-        done += piece.count
+            write(piece.encode())
+        else:
+            for block in piece:
+                write(block)
+                del block  # before the next block is rendered
 
 
-def _write(path: str, pieces: list, shares: int) -> None:
-    """Write the pieces to path, their rows cut into contiguous shares; on
-    any failure the file is removed."""
-    total = sum(p.count for p in pieces if isinstance(p, _Rows))
-    shares = max(1, min(shares, total))
-    # the last share also takes the strings after the last row
-    cuts = [total * k // shares for k in range(shares)] + [total + 1]
+def _write(path: str, pieces: list) -> None:
+    """Write the pieces to path; on any failure the file is removed."""
     fh = open(path, "wb")
     try:
         with fh:
-            _write_shares(fh, pieces, cuts)
+            _render(pieces, fh.write)
     except BaseException:
         os.remove(path)
         raise
-
-
-def _write_shares(fh, pieces: list, cuts: list) -> None:
-    """Share 0 is formatted here, each other share by a forked child into a
-    temporary file opened before the fork; the children are reaped in order
-    and their files appended.  Every child is reaped, and killed first if
-    it may still run, before this returns or raises."""
-    temps, pids = [], []
-    try:
-        for start, stop in zip(cuts[1:], cuts[2:]):
-            temps.append(tempfile.TemporaryFile())
-            pid = os.fork()
-            if pid == 0:
-                _format_share(pieces, start, stop, temps[-1])
-            pids.append(pid)
-        _render(pieces, cuts[0], cuts[1], fh.write)
-        for k, tmp in enumerate(temps):
-            code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
-            pids[k] = None
-            if code:
-                raise OSError(f"the process formatting share {k + 1} of {fh.name} failed"
-                              f" with exit status {code}")
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, fh)  # in blocks of shutil.COPY_BUFSIZE (64 KiB)
-    finally:
-        for pid in pids:
-            if pid is not None:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for tmp in temps:
-            tmp.close()
-
-
-def _format_share(pieces: list, start: int, stop: int, tmp) -> None:
-    """In a forked child: format one share into tmp and leave by os._exit,
-    so that no buffer inherited from the parent is flushed twice."""
-    code = 1
-    try:
-        _render(pieces, start, stop, tmp.write)
-        tmp.flush()
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def finite_json(doc, sort_keys: bool = False) -> str:
