@@ -357,6 +357,62 @@ def _failing_render(documents_before):
     return failing
 
 
+def _exported_in_blocks(fld, fmt, path, rows_per_block):
+    """_exported_bytes with BLOCK_VALUES set so that each block of the
+    export holds rows_per_block rows of the field."""
+    per_row = fld.grid.ny * (3 if fmt == "csv" else 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(densities, "BLOCK_VALUES", rows_per_block * per_row)
+        return _exported_bytes(fld, fmt, path)
+
+
+class TestBlockedExport:
+    """Rows rendered a few at a time, so that a field spans several blocks:
+    the bytes do not depend on where the blocks are cut."""
+
+    GRIDS = [GridSpec(-3.5, -1.25, 2, -7, 11, 5), GridSpec(-1, 1, 7, -2e-3, 5e-3, 3),
+             GridSpec(0.1, 0.7, 4, 0, 1, 2)]
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_matches_reference_writer(self, grid, fmt, rows_per_block, tmp_path):
+        rng = np.random.default_rng(grid.nx * 10 + grid.ny)
+        n = grid.nx * grid.ny
+        upper = rng.random(n) * 10.0 ** rng.integers(-300, 3, n)
+        lower = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+        fld = _synthetic_field(grid, (upper + lower, upper, lower))
+        path = os.fspath(tmp_path / f"f.{fmt}")
+        assert (_exported_in_blocks(fld, fmt, path, rows_per_block)
+                == _reference_export(fld, fmt, path))
+
+    @pytest.mark.parametrize("rows_per_block", [1, 5])
+    def test_density_field_matches_reference_writer(self, coherent_field, rows_per_block,
+                                                     tmp_path):
+        _, fld = coherent_field
+        for fmt in ("csv", "json"):
+            path = os.fspath(tmp_path / f"f.{fmt}")
+            assert (_exported_in_blocks(fld, fmt, path, rows_per_block)
+                    == _reference_export(fld, fmt, path))
+
+    @settings(max_examples=20, deadline=None)
+    @given(nx=st.integers(2, 5), ny=st.integers(2, 5),
+           x_min=st.floats(-1e3, 1e3), y_min=st.floats(-1e3, 1e3),
+           span=st.floats(1e-6, 1e3), data=st.data())
+    def test_random_finite_fields_match_reference(self, nx, ny, x_min, y_min, span, data):
+        grid = GridSpec(x_min, x_min + span, nx, y_min, y_min + 2 * span, ny)
+        values = [data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                     min_size=nx * ny, max_size=nx * ny))
+                  for _ in range(3)]
+        fld = _synthetic_field(grid, values)
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt in ("csv", "json"):
+                path = os.path.join(tmp, f"f.{fmt}")
+                want = _reference_export(fld, fmt, path)
+                for rows_per_block in (1, 2):
+                    assert _exported_in_blocks(fld, fmt, path, rows_per_block) == want
+
+
 class TestOneProcessExport:
     """The export runs in this process: a write that fails mid-export
     leaves no file, and a grid that the forked share writer used to split
