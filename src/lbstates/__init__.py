@@ -45,10 +45,9 @@ from .coherent import (
     eigen_residual,
     resolution_identity_check,
 )
-from .levels import alpha, normalization_K
+from .levels import alpha, alpha_moduli, normalization_K, spectrum_table
 from .pt import (
     BiorthVector,
-    LevelClass,
     apply_HV,
     build_biorth_pair,
     build_pt_ladders,

@@ -307,7 +307,7 @@ def bicoherent_eigen_residual(spec: BicoherentSpec, state: SpinorState, operator
 
 def quasi_basis_check(f: SpinorState, g: SpinorState, params: PhysicalParams,
                       cutoff: FockCutoff, branch: str = "plus",
-                      order: str = "phi_psi", quadrature: int = 128) -> complex:
+                      order: str = "phi_psi") -> complex:
     """Evaluate the standard-family double integral (Lebesgue measure over
     both z planes) between f and g, with analytic angular reduction and
     Gauss-Laguerre radial integrals.
@@ -322,7 +322,7 @@ def quasi_basis_check(f: SpinorState, g: SpinorState, params: PhysicalParams,
     table = level_table(ps, params)
     x, y = table[:2], table[2:]
     terms = [(ps, x, y) if order == "phi_psi" else (ps, y, x)]
-    return resolution_sum(f, g, cutoff, terms, quadrature)
+    return resolution_sum(f, g, cutoff, terms)
 
 
 def convergence_certificate(spec: BicoherentSpec) -> dict:

@@ -226,12 +226,9 @@ def check_h_commutators():
 def check_v0_factorization_defect():
     cut = fock.FockCutoff(2, 12, 10)
     params = PhysicalParams()
-    worst = 0.0
-    for p in range(-cut.pmax + 1, cut.pmax):
-        measured = ld.factorization_defect_v0(cut, params, p=p)
-        expect = abs(params.eps0 * math.copysign(math.sqrt(abs(p)), p) - abs(p)) if p else 0.0
-        worst = max(worst, abs(measured - expect))
-    return _result(worst, 1e-10)
+    ps = np.arange(-cut.pmax + 1, cut.pmax)
+    expect = np.abs(params.eps0 * np.sign(ps) * np.sqrt(np.abs(ps)) - np.abs(ps))
+    return _result(np.abs(ld.factorization_defect_v0(cut, params) - expect).max(), 1e-10)
 
 
 @_check("ladders.split_closure")
@@ -316,13 +313,11 @@ def check_combined_defect():
 def check_alpha_identities():
     worst = 0.0
     for v in (0.25, 0.5, 0.9):
-        for p in range(1, 11):
-            worst = max(worst, abs(abs(pt.alpha(p, v, "plus")) - 1.0))
-            worst = max(worst, abs(abs(pt.alpha(p, v, "minus")) - 1.0))
+        moduli = np.array(pt.alpha_moduli(np.arange(1, 11), v))
+        worst = max(worst, float(np.abs(moduli - 1.0).max()))
     for v in (1.5, 9.5):
-        for p in range(1, int(v * v)):
-            ap, am = pt.gain_loss_asymptotics(p, v)
-            worst = max(worst, abs(ap * am - 1.0))
+        ap, am = pt.alpha_moduli(np.arange(1, int(v * v)), v)
+        worst = max(worst, float(np.abs(ap * am - 1.0).max()))
     worst = max(worst, abs(pt.alpha(2, math.sqrt(2), "plus") + 1.0))
     return _result(worst, 1e-12)
 
@@ -347,7 +342,7 @@ def check_hv_residuals():
         cut = fock.FockCutoff(2, 14, 12)
         h = spn.hamiltonian_spinor_matrix(params, cut).matrix
         x, y = pt.biorth_level_matrices(params, cut)
-        e = np.array([pt.eigenvalue_E(p, params) for p in range(-cut.pmax, cut.pmax + 1)])
+        e = pt.spectrum_table(pt.window_levels(cut.pmax), params)[0]
         for vecs, op, ev in ((x, h, e), (y, h.conjugate().T, np.conj(e))):
             res = np.linalg.norm(op @ vecs - vecs * ev, axis=0) / np.linalg.norm(vecs, axis=0)
             worst = max(worst, float(res.max()))
@@ -392,13 +387,8 @@ def check_pt_factorization():
 def check_reality_pattern():
     ok = True
     for v, broken_top in ((0.5, 0), (9.5, 90)):
-        params = PhysicalParams(V=v)
-        for p in range(1, 95):
-            e = pt.eigenvalue_E(p, params)
-            if p <= broken_top:
-                ok = ok and abs(e.imag) > 0
-            else:
-                ok = ok and abs(e.imag) < 1e-12
+        imag = np.abs(pt.spectrum_table(np.arange(1, 95), PhysicalParams(V=v))[0].imag)
+        ok = ok and (imag[:broken_top] > 0).all() and (imag[broken_top:] < 1e-12).all()
     return _result(0.0 if ok else 1.0, 0.5, ok=ok)
 
 
@@ -520,13 +510,7 @@ def check_gain_monotone():
     # per-level gain table at the pinned strengths (the coherent series
     # cannot be built at exceptional V^2 = 9, 36), plus the state-level
     # ratio at the two constructible strengths
-    ratios = []
-    for v in (0.5, 3.0, 6.0, 9.5):
-        if v < 1.0:
-            ratios.append(1.0 / abs(pt.alpha(2, v, "plus")) ** 2)
-        else:
-            ap, _ = pt.gain_loss_asymptotics(2, v)
-            ratios.append(1.0 / ap ** 2)
+    ratios = [1.0 / float(pt.alpha_moduli([2], v)[0][0]) ** 2 for v in (0.5, 3.0, 6.0, 9.5)]
     ok = all(b >= a for a, b in zip(ratios, ratios[1:]))
     state_ratios = []
     for v, window in ((0.5, 40), (9.5, 40)):

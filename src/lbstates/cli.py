@@ -22,8 +22,8 @@ from .densities import DEFAULT_GRID, GridSpec, density, export, finite_json, gai
 from .errors import ContractError, LbError
 from .fock import FockCutoff
 from .ladders import PAIRINGS
+from .levels import alpha_moduli, spectrum_table, window_levels
 from .params import PhysicalParams
-from .pt import classify_levels, eigenvalue_E, gain_loss_asymptotics
 
 
 def parse_complex(text: str) -> complex:
@@ -164,17 +164,11 @@ def _require_rows(pmax: int, steps: int = 1, v_from: float = 0.0, v_to: float = 
 
 
 def _level_records(params: PhysicalParams, pmax: int) -> list:
-    records = []
-    for cls in classify_levels(params, range(-pmax, pmax + 1)):
-        e = eigenvalue_E(cls.p, params)
-        records.append({
-            "p": cls.p,
-            "energy": format_complex(e),
-            "re": e.real,
-            "im": e.imag,
-            "class": cls.label,
-        })
-    return records
+    """One record per level of the window, from one `spectrum_table` call."""
+    ps = window_levels(pmax)
+    energies, labels = spectrum_table(ps, params)
+    return [{"p": p, "energy": format_complex(e), "re": e.real, "im": e.imag, "class": label}
+            for p, e, label in zip(ps.tolist(), energies.tolist(), labels.tolist())]
 
 
 def cmd_spectrum(args, parser) -> int:
@@ -289,10 +283,10 @@ def cmd_scan(args, parser) -> int:
     for v in vs:
         params = PhysicalParams(vf=args.vf, xi=args.xi, V=float(v))
         levels = _level_records(params, args.pmax)
-        for rec in levels:
-            if rec["class"] == "broken":
-                ap, am = gain_loss_asymptotics(abs(rec["p"]), float(v))
-                rec["abs_alpha_plus"], rec["abs_alpha_minus"] = ap, am
+        broken = [rec for rec in levels if rec["class"] == "broken"]
+        moduli = alpha_moduli([abs(rec["p"]) for rec in broken], params.V)
+        for rec, ap, am in zip(broken, *(m.tolist() for m in moduli)):
+            rec["abs_alpha_plus"], rec["abs_alpha_minus"] = ap, am
         trajectories.append({"V": float(v), "levels": levels})
     if args.format == "csv":
         lines = ["V,p,re,im,class,abs_alpha_plus,abs_alpha_minus"]

@@ -166,15 +166,19 @@ def eigen_residual(spec: CoherentSpec, state: SpinorState, operator, strict: boo
     return pairing_residual(spec, state, operator, strict=strict)
 
 
+# Gauss-Laguerre order of the radial integrals: exact for the monomials up
+# to n = 255, and raised for a larger nmax
+QUADRATURE_ORDER = 128
+
+
 @lru_cache(maxsize=16)
-def radial_factorial_ratio(nmax: int, order: int = 128) -> np.ndarray:
+def radial_factorial_ratio(nmax: int) -> np.ndarray:
     """Gauss-Laguerre values of the radial integrals, divided by n!.
 
     R_n = (2 int_0^inf r^{2n+1} e^{-r^2} dr) / n!  ->  1 exactly; computing
     it by quadrature keeps the resolution-of-identity checks honest.
-    Order 128 integrates the monomials exactly up to n = 255.
     """
-    order = max(order, (nmax + 2) // 2 + 1)
+    order = max(QUADRATURE_ORDER, (nmax + 2) // 2 + 1)
     nodes, weights = np.polynomial.laguerre.laggauss(order)
     n = np.arange(nmax + 1)
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(n[1:]))])  # log(n!)
@@ -182,8 +186,7 @@ def radial_factorial_ratio(nmax: int, order: int = 128) -> np.ndarray:
     return np.exp(log_terms).sum(axis=1)
 
 
-def resolution_sum(f: SpinorState, g: SpinorState, cutoff: FockCutoff, terms,
-                   quadrature: int = 128) -> complex:
+def resolution_sum(f: SpinorState, g: SpinorState, cutoff: FockCutoff, terms) -> complex:
     """The double coherent-state integral between f and g: the angular
     integrals are exact (index Kronecker deltas) and the radial ones
     Gauss-Laguerre, which leaves
@@ -192,13 +195,13 @@ def resolution_sum(f: SpinorState, g: SpinorState, cutoff: FockCutoff, terms,
 
     `terms` lists (levels, L rows, R rows) over the series indices n;
     L_n and R_n are the sums over the terms of their two-entry columns n."""
-    r1 = radial_factorial_ratio(cutoff.nmax1, quadrature)
+    r1 = radial_factorial_ratio(cutoff.nmax1)
     m = min(f.first_register.size, g.first_register.size, r1.size)
     fr = np.sum(r1[:m] * np.conj(f.first_register[:m]) * g.first_register[:m])
     fs, gs = f.spinor_stack(), g.spinor_stack()
     left = sum(column_coefficients(ps, *rows, fs, cutoff.nmax2) for ps, rows, _ in terms)
     right = sum(column_coefficients(ps, *rows, gs, cutoff.nmax2) for ps, _, rows in terms)
-    r2 = radial_factorial_ratio(left.size - 1, quadrature)
+    r2 = radial_factorial_ratio(left.size - 1)
     return complex(fr * np.sum(r2 * np.conj(left) * right))
 
 
@@ -211,8 +214,7 @@ def _v0_terms(branches, cutoff: FockCutoff, scale: float = 1.0) -> list:
 
 
 def resolution_identity_check(branch: str, f: SpinorState, g: SpinorState,
-                              cutoff: FockCutoff, family: str = "A",
-                              quadrature: int = 128) -> complex:
+                              cutoff: FockCutoff, family: str = "A") -> complex:
     """Evaluate the double coherent-state integral against f, g.
 
     The result reproduces <f, g> when both states live in the branch
@@ -226,15 +228,14 @@ def resolution_identity_check(branch: str, f: SpinorState, g: SpinorState,
         bad = np.abs(coefs).max(initial=0.0)
         if bad > 1e-12 * max(state.norm(), 1.0):
             raise ContractError(f"state has weight {bad:.3e} outside the {family}/{branch} subspace")
-    return resolution_sum(f, g, cutoff, _v0_terms([row], cutoff), quadrature)
+    return resolution_sum(f, g, cutoff, _v0_terms([row], cutoff))
 
 
-def combined_state_defect(f: SpinorState, g: SpinorState, cutoff: FockCutoff,
-                          quadrature: int = 128) -> complex:
+def combined_state_defect(f: SpinorState, g: SpinorState, cutoff: FockCutoff) -> complex:
     """Defect of the resolution of identity for the normalized sum of the
     two A-family branches, (Phi+ + Phi-)/sqrt(2): the double integral minus
     <f, g>.  Nonzero in general: the branch projectors each contribute only
     half of <f, g>, plus two cross terms coupling the halves."""
     branches = [BRANCHES[("A", "plus")], BRANCHES[("A", "minus")]]
-    integral = resolution_sum(f, g, cutoff, _v0_terms(branches, cutoff, math.sqrt(0.5)), quadrature)
+    integral = resolution_sum(f, g, cutoff, _v0_terms(branches, cutoff, math.sqrt(0.5)))
     return complex(integral - f.inner(g))

@@ -21,7 +21,7 @@ from scipy.integrate import simpson
 from . import floattext
 from .errors import ContractError
 from .fock import circular_antidiagonals, oscillator_table
-from .levels import _mixing
+from .levels import alpha_moduli
 from .params import PhysicalParams, discriminant
 from .spinor import SpinorState
 
@@ -111,8 +111,7 @@ def _support_end(mask: np.ndarray) -> int:
     return int(idx[-1]) + 1 if idx.size else 0
 
 
-def density(state: SpinorState, grid: GridSpec, params: PhysicalParams | None = None,
-            extra_meta: dict | None = None) -> DensityField:
+def density(state: SpinorState, grid: GridSpec, params: PhysicalParams | None = None) -> DensityField:
     """Evaluate |psi|^2 (total and per component) on the grid.
 
     Weights below 1e-18 of a component's largest are dropped, and all work
@@ -171,8 +170,6 @@ def density(state: SpinorState, grid: GridSpec, params: PhysicalParams | None = 
         "captured_mass": captured,
         "mass_warning": bool(not math.isfinite(captured) or abs(captured - norm2) > 1e-3 * norm2),
     }
-    if extra_meta:
-        meta.update(_jsonable(extra_meta))
     fld.meta = meta
     return fld
 
@@ -187,8 +184,8 @@ class GainLossReport:
 
 def gain_loss(state: SpinorState, params: PhysicalParams | None = None) -> GainLossReport:
     """Component masses from coefficient space (no grid), their ratio, and
-    the broken-region |alpha| table for context when V is large (the values
-    of `pt.gain_loss_asymptotics`, from one evaluation over the levels).
+    the broken-region |alpha| table for context when V is large (one
+    `levels.alpha_moduli` evaluation over the levels).
     The table holds the window's levels p >= 1 whose discriminant p - V^2
     is negative, so a level snapped to exceptional is left out."""
     up, lo = state.component_masses()
@@ -197,9 +194,8 @@ def gain_loss(state: SpinorState, params: PhysicalParams | None = None) -> GainL
         V = params.V
         top = min(int(math.ceil(V ** 2)) - 1, state.upper.size - 1)
         ps = np.arange(1, top + 1)
-        d = discriminant(ps, V)
-        ps, d = ps[d < 0.0], d[d < 0.0]
-        aps, ams = np.abs(_mixing(ps, d, V))
+        ps = ps[discriminant(ps, V) < 0.0]
+        aps, ams = alpha_moduli(ps, V)
         table = [{"p": p, "abs_alpha_plus": ap, "abs_alpha_minus": am}
                  for p, ap, am in zip(ps.tolist(), aps.tolist(), ams.tolist())]
     ratio = up / lo if lo > 0 else math.inf

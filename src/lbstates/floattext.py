@@ -222,6 +222,9 @@ def _text_words(d, point, size, exp, tail, after) -> tuple:
             words.append(chunk >> 32 - at)
         else:
             words[-1] |= chunk << at
+    # the build's temporaries go before the point shift, so that the rows
+    # it gathers fit in their place
+    del at, lead, rest, chunk, dot1
     inner = (point > 1) & (point < 18)
     for p in np.unique(point[inner]).tolist():
         # fixed notation from 10 up: the point goes after the p integer
@@ -233,7 +236,7 @@ def _text_words(d, point, size, exp, tail, after) -> tuple:
         w = words[k][rows]
         words[k][rows] = w & low | np.uint64(ord(".")) << 8 * (p % 8) | (w & ~low) << 8
     w0, w1, w2 = words
-    del words, at, lead, rest, chunk, inner, dot1  # a block's memory peaks here
+    del words, inner  # a block's memory peaks here
     last = size - 8
     in0, in1 = last < 8, last < 16  # the last 8 bytes start in word 0, or 0 or 1
     shift = (last & 7).astype(np.uint64) * 8

@@ -306,18 +306,15 @@ def hamiltonian_mode_matrix(params: PhysicalParams, cutoff: FockCutoff) -> Spars
     return SparseOperator(mat, "mode", "H_K")
 
 
-def commutator_defect(h: SparseOperator, n: SparseOperator, cutoff: FockCutoff,
-                      n_margin: int = 2, p_margin: int = 2) -> float:
-    """max over interior basis vectors f of ||(HN - NH) f||."""
+def commutator_defect(h: SparseOperator, n: SparseOperator, cutoff: FockCutoff) -> float:
+    """max over the basis vectors f two or more steps inside the window (in
+    n and in p) of ||(HN - NH) f||."""
     if not h.same_enumeration(n):
         raise ShapeError(f"operators on different enumerations: {h.space}{h.shape} vs {n.space}{n.shape}")
-    comm = (h.matrix @ n.matrix - n.matrix @ h.matrix).tocsc()
+    comm = h.matrix @ n.matrix - n.matrix @ h.matrix
     win = ModeWindow.of(cutoff)
-    worst = 0.0
-    for idx in win.interior(n_margin, p_margin):
-        col = comm[:, win.index(*idx)]
-        worst = max(worst, float(sp.linalg.norm(col)))
-    return worst
+    cols = [win.index(*idx) for idx in win.interior(2, 2)]
+    return float(sp.linalg.norm(comm, axis=0)[cols].max(initial=0.0))
 
 
 def quasi_vacua(kind: LadderKind, cutoff: FockCutoff) -> list:
@@ -335,33 +332,18 @@ def quasi_vacua(kind: LadderKind, cutoff: FockCutoff) -> list:
             if norms[win.index(n, p)] < 1e-14]
 
 
-def factorization_defect_v0(cutoff: FockCutoff, params: PhysicalParams | None = None,
-                            p: int | None = None):
-    """Defect || (H - A2^+ A2) c_{n,p} || documenting that H is not the
-    number-type product (their eigenvalues differ: eps0*sign(p)*sqrt(|p|)
-    against |p|).
-
-    With ``p`` given, returns the defect at that level (n-independent).
-    Otherwise returns the minimum over interior levels p != 0.  Note the
-    two operators do agree on p = 0, and accidentally on the single level
-    where eps0*sqrt(p) = p (p = 4 in default units), so the minimum is only
-    informative away from those levels; per-level values are exact.
+def factorization_defect_v0(cutoff: FockCutoff, params: PhysicalParams) -> np.ndarray:
+    """Defects || (H - A2^+ A2) c_{n,p} || over the interior levels p =
+    -pmax+1..pmax-1 (n-independent), from one build of both operators:
+    H is not the number-type product, as their eigenvalues differ
+    (eps0*sign(p)*sqrt(|p|) against |p|).  The two agree on p = 0, and
+    accidentally on the single level where eps0*sqrt(p) = p (p = 4 in
+    default units).
     """
-    if params is None:
-        params = PhysicalParams()
-    vm = level_matrix(cutoff)
+    vm = level_matrix(cutoff)[:, 1:-1]
     h = hamiltonian_spinor_matrix(replace(params, V=0.0), cutoff).matrix
     a2 = spinor_ladder_matrix(LadderKind.A2, cutoff).matrix
-    num = a2.conjugate().T @ a2
-    diff = h - num
-
-    def defect_at(level: int) -> float:
-        col = vm[:, level + cutoff.pmax]
-        return float(np.linalg.norm(diff @ col))
-
-    if p is not None:
-        return defect_at(p)
-    return min(defect_at(q) for q in range(-cutoff.pmax + 1, cutoff.pmax) if q != 0)
+    return np.linalg.norm((h - a2.conjugate().T @ a2) @ vm, axis=0)
 
 
 def subspace_closure_check(kind: LadderKind, tag: SubspaceTag, cutoff: FockCutoff,

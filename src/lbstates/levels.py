@@ -21,7 +21,9 @@ single-level spinors are filled from its rows, and a built state keeps the
 rows it was filled from (`LevelRows`) for its residuals; sparse columns
 are built only for ladder products and projections.  The shifted
 eigenvalues theta_p = E_p - E_0 (behind the theta family and the c2/d2
-ladders) come from `theta_table`.  Both tables take p - V^2 from
+ladders) come from `theta_table`, and the eigenvalues E_p with each
+level's PT class from `spectrum_table`; `alpha_moduli` gives |alpha+-|
+over any set of levels.  The tables take p - V^2 from
 `params.discriminant`, which is exact next to the exceptional points, and
 avoid every cancelling difference, so each entry is within 1e-14 relative
 of its 50-digit value (`tests/test_levels.py` checks this with mpmath over
@@ -126,6 +128,47 @@ def theta_table(ps, params: PhysicalParams) -> np.ndarray:
     out.imag = -(eps0 * np.where(broken, np.where(plus, gap, V + root), V))
     out[ps == 0] = 0.0
     return out
+
+
+# the class of each level in `spectrum_table`, by code
+LEVEL_CLASSES = np.array(["unbroken", "broken", "exceptional", "zero_mode"])
+
+
+def spectrum_table(ps, params: PhysicalParams) -> tuple:
+    """(E, labels) over the levels ps: the eigenvalues E_p = eps0 s for p >=
+    1, -eps0 s for p <= -1 and i eps0 V at p = 0, with s the principal root
+    of |p| - V^2 (imaginary when broken, zero at exceptional levels), and
+    each level's class, an array of `LEVEL_CLASSES` strings: zero_mode at p =
+    0, exceptional where the discriminant is exactly zero (snapped), broken
+    below zero, unbroken above.  E_p is the complex product (+-eps0 + 0i) s
+    written out, so its signed zeros are those of complex arithmetic: the
+    real part is -0 on the broken and exceptional levels p <= -1."""
+    V, eps0 = params.V, params.eps0
+    ps = np.asarray(ps, dtype=int).reshape(-1)
+    d = discriminant(np.abs(ps), V)
+    root = np.sqrt(np.abs(d))
+    broken = d < 0.0
+    sign = np.where(ps > 0, eps0, -eps0)
+    re, im = np.where(broken, 0.0, root), np.where(broken, root, 0.0)
+    energies = np.empty(ps.size, dtype=complex)
+    # an eps0 s that overflows is kept, and refused where it is written
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies.real = sign * re - 0.0 * im
+        energies.imag = sign * im + 0.0 * re
+    energies[ps == 0] = complex(0.0, eps0 * V)
+    code = np.where(ps == 0, 3, np.where(d == 0.0, 2, broken.astype(int)))
+    return energies, LEVEL_CLASSES[code]
+
+
+def alpha_moduli(ps, V: float) -> tuple:
+    """(|alpha^+|, |alpha^-|) over levels ps >= 1 as arrays: one `_mixing`
+    evaluation.  On broken levels they are (V -+ sqrt(V^2 - p)) / sqrt(p),
+    with product 1; elsewhere both are 1."""
+    ps = np.asarray(ps, dtype=int).reshape(-1)
+    if (ps < 1).any():
+        raise ContractError("alpha is defined for p >= 1")
+    a_plus, a_minus = _mixing(ps, discriminant(ps, V), V)
+    return np.abs(a_plus), np.abs(a_minus)
 
 
 def alpha(p: int, V: float, branch: str) -> complex:

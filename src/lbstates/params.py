@@ -20,13 +20,12 @@ EXCEPTIONAL_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Fermi velocity, magnetic length, chemical-potential strength and
-    magnetic-field sign.  Only the positive-field Dirac point is supported."""
+    """Fermi velocity, magnetic length and chemical-potential strength, at
+    the positive-field Dirac point (the only one supported)."""
 
     vf: float = 1.0
     xi: float = 1.0
     V: float = 0.0
-    bfield_sign: int = 1
 
     def __post_init__(self):
         if not all(math.isfinite(x) for x in (self.vf, self.xi, self.V)):
@@ -36,8 +35,6 @@ class PhysicalParams:
             raise ContractError("vf and xi must be positive")
         if self.V < 0:
             raise ContractError("V must be nonnegative")
-        if self.bfield_sign != 1:
-            raise ContractError("only bfield_sign=+1 is supported")
 
     @property
     def eps0(self) -> float:

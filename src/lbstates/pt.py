@@ -11,8 +11,10 @@ every construction below refuses to proceed.
 The eigenvectors phi_p and their biorthogonal duals are the two-entry
 level spinors of `levels`; for V > 1 the dual family is re-paired on
 broken levels (psi-tilde), restoring biorthonormality of the x/y pairing.
-The shifted eigenvalues theta_p = E_p - E_0 come from `levels.theta_table`
-(also reachable here).  The four ladders A_K_V, B_K_V, c2 and d2 are
+The eigenvalues E_p with each level's class come from
+`levels.spectrum_table`, |alpha+-| from `levels.alpha_moduli` and the
+shifted eigenvalues theta_p = E_p - E_0 from `levels.theta_table` (all
+three also reachable here).  The four ladders A_K_V, B_K_V, c2 and d2 are
 entries of the one ladder table of `ladders`; `pt_level_ladder` and
 `pt_spinor_ladder` are its bidiagonal level matrix and its sparse
 spinor-register realization X P Y^H.
@@ -29,8 +31,8 @@ import scipy.sparse as sp
 from .errors import ContractError
 from .fock import FockCutoff, SparseOperator
 from .ladders import LADDERS, V0_LADDERS, ladder_matrix, level_ladder_matrix
-from .levels import (alpha, level_columns, level_spinors, theta_table, two_entry_columns,
-                     window_levels)
+from .levels import (alpha, alpha_moduli, level_columns, level_spinors, spectrum_table,
+                     theta_table, two_entry_columns, window_levels)
 from .params import PhysicalParams, discriminant
 from .spinor import (
     ModeIndex,
@@ -42,13 +44,8 @@ from .spinor import (
 
 
 def eigenvalue_E(p: int, params: PhysicalParams) -> complex:
-    """eps0 sqrt(p - V^2) for p >= 1 (principal root, imaginary when
-    broken); i eps0 V at p = 0; -eps0 sqrt(-p - V^2) for p <= -1."""
-    if p == 0:
-        return complex(0.0, params.eps0 * params.V)
-    d = discriminant(abs(p), params.V)
-    root = complex(math.sqrt(d), 0.0) if d >= 0.0 else complex(0.0, math.sqrt(-d))
-    return params.eps0 * root if p >= 1 else -params.eps0 * root
+    """Eigenvalue E_p of one level (see `spectrum_table`)."""
+    return complex(spectrum_table([p], params)[0][0])
 
 
 def theta(p: int, params: PhysicalParams) -> complex:
@@ -141,26 +138,11 @@ def factorization_defect(params: PhysicalParams, cutoff: FockCutoff) -> float:
     return float((sp.linalg.norm(defect, axis=0) / sp.linalg.norm(x, axis=0)).max(initial=0.0))
 
 
-@dataclass(frozen=True)
-class LevelClass:
-    p: int
-    label: str  # "broken" | "unbroken" | "zero_mode" | "exceptional"
-
-
-def classify_levels(params: PhysicalParams, p_range) -> list:
-    """Classify each level: zero mode at p=0, exceptional at |p| = V^2,
-    broken for 1 <= |p| < V^2, unbroken beyond."""
-    out = []
-    for p in p_range:
-        d = discriminant(abs(p), params.V)
-        if p == 0:
-            label = "zero_mode"
-        elif d == 0.0:
-            label = "exceptional"
-        else:
-            label = "broken" if d < 0.0 else "unbroken"
-        out.append(LevelClass(int(p), label))
-    return out
+def classify_levels(params: PhysicalParams, p_range) -> np.ndarray:
+    """The class label of each level of p_range, in order: zero_mode at
+    p = 0, exceptional at |p| = V^2, broken for 1 <= |p| < V^2, unbroken
+    beyond (the labels of `spectrum_table`)."""
+    return spectrum_table(p_range, params)[1]
 
 
 def exceptional_diagnostics(p: int, v_star: float, cutoff: FockCutoff) -> dict:
@@ -192,11 +174,12 @@ def exceptional_diagnostics(p: int, v_star: float, cutoff: FockCutoff) -> dict:
 
 
 def gain_loss_asymptotics(p: int, V: float) -> tuple:
-    """(|alpha^+_p|, |alpha^-_p|) in the broken region: (V -+ sqrt(V^2-p)) /
-    sqrt(p); their product is 1 identically."""
+    """(|alpha^+_p|, |alpha^-_p|) of one broken level (see `alpha_moduli`):
+    (V -+ sqrt(V^2-p)) / sqrt(p); their product is 1 identically."""
     if not (1 <= p and discriminant(p, V) < 0.0):
         raise ContractError("asymptotics are defined for broken levels 1 <= p < V^2")
-    return abs(alpha(p, V, "plus")), abs(alpha(p, V, "minus"))
+    ap, am = alpha_moduli([p], V)
+    return float(ap[0]), float(am[0])
 
 
 def phi_norm_bound(params: PhysicalParams) -> float:

@@ -25,7 +25,8 @@ import scipy.sparse as sp
 
 from .errors import CutoffError, ShapeError
 from .fock import FockCutoff, SparseOperator, annihilator, ladder_matrices
-from .levels import LevelRows, level_spinors, level_table, two_entry_columns, window_levels
+from .levels import (LevelRows, level_spinors, level_table, spectrum_table, two_entry_columns,
+                     window_levels)
 from .params import PhysicalParams
 
 # The V=0 basis spinors v_p are the level table at V = 0.
@@ -160,11 +161,10 @@ def level_matrix(cutoff: FockCutoff) -> np.ndarray:
 
 
 def energy(idx: ModeIndex, params: PhysicalParams) -> float:
-    """sign(p) (2 v_F / xi) sqrt(|p|); independent of n."""
+    """sign(p) (2 v_F / xi) sqrt(|p|), the V = 0 eigenvalue of one level
+    (`spectrum_table` at V = 0); independent of n."""
     p = idx.p if isinstance(idx, ModeIndex) else int(idx)
-    if p == 0:
-        return 0.0
-    return math.copysign(params.eps0 * math.sqrt(abs(p)), p)
+    return float(spectrum_table([p], replace(params, V=0.0))[0][0].real)
 
 
 def first_register_lowering(nmax1: int) -> SparseOperator:

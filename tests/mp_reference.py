@@ -38,6 +38,16 @@ def alpha(q: int, V, sign: int):
         return (-V - sign * 1j * mp.sqrt(mpc(q - V * V))) / mp.sqrt(q)
 
 
+def energy(p: int, V: float, eps0: float):
+    """E_p: eps0 s for p >= 1, -eps0 s for p <= -1, i eps0 V at p = 0."""
+    with mp.workdps(DPS):
+        V, eps0 = mpf(V), mpf(eps0)
+        if p == 0:
+            return 1j * eps0 * V
+        s = mp.sqrt(mpc(abs(p) - V * V))
+        return eps0 * s if p > 0 else -eps0 * s
+
+
 def theta(p: int, V: float, eps0: float):
     """E_p - E_0: eps0 (s - iV) for p >= 1, -eps0 (s + iV) for p <= -1."""
     if p == 0:

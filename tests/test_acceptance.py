@@ -139,10 +139,10 @@ def test_criterion_03_coherent_states():
 
 def test_criterion_04_v0_nonfactorizability():
     with criterion(4, "measured gap between H and the number-type product"):
-        for p in range(-DESK.pmax + 1, DESK.pmax):
+        defects = factorization_defect_v0(DESK, PARAMS)
+        for p, measured in zip(range(-DESK.pmax + 1, DESK.pmax), defects.tolist()):
             if p == 0:
                 continue
-            measured = factorization_defect_v0(DESK, PARAMS, p=p)
             expect = abs(2 * math.copysign(math.sqrt(abs(p)), p) - abs(p))
             assert measured == pytest.approx(expect, abs=1e-10)
 

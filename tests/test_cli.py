@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import lbstates
 from lbstates.cli import MAX_ROWS, MAX_WINDOW, _require_rows, cli_main, format_complex, parse_complex
 from lbstates.errors import ContractError
-from lbstates.params import PhysicalParams
+from lbstates.params import PhysicalParams, discriminant
 from lbstates.ladders import PAIRINGS
 
 
@@ -284,6 +284,119 @@ class TestScanCommand:
         assert cli_main(["scan-v", "--from", "2.0", "--to", "1.0"]) == 2
 
 
+def _reference_level(p: int, params: PhysicalParams) -> tuple:
+    """(E_p, class) of one level from the scalar formula: math.sqrt of the
+    discriminant and Python complex arithmetic.  The product is taken
+    complex by complex, whose signed zeros no Python version changes."""
+    if p == 0:
+        return complex(0.0, params.eps0 * params.V), "zero_mode"
+    d = discriminant(abs(p), params.V)
+    root = complex(math.sqrt(d), 0.0) if d >= 0.0 else complex(0.0, math.sqrt(-d))
+    e = complex(params.eps0 if p >= 1 else -params.eps0, 0.0) * root
+    return e, "exceptional" if d == 0.0 else "broken" if d < 0.0 else "unbroken"
+
+
+def _reference_records(params: PhysicalParams, pmax: int, moduli: bool = False) -> list:
+    """The level records of `spectrum` (and, with moduli, of a `scan-v`
+    step), one level at a time."""
+    records = []
+    for p in range(-pmax, pmax + 1):
+        e, label = _reference_level(p, params)
+        text = "%.17g%s%.17gi" % (e.real, "+" if e.imag >= 0 else "-", abs(e.imag))
+        rec = {"p": p, "energy": text, "re": e.real, "im": e.imag, "class": label}
+        if moduli and label == "broken":
+            sq = math.sqrt(abs(p))
+            w = params.V + math.sqrt(-discriminant(abs(p), params.V))
+            rec["abs_alpha_plus"], rec["abs_alpha_minus"] = sq / w, w / sq
+        records.append(rec)
+    return records
+
+
+def _reference_spectrum(V: float, pmax: int, fmt: str) -> str:
+    params = PhysicalParams(V=V)
+    records = _reference_records(params, pmax)
+    if fmt == "csv":
+        return "".join(["p,re,im,class,energy\n"] + [
+            "%d,%.17g,%.17g,%s,%s\n" % (r["p"], r["re"], r["im"], r["class"], r["energy"])
+            for r in records])
+    meta = {"vf": 1.0, "xi": 1.0, "V": V, "eps0": 2.0, "pmax": pmax}
+    return json.dumps({"meta": meta, "levels": records}, indent=2) + "\n"
+
+
+def _reference_scan(v_from: float, v_to: float, steps: int, pmax: int, fmt: str) -> str:
+    trajectories = [{"V": v, "levels": _reference_records(PhysicalParams(V=v), pmax, True)}
+                    for v in np.linspace(v_from, v_to, steps).tolist()]
+    if fmt == "csv":
+        lines = ["V,p,re,im,class,abs_alpha_plus,abs_alpha_minus\n"]
+        for tr in trajectories:
+            for r in tr["levels"]:
+                moduli = ["%.17g" % r[k] if k in r else "" for k in ("abs_alpha_plus",
+                                                                      "abs_alpha_minus")]
+                lines.append("%.17g,%d,%.17g,%.17g,%s,%s,%s\n" % (
+                    tr["V"], r["p"], r["re"], r["im"], r["class"], *moduli))
+        return "".join(lines)
+    points = [{"V": math.sqrt(m), "p": m}
+              for m in range(max(1, math.ceil(v_from ** 2)), math.floor(v_to ** 2) + 1)]
+    meta = {"vf": 1.0, "xi": 1.0, "from": v_from, "to": v_to, "steps": steps, "pmax": pmax}
+    doc = {"meta": meta, "exceptional_points": points, "trajectories": trajectories}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestSpectrumBytes:
+    """`spectrum` and `scan-v` print, byte for byte, what the scalar
+    formula gives level by level: the signed zeros of the broken levels p
+    < 0 ("-0-1.88...i"), V snapped to exceptional, and the |alpha+-| of
+    the broken levels."""
+
+    @pytest.mark.parametrize("V", [0.0, 0.5, 1.7, 9.5, 3.0000000000008])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_spectrum(self, V, fmt, capsys):
+        assert cli_main(["spectrum", f"--V={V!r}", "--pmax", "40", "--format", fmt]) == 0
+        assert capsys.readouterr().out == _reference_spectrum(V, 40, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_readme_scan(self, fmt, tmp_path, capsys):
+        out = os.fspath(tmp_path / f"scan.{fmt}")
+        assert cli_main(["scan-v", "--from", "0.5", "--to", "3.5", "--steps", "100",
+                         "--pmax", "8", "--format", fmt, "--out", out]) == 0
+        assert capsys.readouterr().out.startswith("exceptional points: V=1 (p=1), ")
+        with open(out, encoding="utf-8", newline="") as fh:
+            assert fh.read() == _reference_scan(0.5, 3.5, 100, 8, fmt)
+
+
+class TestOneSpectrumTablePerStep:
+    """`spectrum` makes one `spectrum_table` call; a `scan-v` of S steps
+    makes S, and at most S `_mixing` calls for the |alpha+-| of the
+    broken levels."""
+
+    @pytest.mark.parametrize("argv,tables", [
+        (["spectrum", "--V", "9.5", "--pmax", "40"], 1),
+        (["scan-v", "--from=0.5", "--to=3.5", "--steps", "13", "--pmax", "8"], 13),
+        (["scan-v", "--from=0", "--to=12", "--steps", "31", "--pmax", "150",
+          "--format", "csv"], 31),
+    ], ids=["spectrum", "scan-v", "scan-v-csv"])
+    def test_table_calls(self, argv, tables, monkeypatch, capsys):
+        from lbstates import levels
+
+        calls = {"spectrum_table": 0, "_mixing": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            original = getattr(levels, name)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("lbstates") and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted(name, original))
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        assert calls["spectrum_table"] == tables
+        assert calls["_mixing"] <= (tables if argv[0] == "scan-v" else 0)
+
+
 class TestRowBound:
     """spectrum and scan-v refuse, before any work, an output of more than
     MAX_ROWS rows: 2 pmax + 1 levels per V step plus the exceptional
@@ -399,9 +512,13 @@ class TestInputBoundary:
         assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_report_is_refused(self, monkeypatch, capsys):
-        from lbstates import cli
+        from lbstates import cli, levels
 
-        monkeypatch.setattr(cli, "eigenvalue_E", lambda p, params: complex(math.nan, 0.0))
+        def nan_table(ps, params):
+            energies, labels = levels.spectrum_table(ps, params)
+            return np.full_like(energies, complex(math.nan, 0.0)), labels
+
+        monkeypatch.setattr(cli, "spectrum_table", nan_table)
         assert cli_main(["spectrum", "--pmax", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -617,34 +734,68 @@ class TestDensityProperty:
 
 
 class TestTracedRunHooks:
-    """The traced benchmark run wraps the state builders and residuals that
-    `cli` calls through its own module namespace; a `state` job of each
-    family kind must reach all four wrappers."""
+    """The traced benchmark run wraps the state builders, residuals, level
+    matrices, ladders, density layers and checks that `cli` calls through
+    module namespaces.  One run of the jobs `layer_metrics` reads (`state`
+    of each family kind, `check`, a CSV and a JSON `density`, `spectrum`
+    and `scan-v`) must reach every span it reads, so a renamed wrapper
+    fails here before it can crash a traced run."""
 
     SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys, tempfile
 sys.path.insert(0, sys.argv[1])
 import tracing
 tracer = tracing.Tracer()
 tracing.install(tracer)
 from lbstates.cli import cli_main
+labels = ["--z1=1+1i", "--z2=1-1i", "--nmax", "64", "--pmax", "64"]
+dens = ["--family", "phi", "--V", "0.5", "--z1=0.1", "--z2=0.1", "--nmax", "20", "--pmax", "20",
+        "--grid=-4:4:33,-4:4:33"]
 codes = []
-with contextlib.redirect_stdout(io.StringIO()):
-    for family, v in (("A", "0"), ("eta", "0.5")):
-        codes.append(cli_main(["state", "--family", family, "--V", v, "--z1=1+1i", "--z2=1-1i",
-                               "--nmax", "64", "--pmax", "64"]))
-print(json.dumps({"codes": codes, "spans": sorted({s[0] for s in tracer.spans})}))
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    jobs = [("state", ["--family", "A"] + labels),
+            ("state", ["--family", "eta", "--V", "0.5"] + labels),
+            ("check", []),
+            ("density", dens + ["--format", "csv", "--out", os.path.join(tmp, "d.csv")]),
+            ("density", dens + ["--format", "json", "--out", os.path.join(tmp, "d.json")]),
+            ("spectrum", ["--V", "0.5", "--pmax", "10"]),
+            ("scan-v", ["--from=0.5", "--to=3.5", "--steps", "5", "--pmax", "8"])]
+    for k, (cmd, argv) in enumerate(jobs):
+        codes.append(tracer.run_job(k, cmd, False, lambda: cli_main([cmd] + argv)))
+try:
+    metrics = sorted(tracing.layer_metrics(tracer))
+except Exception as err:
+    metrics = repr(err)
+print(json.dumps({"codes": codes, "spans": sorted({s[0] for s in tracer.spans}),
+                  "metrics": metrics}))
 """
 
-    def test_state_jobs_reach_the_traced_layers(self):
+    # every span name `tracing.layer_metrics` reads
+    LAYER_SPANS = {"job", "checks", "coherent.build", "bicoherent.build",
+                   "coherent.eigen_residual", "bicoherent.eigen_residual", "spinor.inner",
+                   "spinor.level_matrix", "pt.biorth_level_matrices", "pt.pt_spinor_ladder",
+                   "ladders.spinor_ladder_matrix", "fock.oscillator_table", "densities.density",
+                   "fock.circular_antidiagonals", "densities.component_cartesian",
+                   "densities.export"}
+
+    @pytest.fixture(scope="class")
+    def traced(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         src = os.path.dirname(os.path.dirname(lbstates.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, os.path.join(root, "bench")],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout.splitlines()[-1])
-        assert doc["codes"] == [0, 0]
+        assert doc["codes"] == [0] * 7
+        return doc
+
+    def test_state_jobs_reach_the_traced_layers(self, traced):
         assert {"coherent.build", "bicoherent.build", "coherent.eigen_residual",
-                "bicoherent.eigen_residual"} <= set(doc["spans"])
+                "bicoherent.eigen_residual"} <= set(traced["spans"])
+
+    def test_every_layer_span_is_reached(self, traced):
+        assert self.LAYER_SPANS <= set(traced["spans"]), self.LAYER_SPANS - set(traced["spans"])
+        assert "checks.pt.alpha_identities_s" in traced["metrics"]
+        assert "densities.export_mb_per_s" in traced["metrics"]

@@ -328,11 +328,13 @@ class TestStreamedExportBytes:
                 assert _exported_bytes(fld, fmt, path) == _reference_export(fld, fmt, path)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_memory_is_bounded_by_a_row(self, fmt, tmp_path):
+    @pytest.mark.parametrize("low,high", [(0.0, 2.0), (10.0, 1010.0)])
+    def test_memory_is_bounded_by_a_row(self, fmt, low, high, tmp_path):
+        # every value in [low, high): from 10 up, fixed notation puts the
+        # point after the second digit or later
         grid = GridSpec(-8, 8, 257, -8, 8, 257)
         rng = np.random.default_rng(257)
-        upper, lower = rng.random((2, 257 * 257))
-        fld = _synthetic_field(grid, (upper + lower, upper, lower))
+        fld = _synthetic_field(grid, low + (high - low) * rng.random((3, 257 * 257)))
         path = os.fspath(tmp_path / f"f.{fmt}")
         tracemalloc.start()
         try:

@@ -126,31 +126,41 @@ class TestCommutators:
             commutator_defect(h, other, CUT)
 
 
+def _defect_at(cutoff, params):
+    """The interior defects of `factorization_defect_v0` by level p."""
+    defects = factorization_defect_v0(cutoff, params)
+    assert defects.shape == (2 * cutoff.pmax - 1,)
+    return dict(zip(range(-cutoff.pmax + 1, cutoff.pmax), defects.tolist()))
+
+
 class TestNonFactorizability:
     def test_per_level_defects_match_eigenvalue_gap(self, params):
         # the defect on level p is exactly |eps0 sign(p) sqrt(|p|) - |p||
-        for p in range(-CUT.pmax + 1, CUT.pmax):
-            measured = factorization_defect_v0(CUT, params, p=p)
+        for p, measured in _defect_at(CUT, params).items():
             expect = abs(params.eps0 * math.copysign(math.sqrt(abs(p)), p) - abs(p)) if p else 0.0
             assert measured == pytest.approx(expect, abs=1e-10)
 
     def test_documented_values(self, params):
-        assert factorization_defect_v0(CUT, params, p=1) == pytest.approx(1.0, abs=1e-10)
-        assert factorization_defect_v0(CUT, params, p=-1) == pytest.approx(3.0, abs=1e-10)
-        assert factorization_defect_v0(CUT, params, p=0) == pytest.approx(0.0, abs=1e-12)
+        defects = _defect_at(CUT, params)
+        assert defects[1] == pytest.approx(1.0, abs=1e-10)
+        assert defects[-1] == pytest.approx(3.0, abs=1e-10)
+        assert defects[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_strictly_positive_away_from_accidental_levels(self, params):
         # the operators agree only on p = 0 and on the single level where
         # eps0 sqrt(p) = p (p = 4 in default units)
+        defects = _defect_at(CUT, params)
         for p in (-3, -2, -1, 1, 2, 3, 5, 6):
-            assert factorization_defect_v0(CUT, params, p=p) > 0.17
+            assert defects[p] > 0.17
 
     def test_min_over_levels(self, params):
-        # headline minimum excludes p = 0; it lands on the accidental p = 4
-        # agreement when that level is inside the window
-        assert factorization_defect_v0(CUT, params) == pytest.approx(0.0, abs=1e-12)
-        narrow = FockCutoff(2, 4, 3)
-        assert factorization_defect_v0(narrow, params) > 0.4
+        # the minimum over p != 0 lands on the accidental p = 4 agreement
+        # when that level is inside the window
+        def least(cutoff):
+            return min(d for p, d in _defect_at(cutoff, params).items() if p != 0)
+
+        assert least(CUT) == pytest.approx(0.0, abs=1e-12)
+        assert least(FockCutoff(2, 4, 3)) > 0.4
 
 
 class TestSubspaceClosure:

@@ -102,6 +102,35 @@ class TestMpmathOracle:
         assert discriminant(4, 2.0 + 1e-14) == 0.0  # snapped within EXCEPTIONAL_RTOL
 
 
+class TestSpectrumTable:
+    """E_p with each level's class, and |alpha+-|, over whole windows from
+    one evaluation each, against 50 digits."""
+
+    @pytest.mark.parametrize("V", sorted(PMAX) + [math.sqrt(2) + 1e-9, math.sqrt(7) - 1e-11])
+    def test_within_bound(self, V):
+        params = PhysicalParams(V=V)
+        ps = np.arange(-120, 121)
+        energies, labels = levels.spectrum_table(ps, params)
+        want = [ref.energy(int(p), V, params.eps0) for p in ps]
+        assert ref.rel_errors(energies, want).max() <= REL
+        with ref.mp.workdps(ref.DPS):
+            signs = [int(ref.mp.sign(abs(int(p)) - ref.mpf(V) ** 2)) for p in ps]
+        assert labels.tolist() == ["zero_mode" if p == 0 else
+                                   {-1: "broken", 1: "unbroken"}[sign]
+                                   for p, sign in zip(ps.tolist(), signs)]
+        qs = np.arange(1, 121)
+        moduli = np.concatenate(levels.alpha_moduli(qs, V))
+        want = [abs(ref.alpha(int(q), V, sign)) for sign in (1, -1) for q in qs]
+        assert ref.rel_errors(moduli, want).max() <= REL
+
+    def test_exceptional_levels_and_refusals(self):
+        energies, labels = levels.spectrum_table([-9, 0, 9], PhysicalParams(V=3.0))
+        assert labels.tolist() == ["exceptional", "zero_mode", "exceptional"]
+        assert bits(energies).tolist() == bits([complex(-0.0, 0.0), 6j, 0j]).tolist()
+        with pytest.raises(ContractError):
+            levels.alpha_moduli([0, 1], 0.5)
+
+
 class TestRefusals:
     def test_exceptional_level_raises_only_when_requested(self):
         params = PhysicalParams(V=2.0)
