@@ -1,8 +1,11 @@
 """Command-line surface: spectrum, state, density, check, scan-v.
 
 Complex literals use the locale-free "a+bi" form ("1-1i", "2i", "-3",
-"1+i"); grids are "xmin:xmax:nx,ymin:ymax:ny".  Exit codes: 0 success,
-1 numerical contract or I/O failure, 2 usage error.
+"1+i"); grids are "xmin:xmax:nx,ymin:ymax:ny".  A report is rendered
+whole by `finite_json` or `finite_csv`, which refuse NaN and infinities,
+then `write_document` writes it to --out (removed if the write fails)
+or stdout.  Exit codes: 0 success, 1 numerical contract or I/O failure,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ import sys
 import numpy as np
 
 from .bicoherent import FAMILIES, BicoherentSpec, bicoherent_eigen_residual, build_bicoherent
-from .checks import run_checks
 from .coherent import CoherentSpec, build_coherent, eigen_residual
-from .densities import DEFAULT_GRID, GridSpec, density, export, finite_json, gain_loss
+from .densities import (DEFAULT_GRID, GridSpec, density, export, finite_csv, finite_json,
+                        gain_loss, write_document)
 from .errors import ContractError, LbError
 from .fock import FockCutoff
 from .ladders import PAIRINGS
@@ -132,14 +135,6 @@ def _cutoff(args) -> FockCutoff:
     return FockCutoff(args.nmax, args.nmax, min(args.pmax, args.nmax))
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-
-
 # The largest --nmax/--pmax.  States and their registers are arrays as
 # long as the window (16 MB per complex array at the limit), so this bounds
 # the memory of any command; the README, the tests and the benchmark use
@@ -171,22 +166,20 @@ def _level_records(params: PhysicalParams, pmax: int) -> list:
             for p, e, label in zip(ps.tolist(), energies.tolist(), labels.tolist())]
 
 
+def _report(args, doc: dict, keys: list, rows) -> None:
+    """Write doc as JSON, or the rows (dicts) at the keys as CSV."""
+    text = finite_csv(keys, rows) if args.format == "csv" else finite_json(doc) + "\n"
+    write_document(args.out, [text])
+
+
 def cmd_spectrum(args, parser) -> int:
     params = _params(args)
     _require_rows(args.pmax)
     records = _level_records(params, args.pmax)
-    if args.format == "csv":
-        lines = ["p,re,im,class,energy"]
-        lines += [f"{r['p']},{'%.17g' % r['re']},{'%.17g' % r['im']},{r['class']},{r['energy']}"
-                  for r in records]
-        _emit("\n".join(lines), args.out)
-    else:
-        doc = {
-            "meta": {"vf": params.vf, "xi": params.xi, "V": params.V, "eps0": params.eps0,
-                     "pmax": args.pmax},
-            "levels": records,
-        }
-        _emit(finite_json(doc), args.out)
+    meta = {"vf": params.vf, "xi": params.xi, "V": params.V, "eps0": params.eps0,
+            "pmax": args.pmax}
+    _report(args, {"meta": meta, "levels": records}, ["p", "re", "im", "class", "energy"],
+            records)
     return 0
 
 
@@ -231,7 +224,7 @@ def cmd_state(args, parser) -> int:
         if "normalization_N" in state.meta:
             report["normalization_N"] = state.meta["normalization_N"]
             report["effective_N"] = state.meta["effective_N"]
-    _emit(finite_json(report), args.out)
+    write_document(args.out, [finite_json(report) + "\n"])
     return 0
 
 
@@ -257,6 +250,8 @@ def cmd_density(args, parser) -> int:
 
 
 def cmd_check(args, parser) -> int:
+    from .checks import run_checks  # only this command uses the checks
+
     results = run_checks(args.suite)
     if not results:
         sys.stderr.write(f"error: no check name contains any of {args.suite}\n")
@@ -288,27 +283,11 @@ def cmd_scan(args, parser) -> int:
         for rec, ap, am in zip(broken, *(m.tolist() for m in moduli)):
             rec["abs_alpha_plus"], rec["abs_alpha_minus"] = ap, am
         trajectories.append({"V": float(v), "levels": levels})
-    if args.format == "csv":
-        lines = ["V,p,re,im,class,abs_alpha_plus,abs_alpha_minus"]
-        for tr in trajectories:
-            for rec in tr["levels"]:
-                ap = rec.get("abs_alpha_plus")
-                am = rec.get("abs_alpha_minus")
-                lines.append(",".join([
-                    "%.17g" % tr["V"], str(rec["p"]), "%.17g" % rec["re"], "%.17g" % rec["im"],
-                    rec["class"],
-                    "" if ap is None else "%.17g" % ap,
-                    "" if am is None else "%.17g" % am,
-                ]))
-        _emit("\n".join(lines), args.out)
-    else:
-        doc = {
-            "meta": {"vf": args.vf, "xi": args.xi, "from": args.v_from, "to": args.v_to,
-                     "steps": args.steps, "pmax": args.pmax},
-            "exceptional_points": exceptional,
-            "trajectories": trajectories,
-        }
-        _emit(finite_json(doc), args.out)
+    meta = {"vf": args.vf, "xi": args.xi, "from": args.v_from, "to": args.v_to,
+            "steps": args.steps, "pmax": args.pmax}
+    _report(args, {"meta": meta, "exceptional_points": exceptional, "trajectories": trajectories},
+            ["V", "p", "re", "im", "class", "abs_alpha_plus", "abs_alpha_minus"],
+            [dict(rec, V=tr["V"]) for tr in trajectories for rec in tr["levels"]])
     if args.out is not None:
         summary = ", ".join(f"V={e['V']:.6g} (p={e['p']})" for e in exceptional) or "none in range"
         sys.stdout.write(f"exceptional points: {summary}\n")

@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -299,7 +300,7 @@ def export(fld: DensityField, fmt: str, path: str) -> None:
     written = []
     try:
         for out, pieces in documents:
-            _write(out, pieces)
+            write_document(out, pieces)
             written.append(out)
     except BaseException:
         for out in written:
@@ -358,8 +359,12 @@ def _render(pieces: list, write) -> None:
                 del block  # before the next block is rendered
 
 
-def _write(path: str, pieces: list) -> None:
-    """Write the pieces to path; on any failure the file is removed."""
+def write_document(path: str | None, pieces: list) -> None:
+    """Write the pieces to path (the only place an output file is opened),
+    removing it on any failure; with no path, write them (strings) to stdout."""
+    if path is None:
+        sys.stdout.write("".join(pieces))
+        return
     fh = open(path, "wb")
     try:
         with fh:
@@ -376,4 +381,18 @@ def finite_json(doc, sort_keys: bool = False) -> str:
         return json.dumps(doc, indent=2, sort_keys=sort_keys, allow_nan=False)
     except ValueError as err:
         raise ContractError(f"refusing to write a non-finite value: {err}") from None
+
+
+def finite_csv(keys: list, rows: list) -> str:
+    """CSV lines: the keys, then each row (a dict) at the keys, floats as
+    ``'%.17g'``, a missing key as an empty cell and anything else by str;
+    refusing NaN and infinities with ContractError, as `finite_json` does."""
+    columns = []
+    for key in keys:
+        values = [row.get(key) for row in rows]
+        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+            raise ContractError(f"refusing to write a non-finite value in column {key!r}")
+        columns.append(["%.17g" % v if isinstance(v, float) else "" if v is None else str(v)
+                        for v in values])
+    return "".join([",".join(keys) + "\n"] + [",".join(cells) + "\n" for cells in zip(*columns)])
 

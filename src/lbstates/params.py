@@ -33,6 +33,8 @@ class PhysicalParams:
         _square(self.V)  # refuses a V whose square overflows
         if self.vf <= 0 or self.xi <= 0:
             raise ContractError("vf and xi must be positive")
+        if not math.isfinite(self.eps0):
+            raise ContractError(f"eps0 = 2 vf / xi = 2 * {self.vf!r} / {self.xi!r} is not finite")
         if self.V < 0:
             raise ContractError("V must be nonnegative")
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,34 @@ class TestOverflowingV:
         PhysicalParams(V=1.3e154)
         with pytest.raises(ContractError, match=r"V\^2 is not finite"):
             PhysicalParams(V=1.4e154)
+
+
+class TestOverflowingEnergyScale:
+    """vf and xi whose energy scale eps0 = 2 vf / xi overflows are refused
+    where the parameters are made: before any work, warning or output."""
+
+    @pytest.mark.parametrize("vf,xi", [(1e308, 1.0), (1e300, 1e-10), (2.0, 1e-308)])
+    def test_params_are_refused(self, vf, xi):
+        with pytest.raises(ContractError, match="eps0 = 2 vf / xi"):
+            PhysicalParams(vf=vf, xi=xi)
+
+    def test_largest_finite_scale_is_accepted(self):
+        assert PhysicalParams(vf=8.98e307).eps0 == 1.796e308
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--vf", "1e308", "--pmax", "1", "--format", "csv"],
+        ["state", "--vf", "1e308", "--family", "eta", "--V", "0.5", "--z2=1"],
+        ["density", "--vf", "1e308", "--family", "A", "--grid=-1:1:5,-1:1:5"],
+        ["scan-v", "--vf", "2", "--xi", "1e-308", "--from=0.5", "--to=1.5", "--steps", "2"],
+    ], ids=["spectrum", "state", "density", "scan-v"])
+    def test_cli_exits_one_and_writes_nothing(self, argv, tmp_path):
+        out = tmp_path / "report.out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = _run_in_process(argv + ["--out", os.fspath(out)])
+        assert code == 1 and stdout == "", (code, stdout)
+        assert err.startswith("error: eps0 = 2 vf / xi") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDensityCommand:
@@ -511,7 +540,12 @@ class TestInputBoundary:
         assert "grid" in captured.err
         assert list(tmp_path.iterdir()) == []
 
-    def test_non_finite_report_is_refused(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--pmax", "1"],
+        ["scan-v", "--from=0.5", "--to=1.5", "--steps", "3", "--pmax", "1"],
+    ], ids=["spectrum", "scan-v"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_report_is_refused(self, argv, fmt, monkeypatch, tmp_path):
         from lbstates import cli, levels
 
         def nan_table(ps, params):
@@ -519,10 +553,24 @@ class TestInputBoundary:
             return np.full_like(energies, complex(math.nan, 0.0)), labels
 
         monkeypatch.setattr(cli, "spectrum_table", nan_table)
-        assert cli_main(["spectrum", "--pmax", "1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "non-finite" in captured.err
+        out = tmp_path / "report.out"
+        for extra in ([], ["--out", os.fspath(out)]):
+            code, stdout, err = _run_in_process(argv + ["--format", fmt] + extra)
+            assert code == 1 and stdout == "", (code, stdout)
+            assert err.startswith("error: refusing to write a non-finite value")
+            assert err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_energies_are_refused(self, fmt, tmp_path):
+        # eps0 = 2e300 is finite, E_p = eps0 sqrt(p - V^2) is not
+        out = tmp_path / "spectrum.out"
+        argv = ["spectrum", "--vf", "1e300", "--V", "1e100", "--pmax", "2", "--format", fmt]
+        for extra in ([], ["--out", os.fspath(out)]):
+            code, stdout, err = _run_in_process(argv + extra)
+            assert code == 1 and stdout == "", (code, stdout)
+            assert err.startswith("error: refusing to write a non-finite value")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--pmax", "-3"],
@@ -567,6 +615,22 @@ class TestFailureExitCodes:
         code = cli_main(["spectrum", "--V", "0.5", "--pmax", "2", "--out", out])
         assert code == 1
         assert "io error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--V", "0.5", "--pmax", "2", "--format", "csv"],
+        ["scan-v", "--from=0.5", "--to=1.5", "--steps", "3", "--pmax", "2"],
+        ["state", "--family", "A", "--z2=0.1", "--nmax", "16", "--pmax", "16"],
+    ], ids=["spectrum", "scan-v", "state"])
+    def test_failed_write_removes_the_file(self, argv, monkeypatch, tmp_path):
+        # every --out goes through the writer that density exports use
+        from lbstates import densities
+        from test_density import _failing_render
+
+        monkeypatch.setattr(densities, "_render", _failing_render(0))
+        code, stdout, err = _run_in_process(argv + ["--out", os.fspath(tmp_path / "report.out")])
+        assert code == 1 and stdout == "", (code, stdout)
+        assert err.startswith("io error: ")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("family", ["eta", "xi", "A", "B", "phi", "psi"])
     def test_minus_branch_without_levels_exits_one(self, family, capsys):
