@@ -17,17 +17,14 @@ from .fock import (
     eval_mode,
     ladder_matrices,
     oscillator_psi,
-    vacuum_2d,
 )
 from .params import PhysicalParams
 from .spinor import (
     ModeIndex,
     ModeWindow,
     SpinorState,
-    apply_HK,
     basis_vector_c,
     dense_hamiltonian,
-    energy,
 )
 from .ladders import (
     LadderKind,
@@ -35,7 +32,6 @@ from .ladders import (
     build_ladder,
     commutator_defect,
     factorization_defect_v0,
-    quasi_vacua,
     subspace_closure_check,
 )
 from .coherent import (
@@ -46,26 +42,13 @@ from .coherent import (
     resolution_identity_check,
 )
 from .levels import alpha, alpha_moduli, normalization_K, spectrum_table
-from .pt import (
-    BiorthVector,
-    apply_HV,
-    build_biorth_pair,
-    build_pt_ladders,
-    classify_levels,
-    eigenvalue_E,
-    exceptional_diagnostics,
-    factorization_defect,
-    gain_loss_asymptotics,
-    theta,
-)
+from .pt import exceptional_diagnostics, factorization_defect
 from .bicoherent import (
     BicoherentSpec,
     bicoherent_eigen_residual,
     build_bicoherent,
-    convergence_certificate,
     normalization_N,
     quasi_basis_check,
-    theta_factorial,
 )
 from .densities import DensityField, GainLossReport, GridSpec, density, export, gain_loss
 

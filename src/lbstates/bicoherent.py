@@ -50,11 +50,9 @@ from .fock import FockCutoff
 from .ladders import BRANCHES, BranchSeries, pairing_residual
 from .levels import level_table, theta_table
 from .params import PhysicalParams
-from .pt import phi_norm_bound
 from .spinor import SpinorState
 from .coherent import (
     DEFAULT_TAIL_TOL,
-    coherent_series_length,
     first_register_coherent,
     gaussian_series,
     resolution_sum,
@@ -66,19 +64,6 @@ def theta_sequence(count: int, params: PhysicalParams, branch: str = "plus") -> 
     """theta values along the branch: theta_{+k} (plus) or theta_{-k}
     (minus) for k = 0..count."""
     return theta_table(BRANCHES[("eta", branch)].step * np.arange(count + 1), params)
-
-
-def theta_factorial(n: int, params: PhysicalParams, branch: str = "plus") -> tuple:
-    """(cumulative complex product theta_1 ... theta_n, its modulus).
-
-    The empty product is 1.  For V < 1 the modulus is eps0^n sqrt(n!)
-    regardless of branch.
-    """
-    if n < 0:
-        raise ContractError("theta factorial needs n >= 0")
-    seq = theta_sequence(n, params, branch)
-    prod = complex(np.prod(seq[1:])) if n >= 1 else 1.0 + 0.0j
-    return prod, abs(prod)
 
 
 class NormalizationN(NamedTuple):
@@ -323,41 +308,3 @@ def quasi_basis_check(f: SpinorState, g: SpinorState, params: PhysicalParams,
     x, y = table[:2], table[2:]
     terms = [(ps, x, y) if order == "phi_psi" else (ps, y, x)]
     return resolution_sum(f, g, cutoff, terms)
-
-
-def convergence_certificate(spec: BicoherentSpec) -> dict:
-    """The bound chain controlling the series: the uniform norm bound on the
-    expansion vectors (exact for V < 1; the tail bound beyond the broken
-    region for V > 1, plus the measured maximum inside it), the tail
-    estimate at the chosen cutoff, and a pass/fail verdict."""
-    params = spec.params
-    measured = (np.abs(spec.columns(spec.level_cap + 1)[1:]) ** 2).sum(axis=0)
-    bound = phi_norm_bound(params)
-    if params.regime() == "small":
-        tail_start = 0
-    else:
-        tail_start = math.floor(params.V ** 2) + 1
-    tail_region = measured[tail_start:] if tail_start < measured.size else np.array([])
-    bound_holds = bool(tail_region.size == 0 or tail_region.max() <= bound * (1 + 1e-12))
-    try:
-        if spec.family == "theta":
-            tail = _theta_series(spec).tail
-        else:
-            _, tail = coherent_series_length(spec.z2, spec.level_cap, spec.tail_tol)
-        tail_ok = True
-    except CutoffError as err:
-        tail = err.tail_estimate
-        tail_ok = False
-    return {
-        "family": spec.family,
-        "branch": spec.branch,
-        "V": params.V,
-        "norm_bound": bound,
-        "bound_applies_from_level": tail_start,
-        "measured_max_norm2": float(measured.max()) if measured.size else 0.0,
-        "measured_max_norm2_in_bound_region": float(tail_region.max()) if tail_region.size else 0.0,
-        "norm_bound_holds": bound_holds,
-        "tail_estimate": tail,
-        "tail_tolerance": spec.tail_tol,
-        "passes": bool(bound_holds and tail_ok),
-    }

@@ -23,6 +23,7 @@ from . import bicoherent as bc
 from . import coherent as ch
 from . import fock
 from . import ladders as ld
+from . import levels as lv
 from . import pt
 from . import floattext
 from . import spinor as spn
@@ -140,7 +141,7 @@ def check_eigen_residuals_v0():
     cut = fock.FockCutoff(4, 16, 14)
     h = spn.hamiltonian_spinor_matrix(params, cut).matrix
     vecs = spn.level_matrix(cut)
-    e = pt.spectrum_table(pt.window_levels(cut.pmax), params)[0]
+    e = lv.spectrum_table(lv.window_levels(cut.pmax), params)[0]
     return _result(float(np.linalg.norm(h @ vecs - vecs * e, axis=0).max()), 1e-10)
 
 
@@ -161,13 +162,13 @@ def check_dense_spectrum():
 def check_subspace_orthogonality():
     cut = fock.FockCutoff(5, 10, 8)
     worst = 0.0
+    half = cut.nmax2 + 1
     rng = np.random.default_rng(7)
     for p, q in ((0, 1), (2, -2), (-1, -3)):
         fr = rng.normal(size=cut.nmax1 + 1) + 1j * rng.normal(size=cut.nmax1 + 1)
-        up_p, lo_p = spn.level_vector(p, cut.nmax2)
-        up_q, lo_q = spn.level_vector(q, cut.nmax2)
-        f = spn.SpinorState(fr, up_p, lo_p)
-        g = spn.SpinorState(fr, up_q, lo_q)
+        vp, vq = (lv.level_spinors(k, spn.V0, cut.nmax2)[0] for k in (p, q))
+        f = spn.SpinorState(fr, vp[:half], vp[half:])
+        g = spn.SpinorState(fr, vq[:half], vq[half:])
         worst = max(worst, abs(f.inner(g)))
     return _result(worst, 1e-10)
 
@@ -196,11 +197,10 @@ def check_number_operator():
     cut = fock.FockCutoff(2, 8, 6)
     a2 = ld.build_ladder(ld.LadderKind.A2, cut).matrix
     num = (a2.conjugate().T @ a2).toarray()
-    win = spn.ModeWindow.of(cut)
-    diag_expect = np.array([abs(idx.p) for idx in win.indices()], dtype=float)
+    _, ps = ld._mode_grid(cut)
     off = num - np.diag(np.diag(num))
-    interior = [win.index(n, p) for n in range(cut.nmax1 + 1) for p in range(-cut.pmax + 1, cut.pmax)]
-    diag_err = float(np.abs(np.diag(num)[interior] - diag_expect[interior]).max())
+    interior = np.abs(ps) < cut.pmax
+    diag_err = float(np.abs(np.diag(num)[interior] - np.abs(ps[interior])).max())
     worst = max(diag_err, float(np.abs(off).max()))
     neg = float(min(np.diag(num).real.min(), 0.0))
     return _result(max(worst, -neg), 1e-12)
@@ -313,12 +313,12 @@ def check_combined_defect():
 def check_alpha_identities():
     worst = 0.0
     for v in (0.25, 0.5, 0.9):
-        moduli = np.array(pt.alpha_moduli(np.arange(1, 11), v))
+        moduli = np.array(lv.alpha_moduli(np.arange(1, 11), v))
         worst = max(worst, float(np.abs(moduli - 1.0).max()))
     for v in (1.5, 9.5):
-        ap, am = pt.alpha_moduli(np.arange(1, int(v * v)), v)
+        ap, am = lv.alpha_moduli(np.arange(1, int(v * v)), v)
         worst = max(worst, float(np.abs(ap * am - 1.0).max()))
-    worst = max(worst, abs(pt.alpha(2, math.sqrt(2), "plus") + 1.0))
+    worst = max(worst, abs(lv.alpha(2, math.sqrt(2), "plus") + 1.0))
     return _result(worst, 1e-12)
 
 
@@ -342,7 +342,7 @@ def check_hv_residuals():
         cut = fock.FockCutoff(2, 14, 12)
         h = spn.hamiltonian_spinor_matrix(params, cut).matrix
         x, y = pt.biorth_level_matrices(params, cut)
-        e = pt.spectrum_table(pt.window_levels(cut.pmax), params)[0]
+        e = lv.spectrum_table(lv.window_levels(cut.pmax), params)[0]
         for vecs, op, ev in ((x, h, e), (y, h.conjugate().T, np.conj(e))):
             res = np.linalg.norm(op @ vecs - vecs * ev, axis=0) / np.linalg.norm(vecs, axis=0)
             worst = max(worst, float(res.max()))
@@ -355,7 +355,7 @@ def check_theta_modulus():
     ps = np.array(list(range(-12, 0)) + list(range(1, 13)))
     for v in (0.25, 0.5, 0.9):
         params = PhysicalParams(V=v)
-        defect = np.abs(np.abs(pt.theta_table(ps, params)) - params.eps0 * np.sqrt(np.abs(ps)))
+        defect = np.abs(np.abs(lv.theta_table(ps, params)) - params.eps0 * np.sqrt(np.abs(ps)))
         worst = max(worst, float(defect.max()))
     return _result(worst, 1e-12)
 
@@ -387,7 +387,7 @@ def check_pt_factorization():
 def check_reality_pattern():
     ok = True
     for v, broken_top in ((0.5, 0), (9.5, 90)):
-        imag = np.abs(pt.spectrum_table(np.arange(1, 95), PhysicalParams(V=v))[0].imag)
+        imag = np.abs(lv.spectrum_table(np.arange(1, 95), PhysicalParams(V=v))[0].imag)
         ok = ok and (imag[:broken_top] > 0).all() and (imag[broken_top:] < 1e-12).all()
     return _result(0.0 if ok else 1.0, 0.5, ok=ok)
 
@@ -483,8 +483,7 @@ def check_quasi_basis():
     worst = 0.0
     half = cut.nmax2 + 1
     for n, p in ((0, 0), (1, 2), (0, 1)):
-        ystack = pt.dual_spinor(p, params, cut)
-        xstack = pt.phi_spinor(p, params, cut)
+        xstack, ystack = lv.level_spinors(p, params, cut.nmax2)
         f = spn.SpinorState(spn.first_register_basis(n, cut.nmax1), ystack[:half], ystack[half:])
         g = spn.SpinorState(spn.first_register_basis(n, cut.nmax1), xstack[:half], xstack[half:])
         got = bc.quasi_basis_check(f, g, params, cut, branch="plus")
@@ -510,7 +509,7 @@ def check_gain_monotone():
     # per-level gain table at the pinned strengths (the coherent series
     # cannot be built at exceptional V^2 = 9, 36), plus the state-level
     # ratio at the two constructible strengths
-    ratios = [1.0 / float(pt.alpha_moduli([2], v)[0][0]) ** 2 for v in (0.5, 3.0, 6.0, 9.5)]
+    ratios = [1.0 / float(lv.alpha_moduli([2], v)[0][0]) ** 2 for v in (0.5, 3.0, 6.0, 9.5)]
     ok = all(b >= a for a, b in zip(ratios, ratios[1:]))
     state_ratios = []
     for v, window in ((0.5, 40), (9.5, 40)):

@@ -155,7 +155,12 @@ def _require_rows(pmax: int, steps: int = 1, v_from: float = 0.0, v_to: float = 
               if math.isfinite(top) else math.inf)
     rows = (2 * pmax + 1) * steps + max(points, 0)
     if rows > MAX_ROWS:
-        raise ContractError(f"the output would hold {rows} rows; the limit is {MAX_ROWS}")
+        # three digits of the count: it can be an integer of thousands of
+        # digits, or inf once to^2 overflows
+        count = (f"about {rows:.3g}" if rows <= sys.float_info.max
+                 else f"more than {sys.float_info.max:.3g}")
+        raise ContractError(f"the output would hold {count} rows; the limit is"
+                            f" MAX_ROWS = {MAX_ROWS}")
 
 
 def _level_records(params: PhysicalParams, pmax: int) -> list:

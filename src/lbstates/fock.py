@@ -118,14 +118,6 @@ def oscillator_table(nmax: int, x) -> np.ndarray:
     return out
 
 
-def vacuum_2d(x, y):
-    """Ground-state wavefunction (1/sqrt(pi)) exp(-(X^2+Y^2)/2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    val = np.exp(-0.5 * (x * x + y * y)) / math.sqrt(math.pi)
-    return float(val) if val.ndim == 0 else val
-
-
 @dataclass(frozen=True)
 class CartesianModeVector:
     """Expansion of a state over products psi_j(X) psi_k(Y), with its norm."""

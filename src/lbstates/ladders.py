@@ -40,7 +40,7 @@ from .fock import FockCutoff, SparseOperator, annihilator
 from .levels import (LevelRows, bidiagonal, column_coefficients, level_rows, level_table,
                      rank_one_sum, series_stack, theta_table, two_entry_columns, window_levels)
 from .params import PhysicalParams
-from .spinor import (V0, ModeIndex, ModeWindow, hamiltonian_spinor_matrix, level_matrix,
+from .spinor import (V0, ModeWindow, hamiltonian_spinor_matrix, level_matrix,
                      lower_first_register)
 
 
@@ -122,8 +122,7 @@ BRANCHES = {key: Branch(first, 1 if key[1] == "plus" else -1) for key, first in 
 
 class BranchSeries:
     """The series layout of a state spec from its `BRANCHES` row `key`; a
-    spec also provides `cutoff`, `params` and `side` ('ket': the rows of
-    phi_p, 'bra': those of its regime dual)."""
+    spec also provides `cutoff` and `params`."""
 
     def sigma(self, n):
         return BRANCHES[self.key].sigma(n)
@@ -142,12 +141,6 @@ class BranchSeries:
             raise CutoffError(f"the {branch} branch of {family} has no level inside"
                               f" pmax={self.cutoff.pmax}", tail_estimate=math.inf)
         return cap
-
-    def columns(self, n_terms: int) -> tuple:
-        """(levels, upper, lower) of the first n_terms series terms."""
-        ps = self.sigma(np.arange(n_terms))
-        table = level_table(ps, self.params)
-        return (ps, *(table[:2] if self.side == "ket" else table[2:]))
 
     def series_rows(self, n_terms: int) -> tuple:
         """(levels of the first n_terms series terms, the `LevelRows` a state
@@ -306,30 +299,23 @@ def hamiltonian_mode_matrix(params: PhysicalParams, cutoff: FockCutoff) -> Spars
     return SparseOperator(mat, "mode", "H_K")
 
 
+def _mode_grid(cutoff: FockCutoff) -> tuple:
+    """(n, p) of each column of the enumerated (n, p) window, in
+    `ModeWindow.index` order, as two integer arrays."""
+    win = ModeWindow.of(cutoff)
+    ns, ps = np.divmod(np.arange(win.dim), win.pdim)
+    return ns, ps - cutoff.pmax
+
+
 def commutator_defect(h: SparseOperator, n: SparseOperator, cutoff: FockCutoff) -> float:
     """max over the basis vectors f two or more steps inside the window (in
     n and in p) of ||(HN - NH) f||."""
     if not h.same_enumeration(n):
         raise ShapeError(f"operators on different enumerations: {h.space}{h.shape} vs {n.space}{n.shape}")
     comm = h.matrix @ n.matrix - n.matrix @ h.matrix
-    win = ModeWindow.of(cutoff)
-    cols = [win.index(*idx) for idx in win.interior(2, 2)]
+    ns, ps = _mode_grid(cutoff)
+    cols = (ns <= cutoff.nmax1 - 2) & (np.abs(ps) <= cutoff.pmax - 2)
     return float(sp.linalg.norm(comm, axis=0)[cols].max(initial=0.0))
-
-
-def quasi_vacua(kind: LadderKind, cutoff: FockCutoff) -> list:
-    """The basis family annihilated by the ladder, found by applying its
-    matrix (not read off a table).
-
-    For the level ladders this is an entire n-family at a single p; for A1
-    it is the n = 0 row across all p.
-    """
-    kind = LadderKind(kind)
-    win = ModeWindow.of(cutoff)
-    norms = sp.linalg.norm(build_ladder(kind, cutoff).matrix, axis=0)
-    ns = [0] if kind is LadderKind.A1 else range(cutoff.nmax1 + 1)
-    return [ModeIndex(n, p) for p in range(-cutoff.pmax + 1, cutoff.pmax) for n in ns
-            if norms[win.index(n, p)] < 1e-14]
 
 
 def factorization_defect_v0(cutoff: FockCutoff, params: PhysicalParams) -> np.ndarray:
@@ -350,8 +336,7 @@ def subspace_closure_check(kind: LadderKind, tag: SubspaceTag, cutoff: FockCutof
                            tol: float = 1e-12) -> bool:
     """True iff the ladder maps every interior basis vector of the tagged
     subspace to a vector with no component outside it."""
-    ns, ps = np.divmod(np.arange(ModeWindow.of(cutoff).dim), 2 * cutoff.pmax + 1)
-    ps -= cutoff.pmax
+    ns, ps = _mode_grid(cutoff)
     on = SubspaceTag(tag).branch.support(ps)
     inside = np.flatnonzero(on & (ns < cutoff.nmax1) & (np.abs(ps) < cutoff.pmax))
     leak = build_ladder(LadderKind(kind), cutoff).matrix[~on][:, inside].toarray()

@@ -17,7 +17,8 @@ orthonormal basis v_p of the V=0 problem.
 One coefficient table, `level_table`, evaluates these over any set of
 levels as plain numpy complex expressions; the scalars `alpha` and
 `normalization_K` are one-level evaluations of the same code.  States and
-single-level spinors are filled from its rows, and a built state keeps the
+the stacked spinors of one level (`level_spinors`: phi_p and its dual,
+or v_p at V = 0) are filled from its rows, and a built state keeps the
 rows it was filled from (`LevelRows`) for its residuals; sparse columns
 are built only for ladder products and projections.  The shifted
 eigenvalues theta_p = E_p - E_0 (behind the theta family and the c2/d2

@@ -58,9 +58,6 @@ class PhysicalParams:
         p = round(self.V * self.V)
         return p if p >= 1 and discriminant(p, self.V) == 0.0 else None
 
-    def is_exceptional_config(self) -> bool:
-        return self.exceptional_level() is not None
-
     def require_non_exceptional(self, what: str) -> None:
         p = self.exceptional_level()
         if p is not None:

@@ -9,9 +9,11 @@ eigenbasis c_{n,p} has
     p >= 1  ->  (e_p, -i e_{p-1}) / sqrt(2)
     p <= -1 ->  (e_{|p|}, +i e_{|p|-1}) / sqrt(2)
 
-on the spinor register, with first-register factor e_n.  The (n, p)
-window is flattened in row-major order with p offset-encoded; this
-enumeration is part of the public contract.
+on the spinor register, with first-register factor e_n: the level
+spinors of `levels` at V = 0 (`levels.level_spinors`), whose energies
+sign(p) eps0 sqrt(|p|) are `levels.spectrum_table` at V = 0.  The (n, p)
+window is flattened in row-major order with p offset-encoded
+(`ModeWindow.index`); this enumeration is part of the public contract.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CutoffError, ShapeError
+from .errors import CutoffError
 from .fock import FockCutoff, SparseOperator, annihilator, ladder_matrices
-from .levels import (LevelRows, level_spinors, level_table, spectrum_table, two_entry_columns,
-                     window_levels)
+from .levels import LevelRows, level_spinors, level_table, two_entry_columns, window_levels
 from .params import PhysicalParams
 
 # The V=0 basis spinors v_p are the level table at V = 0.
@@ -59,16 +60,6 @@ class ModeWindow:
         if not (0 <= n <= self.nmax1 and abs(p) <= self.pmax):
             raise CutoffError(f"(n={n}, p={p}) outside window")
         return n * self.pdim + (p + self.pmax)
-
-    def indices(self):
-        for n in range(self.nmax1 + 1):
-            for p in range(-self.pmax, self.pmax + 1):
-                yield ModeIndex(n, p)
-
-    def interior(self, n_margin: int = 1, p_margin: int = 1):
-        for n in range(self.nmax1 + 1 - n_margin):
-            for p in range(-self.pmax + p_margin, self.pmax - p_margin + 1):
-                yield ModeIndex(n, p)
 
     @staticmethod
     def of(cutoff: FockCutoff) -> "ModeWindow":
@@ -112,10 +103,6 @@ class SpinorState:
     def spinor_stack(self) -> np.ndarray:
         return np.concatenate([self.upper, self.lower])
 
-    def with_spinor_stack(self, stack: np.ndarray) -> "SpinorState":
-        half = stack.size // 2
-        return SpinorState(self.first_register.copy(), stack[:half].copy(), stack[half:].copy(), dict(self.meta))
-
     def component_masses(self) -> tuple:
         fr = float(np.vdot(self.first_register, self.first_register).real)
         up = fr * float(np.vdot(self.upper, self.upper).real)
@@ -126,12 +113,6 @@ class SpinorState:
 def _padded_vdot(a: np.ndarray, b: np.ndarray) -> complex:
     m = min(a.size, b.size)
     return complex(np.vdot(a[:m], b[:m]))
-
-
-def level_vector(p: int, nmax2: int) -> tuple:
-    """Spinor-register components (upper, lower) of the basis spinor v_p."""
-    stack = level_spinors(p, V0, nmax2)[0]
-    return stack[:nmax2 + 1], stack[nmax2 + 1:]
 
 
 def first_register_basis(n: int, nmax1: int) -> np.ndarray:
@@ -147,8 +128,9 @@ def basis_vector_c(idx: ModeIndex, cutoff: FockCutoff) -> SpinorState:
     n, p = idx
     if abs(p) > cutoff.pmax:
         raise CutoffError(f"|p|={abs(p)} exceeds pmax={cutoff.pmax}")
-    upper, lower = level_vector(p, cutoff.nmax2)
-    return SpinorState(first_register_basis(n, cutoff.nmax1), upper, lower)
+    stack = level_spinors(p, V0, cutoff.nmax2)[0]
+    half = cutoff.nmax2 + 1
+    return SpinorState(first_register_basis(n, cutoff.nmax1), stack[:half], stack[half:])
 
 
 def level_matrix(cutoff: FockCutoff) -> np.ndarray:
@@ -158,18 +140,6 @@ def level_matrix(cutoff: FockCutoff) -> np.ndarray:
     """
     ps = window_levels(cutoff.pmax)
     return two_entry_columns(ps, *level_table(ps, V0)[:2], cutoff.nmax2).toarray()
-
-
-def energy(idx: ModeIndex, params: PhysicalParams) -> float:
-    """sign(p) (2 v_F / xi) sqrt(|p|), the V = 0 eigenvalue of one level
-    (`spectrum_table` at V = 0); independent of n."""
-    p = idx.p if isinstance(idx, ModeIndex) else int(idx)
-    return float(spectrum_table([p], replace(params, V=0.0))[0][0].real)
-
-
-def first_register_lowering(nmax1: int) -> SparseOperator:
-    """The degeneracy-register lowering operator (standard sqrt(n) entries)."""
-    return SparseOperator(annihilator(nmax1), "first", "A1_register")
 
 
 def _hamiltonian_block(params: PhysicalParams, a: sp.spmatrix) -> sp.csr_matrix:
@@ -190,26 +160,13 @@ def hamiltonian_spinor_matrix(params: PhysicalParams, cutoff: FockCutoff) -> Spa
     return SparseOperator(mat, "kregister", f"H(V={params.V})")
 
 
-def apply_spinor_operator(op: SparseOperator, state: SpinorState) -> SpinorState:
-    if op.space != "kregister":
-        raise ShapeError(f"expected a kregister operator, got {op.space}")
-    stack = state.spinor_stack()
-    if op.shape[1] != stack.size:
-        raise ShapeError("operator and state live on different spinor windows")
-    return state.with_spinor_stack(op.matrix @ stack)
-
-
 def lower_first_register(fr: np.ndarray) -> np.ndarray:
-    """The lowering operator of `first_register_lowering` applied to the
-    first-register coefficients: sqrt(n+1) fr[n+1]."""
+    """The degeneracy-register lowering operator (`fock.annihilator`, the
+    standard sqrt(n) entries) applied to the first-register coefficients:
+    sqrt(n+1) fr[n+1]."""
     out = np.zeros_like(fr)
     out[:-1] = np.sqrt(np.arange(1, fr.size)) * fr[1:]
     return out
-
-
-def apply_HK(state: SpinorState, params: PhysicalParams, cutoff: FockCutoff) -> SpinorState:
-    """Apply the V=0 Hamiltonian (2i v_F/xi) [[0, A2^+], [-A2, 0]] blockwise."""
-    return apply_spinor_operator(hamiltonian_spinor_matrix(replace(params, V=0.0), cutoff), state)
 
 
 def dense_hamiltonian(params: PhysicalParams, cutoff: FockCutoff) -> SparseOperator:
@@ -217,15 +174,6 @@ def dense_hamiltonian(params: PhysicalParams, cutoff: FockCutoff) -> SparseOpera
     (j, k) blocks.  Hermitian at V=0."""
     mat = _hamiltonian_block(params, ladder_matrices(cutoff)["A2"].matrix)
     return SparseOperator(mat, "cartesian_spinor", f"H_cart(V={params.V})")
-
-
-def eigen_residual_hk(idx: ModeIndex, params: PhysicalParams, cutoff: FockCutoff) -> float:
-    """|| H c_{n,p} - E_{n,p} c_{n,p} ||_2."""
-    state = basis_vector_c(idx, cutoff)
-    h_state = apply_HK(state, params, cutoff)
-    e = energy(idx, params)
-    diff = h_state.spinor_stack() - e * state.spinor_stack()
-    return float(np.linalg.norm(diff))
 
 
 def restricted_spinor_block(params: PhysicalParams, cutoff: FockCutoff) -> np.ndarray:

@@ -22,20 +22,18 @@ from lbstates import (
     PhysicalParams,
     alpha,
     basis_vector_c,
-    build_pt_ladders,
     combined_state_defect,
-    eigenvalue_E,
     exceptional_diagnostics,
     factorization_defect,
-    gain_loss_asymptotics,
     normalization_N,
 )
 from lbstates.bicoherent import BicoherentSpec, bi_product, bicoherent_eigen_residual, build_bicoherent
 from lbstates.coherent import CoherentSpec, build_coherent, eigen_residual, resolution_identity_check
 from lbstates.densities import GridSpec, density, gain_loss
-from lbstates.fock import ladder_matrices
+from lbstates.fock import annihilator, ladder_matrices
 from lbstates.ladders import factorization_defect_v0
-from lbstates.pt import biorth_level_matrices, dual_spinor, phi_spinor
+from lbstates.levels import alpha_moduli, level_spinors, spectrum_table
+from lbstates.pt import biorth_level_matrices, pt_spinor_ladder
 from lbstates.spinor import (
     hamiltonian_spinor_matrix,
     level_matrix,
@@ -66,11 +64,13 @@ def test_criterion_01_spectrum():
                              for p in range(-DESK.pmax, DESK.pmax + 1)])
         residuals = np.linalg.norm(h @ vm - vm * energies[None, :], axis=0)
         assert residuals.max() < 1e-10
-        # the degeneracy register is untouched: spot-check full states too
-        from lbstates.spinor import eigen_residual_hk
+        # the degeneracy register is untouched: spot-check full states too,
+        # against E_p of the spectrum table
         for n in (0, 17, 64):
-            for p in (-32, -5, 0, 1, 32):
-                assert eigen_residual_hk(ModeIndex(n, p), PARAMS, DESK) < 1e-10
+            for p, e in zip((-32, -5, 0, 1, 32), spectrum_table([-32, -5, 0, 1, 32], PARAMS)[0]):
+                st = basis_vector_c(ModeIndex(n, p), DESK)
+                res = np.linalg.norm(h @ st.spinor_stack() - e * st.spinor_stack())
+                assert res * np.linalg.norm(st.first_register) < 1e-10
         block = restricted_spinor_block(PARAMS, DESK)
         eigs = np.sort(np.linalg.eigvals(block).real)
         expect = np.sort([0.0] + [s * 2 * math.sqrt(k) for k in range(1, 65) for s in (1, -1)])
@@ -97,9 +97,7 @@ def test_criterion_02_ccrs():
         if mask.any():
             worst = max(worst, float(np.abs(cross.data[mask]).max()))
         # the degeneracy-register lowering operator satisfies the same CCR
-        from lbstates.spinor import first_register_lowering
-
-        a1 = first_register_lowering(DESK.nmax1).matrix
+        a1 = annihilator(DESK.nmax1)
         comm = (a1 @ a1.conjugate().T - a1.conjugate().T @ a1).toarray()
         worst = max(worst, float(np.abs((comm - np.eye(65))[:64, :64]).max()))
         assert worst < 1e-12
@@ -158,14 +156,13 @@ def test_criterion_05_biorthonormality():
 def test_criterion_06_pt_spectrum():
     with criterion(6, "PT spectrum: reality pattern and the imaginary zero mode"):
         params = PhysicalParams(V=0.5)
-        assert eigenvalue_E(0, params) == pytest.approx(1.0j, abs=1e-15)
-        for p in range(-DESK.pmax, DESK.pmax + 1):
-            if p != 0:
-                assert abs(eigenvalue_E(p, params).imag) < 1e-12
+        ps = np.arange(-DESK.pmax, DESK.pmax + 1)
+        energies = spectrum_table(ps, params)[0]
+        assert energies[DESK.pmax] == pytest.approx(1.0j, abs=1e-15)
+        assert (np.abs(energies[ps != 0].imag) < 1e-12).all()
         params = PhysicalParams(V=9.5)
         for p in range(1, 121):
-            for q in (p, -p):
-                e = eigenvalue_E(q, params)
+            for e in spectrum_table([p, -p], params)[0]:
                 if p <= 90:
                     assert abs(e.imag) > 0
                 else:
@@ -186,13 +183,12 @@ def test_criterion_08_alpha_identities():
                 assert abs(abs(alpha(p, v, "minus")) - 1.0) < 1e-12
         assert alpha(2, math.sqrt(2), "plus") == -1.0
         assert alpha(2, math.sqrt(2), "minus") == -1.0
-        for p in range(1, 91):
-            ap, am = gain_loss_asymptotics(p, 9.5)
-            assert abs(ap * am - 1.0) < 1e-12
+        ap, am = alpha_moduli(np.arange(1, 91), 9.5)
+        assert (np.abs(ap * am - 1.0) < 1e-12).all()
         # derived oracle for the first broken level at V = 9.5: the unit
         # product gives |alpha+| = 1/(V + sqrt(V^2 - 1)) = 0.0527782
         oracle = 1.0 / (9.5 + math.sqrt(9.5 ** 2 - 1.0))
-        ap, _ = gain_loss_asymptotics(1, 9.5)
+        ap = float(alpha_moduli([1], 9.5)[0][0])
         print(f"  |alpha+_1(9.5)| = {ap:.7f} (oracle {oracle:.7f})")
         assert ap == pytest.approx(oracle, abs=1e-6)
 
@@ -201,11 +197,11 @@ def test_criterion_09_norm_bounds():
     with criterion(9, "uniform norm bounds on the eigenfamilies"):
         params = PhysicalParams(V=0.5)
         for p in range(0, DESK.pmax + 1):
-            assert np.linalg.norm(phi_spinor(p, params, DESK)) ** 2 <= 4.0 / 3.0 + 1e-12
+            assert np.linalg.norm(level_spinors(p, params, DESK.nmax2)[0]) ** 2 <= 4.0 / 3.0 + 1e-12
         params = PhysicalParams(V=9.5)
         cut = FockCutoff(2, 120, 110)
         for p in range(91, cut.pmax + 1):
-            assert np.linalg.norm(dual_spinor(p, params, cut)) ** 2 <= 121.34
+            assert np.linalg.norm(level_spinors(p, params, cut.nmax2)[1]) ** 2 <= 121.34
 
 
 def test_criterion_10_bicoherent_identities():
@@ -280,5 +276,6 @@ def test_criterion_13_exceptional_points():
         assert rep["coincidence_defect"] < 1e-10
         assert rep["self_orthogonality"] < 1e-10
         assert abs(rep["pair_eigenvalue"]) < 1e-12
-        with pytest.raises(ExceptionalPointError):
-            build_pt_ladders(PhysicalParams(V=2.0), DESK)
+        for name in ("A_K_V", "B_K_V", "c2", "d2"):
+            with pytest.raises(ExceptionalPointError):
+                pt_spinor_ladder(name, PhysicalParams(V=2.0), DESK)

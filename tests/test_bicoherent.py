@@ -14,15 +14,14 @@ from lbstates import (
     PhysicalParams,
     bicoherent_eigen_residual,
     build_bicoherent,
-    convergence_certificate,
     normalization_N,
     quasi_basis_check,
-    theta_factorial,
 )
 from lbstates.bicoherent import FAMILIES, BicoherentSpec, _theta_series, bi_product, theta_sequence
 from lbstates import bicoherent
 from lbstates.ladders import PAIRINGS
-from lbstates.pt import dual_spinor, phi_spinor
+from lbstates.levels import level_spinors, level_table, theta_table
+from lbstates.pt import phi_norm_bound
 from lbstates.spinor import SpinorState, first_register_basis
 
 P_HALF = PhysicalParams(V=0.5)
@@ -35,18 +34,23 @@ def spec(z2, family="theta", side="ket", branch="plus", params=P_HALF, cut=CUT, 
     return BicoherentSpec(z1, z2, family, side, branch, params, cut)
 
 
+def theta_factorial(levels, params):
+    """theta_p1 ... theta_pn over the levels, one theta_table product."""
+    return complex(np.prod(theta_table(levels, params)))
+
+
 class TestThetaFactorial:
     def test_empty_product(self):
-        prod, mod = theta_factorial(0, P_HALF)
-        assert prod == 1.0 and mod == 1.0
+        prod = theta_factorial([], P_HALF)
+        assert prod == 1.0 and abs(prod) == 1.0
 
     def test_modulus_is_scaled_factorial(self):
-        _, mod = theta_factorial(3, P_HALF)
+        mod = abs(theta_factorial([1, 2, 3], P_HALF))
         assert mod == pytest.approx(8 * math.sqrt(6), abs=1e-12)
         assert mod == pytest.approx(19.595917942265423, abs=1e-10)
 
     def test_real_positive_at_v0(self):
-        prod, _ = theta_factorial(2, PhysicalParams(V=0.0))
+        prod = theta_factorial([1, 2], PhysicalParams(V=0.0))
         assert prod.imag == 0.0 and prod.real > 0
 
     def test_direct_product_oracle(self):
@@ -54,12 +58,12 @@ class TestThetaFactorial:
         params = PhysicalParams(V=0.3)
         seq = [2 * (cmath.sqrt(k - 0.09) - 0.3j) for k in range(1, 6)]
         expect = np.prod(seq)
-        got, mod = theta_factorial(5, params)
+        got = theta_factorial(range(1, 6), params)
         assert got == pytest.approx(expect, rel=1e-13)
-        assert mod == pytest.approx(abs(expect), rel=1e-13)
+        assert abs(got) == pytest.approx(abs(expect), rel=1e-13)
 
     def test_minus_branch_uses_negative_levels(self):
-        got, _ = theta_factorial(2, P_BIG, branch="minus")
+        got = theta_factorial([-1, -2], P_BIG)
         seq = theta_sequence(2, P_BIG, "minus")
         assert got == pytest.approx(seq[1] * seq[2], rel=1e-13)
 
@@ -346,8 +350,7 @@ class TestQuasiBasis:
 
     def _dual_pair(self, n, p, params):
         half = self.SMALL.nmax2 + 1
-        y = dual_spinor(p, params, self.SMALL)
-        x = phi_spinor(p, params, self.SMALL)
+        x, y = level_spinors(p, params, self.SMALL.nmax2)
         f = SpinorState(first_register_basis(n, self.SMALL.nmax1), y[:half], y[half:])
         g = SpinorState(first_register_basis(n, self.SMALL.nmax1), x[:half], x[half:])
         return f, g
@@ -408,27 +411,36 @@ class TestV0Limit:
 
 
 class TestConvergenceCertificate:
+    """The bound chain behind the series: the squared norms of phi_p over
+    the plus branch's levels (from `level_table`) stay within
+    `phi_norm_bound`, beyond the broken region for V > 1, and the theta
+    series is cut inside the window or refused."""
+
+    @staticmethod
+    def norms2(params, cut):
+        upper, lower = level_table(np.arange(cut.pmax + 1), params)[:2]
+        return np.abs(upper) ** 2 + np.abs(lower) ** 2
+
     def test_small_v_bound(self):
-        rep = convergence_certificate(spec(1 - 1j))
-        assert rep["norm_bound"] == pytest.approx(4.0 / 3.0)
-        assert rep["norm_bound_holds"] and rep["passes"]
-        assert rep["measured_max_norm2"] <= rep["norm_bound"] + 1e-12
-        assert rep["tail_estimate"] < 1e-12
+        bound = phi_norm_bound(P_HALF)
+        assert bound == pytest.approx(4.0 / 3.0)
+        assert self.norms2(P_HALF, CUT).max() <= bound + 1e-12
+        assert _theta_series(spec(1 - 1j)).tail < 1e-12
 
     def test_large_v_split_bound(self):
-        rep = convergence_certificate(spec(1 - 1j, params=P_BIG, cut=CUT_BIG))
-        assert rep["norm_bound"] == pytest.approx(91 / 0.75, rel=1e-12)
-        assert rep["bound_applies_from_level"] == 91
-        assert rep["norm_bound_holds"] and rep["passes"]
-        # broken-region norms may exceed the unbroken bound; they are
-        # reported separately
-        assert rep["measured_max_norm2"] >= rep["measured_max_norm2_in_bound_region"]
+        bound = phi_norm_bound(P_BIG)
+        assert bound == pytest.approx(91 / 0.75, rel=1e-12)
+        measured = self.norms2(P_BIG, CUT_BIG)
+        assert measured[91:].max() <= bound * (1 + 1e-12)
+        _theta_series(spec(1 - 1j, params=P_BIG, cut=CUT_BIG))  # cut inside the window
+        # broken-region norms may exceed the unbroken bound
+        assert measured.max() >= measured[91:].max()
 
     def test_v0_norms_exactly_one(self):
-        rep = convergence_certificate(spec(1.0, params=PhysicalParams(V=0.0)))
-        assert rep["norm_bound"] == 1.0
-        assert rep["measured_max_norm2"] == pytest.approx(1.0, abs=1e-12)
+        params = PhysicalParams(V=0.0)
+        assert phi_norm_bound(params) == 1.0
+        assert self.norms2(params, CUT).max() == pytest.approx(1.0, abs=1e-12)
 
     def test_failing_window_reported(self):
-        rep = convergence_certificate(spec(1 - 1j, params=P_BIG, cut=FockCutoff(4, 40, 40)))
-        assert not rep["passes"]
+        with pytest.raises(CutoffError):
+            _theta_series(spec(1 - 1j, params=P_BIG, cut=FockCutoff(4, 40, 40)))

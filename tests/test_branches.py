@@ -73,7 +73,6 @@ def test_specs_read_the_table(key):
         assert spec.level_cap == cap(pmax)
         n = np.arange(max(cap(pmax), 0) + 1)
         assert spec.sigma(n).tolist() == [sigma(k) for k in n]
-        assert spec.columns(n.size)[0].tolist() == [sigma(k) for k in n]
 
 
 @pytest.mark.parametrize("tag", list(SubspaceTag))

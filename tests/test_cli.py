@@ -448,6 +448,20 @@ class TestRowBound:
             assert "limit" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["scan-v", "--from", "0", "--to", "1e100", "--steps", "2", "--pmax", "1"],
+        ["scan-v", "--from", "0", "--to", "1e200", "--steps", "2", "--pmax", "1"],
+        ["scan-v", "--from", "0", "--to", "1", "--steps", "1" + "0" * 400, "--pmax", "1"],
+    ])
+    def test_refusal_prints_a_short_row_count(self, argv):
+        # counts of about 1e200 rows, one past the float range (to^2 = inf)
+        # and an integer too large for a float
+        code, stdout, err = _run_in_process(argv)
+        lines = err.splitlines()
+        assert code == 1 and stdout == ""
+        assert len(lines) == 1 and lines[0].startswith("error:") and len(lines[0]) < 120, err
+        assert f"MAX_ROWS = {MAX_ROWS}" in lines[0]
+
     def test_bound_counts_levels_steps_and_exceptional_points(self):
         _require_rows((MAX_ROWS - 1) // 2)
         with pytest.raises(ContractError):

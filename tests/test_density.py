@@ -150,7 +150,7 @@ class TestGainLoss:
 
     @pytest.mark.parametrize("V", [1.7, 2.5, 9.5, 30.3])
     def test_alpha_table_equals_scalar_asymptotics(self, V):
-        from lbstates.pt import gain_loss_asymptotics
+        from lbstates.levels import alpha_moduli
 
         params = PhysicalParams(V=V)
         st = build_bicoherent(BicoherentSpec(0.0, 1 - 1j, "standard", "ket", "plus", params,
@@ -158,8 +158,8 @@ class TestGainLoss:
         table = gain_loss(st, params).per_level_alpha_table
         assert [row["p"] for row in table] == [p for p in range(1, 1001) if p < V ** 2]
         for row in table:
-            assert (row["abs_alpha_plus"], row["abs_alpha_minus"]) == gain_loss_asymptotics(
-                row["p"], V)
+            ap, am = alpha_moduli([row["p"]], V)
+            assert (row["abs_alpha_plus"], row["abs_alpha_minus"]) == (float(ap[0]), float(am[0]))
 
     def test_level_snapped_to_exceptional_is_left_out(self, tmp_path, capsys):
         # V^2 = 9 + 4.8e-12: p = 9 lies below V^2 but its discriminant is

@@ -2,22 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import norm as sparse_norm
 
 from lbstates import FockCutoff, LadderKind, SubspaceTag
 from lbstates.errors import ShapeError
 from lbstates.fock import SparseOperator
 from lbstates.ladders import (
+    _mode_grid,
     build_ladder,
     commutator_defect,
     decomposition_respected,
     factorization_defect_v0,
     hamiltonian_mode_matrix,
     level_ladder_matrix,
-    quasi_vacua,
     spinor_ladder_matrix,
     subspace_closure_check,
 )
-from lbstates.spinor import ModeWindow, level_matrix
+from lbstates.levels import level_spinors
+from lbstates.spinor import V0, ModeWindow, level_matrix
 
 
 CUT = FockCutoff(3, 10, 8)
@@ -83,21 +85,29 @@ class TestLadderActions:
                 assert diag[WIN.index(n, p)] == pytest.approx(abs(p), abs=1e-12)
 
 
+def quasi_vacua(kind):
+    """(n, p) of the basis vectors with |p| < pmax that the ladder's mode
+    matrix annihilates: its zero columns."""
+    ns, ps = _mode_grid(CUT)
+    hit = (sparse_norm(build_ladder(kind, CUT).matrix, axis=0) < 1e-14) & (np.abs(ps) < CUT.pmax)
+    return list(zip(ns[hit].tolist(), ps[hit].tolist()))
+
+
 class TestQuasiVacua:
     def test_a2_family(self):
-        idxs = quasi_vacua(LadderKind.A2, CUT)
+        idxs = quasi_vacua(LadderKind.A2)
         assert idxs and all(p == 0 for _, p in idxs)
         assert len({n for n, _ in idxs}) == CUT.nmax1 + 1
 
     def test_a2dag_family(self):
-        assert all(p == -1 for _, p in quasi_vacua(LadderKind.A2DAG, CUT))
+        assert all(p == -1 for _, p in quasi_vacua(LadderKind.A2DAG))
 
     def test_b2_families(self):
-        assert all(p == 0 for _, p in quasi_vacua(LadderKind.B2, CUT))
-        assert all(p == 1 for _, p in quasi_vacua(LadderKind.B2DAG, CUT))
+        assert all(p == 0 for _, p in quasi_vacua(LadderKind.B2))
+        assert all(p == 1 for _, p in quasi_vacua(LadderKind.B2DAG))
 
     def test_a1_row(self):
-        idxs = quasi_vacua(LadderKind.A1, CUT)
+        idxs = quasi_vacua(LadderKind.A1)
         assert idxs and all(n == 0 for n, _ in idxs)
 
 
@@ -190,16 +200,11 @@ class TestSpinorRealization:
     def test_matches_mode_action(self, params):
         # applying the spinor-register realization to a basis spinor moves
         # the level exactly like the mode matrix says
-        from lbstates.spinor import level_vector
-
         mat = spinor_ladder_matrix(LadderKind.A2, CUT).matrix
         for p in (-3, -1, 0, 2):
-            u, l = level_vector(p, CUT.nmax2)
-            stack = np.concatenate([u, l])
-            out = mat @ stack
+            out = mat @ level_spinors(p, V0, CUT.nmax2)[0]
             if p == 0:
                 assert np.linalg.norm(out) < 1e-13
             else:
-                uq, lq = level_vector(p - 1, CUT.nmax2)
-                target = math.sqrt(abs(p)) * np.concatenate([uq, lq])
+                target = math.sqrt(abs(p)) * level_spinors(p - 1, V0, CUT.nmax2)[0]
                 assert np.linalg.norm(out - target) < 1e-12

@@ -201,8 +201,7 @@ class TestDenseFills:
         for fam, side in (("standard", "ket"), ("theta", "bra")):
             bicoherent.build_bicoherent(
                 BicoherentSpec(0.5, 0.5 + 0.5j, fam, side, "plus", params, cut))
-        spinor.level_vector(-3, cut.nmax2)
+        levels.level_spinors(-3, spinor.V0, cut.nmax2)
         spinor.basis_vector_c(ModeIndex(1, 2), cut)
-        pt.phi_spinor(3, params, cut)
-        pt.dual_spinor(-3, params, cut)
-        pt.build_biorth_pair(ModeIndex(0, -2), params, cut)
+        levels.level_spinors(3, params, cut.nmax2)
+        levels.level_spinors(-3, params, cut.nmax2)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import mp_reference
 import numpy as np
@@ -10,31 +11,16 @@ from lbstates import (
     ContractError,
     ExceptionalPointError,
     FockCutoff,
-    ModeIndex,
     PhysicalParams,
     alpha,
-    apply_HV,
-    build_biorth_pair,
-    build_pt_ladders,
-    classify_levels,
-    eigenvalue_E,
     exceptional_diagnostics,
     factorization_defect,
-    gain_loss_asymptotics,
     normalization_K,
-    theta,
 )
-from lbstates.pt import (
-    biorth_level_matrices,
-    dual_spinor,
-    hv_adjoint_defect,
-    phi_norm_bound,
-    phi_spinor,
-    pt_level_ladder,
-    pt_spinor_ladder,
-    theta_table,
-)
-from lbstates.spinor import apply_HK, basis_vector_c, hamiltonian_spinor_matrix
+from lbstates.ladders import level_ladder_matrix
+from lbstates.levels import alpha_moduli, level_spinors, spectrum_table, theta_table
+from lbstates.pt import biorth_level_matrices, phi_norm_bound, pt_spinor_ladder
+from lbstates.spinor import hamiltonian_spinor_matrix
 
 CUT = FockCutoff(4, 16, 14)
 
@@ -88,14 +74,14 @@ class TestNormalizationK:
 
 class TestSpectrum:
     def test_zero_mode_purely_imaginary(self):
-        assert eigenvalue_E(0, PhysicalParams(V=0.5)) == pytest.approx(1.0j, abs=1e-15)
+        assert spectrum_table([0], PhysicalParams(V=0.5))[0][0] == pytest.approx(1.0j, abs=1e-15)
 
     def test_unbroken_value(self):
-        assert eigenvalue_E(1, PhysicalParams(V=0.5)) == pytest.approx(
+        assert spectrum_table([1], PhysicalParams(V=0.5))[0][0] == pytest.approx(
             1.7320508075688772, abs=1e-14)
 
     def test_broken_value(self):
-        e = eigenvalue_E(1, PhysicalParams(V=9.5))
+        e = spectrum_table([1], PhysicalParams(V=9.5))[0][0]
         assert e.real == 0.0
         assert e.imag == pytest.approx(18.894443627691185, abs=1e-12)
 
@@ -106,35 +92,33 @@ class TestSpectrum:
         cut = FockCutoff(0, 24, 22)
         h = hamiltonian_spinor_matrix(params, cut).matrix.toarray()
         eigs = np.linalg.eigvals(h)
-        for p in (-5, -1, 0, 1, 5, 12):
-            e = eigenvalue_E(p, params)
+        for e in spectrum_table([-5, -1, 0, 1, 5, 12], params)[0]:
             assert np.min(np.abs(eigs - e)) < 1e-9
 
     def test_negative_branch_sign(self):
-        e = eigenvalue_E(-4, PhysicalParams(V=0.5))
+        e = spectrum_table([-4], PhysicalParams(V=0.5))[0][0]
         assert e.real < 0 and abs(e.imag) < 1e-15
 
 
 class TestTheta:
     def test_zero_at_origin(self):
-        assert theta(0, PhysicalParams(V=0.77)) == 0.0
+        assert theta_table([0], PhysicalParams(V=0.77))[0] == 0.0
 
     def test_value_and_modulus(self):
-        th = theta(1, PhysicalParams(V=0.5))
+        th = theta_table([1], PhysicalParams(V=0.5))[0]
         assert th == pytest.approx(1.7320508075688772 - 1.0j, abs=1e-14)
         assert abs(th) == pytest.approx(2.0, abs=1e-14)
 
     def test_negative_branch(self):
-        th = theta(-1, PhysicalParams(V=0.5))
+        th = theta_table([-1], PhysicalParams(V=0.5))[0]
         assert th == pytest.approx(-(1.7320508075688772 + 1.0j), abs=1e-14)
         assert abs(th) == pytest.approx(2.0, abs=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12), st.floats(0.01, 0.99))
     def test_modulus_identity_small_v(self, p, v):
-        params = PhysicalParams(V=v)
-        for q in (p, -p):
-            assert abs(abs(theta(q, params)) - 2 * math.sqrt(p)) < 1e-12
+        moduli = np.abs(theta_table([p, -p], PhysicalParams(V=v)))
+        assert (np.abs(moduli - 2 * math.sqrt(p)) < 1e-12).all()
 
 
 def theta_error(ps, params):
@@ -164,8 +148,6 @@ class TestThetaTable:
     def test_single_levels_within_bound(self, V, p):
         params = PhysicalParams(V=V)
         assert theta_error([p], params) <= 1e-14
-        assert theta(p, params) == complex(theta_table([p], params)[0])
-        assert type(theta(p, params)) is complex
 
     def test_exceptional_level_is_not_refused(self):
         assert theta_error([4, -4, 3], PhysicalParams(V=2.0)) <= 1e-14
@@ -183,15 +165,18 @@ class TestThetaTable:
 
 class TestBiorthFamilies:
     def test_zero_level_shared(self):
-        params = PhysicalParams(V=0.5)
-        x, y = build_biorth_pair(ModeIndex(0, 0), params, CUT)
-        assert np.array_equal(x.spinor.upper, y.spinor.upper)
-        assert x.spinor.upper[0] == 1.0
-        assert y.role == "psi"
+        x, y = level_spinors(0, PhysicalParams(V=0.5), CUT.nmax2)
+        assert np.array_equal(x, y)
+        assert x[0] == 1.0
 
-    def test_role_switches_for_large_v(self):
-        _, y = build_biorth_pair(ModeIndex(0, 1), PhysicalParams(V=9.5), CUT)
-        assert y.role == "psi_tilde"
+    def test_dual_family_switches_for_large_v(self):
+        # the dual paired with phi_1 is psi_1, lower entry -K alpha^-, for
+        # V < 1, and psi-tilde_1, lower entry -K alpha^+, on the broken level
+        # 1 at V = 9.5
+        half = CUT.nmax2 + 1
+        for v, branch in ((0.5, "minus"), (9.5, "plus")):
+            _, y = level_spinors(1, PhysicalParams(V=v), CUT.nmax2)
+            assert y[half] / y[1] == pytest.approx(-alpha(1, v, branch), abs=1e-14)
 
     @pytest.mark.parametrize("v", [0.25, 0.5, 0.9, 1.5, 9.5])
     def test_gram_identity(self, v):
@@ -205,10 +190,9 @@ class TestBiorthFamilies:
             params = PhysicalParams(V=v)
             h = hamiltonian_spinor_matrix(params, CUT).matrix
             hd = h.conjugate().T
-            for p in range(-CUT.pmax, CUT.pmax + 1):
-                x = phi_spinor(p, params, CUT)
-                y = dual_spinor(p, params, CUT)
-                e = eigenvalue_E(p, params)
+            ps = range(-CUT.pmax, CUT.pmax + 1)
+            for p, e in zip(ps, spectrum_table(ps, params)[0]):
+                x, y = level_spinors(p, params, CUT.nmax2)
                 assert np.linalg.norm(h @ x - e * x) < 1e-10 * np.linalg.norm(x)
                 assert np.linalg.norm(hd @ y - np.conj(e) * y) < 1e-10 * np.linalg.norm(y)
 
@@ -217,7 +201,7 @@ class TestBiorthFamilies:
         bound = phi_norm_bound(params)
         assert bound == pytest.approx(4.0 / 3.0)
         for p in range(CUT.pmax + 1):
-            assert np.linalg.norm(phi_spinor(p, params, CUT)) ** 2 <= bound + 1e-12
+            assert np.linalg.norm(level_spinors(p, params, CUT.nmax2)[0]) ** 2 <= bound + 1e-12
 
     def test_norm_bound_large_v(self):
         params = PhysicalParams(V=9.5)
@@ -225,75 +209,82 @@ class TestBiorthFamilies:
         bound = phi_norm_bound(params)
         assert bound == pytest.approx(91 / 0.75, rel=1e-12)
         for p in range(91, cut.pmax + 1):
-            assert np.linalg.norm(dual_spinor(p, params, cut)) ** 2 <= bound + 1e-12
+            assert np.linalg.norm(level_spinors(p, params, cut.nmax2)[1]) ** 2 <= bound + 1e-12
 
 
-class TestApplyHV:
+class TestHamiltonianV:
     def test_eigen_application(self):
         params = PhysicalParams(V=0.5)
-        x, y = build_biorth_pair(ModeIndex(1, 3), params, CUT)
-        out = apply_HV(x.spinor, params, CUT)
-        e = eigenvalue_E(3, params)
-        assert np.linalg.norm(out.spinor_stack() - e * x.spinor.spinor_stack()) < 1e-10
+        x, _ = level_spinors(3, params, CUT.nmax2)
+        out = hamiltonian_spinor_matrix(params, CUT).matrix @ x
+        e = spectrum_table([3], params)[0][0]
+        assert np.linalg.norm(out - e * x) < 1e-10
 
     def test_reduces_to_v0(self, params):
-        st = basis_vector_c(ModeIndex(0, 2), CUT)
-        a = apply_HV(st, params, CUT)  # params has V = 0
-        b = apply_HK(st, params, CUT)
-        assert np.array_equal(a.spinor_stack(), b.spinor_stack())
+        # H(V) is the V = 0 block (params has V = 0) plus i eps0 V on the
+        # upper and -i eps0 V on the lower diagonal
+        h0 = hamiltonian_spinor_matrix(params, CUT).matrix.toarray()
+        hv = hamiltonian_spinor_matrix(replace(params, V=0.5), CUT).matrix.toarray()
+        half = CUT.nmax2 + 1
+        assert not np.diag(h0).any()
+        assert np.array_equal(hv - h0, np.diag(1j * params.eps0 * 0.5 * np.repeat([1, -1], half)))
 
     def test_adjoint_defect_scale(self):
+        # H(V) - H(V)^+, concentrated on the diagonal blocks, has norm 2 eps0 V
         params = PhysicalParams(V=0.5)
-        assert hv_adjoint_defect(params, CUT) == pytest.approx(2 * params.eps0 * params.V, abs=1e-12)
+        h = hamiltonian_spinor_matrix(params, CUT).matrix
+        defect = np.linalg.norm((h - h.conjugate().T).toarray(), ord=2)
+        assert defect == pytest.approx(2 * params.eps0 * params.V, abs=1e-12)
 
 
 class TestPtLadders:
     def test_annihilation_points(self):
         params = PhysicalParams(V=0.5)
-        ops = build_pt_ladders(params, CUT)
-        x0 = phi_spinor(0, params, CUT)
-        assert np.linalg.norm(ops["A_K_V"].matrix @ x0) < 1e-12
-        ym1 = dual_spinor(-1, params, CUT)
-        assert np.linalg.norm(ops["A_K_V"].dagger().matrix @ ym1) < 1e-12
-        assert np.linalg.norm(ops["c2"].matrix @ x0) < 1e-12
+        x0, _ = level_spinors(0, params, CUT.nmax2)
+        assert np.linalg.norm(pt_spinor_ladder("A_K_V", params, CUT).matrix @ x0) < 1e-12
+        _, ym1 = level_spinors(-1, params, CUT.nmax2)
+        assert np.linalg.norm(pt_spinor_ladder("A_K_V", params, CUT).dagger().matrix @ ym1) < 1e-12
+        assert np.linalg.norm(pt_spinor_ladder("c2", params, CUT).matrix @ x0) < 1e-12
 
     def test_ladder_actions(self):
         params = PhysicalParams(V=0.5)
-        ops = build_pt_ladders(params, CUT)
+        down_op = pt_spinor_ladder("A_K_V", params, CUT).matrix
+        up_op = pt_spinor_ladder("B_K_V", params, CUT).matrix
+        phi = {p: level_spinors(p, params, CUT.nmax2)[0] for p in range(-4, 7)}
         for p in (-3, 1, 5):
-            x = phi_spinor(p, params, CUT)
-            down = ops["A_K_V"].matrix @ x
-            assert np.linalg.norm(down - math.sqrt(abs(p)) * phi_spinor(p - 1, params, CUT)) < 1e-11
-            up = ops["B_K_V"].matrix @ x
-            assert np.linalg.norm(up - math.sqrt(abs(p + 1)) * phi_spinor(p + 1, params, CUT)) < 1e-11
+            down = down_op @ phi[p]
+            assert np.linalg.norm(down - math.sqrt(abs(p)) * phi[p - 1]) < 1e-11
+            up = up_op @ phi[p]
+            assert np.linalg.norm(up - math.sqrt(abs(p + 1)) * phi[p + 1]) < 1e-11
 
     def test_c2_d2_theta_weights(self):
         params = PhysicalParams(V=0.5)
-        ops = build_pt_ladders(params, CUT)
-        x1 = phi_spinor(1, params, CUT)
-        want = np.sqrt(theta(2, params)) * phi_spinor(2, params, CUT)
-        assert np.linalg.norm(ops["d2"].matrix @ x1 - want) < 1e-11
-        got = ops["c2"].matrix @ x1
-        want_down = np.sqrt(theta(1, params)) * phi_spinor(0, params, CUT)
+        th = theta_table([0, 1, 2], params)
+        x0, x1, x2 = (level_spinors(p, params, CUT.nmax2)[0] for p in (0, 1, 2))
+        want = np.sqrt(th[2]) * x2
+        assert np.linalg.norm(pt_spinor_ladder("d2", params, CUT).matrix @ x1 - want) < 1e-11
+        got = pt_spinor_ladder("c2", params, CUT).matrix @ x1
+        want_down = np.sqrt(th[1]) * x0
         assert np.linalg.norm(got - want_down) < 1e-11
 
     def test_adjoints_on_dual_family(self):
         params = PhysicalParams(V=0.5)
-        ops = build_pt_ladders(params, CUT)
-        y2 = dual_spinor(2, params, CUT)
-        want = np.conj(np.sqrt(theta(3, params))) * dual_spinor(3, params, CUT)
-        assert np.linalg.norm(ops["c2"].dagger().matrix @ y2 - want) < 1e-11
+        _, y2 = level_spinors(2, params, CUT.nmax2)
+        _, y3 = level_spinors(3, params, CUT.nmax2)
+        want = np.conj(np.sqrt(theta_table([3], params)[0])) * y3
+        assert np.linalg.norm(pt_spinor_ladder("c2", params, CUT).dagger().matrix @ y2 - want) < 1e-11
 
     def test_exceptional_refusal(self):
-        with pytest.raises(ExceptionalPointError):
-            build_pt_ladders(PhysicalParams(V=2.0), CUT)
+        for name in ("A_K_V", "B_K_V", "c2", "d2"):
+            with pytest.raises(ExceptionalPointError):
+                pt_spinor_ladder(name, PhysicalParams(V=2.0), CUT)
 
     @pytest.mark.parametrize("v", [0.5, 9.5])
     @pytest.mark.parametrize("name", ["A_K_V", "B_K_V", "c2", "d2"])
     def test_sparse_product_matches_dense(self, v, name):
         params = PhysicalParams(V=v)
         x, y = biorth_level_matrices(params, CUT)
-        dense = x @ pt_level_ladder(name, params, CUT).toarray() @ y.conj().T
+        dense = x @ level_ladder_matrix(name, CUT.pmax, params).toarray() @ y.conj().T
         got = pt_spinor_ladder(name, params, CUT).matrix.toarray()
         np.testing.assert_allclose(got, dense, rtol=0, atol=1e-14 * np.abs(dense).max())
 
@@ -305,25 +296,23 @@ class TestPtLadders:
 
 class TestClassification:
     def test_small_v_all_unbroken(self):
-        labels = classify_levels(PhysicalParams(V=0.5), range(1, 6))
+        labels = spectrum_table(range(1, 6), PhysicalParams(V=0.5))[1]
         assert labels.tolist() == ["unbroken"] * 5
 
     def test_zero_mode(self):
-        assert classify_levels(PhysicalParams(V=0.5), [0]).tolist() == ["zero_mode"]
+        assert spectrum_table([0], PhysicalParams(V=0.5))[1].tolist() == ["zero_mode"]
 
     def test_large_v_split(self):
-        labels = classify_levels(PhysicalParams(V=9.5), range(1, 95))
+        labels = spectrum_table(range(1, 95), PhysicalParams(V=9.5))[1]
         assert labels.tolist() == ["broken"] * 90 + ["unbroken"] * 4
 
     def test_exceptional_level(self):
-        assert classify_levels(PhysicalParams(V=3.0), [9]).tolist() == ["exceptional"]
+        assert spectrum_table([9], PhysicalParams(V=3.0))[1].tolist() == ["exceptional"]
 
     def test_reality_consistency(self):
         for v in (0.5, 9.5):
-            params = PhysicalParams(V=v)
-            ps = range(-95, 96)
-            for p, label in zip(ps, classify_levels(params, ps).tolist()):
-                e = eigenvalue_E(p, params)
+            energies, labels = spectrum_table(range(-95, 96), PhysicalParams(V=v))
+            for e, label in zip(energies, labels.tolist()):
                 if label == "unbroken":
                     assert e.imag == 0.0
                 elif label == "broken":
@@ -352,27 +341,23 @@ class TestExceptionalDiagnostics:
 
 class TestGainLossAsymptotics:
     def test_frozen_values(self):
-        ap, am = gain_loss_asymptotics(1, 9.5)
+        ap, am = (float(m[0]) for m in alpha_moduli([1], 9.5))
         # derived oracle: |alpha+| = 1/(V + sqrt(V^2 - 1)) by the unit product
         assert ap == pytest.approx(1.0 / (9.5 + math.sqrt(9.5 ** 2 - 1)), abs=1e-12)
         assert ap == pytest.approx(0.052778186154407436, abs=1e-12)
         assert am == pytest.approx(18.947221813845594, abs=1e-10)
 
     def test_limits(self):
-        ap1, am1 = gain_loss_asymptotics(1, 20.0)
-        ap2, am2 = gain_loss_asymptotics(1, 200.0)
+        ap1, am1 = alpha_moduli([1], 20.0)
+        ap2, am2 = alpha_moduli([1], 200.0)
         assert ap2 < ap1 and am2 > am1
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 80), st.floats(9.1, 30.0))
     def test_unit_product(self, p, v):
         if p < v * v:
-            ap, am = gain_loss_asymptotics(p, v)
-            assert ap * am == pytest.approx(1.0, abs=1e-12)
-
-    def test_outside_broken_region_rejected(self):
-        with pytest.raises(ContractError):
-            gain_loss_asymptotics(5, 2.0)
+            ap, am = alpha_moduli([p], v)
+            assert ap[0] * am[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestContinuity:
@@ -382,8 +367,8 @@ class TestContinuity:
         p0 = PhysicalParams(V=0.0)
         worst = 0.0
         for p in range(-cut.pmax, cut.pmax + 1):
-            a = np.abs(phi_spinor(p, p_eps, cut))
-            b = np.abs(phi_spinor(p, p0, cut))
+            a = np.abs(level_spinors(p, p_eps, cut.nmax2)[0])
+            b = np.abs(level_spinors(p, p0, cut.nmax2)[0])
             worst = max(worst, float(np.abs(a - b).max()))
         assert worst < 1e-6
 
@@ -400,7 +385,7 @@ class TestRegimeGuards:
             PhysicalParams(V=1.0).regime()
 
     def test_exceptional_config_detection(self):
-        assert PhysicalParams(V=2.0).is_exceptional_config()
-        assert PhysicalParams(V=math.sqrt(2)).is_exceptional_config()
-        assert not PhysicalParams(V=9.5).is_exceptional_config()
-        assert not PhysicalParams(V=0.5).is_exceptional_config()
+        assert PhysicalParams(V=2.0).exceptional_level() == 4
+        assert PhysicalParams(V=math.sqrt(2)).exceptional_level() == 2
+        assert PhysicalParams(V=9.5).exceptional_level() is None
+        assert PhysicalParams(V=0.5).exceptional_level() is None

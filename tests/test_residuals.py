@@ -5,7 +5,7 @@ the ladder that `ladders.PAIRINGS` pairs with the state as X(P(Y^H s))
 (`ladders.ladder_apply`) and A1 as sqrt(n+1) fr[n+1], without building a
 matrix.  The oracle computes the same residual with
 `ladder_residual` below on the realized matrices: `ladders.ladder_matrix`
-(and its dagger) and `first_register_lowering`.  The
+(and its dagger) and `fock.annihilator` on the first register.  The
 two sum in another order, so they agree to rounding only: to RTOL of the
 residual plus ATOL of |z| ||state||, the size of the two vectors whose
 difference the residual measures (theta states at V = 9.5 reach norms
@@ -20,10 +20,10 @@ import pytest
 from lbstates import ContractError, FockCutoff, LadderKind, PhysicalParams, ShapeError
 from lbstates import bicoherent as bc
 from lbstates import coherent as ch
-from lbstates.fock import SparseOperator
+from lbstates.fock import SparseOperator, annihilator
 from lbstates.ladders import PAIRINGS, V0_LADDERS, ladder_apply, ladder_matrix, support_levels
 from lbstates.levels import level_rows, window_levels
-from lbstates.spinor import V0, SpinorState, first_register_lowering, lower_first_register
+from lbstates.spinor import V0, SpinorState, lower_first_register
 
 RTOL, ATOL = 1e-12, 1e-15
 Z1, Z2 = 0.5 + 0.25j, 1 - 1j
@@ -47,6 +47,11 @@ def ladder_residual(state, op, z):
     if op.space == "kregister":
         own, other = other, own
     return float(np.linalg.norm(op.matrix @ own - z * own) * np.linalg.norm(other))
+
+
+def first_register_a1(nmax1):
+    """A1 realized on the first register."""
+    return SparseOperator(annihilator(nmax1), "first", "A1")
 
 
 def realized(key, params, cut):
@@ -77,7 +82,7 @@ class TestBicoherentResiduals:
         assert_close(fast, ladder_residual(state, realized(key, params, cut), Z2), state, Z2)
         assert fast < 1e-8
         fast_a1 = bc.bicoherent_eigen_residual(spec, state, "A1")
-        assert_close(fast_a1, ladder_residual(state, first_register_lowering(cut.nmax1), Z1),
+        assert_close(fast_a1, ladder_residual(state, first_register_a1(cut.nmax1), Z1),
                      state, Z1)
 
     @pytest.mark.parametrize("V,cut", BICOHERENT_CASES)
@@ -115,7 +120,7 @@ class TestCoherentResiduals:
             else:
                 assert fast > 0.1
         fast_a1 = ch.eigen_residual(spec, state, LadderKind.A1)
-        slow_a1 = ladder_residual(state, first_register_lowering(COHERENT_CUT.nmax1), Z1)
+        slow_a1 = ladder_residual(state, first_register_a1(COHERENT_CUT.nmax1), Z1)
         assert_close(fast_a1, slow_a1, state, Z1)
 
 
@@ -218,7 +223,7 @@ class TestLadderApplication:
 
     def test_first_register_lowering(self, rng):
         fr = rng.normal(size=17) + 1j * rng.normal(size=17)
-        assert np.array_equal(lower_first_register(fr), first_register_lowering(16).matrix @ fr)
+        assert np.array_equal(lower_first_register(fr), annihilator(16) @ fr)
 
     def test_window_mismatch_is_refused(self):
         rows = level_rows(window_levels(10), PhysicalParams(V=0.5))

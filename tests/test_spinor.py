@@ -8,18 +8,18 @@ from lbstates import (
     FockCutoff,
     ModeIndex,
     PhysicalParams,
-    apply_HK,
     basis_vector_c,
     dense_hamiltonian,
-    energy,
 )
+from lbstates.ladders import _mode_grid
+from lbstates.levels import level_spinors, spectrum_table, window_levels
 from lbstates.spinor import (
+    V0,
     ModeWindow,
     SpinorState,
-    eigen_residual_hk,
     first_register_basis,
+    hamiltonian_spinor_matrix,
     level_matrix,
-    level_vector,
     restricted_spinor_block,
 )
 
@@ -61,49 +61,51 @@ class TestBasisVectors:
         with pytest.raises(CutoffError):
             basis_vector_c(ModeIndex(small_cutoff.nmax1 + 1, 0), small_cutoff)
         with pytest.raises(CutoffError):
-            level_vector(small_cutoff.nmax2 + 1, small_cutoff.nmax2)
+            level_spinors(small_cutoff.nmax2 + 1, V0, small_cutoff.nmax2)
 
 
 class TestHamiltonianAction:
+    """The V = 0 Hamiltonian (params has V = 0) on the stacked spinors."""
+
     def test_eigen_level_one(self, params, small_cutoff):
-        st = basis_vector_c(ModeIndex(0, 1), small_cutoff)
-        out = apply_HK(st, params, small_cutoff)
-        diff = out.spinor_stack() - 2.0 * st.spinor_stack()
-        assert np.linalg.norm(diff) < 1e-10
+        st = basis_vector_c(ModeIndex(0, 1), small_cutoff).spinor_stack()
+        out = hamiltonian_spinor_matrix(params, small_cutoff).matrix @ st
+        assert np.linalg.norm(out - 2.0 * st) < 1e-10
 
     def test_zero_mode_annihilated(self, params, small_cutoff):
-        st = basis_vector_c(ModeIndex(5, 0), FockCutoff(6, 12, 10))
-        out = apply_HK(st, params, FockCutoff(6, 12, 10))
-        assert np.linalg.norm(out.spinor_stack()) < 1e-12
+        cut = FockCutoff(6, 12, 10)
+        st = basis_vector_c(ModeIndex(5, 0), cut).spinor_stack()
+        out = hamiltonian_spinor_matrix(params, cut).matrix @ st
+        assert np.linalg.norm(out) < 1e-12
 
     def test_negative_level_eigenvalue(self, params):
         cut = FockCutoff(2, 12, 10)
-        st = basis_vector_c(ModeIndex(0, -4), cut)
-        out = apply_HK(st, params, cut)
-        diff = out.spinor_stack() - (-4.0) * st.spinor_stack()
-        assert np.linalg.norm(diff) < 1e-12
+        st = basis_vector_c(ModeIndex(0, -4), cut).spinor_stack()
+        out = hamiltonian_spinor_matrix(params, cut).matrix @ st
+        assert np.linalg.norm(out - (-4.0) * st) < 1e-12
 
     def test_interior_residuals(self, params):
+        # || H v_p - E_p v_p || of the levels |p| <= pmax - 2, one column each
         cut = FockCutoff(4, 16, 14)
-        for n in range(cut.nmax1):
-            for p in range(-cut.pmax + 2, cut.pmax - 1):
-                assert eigen_residual_hk(ModeIndex(n, p), params, cut) < 1e-10
+        h = hamiltonian_spinor_matrix(params, cut).matrix
+        vecs = level_matrix(cut)[:, 2:-2]
+        e = spectrum_table(window_levels(cut.pmax - 2), params)[0]
+        assert np.linalg.norm(h @ vecs - vecs * e, axis=0).max() < 1e-10
 
 
 class TestEnergy:
-    def test_values(self, params):
-        assert energy(ModeIndex(0, 1), params) == pytest.approx(2.0)
-        assert energy(ModeIndex(7, 0), params) == 0.0
-        assert energy(ModeIndex(3, -9), params) == pytest.approx(-6.0)
+    """E_p = sign(p) eps0 sqrt(|p|) at V = 0, from the spectrum table."""
 
-    def test_n_independence_is_exact(self, params):
-        for p in range(-20, 21):
-            values = {energy(ModeIndex(n, p), params) for n in range(6)}
-            assert len(values) == 1
+    def test_values(self, params):
+        energies = spectrum_table([1, 0, -9], params)[0]
+        assert energies[0] == pytest.approx(2.0)
+        assert energies[1] == 0.0
+        assert energies[2] == pytest.approx(-6.0)
+        assert not energies.imag.any()
 
     def test_scaling_with_units(self):
         p = PhysicalParams(vf=3.0, xi=2.0)
-        assert energy(ModeIndex(0, 4), p) == pytest.approx(2 * 3.0 / 2.0 * 2)
+        assert spectrum_table([4], p)[0][0] == pytest.approx(2 * 3.0 / 2.0 * 2)
 
 
 class TestDenseHamiltonian:
@@ -153,10 +155,9 @@ class TestSubspaceOrthogonality:
         for p, q in ((0, 1), (3, -3), (-1, -2), (5, 2)):
             fr1 = rng.normal(size=cut.nmax1 + 1) + 1j * rng.normal(size=cut.nmax1 + 1)
             fr2 = rng.normal(size=cut.nmax1 + 1) + 1j * rng.normal(size=cut.nmax1 + 1)
-            up, lo = level_vector(p, cut.nmax2)
-            uq, lq = level_vector(q, cut.nmax2)
-            f = SpinorState(fr1, up, lo)
-            g = SpinorState(fr2, uq, lq)
+            vp, vq = (level_spinors(k, V0, cut.nmax2)[0] for k in (p, q))
+            f = SpinorState(fr1, vp[:cut.nmax2 + 1], vp[cut.nmax2 + 1:])
+            g = SpinorState(fr2, vq[:cut.nmax2 + 1], vq[cut.nmax2 + 1:])
             assert abs(f.inner(g)) < 1e-10 * f.norm() * g.norm()
 
 
@@ -169,12 +170,15 @@ class TestModeWindow:
         assert win.index(1, -3) == 7
         assert win.index(2, 0) == 2 * 7 + 3
 
-    def test_interior_margins(self):
+    def test_index_numbers_the_window_once(self):
+        # the (n, p) of each column that the ladder checks enumerate, in
+        # index order
         win = ModeWindow(2, 3)
-        inner = list(win.interior(1, 1))
-        assert ModeIndex(2, 0) not in inner
-        assert ModeIndex(1, 3) not in inner
-        assert ModeIndex(1, 2) in inner
+        ns, ps = _mode_grid(FockCutoff(2, 4, 3))
+        assert [win.index(n, p) for n, p in zip(ns.tolist(), ps.tolist())] == list(range(win.dim))
+        for n, p in ((3, 0), (-1, 0), (0, 4), (2, -4)):
+            with pytest.raises(CutoffError):
+                win.index(n, p)
 
 
 class TestFirstRegister:
