@@ -9,29 +9,18 @@ from .errors import (
     LbError,
     ShapeError,
 )
-from .fock import (
+from .fock import FockCutoff, oscillator_psi
+from .params import PhysicalParams
+from .spinor import ModeIndex, SpinorState, basis_vector_c
+from .ladders import (
     CartesianModeVector,
-    FockCutoff,
     SparseOperator,
     circular_mode,
-    eval_mode,
-    ladder_matrices,
-    oscillator_psi,
-)
-from .params import PhysicalParams
-from .spinor import (
-    ModeIndex,
-    ModeWindow,
-    SpinorState,
-    basis_vector_c,
-    dense_hamiltonian,
-)
-from .ladders import (
-    LadderKind,
-    SubspaceTag,
-    build_ladder,
     commutator_defect,
+    dense_hamiltonian,
+    eval_mode,
     factorization_defect_v0,
+    ladder_matrices,
     subspace_closure_check,
 )
 from .coherent import (
@@ -50,7 +39,7 @@ from .bicoherent import (
     normalization_N,
     quasi_basis_check,
 )
-from .densities import DensityField, GainLossReport, GridSpec, density, export, gain_loss
+from .densities import DensityField, GridSpec, density, export, gain_loss
 
 __version__ = "0.1.0"
 

@@ -10,7 +10,7 @@ Two families per branch and side:
     eigenvalue equations.
 
 The plus branch runs over levels p = n >= 0, the minus branch over
-p = -n-1 (`ladders.BRANCHES`); the minus branch's denominator sequence is
+p = -n-1 (`levels.BRANCHES`); the minus branch's denominator sequence is
 built from the negative-level shifts (their moduli differ from the
 positive ones once V > 1, which is why the two branches carry separate
 normalizations).
@@ -31,8 +31,8 @@ to the cut, not over the window.  Both sides of a
 pair sit on the same levels with the same first register, so one build
 assembles the state and its dual from one level table.  The eigen
 residuals read the ladder paired with each family, side and branch from
-the one pairing table `ladders.PAIRINGS` (phi/psi: the standard ket/bra,
-eta/xi: the theta ket/bra) and apply it through `ladders.ladder_apply` on
+the one pairing table `levels.PAIRINGS` (phi/psi: the standard ket/bra,
+eta/xi: the theta ket/bra) and apply it through `levels.ladder_apply` on
 the level rows the state carries, without realizing a matrix, as the
 V = 0 coherent residuals do.
 """
@@ -47,10 +47,9 @@ import numpy as np
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
-from .ladders import BRANCHES, BranchSeries, pairing_residual
-from .levels import level_table, theta_table
+from .levels import BRANCHES, BranchSeries, level_table, theta_table
 from .params import PhysicalParams
-from .spinor import SpinorState
+from .spinor import SpinorState, pairing_residual
 from .coherent import (
     DEFAULT_TAIL_TOL,
     first_register_coherent,
@@ -286,7 +285,7 @@ def bicoherent_eigen_residual(spec: BicoherentSpec, state: SpinorState, operator
     """|| O state - z state || for the state built from spec; the
     first-register lowering operator pairs with every state at eigenvalue
     z1, the spinor-register ladders only with their own family/side/branch
-    (eigenvalue z2; `ladders.pairing_residual`)."""
+    (eigenvalue z2; `spinor.pairing_residual`)."""
     return pairing_residual(spec, state, operator)
 
 

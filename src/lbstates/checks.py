@@ -89,7 +89,7 @@ def check_psi_recurrence():
 @_check("fock.circular_gram")
 def check_circular_gram():
     cut = fock.FockCutoff(0, 12)
-    modes = [fock.circular_mode(n1, n2, cut).coeffs.ravel()
+    modes = [ld.circular_mode(n1, n2, cut).coeffs.ravel()
              for n1 in range(11) for n2 in range(11 - n1)]
     m = np.array(modes)
     gram = m.conj() @ m.T
@@ -99,7 +99,7 @@ def check_circular_gram():
 @_check("fock.ccr_interior")
 def check_ccr_interior():
     cut = fock.FockCutoff(0, 10)
-    ops = fock.ladder_matrices(cut)
+    ops = ld.ladder_matrices(cut)
     d = cut.nmax2 + 1
     interior = [j * d + k for j in range(d - 1) for k in range(d - 1)]
     worst = 0.0
@@ -119,7 +119,7 @@ def check_eval_mode_norm():
     xs = np.linspace(-7, 7, 141)
     worst = 0.0
     for n1, n2 in ((0, 0), (1, 2), (3, 1)):
-        vec = fock.circular_mode(n1, n2, cut)
+        vec = ld.circular_mode(n1, n2, cut)
         px = fock.oscillator_table(cut.nmax2, xs)
         vals = px.T @ vec.coeffs @ px
         mass = simpson(simpson(np.abs(vals) ** 2, x=xs, axis=1), x=xs)
@@ -139,7 +139,7 @@ def check_c_basis_orthonormality():
 def check_eigen_residuals_v0():
     params = PhysicalParams()
     cut = fock.FockCutoff(4, 16, 14)
-    h = spn.hamiltonian_spinor_matrix(params, cut).matrix
+    h = ld.hamiltonian_spinor_matrix(params, cut).matrix
     vecs = spn.level_matrix(cut)
     e = lv.spectrum_table(lv.window_levels(cut.pmax), params)[0]
     return _result(float(np.linalg.norm(h @ vecs - vecs * e, axis=0).max()), 1e-10)
@@ -149,9 +149,9 @@ def check_eigen_residuals_v0():
 def check_dense_spectrum():
     params = PhysicalParams()
     cut = fock.FockCutoff(0, 12)
-    h = spn.dense_hamiltonian(params, cut).matrix
+    h = ld.dense_hamiltonian(params, cut).matrix
     herm = float(np.abs((h - h.conjugate().T).toarray()).max())
-    block = spn.restricted_spinor_block(params, cut)
+    block = ld.restricted_spinor_block(params, cut)
     eigs = np.sort(np.linalg.eigvals(block).real)
     expect = np.sort(np.concatenate([[0.0], [s * 2 * math.sqrt(k) for k in range(1, 13) for s in (1, -1)]]))
     diff = float(np.abs(eigs - expect).max())
@@ -175,31 +175,28 @@ def check_subspace_orthogonality():
 
 @_check("ladders.entry_patterns")
 def check_ladder_patterns():
-    cut = fock.FockCutoff(3, 8, 6)
-    win = spn.ModeWindow.of(cut)
+    pmax = 6
     worst = 0.0
-    for kind, amp, dp in (
-        (ld.LadderKind.A2, lambda p: math.sqrt(abs(p)), -1),
-        (ld.LadderKind.A2DAG, lambda p: math.sqrt(abs(p + 1)), +1),
-        (ld.LadderKind.B2, lambda p: math.sqrt(abs(p)), +1),
-        (ld.LadderKind.B2DAG, lambda p: math.sqrt(abs(p - 1)), -1),
+    for key, amp, dp in (
+        ("A2", lambda p: math.sqrt(abs(p)), -1),
+        ("A2dag", lambda p: math.sqrt(abs(p + 1)), +1),
+        ("B2", lambda p: math.sqrt(abs(p)), +1),
+        ("B2dag", lambda p: math.sqrt(abs(p - 1)), -1),
     ):
-        mat = ld.build_ladder(kind, cut).matrix
-        for n in range(cut.nmax1 + 1):
-            for p in range(-cut.pmax + 1, cut.pmax):
-                got = mat[win.index(n, p + dp), win.index(n, p)]
-                worst = max(worst, abs(got - amp(p)))
+        mat = ld.level_ladder_matrix(key, pmax)
+        for p in range(-pmax + 1, pmax):
+            worst = max(worst, abs(mat[p + dp + pmax, p + pmax] - amp(p)))
     return _result(worst, 0.0, ok=worst == 0.0)
 
 
 @_check("ladders.number_diagonal")
 def check_number_operator():
-    cut = fock.FockCutoff(2, 8, 6)
-    a2 = ld.build_ladder(ld.LadderKind.A2, cut).matrix
+    pmax = 6
+    a2 = ld.level_ladder_matrix("A2", pmax)
     num = (a2.conjugate().T @ a2).toarray()
-    _, ps = ld._mode_grid(cut)
+    ps = lv.window_levels(pmax)
     off = num - np.diag(np.diag(num))
-    interior = np.abs(ps) < cut.pmax
+    interior = np.abs(ps) < pmax
     diag_err = float(np.abs(np.diag(num)[interior] - np.abs(ps[interior])).max())
     worst = max(diag_err, float(np.abs(off).max()))
     neg = float(min(np.diag(num).real.min(), 0.0))
@@ -208,16 +205,15 @@ def check_number_operator():
 
 @_check("ladders.h_commutators")
 def check_h_commutators():
-    params = PhysicalParams()
-    cut = fock.FockCutoff(3, 12, 10)
-    h = ld.hamiltonian_mode_matrix(params, cut)
-    a2 = ld.build_ladder(ld.LadderKind.A2, cut)
-    b2 = ld.build_ladder(ld.LadderKind.B2, cut)
-    n_op = fock.SparseOperator(a2.matrix.conjugate().T @ a2.matrix, "mode", "A2+A2")
-    bb = fock.SparseOperator(b2.matrix @ b2.matrix.conjugate().T, "mode", "B2B2+")
+    # H of the spinor register projected onto the level window, v^H H v
+    cut = fock.FockCutoff(0, 12, 10)
+    vm = spn.level_matrix(cut)
+    h = vm.conj().T @ (ld.hamiltonian_spinor_matrix(PhysicalParams(), cut).matrix @ vm)
+    a2 = ld.level_ladder_matrix("A2", cut.pmax)
+    b2 = ld.level_ladder_matrix("B2", cut.pmax)
     worst = max(
-        ld.commutator_defect(h, n_op, cut),
-        ld.commutator_defect(h, bb, cut),
+        ld.commutator_defect(h, (a2.conjugate().T @ a2).toarray(), cut.pmax),
+        ld.commutator_defect(h, (b2 @ b2.conjugate().T).toarray(), cut.pmax),
     )
     return _result(worst, 1e-10)
 
@@ -233,14 +229,12 @@ def check_v0_factorization_defect():
 
 @_check("ladders.split_closure")
 def check_k_closure():
-    cut = fock.FockCutoff(2, 8, 6)
-    ok = (
-        ld.decomposition_respected(ld.LadderKind.B2, "K", cut)
-        and ld.decomposition_respected(ld.LadderKind.B2DAG, "K", cut)
-        and ld.decomposition_respected(ld.LadderKind.A2, "H", cut)
-        and ld.decomposition_respected(ld.LadderKind.A2DAG, "H", cut)
-        and not ld.subspace_closure_check(ld.LadderKind.B2, ld.SubspaceTag.H2MINUS, cut)
-    )
+    # each V = 0 ladder keeps both halves of its family's split (A: p >= 0 /
+    # p <= -1, B: p >= 1 / p <= 0); B2 leaves the lower A half
+    pmax = 6
+    ok = all(ld.subspace_closure_check(key, lv.BRANCHES[(key[0], branch)], pmax)
+             for key in lv.V0_LADDERS for branch in ("plus", "minus"))
+    ok = ok and not ld.subspace_closure_check("B2", lv.BRANCHES[("A", "minus")], pmax)
     return _result(0.0 if ok else 1.0, 0.5, ok=ok)
 
 
@@ -264,13 +258,13 @@ def check_coherent_norms():
 def check_coherent_residuals():
     cut = fock.FockCutoff(40, 40, 40)
     worst = 0.0
-    for (family, branch), (op, _, _) in ld.PAIRINGS.items():
+    for (family, branch), (op, _, _) in lv.PAIRINGS.items():
         if family not in ("A", "B"):
             continue  # the V != 0 families
         spec = ch.CoherentSpec(1 - 1j, 1 + 0.5j, family, branch, cut)
         st = ch.build_coherent(spec)
         worst = max(worst, ch.eigen_residual(spec, st, op))
-        worst = max(worst, ch.eigen_residual(spec, st, ld.LadderKind.A1))
+        worst = max(worst, ch.eigen_residual(spec, st, "A1"))
     return _result(worst, 1e-8)
 
 
@@ -340,7 +334,7 @@ def check_hv_residuals():
     for v in (0.25, 0.5, 9.5):
         params = PhysicalParams(V=v)
         cut = fock.FockCutoff(2, 14, 12)
-        h = spn.hamiltonian_spinor_matrix(params, cut).matrix
+        h = ld.hamiltonian_spinor_matrix(params, cut).matrix
         x, y = pt.biorth_level_matrices(params, cut)
         e = lv.spectrum_table(lv.window_levels(cut.pmax), params)[0]
         for vecs, op, ev in ((x, h, e), (y, h.conjugate().T, np.conj(e))):
@@ -439,7 +433,7 @@ def check_bicoherent_residuals():
     for v, window in ((0.5, 48), (9.5, 150)):
         params = PhysicalParams(V=v)
         cut = fock.FockCutoff(10, window, window)
-        for (family, branch), (op, _, _) in ld.PAIRINGS.items():
+        for (family, branch), (op, _, _) in lv.PAIRINGS.items():
             if family not in bc.FAMILIES:
                 continue  # the V = 0 families
             spec = bc.BicoherentSpec(0.0, 1 - 1j, *bc.FAMILIES[family], branch, params, cut)
@@ -516,7 +510,7 @@ def check_gain_monotone():
         params = PhysicalParams(V=v)
         cut = fock.FockCutoff(10, window, window)
         st = bc.build_bicoherent(bc.BicoherentSpec(0.0, 1 - 1j, "standard", "ket", "plus", params, cut))
-        state_ratios.append(gain_loss(st, params).ratio)
+        state_ratios.append(gain_loss(st)["ratio"])
     ok = ok and state_ratios[1] > state_ratios[0]
     return _result(0.0 if ok else 1.0, 0.5, ok=ok,
                    detail=f"levels={['%.3g' % r for r in ratios]} states={['%.3g' % r for r in state_ratios]}")

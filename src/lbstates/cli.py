@@ -24,8 +24,7 @@ from .densities import (DEFAULT_GRID, GridSpec, density, export, finite_csv, fin
                         gain_loss, write_document)
 from .errors import ContractError, LbError
 from .fock import FockCutoff
-from .ladders import PAIRINGS
-from .levels import alpha_moduli, spectrum_table, window_levels
+from .levels import PAIRINGS, alpha_moduli, spectrum_table, window_levels
 from .params import PhysicalParams
 
 
@@ -206,7 +205,7 @@ def _build_state(args, parser) -> tuple:
 
 def cmd_state(args, parser) -> int:
     state, spec, params = _build_state(args, parser)
-    up, lo = state.component_masses()
+    masses = gain_loss(state)
     report = {
         "family": args.family,
         "branch": args.branch,
@@ -214,9 +213,9 @@ def cmd_state(args, parser) -> int:
         "z2": format_complex(args.z2),
         "params": {"vf": params.vf, "xi": params.xi, "V": params.V, "eps0": params.eps0},
         "norm2": state.norm2(),
-        "mass_upper": up,
-        "mass_lower": lo,
-        "mass_ratio": up / lo if lo > 0 else None,
+        "mass_upper": masses["mass_upper"],
+        "mass_lower": masses["mass_lower"],
+        "mass_ratio": masses["ratio"],
         "tails": {k: v for k, v in state.meta.items() if k.startswith("tail")},
     }
     op = PAIRINGS[(args.family, args.branch)][0]
@@ -237,12 +236,7 @@ def cmd_density(args, parser) -> int:
     grid = GridSpec.parse(args.grid)
     state, spec, params = _build_state(args, parser)
     fld = density(state, grid, params)
-    gl = gain_loss(state, params)
-    fld.meta["gain_loss"] = {
-        "mass_upper": gl.mass_upper,
-        "mass_lower": gl.mass_lower,
-        "ratio": gl.ratio if math.isfinite(gl.ratio) else None,
-    }
+    fld.meta["gain_loss"] = gain_loss(state)
     out = args.out or f"density.{args.format}"
     export(fld, args.format, out)
     sys.stdout.write(

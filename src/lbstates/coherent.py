@@ -9,7 +9,7 @@ decompositions of the level index:
     family B, minus:  levels p = -n2       (lowered by B2)
 
 with the standard double series over (n1, n2), Gaussian prefactor and
-sqrt(n1! n2!) denominators; the levels are read from `ladders.BRANCHES`.
+sqrt(n1! n2!) denominators; the levels are read from `levels.BRANCHES`.
 Quadrature resolutions of identity (`resolution_sum`) are evaluated with
 the angular integrals done analytically (they enforce index matching)
 and the radial integrals by Gauss-Laguerre.
@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
-from .ladders import BRANCHES, BranchSeries, pairing_residual
-from .levels import column_coefficients, level_table, series_stack, window_levels
-from .spinor import V0, SpinorState
+from .levels import (BRANCHES, BranchSeries, column_coefficients, level_table, series_stack,
+                     window_levels)
+from .spinor import V0, SpinorState, pairing_residual
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -159,7 +159,7 @@ def build_coherent(spec: CoherentSpec) -> SpinorState:
 
 
 def eigen_residual(spec: CoherentSpec, state: SpinorState, operator, strict: bool = True) -> float:
-    """|| O Phi - z Phi || (`ladders.pairing_residual`).  With strict=True
+    """|| O Phi - z Phi || (`spinor.pairing_residual`).  With strict=True
     (the contract), a ladder without an eigenvalue equation on the branch
     raises ContractError; strict=False computes the residual anyway, which
     is how the branch asymmetry is documented."""

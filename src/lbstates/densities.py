@@ -22,8 +22,7 @@ from scipy.integrate import simpson
 from . import floattext
 from .errors import ContractError
 from .fock import circular_antidiagonals, oscillator_table
-from .levels import alpha_moduli
-from .params import PhysicalParams, discriminant
+from .params import PhysicalParams
 from .spinor import SpinorState
 
 DEFAULT_GRID = "-8:8:257,-8:8:257"
@@ -175,32 +174,13 @@ def density(state: SpinorState, grid: GridSpec, params: PhysicalParams | None = 
     return fld
 
 
-@dataclass(frozen=True)
-class GainLossReport:
-    mass_upper: float
-    mass_lower: float
-    ratio: float
-    per_level_alpha_table: list
-
-
-def gain_loss(state: SpinorState, params: PhysicalParams | None = None) -> GainLossReport:
-    """Component masses from coefficient space (no grid), their ratio, and
-    the broken-region |alpha| table for context when V is large (one
-    `levels.alpha_moduli` evaluation over the levels).
-    The table holds the window's levels p >= 1 whose discriminant p - V^2
-    is negative, so a level snapped to exceptional is left out."""
+def gain_loss(state: SpinorState) -> dict:
+    """The component masses from coefficient space (no grid) and their
+    ratio, None where it is not finite: what `state` reports and the
+    `gain_loss` block of a density's metadata."""
     up, lo = state.component_masses()
-    table = []
-    if params is not None and params.V > 1.0:
-        V = params.V
-        top = min(int(math.ceil(V ** 2)) - 1, state.upper.size - 1)
-        ps = np.arange(1, top + 1)
-        ps = ps[discriminant(ps, V) < 0.0]
-        aps, ams = alpha_moduli(ps, V)
-        table = [{"p": p, "abs_alpha_plus": ap, "abs_alpha_minus": am}
-                 for p, ap, am in zip(ps.tolist(), aps.tolist(), ams.tolist())]
     ratio = up / lo if lo > 0 else math.inf
-    return GainLossReport(up, lo, ratio, table)
+    return {"mass_upper": up, "mass_lower": lo, "ratio": ratio if math.isfinite(ratio) else None}
 
 
 def _jsonable(obj):

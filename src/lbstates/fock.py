@@ -1,27 +1,24 @@
 """Truncated one- and two-mode bosonic Fock machinery.
 
-Provides the 1D oscillator eigenfunctions (stable normalized recurrence),
-the Cartesian ladder pair (a_X, a_Y) on a truncated (j, k) grid, and the
-circular combinations
+Provides the truncation window (`FockCutoff`), the 1D oscillator
+eigenfunctions (stable normalized recurrence) and the map of the circular
+modes e_{n1,n2}, the normalized excitations of
 
     A1 = (a_X - i a_Y) / sqrt(2),      A2 = (a_X + i a_Y) / sqrt(2),
 
-whose normalized excitations e_{n1,n2} diagonalize the Landau problem.
-`circular_antidiagonals` yields their map to the (j, k) grid one stable
-block per anti-diagonal j + k = N, good to ~1e-14 up to N = 512.
-All operators advertise an interior window on which the canonical
-commutation relations hold exactly; truncation artifacts live on the
-boundary row/column.
+which diagonalize the Landau problem, to the Cartesian (j, k) grid:
+`circular_antidiagonals` yields it one stable block per anti-diagonal
+j + k = N, good to ~1e-14 up to N = 512.  Everything here is numpy; the
+truncated ladder matrices and the modes raised with them, the oracle of
+that map, are in `ladders`, which no command but `check` imports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CutoffError
 
@@ -61,35 +58,6 @@ class FockCutoff:
         return (self.nmax2 + 1) ** 2
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """A complex sparse matrix tagged with the enumeration it acts on.
-
-    Spaces used in this package:
-      'cartesian2d'     -- the (j, k) oscillator grid, index j*(nmax2+1)+k
-      'cartesian_spinor'-- two stacked cartesian2d blocks (upper, lower)
-      'kregister'       -- stacked 1D registers (upper, lower), index
-                           comp*(nmax2+1)+k
-      'first'           -- the first (degeneracy) register
-      'mode'            -- the (n, p) window, index n*(2*pmax+1)+(p+pmax)
-      'level'           -- the p window alone, index p+pmax
-    """
-
-    matrix: sp.spmatrix
-    space: str
-    name: str
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def dagger(self) -> "SparseOperator":
-        return SparseOperator(self.matrix.conjugate().T.tocsr(), self.space, self.name + "^+")
-
-    def same_enumeration(self, other: "SparseOperator") -> bool:
-        return self.space == other.space and self.shape == other.shape
-
-
 def oscillator_psi(n: int, x):
     """Normalized 1D oscillator eigenfunction psi_n(x): row n of
     `oscillator_table` (a float for scalar x)."""
@@ -116,80 +84,6 @@ def oscillator_table(nmax: int, x) -> np.ndarray:
     for k in range(1, nmax):
         out[k + 1] = arr * math.sqrt(2.0 / (k + 1)) * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
     return out
-
-
-@dataclass(frozen=True)
-class CartesianModeVector:
-    """Expansion of a state over products psi_j(X) psi_k(Y), with its norm."""
-
-    coeffs: np.ndarray  # complex, shape (nmax2+1, nmax2+1)
-    norm: float = field(default=0.0)
-
-
-def annihilator(nmax: int) -> sp.csr_matrix:
-    """The one-mode lowering matrix on 0..nmax: sqrt(k) at (k - 1, k)."""
-    return sp.diags(np.sqrt(np.arange(1, nmax + 1, dtype=float)), 1, format="csr").astype(complex)
-
-
-def ladder_matrices(cutoff: FockCutoff) -> dict:
-    """Truncated matrices of a_X, a_Y, A1, A2 on the (j, k) grid.
-
-    The commutator [A, A^+] equals the identity on every basis vector with
-    total excitation < nmax2 (the interior window); the boundary row is
-    zeroed rather than wrapped.
-    """
-    a1d = annihilator(cutoff.nmax2)
-    eye = sp.identity(cutoff.nmax2 + 1, format="csr", dtype=complex)
-    ax = sp.kron(a1d, eye, format="csr")
-    ay = sp.kron(eye, a1d, format="csr")
-    a_one = ((ax - 1j * ay) / SQRT2).tocsr()
-    a_two = ((ax + 1j * ay) / SQRT2).tocsr()
-    return {
-        "a_X": SparseOperator(ax, "cartesian2d", "a_X"),
-        "a_Y": SparseOperator(ay, "cartesian2d", "a_Y"),
-        "A1": SparseOperator(a_one, "cartesian2d", "A1"),
-        "A2": SparseOperator(a_two, "cartesian2d", "A2"),
-    }
-
-
-@lru_cache(maxsize=8)
-def _raising_matrices(nmax2: int) -> tuple:
-    """A1^+ and A2^+ on the (j, k) grid, built once per window and shared
-    by every `circular_mode` call on it (read only)."""
-    ops = ladder_matrices(FockCutoff(0, nmax2))
-    return tuple(ops[name].matrix.conjugate().T.tocsr() for name in ("A1", "A2"))
-
-
-def circular_mode(n1: int, n2: int, cutoff: FockCutoff) -> CartesianModeVector:
-    """Normalized circular mode e_{n1,n2} built by repeated application of
-    the truncated raising matrices to the vacuum unit vector.
-
-    Requires n1 + n2 <= nmax2 so that no raising application exits the
-    truncation window.
-    """
-    if n1 < 0 or n2 < 0:
-        raise CutoffError("mode indices must be nonnegative")
-    if n1 + n2 > cutoff.nmax2:
-        raise CutoffError(
-            f"circular mode ({n1},{n2}) needs total excitation {n1 + n2} > nmax2={cutoff.nmax2}"
-        )
-    a1dag, a2dag = _raising_matrices(cutoff.nmax2)
-    d = cutoff.nmax2 + 1
-    v = np.zeros(d * d, dtype=complex)
-    v[0] = 1.0
-    for k in range(n2):
-        v = a2dag @ v / math.sqrt(k + 1.0)
-    for k in range(n1):
-        v = a1dag @ v / math.sqrt(k + 1.0)
-    return CartesianModeVector(v.reshape(d, d), float(np.linalg.norm(v)))
-
-
-def eval_mode(vec: CartesianModeVector, x: float, y: float) -> complex:
-    """Position-space value sum_{j,k} coeffs[j,k] psi_j(X) psi_k(Y)."""
-    top = vec.coeffs.shape[0] - 1
-    px = oscillator_table(top, np.atleast_1d(float(x)))[:, 0]
-    py = oscillator_table(top, np.atleast_1d(float(y)))[:, 0]
-    return complex(px @ vec.coeffs @ py)
 
 
 def circular_antidiagonals(n_top: int, n1_top: int):

@@ -19,8 +19,7 @@ levels as plain numpy complex expressions; the scalars `alpha` and
 `normalization_K` are one-level evaluations of the same code.  States and
 the stacked spinors of one level (`level_spinors`: phi_p and its dual,
 or v_p at V = 0) are filled from its rows, and a built state keeps the
-rows it was filled from (`LevelRows`) for its residuals; sparse columns
-are built only for ladder products and projections.  The shifted
+rows it was filled from (`LevelRows`) for its residuals.  The shifted
 eigenvalues theta_p = E_p - E_0 (behind the theta family and the c2/d2
 ladders) come from `theta_table`, and the eigenvalues E_p with each
 level's PT class from `spectrum_table`; `alpha_moduli` gives |alpha+-|
@@ -29,16 +28,41 @@ over any set of levels.  The tables take p - V^2 from
 avoid every cancelling difference, so each entry is within 1e-14 relative
 of its 50-digit value (`tests/test_levels.py` checks this with mpmath over
 whole windows and at V within 1e-4 to 1e-11 of sqrt(p)).
+
+Each ladder moves level p to p + shift with an amplitude and acts on the
+spinor register as X P Y^H over two-entry level spinors.  At V = 0,
+
+    A2  c_{n,p} = sqrt(|p|)   c_{n,p-1}      (quasi-vacuum p = 0)
+    A2+ c_{n,p} = sqrt(|p+1|) c_{n,p+1}      (quasi-vacuum p = -1)
+    B2  c_{n,p} = sqrt(|p|)   c_{n,p+1}      (quasi-vacuum p = 0)
+    B2+ c_{n,p} = sqrt(|p-1|) c_{n,p-1}      (quasi-vacuum p = 1)
+
+act on the orthonormal basis v_p (X = Y), while A1 lowers the degeneracy
+index n with the standard sqrt(n) weights.  The A2 pair leaves each half
+of the p >= 0 / p <= -1 split invariant; the B2 pair respects the
+p >= 1 / p <= 0 split instead.  At strength V, A_K_V and B_K_V move the
+levels with the A2 and A2+ amplitudes, and c2 (sqrt(theta_p), down) and
+d2 (sqrt(theta_{p+1}), up) factorize the shifted Hamiltonian, d2 c2 =
+H - E_0; all four act between phi_p (X) and its regime dual (Y).
+
+`LADDERS` names each ladder once and `PAIRINGS` the one with an eigenvalue
+equation on each family and branch.  `BRANCHES` gives the levels each
+family and branch builds its series on; the specs of both state modules
+read them through `BranchSeries`.  `ladder_apply` applies a ladder to a
+stacked spinor without a matrix.  Nothing here builds a matrix: the
+sparse realizations, which only `check` and the tests use, are in
+`ladders`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import ContractError, CutoffError, ExceptionalPointError
+from .errors import ContractError, CutoffError, ExceptionalPointError, ShapeError
+from .fock import FockCutoff
 from .params import PhysicalParams, discriminant
 
 
@@ -92,7 +116,7 @@ def level_table(ps, params: PhysicalParams) -> np.ndarray:
 
 class LevelRows(NamedTuple):
     """Levels ps in increasing order with their `level_table` rows at
-    params: what a built state carries and `ladders.ladder_apply` reads."""
+    params: what a built state carries and `ladder_apply` reads."""
 
     ps: np.ndarray
     table: np.ndarray
@@ -206,22 +230,17 @@ def _rows(ps, nmax2: int) -> tuple:
     return q, nmax2 + q
 
 
-def two_entry_columns(ps, upper, lower, nmax2: int) -> sp.csc_matrix:
-    """Sparse columns over the levels ps, upper[k] and lower[k] at the rows
-    of level ps[k], for matrix products."""
+def two_entry_columns(ps, upper, lower, nmax2: int) -> np.ndarray:
+    """Columns over the levels ps, upper[k] and lower[k] at the rows of
+    level ps[k], as a dense array of shape (2 (nmax2 + 1), len(ps))."""
     up, lo = _rows(ps, nmax2)
-    keep = np.stack([np.ones(up.size, dtype=bool), up > 0], axis=1)
-    rows = np.stack([up, lo], axis=1)[keep]
-    data = np.stack([np.asarray(upper, dtype=complex), np.asarray(lower, dtype=complex)], axis=1)[keep]
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return sp.csc_matrix((data, rows, indptr), shape=(2 * (nmax2 + 1), up.size))
-
-
-def level_columns(ps, params: PhysicalParams, nmax2: int) -> tuple:
-    """Sparse column matrices (X, Y) of phi_p and of its regime dual over
-    the levels ps, two nonzeros per column."""
-    xu, xl, yu, yl = level_table(ps, params)
-    return two_entry_columns(ps, xu, xl, nmax2), two_entry_columns(ps, yu, yl, nmax2)
+    cols = np.arange(up.size)
+    out = np.zeros((2 * (nmax2 + 1), up.size), dtype=complex)
+    # added onto zeros, as `series_stack` does, so a -0.0 entry reads +0.0
+    out[up, cols] += upper
+    # level 0 has no lower entry
+    out[lo[up > 0], cols[up > 0]] += np.asarray(lower)[up > 0]
+    return out
 
 
 def series_stack(ps, upper, lower, weights, nmax2: int) -> np.ndarray:
@@ -254,21 +273,157 @@ def window_levels(pmax: int) -> np.ndarray:
     return np.arange(-pmax, pmax + 1)
 
 
-def bidiagonal(amps, shift: int, pmax: int) -> sp.csr_matrix:
-    """The p-window matrix with amps[k] at (p_k + shift, p_k) over p_k =
-    -pmax..pmax; zero amplitudes and targets outside the window are dropped
-    (boundary rows are zeroed, not wrapped)."""
-    ps = window_levels(pmax)
-    amps = np.asarray(amps, dtype=complex)
-    keep = (amps != 0) & (np.abs(ps + shift) <= pmax)
-    return sp.csr_matrix((amps[keep], (ps[keep] + shift + pmax, ps[keep] + pmax)),
-                         shape=(ps.size, ps.size))
+# ladder key -> (amplitudes over the levels ps at params, target shift)
+LADDERS = {
+    "A2": (lambda ps, params: np.sqrt(np.abs(ps)), -1),
+    "A2dag": (lambda ps, params: np.sqrt(np.abs(ps + 1)), +1),
+    "B2": (lambda ps, params: np.sqrt(np.abs(ps)), +1),
+    "B2dag": (lambda ps, params: np.sqrt(np.abs(ps - 1)), -1),
+    "A_K_V": (lambda ps, params: np.sqrt(np.abs(ps)), -1),
+    "B_K_V": (lambda ps, params: np.sqrt(np.abs(ps + 1)), +1),
+    "c2": (lambda ps, params: np.sqrt(theta_table(ps, params)), -1),
+    "d2": (lambda ps, params: np.sqrt(theta_table(ps + 1, params)), +1),
+}
+# the ladders on the V = 0 basis v_p; the others pair phi_p with its dual
+V0_LADDERS = ("A2", "A2dag", "B2", "B2dag")
+
+# (CLI family, branch) -> (reported operator name, ladder key, adjoint): the
+# ladder whose eigenvector the state is, with eigenvalue z2
+PAIRINGS = {
+    ("A", "plus"): ("A2", "A2", False), ("A", "minus"): ("A2dag", "A2dag", False),
+    ("B", "plus"): ("B2dag", "B2dag", False), ("B", "minus"): ("B2", "B2", False),
+    ("phi", "plus"): ("A_K_V", "A_K_V", False), ("phi", "minus"): ("B_K_V", "B_K_V", False),
+    ("psi", "minus"): ("A_K_V_dag", "A_K_V", True), ("psi", "plus"): ("B_K_V_dag", "B_K_V", True),
+    ("eta", "plus"): ("C2", "c2", False), ("eta", "minus"): ("D2", "d2", False),
+    ("xi", "minus"): ("C2dag", "c2", True), ("xi", "plus"): ("D2dag", "d2", True),
+}
 
 
-def rank_one_sum(x: sp.spmatrix, pmat: sp.spmatrix, y: sp.spmatrix) -> sp.csr_matrix:
-    """sum over (q, p) of pmat[q, p] |x_q><y_p|, i.e. X P Y^H, kept sparse:
-    with two nonzeros per column of X and Y, each nonzero of P gives at
-    most four entries."""
-    out = (x @ pmat @ y.conjugate().T).tocsr()
-    out.eliminate_zeros()
-    return out
+class Branch(NamedTuple):
+    """The levels of one series branch: term n (an int or an integer array)
+    sits on level first + step n, with step +1 on plus and -1 on minus."""
+
+    first: int
+    step: int
+
+    def sigma(self, n):
+        return self.first + self.step * n
+
+    def cap(self, pmax: int) -> int:
+        """Largest series index whose level lies inside |p| <= pmax."""
+        return pmax - abs(self.first)
+
+    def support(self, ps) -> np.ndarray:
+        """Mask of the levels ps that lie on the branch."""
+        return self.step * (np.asarray(ps) - self.first) >= 0
+
+
+# (CLI family, branch) -> the levels of its series, from the first one.  With
+# no ground state to start from, each family builds on one half of a split:
+# A and the V != 0 families on p >= 0 / p <= -1, B on p >= 1 / p <= 0.
+BRANCHES = {key: Branch(first, 1 if key[1] == "plus" else -1) for key, first in {
+    ("A", "plus"): 0, ("A", "minus"): -1, ("B", "plus"): 1, ("B", "minus"): 0,
+    ("phi", "plus"): 0, ("phi", "minus"): -1, ("psi", "plus"): 0, ("psi", "minus"): -1,
+    ("eta", "plus"): 0, ("eta", "minus"): -1, ("xi", "plus"): 0, ("xi", "minus"): -1,
+}.items()}
+
+
+class BranchSeries:
+    """The series layout of a state spec from its `BRANCHES` row `key`; a
+    spec also provides `cutoff` and `params`."""
+
+    def sigma(self, n):
+        return BRANCHES[self.key].sigma(n)
+
+    @property
+    def level_cap(self) -> int:
+        """Largest usable series index so sigma stays inside the p window."""
+        return BRANCHES[self.key].cap(self.cutoff.pmax)
+
+    def require_levels(self) -> int:
+        """level_cap, refusing (CutoffError) a branch with no level inside
+        the window."""
+        cap = self.level_cap
+        if cap < 0:
+            family, branch = self.key
+            raise CutoffError(f"the {branch} branch of {family} has no level inside"
+                              f" pmax={self.cutoff.pmax}", tail_estimate=math.inf)
+        return cap
+
+    def series_rows(self, n_terms: int) -> tuple:
+        """(levels of the first n_terms series terms, the `LevelRows` a state
+        on them carries): one table over those levels and their neighbours,
+        which serves both sides and the residuals.  At an exceptional V only
+        the series levels are evaluated: a neighbour may be the exceptional
+        level, and no ladder pairs with the state there (`_ladder` refuses)."""
+        ps = self.sigma(np.arange(n_terms))
+        if self.params.exceptional_level() is None:
+            return ps, level_rows(near_levels(np.abs(ps), self.cutoff.pmax), self.params)
+        return ps, level_rows(np.sort(ps), self.params)
+
+
+def _ladder(key: str, params: PhysicalParams) -> tuple:
+    """(key, amplitude function, shift) of a ladder, refusing unknown keys
+    and, off V = 0, exceptional V."""
+    if key not in LADDERS:
+        raise ContractError(f"unknown ladder {key!r}")
+    if key not in V0_LADDERS:
+        params.require_non_exceptional(f"ladder {key}")
+    return (key, *LADDERS[key])
+
+
+def _bases(key: str, table: np.ndarray) -> tuple:
+    """Rows (upper, lower) of X and Y in a level table: the V = 0 basis v_p
+    twice (a table at V = 0), or phi_p and its regime dual."""
+    return table[:2], table[:2] if key in V0_LADDERS else table[2:]
+
+
+def near_levels(q, pmax: int) -> np.ndarray:
+    """The levels of magnitude q or q +- 1 inside |p| <= pmax, in
+    increasing order (p and -p share their rows): the levels a ladder
+    gathers from or scatters to when the rows of magnitude q carry weight."""
+    near = np.unique(np.concatenate([q - 1, q, q + 1]))
+    near = near[(near >= 0) & (near <= pmax)]
+    return np.concatenate([-near[::-1], near[near > 0]])
+
+
+def support_levels(stack: np.ndarray, cutoff: FockCutoff) -> np.ndarray:
+    """The levels of the window whose two rows carry weight in a bare
+    stacked spinor, and their neighbours, in increasing order."""
+    half, pmax = cutoff.nmax2 + 1, cutoff.pmax
+    live = stack[:pmax + 1] != 0
+    live[1:] |= stack[half:half + pmax] != 0
+    return near_levels(np.flatnonzero(live), pmax)
+
+
+def ladder_apply(key: str, rows: LevelRows, stack: np.ndarray, cutoff: FockCutoff,
+                 adjoint: bool = False) -> np.ndarray:
+    """The ladder X P Y^H (or its adjoint Y P^H X^H; `ladders.ladder_matrix`
+    realizes it) applied to a stacked spinor as X(P(Y^H stack)), without
+    building a matrix: gather one coefficient per level from its two rows,
+    move it one level with its amplitude and scatter it back as
+    `series_stack` does.  Only the levels of `rows` are evaluated (a built
+    state's carried rows, or those of `support_levels` for a bare stack);
+    they must hold every level whose rows carry weight and its neighbours,
+    and the others add exact zeros, so the result does not depend on the
+    window.  The rows are at the ladder's parameters; the V = 0 ladders
+    need rows at V = 0."""
+    params = rows.params
+    key, amp, shift = _ladder(key, params)
+    if key in V0_LADDERS and params.V != 0.0:
+        raise ContractError(f"ladder {key} acts on the V = 0 basis, not on rows at V = {params.V}")
+    if stack.size != 2 * (cutoff.nmax2 + 1):
+        raise ShapeError("operator and state live on different spinor windows")
+    ps = rows.ps
+    x, y = _bases(key, rows.table)
+    if adjoint:
+        x, y = y, x
+    coef = column_coefficients(ps, *y, stack, cutoff.nmax2)
+    # P moves level p to p + shift with amps(p); P^H takes level p from p + shift
+    src = ps + shift if adjoint else ps - shift
+    k = np.minimum(np.searchsorted(ps, src), ps.size - 1)
+    has = ps[k] == src
+    k, amps = k[has], amp(ps, params)
+    moved = np.zeros_like(coef)
+    moved[has] = (np.conj(amps[has]) if adjoint else amps[k]) * coef[k]
+    return series_stack(ps, *x, moved, cutoff.nmax2)

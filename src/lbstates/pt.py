@@ -13,8 +13,9 @@ broken levels (psi-tilde), restoring biorthonormality of the x/y pairing.
 The eigenvalues E_p with each level's class, |alpha+-| and the shifted
 eigenvalues theta_p = E_p - E_0 are the tables of `levels`.  The four
 ladders A_K_V, B_K_V, c2 and d2 are entries of the one ladder table of
-`ladders`; `pt_spinor_ladder` is the sparse spinor-register realization
-X P Y^H of one of them.
+`levels`; `pt_spinor_ladder` is the sparse spinor-register realization
+X P Y^H of one of them, from the oracle module `ladders`.  Like `ladders`,
+this module serves `check` and the tests; no other command imports it.
 """
 
 from __future__ import annotations
@@ -22,26 +23,26 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ContractError
-from .fock import FockCutoff, SparseOperator
-from .ladders import ladder_matrix
-from .levels import alpha, level_columns, spectrum_table, two_entry_columns, window_levels
+from .fock import FockCutoff
+from .ladders import SparseOperator, hamiltonian_spinor_matrix, ladder_matrix
+from .levels import alpha, level_table, spectrum_table, two_entry_columns, window_levels
 from .params import PhysicalParams
-from .spinor import hamiltonian_spinor_matrix
 
 
 def biorth_level_matrices(params: PhysicalParams, cutoff: FockCutoff) -> tuple:
     """Column matrices X, Y of phi_p and its dual over p = -pmax..pmax."""
-    x, y = level_columns(window_levels(cutoff.pmax), params, cutoff.nmax2)
-    return x.toarray(), y.toarray()
+    ps = window_levels(cutoff.pmax)
+    table = level_table(ps, params)
+    return (two_entry_columns(ps, *table[:2], cutoff.nmax2),
+            two_entry_columns(ps, *table[2:], cutoff.nmax2))
 
 
 def pt_spinor_ladder(name: str, params: PhysicalParams, cutoff: FockCutoff) -> SparseOperator:
     """Spinor-register realization through the biorthogonal rank-one sums,
     sum_p amp(p) |phi_target><dual_p|.  Refuses exceptional V."""
-    return SparseOperator(ladder_matrix(name, params, cutoff), "kregister", name)
+    return SparseOperator(ladder_matrix(name, params, cutoff), name)
 
 
 def factorization_defect(params: PhysicalParams, cutoff: FockCutoff) -> float:
@@ -56,9 +57,10 @@ def factorization_defect(params: PhysicalParams, cutoff: FockCutoff) -> float:
     d2 = pt_spinor_ladder("d2", params, cutoff).matrix
     h = hamiltonian_spinor_matrix(params, cutoff).matrix
     e0 = complex(spectrum_table([0], params)[0][0])
-    x, _ = level_columns(range(-cutoff.pmax + 1, cutoff.pmax), params, cutoff.nmax2)
+    ps = np.arange(-cutoff.pmax + 1, cutoff.pmax)
+    x = two_entry_columns(ps, *level_table(ps, params)[:2], cutoff.nmax2)
     defect = d2 @ (c2 @ x) - h @ x + e0 * x
-    return float((sp.linalg.norm(defect, axis=0) / sp.linalg.norm(x, axis=0)).max(initial=0.0))
+    return float((np.linalg.norm(defect, axis=0) / np.linalg.norm(x, axis=0)).max(initial=0.0))
 
 
 def exceptional_diagnostics(p: int, v_star: float, cutoff: FockCutoff) -> dict:
@@ -74,7 +76,7 @@ def exceptional_diagnostics(p: int, v_star: float, cutoff: FockCutoff) -> dict:
     # the two branch vectors, then the duals with the lower sign flipped,
     # as in the psi family
     cols = two_entry_columns([p] * 4, np.ones(4), [a_plus, a_minus, -a_minus, -a_plus],
-                             cutoff.nmax2).toarray()
+                             cutoff.nmax2)
     u_plus, u_minus, w_plus, w_minus = (cols / np.linalg.norm(cols, axis=0)).T
     coincidence = float(np.linalg.norm(u_plus - u_minus))
     self_orth = max(abs(np.vdot(u_plus, w_plus)), abs(np.vdot(u_minus, w_minus)))

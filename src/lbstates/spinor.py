@@ -11,23 +11,26 @@ eigenbasis c_{n,p} has
 
 on the spinor register, with first-register factor e_n: the level
 spinors of `levels` at V = 0 (`levels.level_spinors`), whose energies
-sign(p) eps0 sqrt(|p|) are `levels.spectrum_table` at V = 0.  The (n, p)
-window is flattened in row-major order with p offset-encoded
-(`ModeWindow.index`); this enumeration is part of the public contract.
+sign(p) eps0 sqrt(|p|) are `levels.spectrum_table` at V = 0.  Each
+register is acted on alone: A1 lowers n (`lower_first_register`) and the
+level ladders move p (`levels.ladder_apply`), which is how
+`pairing_residual` measures a state's eigenvalue equation.  This module
+builds no matrix; their sparse realizations (the Hamiltonian block among
+them) are in `ladders`, which no command but `check` imports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import CutoffError
-from .fock import FockCutoff, SparseOperator, annihilator, ladder_matrices
-from .levels import LevelRows, level_spinors, level_table, two_entry_columns, window_levels
+from .errors import ContractError, CutoffError
+from .fock import FockCutoff
+from .levels import (PAIRINGS, LevelRows, ladder_apply, level_spinors, level_table,
+                     two_entry_columns, window_levels)
 from .params import PhysicalParams
 
 # The V=0 basis spinors v_p are the level table at V = 0.
@@ -39,31 +42,6 @@ class ModeIndex(NamedTuple):
 
     n: int
     p: int
-
-
-@dataclass(frozen=True)
-class ModeWindow:
-    """Enumeration of the (n, p) window: index = n*(2*pmax+1) + (p+pmax)."""
-
-    nmax1: int
-    pmax: int
-
-    @property
-    def dim(self) -> int:
-        return (self.nmax1 + 1) * (2 * self.pmax + 1)
-
-    @property
-    def pdim(self) -> int:
-        return 2 * self.pmax + 1
-
-    def index(self, n: int, p: int) -> int:
-        if not (0 <= n <= self.nmax1 and abs(p) <= self.pmax):
-            raise CutoffError(f"(n={n}, p={p}) outside window")
-        return n * self.pdim + (p + self.pmax)
-
-    @staticmethod
-    def of(cutoff: FockCutoff) -> "ModeWindow":
-        return ModeWindow(cutoff.nmax1, cutoff.pmax)
 
 
 @dataclass
@@ -139,29 +117,11 @@ def level_matrix(cutoff: FockCutoff) -> np.ndarray:
     Shape (2*(nmax2+1), 2*pmax+1); the columns are orthonormal.
     """
     ps = window_levels(cutoff.pmax)
-    return two_entry_columns(ps, *level_table(ps, V0)[:2], cutoff.nmax2).toarray()
-
-
-def _hamiltonian_block(params: PhysicalParams, a: sp.spmatrix) -> sp.csr_matrix:
-    """(2i v_F / xi) [[V I, a^+], [-a, -V I]] for the annihilator a of one
-    component."""
-    eye = sp.identity(a.shape[0], format="csr", dtype=complex)
-    scale = 1j * params.eps0
-    return sp.bmat(
-        [[scale * params.V * eye, scale * a.conjugate().T], [-scale * a, -scale * params.V * eye]],
-        format="csr",
-    )
-
-
-def hamiltonian_spinor_matrix(params: PhysicalParams, cutoff: FockCutoff) -> SparseOperator:
-    """The spinor-register block matrix (2i v_F / xi) [[V, a^+], [-a, -V]]
-    acting on the stacked (upper, lower) register."""
-    mat = _hamiltonian_block(params, annihilator(cutoff.nmax2))
-    return SparseOperator(mat, "kregister", f"H(V={params.V})")
+    return two_entry_columns(ps, *level_table(ps, V0)[:2], cutoff.nmax2)
 
 
 def lower_first_register(fr: np.ndarray) -> np.ndarray:
-    """The degeneracy-register lowering operator (`fock.annihilator`, the
+    """The degeneracy-register lowering operator (`ladders.annihilator`, the
     standard sqrt(n) entries) applied to the first-register coefficients:
     sqrt(n+1) fr[n+1]."""
     out = np.zeros_like(fr)
@@ -169,21 +129,29 @@ def lower_first_register(fr: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_hamiltonian(params: PhysicalParams, cutoff: FockCutoff) -> SparseOperator:
-    """The Hamiltonian on the enumerated Cartesian spinor basis: two stacked
-    (j, k) blocks.  Hermitian at V=0."""
-    mat = _hamiltonian_block(params, ladder_matrices(cutoff)["A2"].matrix)
-    return SparseOperator(mat, "cartesian_spinor", f"H_cart(V={params.V})")
+_BY_NAME = {name: (key, adjoint) for name, key, adjoint in PAIRINGS.values()}
 
 
-def restricted_spinor_block(params: PhysicalParams, cutoff: FockCutoff) -> np.ndarray:
-    """The spinor-register Hamiltonian restricted to its largest invariant
-    truncated subspace (upper 0..nmax2, lower 0..nmax2-1).
-
-    Dense diagonalization of this block is an independent oracle for the
-    spectrum: its eigenvalue multiset is exactly {0} + {+-eps0 sqrt(k)}.
-    """
-    h = hamiltonian_spinor_matrix(replace(params, V=0.0), cutoff).matrix.toarray()
-    d = cutoff.nmax2 + 1
-    keep = list(range(d)) + list(range(d, 2 * d - 1))
-    return h[np.ix_(keep, keep)]
+def pairing_residual(spec, state, operator: str, strict: bool = True) -> float:
+    """|| O state - z state || for the state built from spec: O = A1 with
+    z = z1 on the first register, or the ladder `PAIRINGS` pairs with the
+    spec's family and branch (`spec.key`), with z = z2 on the
+    spinor register, applied without a matrix on the level rows the state
+    carries; the other register enters through its norm.  Any other ladder
+    of the table raises ContractError unless strict=False, and so does a
+    state without rows at the spec's parameters."""
+    if operator == "A1":
+        own, other, z = state.first_register, state.spinor_stack(), spec.z1
+        moved = lower_first_register(own)
+    else:
+        if operator not in _BY_NAME:
+            raise ContractError(f"unknown operator {operator!r}")
+        if strict and PAIRINGS[spec.key][0] != operator:
+            raise ContractError(f"{operator} has no eigenvalue equation on {'/'.join(spec.key)}")
+        key, adjoint = _BY_NAME[operator]
+        if state.rows is None or state.rows.params != spec.params:
+            raise ContractError(f"{operator} reads the level rows a state carries; this state"
+                                f" carries none built at V = {spec.params.V}")
+        own, other, z = state.spinor_stack(), state.first_register, spec.z2
+        moved = ladder_apply(key, state.rows, own, spec.cutoff, adjoint)
+    return float(np.linalg.norm(moved - z * own)) * float(np.linalg.norm(other))

@@ -19,8 +19,7 @@ from lbstates import (
 )
 from lbstates.bicoherent import FAMILIES, BicoherentSpec, _theta_series, bi_product, theta_sequence
 from lbstates import bicoherent
-from lbstates.ladders import PAIRINGS
-from lbstates.levels import level_spinors, level_table, theta_table
+from lbstates.levels import PAIRINGS, level_spinors, level_table, theta_table
 from lbstates.pt import phi_norm_bound
 from lbstates.spinor import SpinorState, first_register_basis
 

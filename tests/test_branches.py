@@ -1,4 +1,4 @@
-"""The branch table `ladders.BRANCHES` against the hand-written level maps
+"""The branch table `levels.BRANCHES` against the hand-written level maps
 it replaced, and every series builder against its tail tolerance."""
 
 import cmath
@@ -7,11 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from lbstates import CutoffError, FockCutoff, PhysicalParams, SubspaceTag
+from lbstates import CutoffError, FockCutoff, PhysicalParams
 from lbstates.bicoherent import FAMILIES, BicoherentSpec, build_bicoherent
 from lbstates.coherent import CoherentSpec, build_coherent
-from lbstates.ladders import BRANCHES, PAIRINGS
-from lbstates.levels import window_levels
+from lbstates.levels import BRANCHES, PAIRINGS, window_levels
 
 # (CLI family, branch) -> (sigma(n), level cap at pmax, support predicate),
 # as each spec class and check wrote them before the table
@@ -29,11 +28,13 @@ OLD_MAPS = {
     ("xi", "plus"): (lambda n: n, lambda pm: pm, lambda p: p >= 0),
     ("xi", "minus"): (lambda n: -n - 1, lambda pm: pm - 1, lambda p: p <= -1),
 }
+# the subspaces H2+- and K2+- (the halves of the two splits) as their tags
+# wrote them, and the branch rows whose support the closure checks read
 OLD_SUBSPACES = {
-    SubspaceTag.H2PLUS: lambda p: p >= 0,
-    SubspaceTag.H2MINUS: lambda p: p <= -1,
-    SubspaceTag.K2PLUS: lambda p: p >= 1,
-    SubspaceTag.K2MINUS: lambda p: p <= 0,
+    "H2plus": (("A", "plus"), lambda p: p >= 0),
+    "H2minus": (("A", "minus"), lambda p: p <= -1),
+    "K2plus": (("B", "plus"), lambda p: p >= 1),
+    "K2minus": (("B", "minus"), lambda p: p <= 0),
 }
 PMAXES = range(0, 13)
 
@@ -75,10 +76,11 @@ def test_specs_read_the_table(key):
         assert spec.sigma(n).tolist() == [sigma(k) for k in n]
 
 
-@pytest.mark.parametrize("tag", list(SubspaceTag))
+@pytest.mark.parametrize("tag", list(OLD_SUBSPACES))
 def test_subspace_tags_read_the_table(tag):
+    key, pred = OLD_SUBSPACES[tag]
     ps = window_levels(12)
-    assert tag.branch.support(ps).tolist() == [OLD_SUBSPACES[tag](p) for p in ps]
+    assert BRANCHES[key].support(ps).tolist() == [pred(p) for p in ps]
 
 
 def theta_modulus(p: int, V: float, eps0: float = 2.0) -> float:

@@ -17,7 +17,7 @@ import lbstates
 from lbstates.cli import MAX_ROWS, MAX_WINDOW, _require_rows, cli_main, format_complex, parse_complex
 from lbstates.errors import ContractError
 from lbstates.params import PhysicalParams, discriminant
-from lbstates.ladders import PAIRINGS
+from lbstates.levels import PAIRINGS
 
 
 class TestComplexParsing:
@@ -751,7 +751,8 @@ class TestSharedParser:
         assert _run_in_process(["spectrum", "--pmax", "1", "--out", out_path])[:2] == (0, "")
         code, out, _ = _run_in_process(["spectrum", "--pmax", "1"])
         assert code == 0 and json.loads(out)["levels"]
-        assert out == open(out_path, encoding="utf-8").read()
+        with open(out_path, encoding="utf-8") as fh:
+            assert out == fh.read()
 
         argv = ["state", "--family", "A", "--z2=2.5", "--nmax", "24", "--pmax", "24"]
         assert _run_in_process(argv + ["--tol=1e-3"])[0] == 0
@@ -877,3 +878,30 @@ print(json.dumps({"codes": codes, "spans": sorted({s[0] for s in tracer.spans}),
         assert self.LAYER_SPANS <= set(traced["spans"]), self.LAYER_SPANS - set(traced["spans"])
         assert "checks.pt.alpha_identities_s" in traced["metrics"]
         assert "densities.export_mb_per_s" in traced["metrics"]
+
+
+class TestImportProbe:
+    """`bench/run.py` `import_layers` times `import lbstates` and the scipy
+    modules it loads, from `-X importtime`; a module the import stops
+    loading leaves its list of samples empty, and every traced benchmark
+    run then fails.  So each of the probe's modules must still report a
+    finite, positive time here."""
+
+    SCRIPT = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import run
+with tempfile.TemporaryDirectory() as tmp:
+    print(json.dumps(run.import_layers(sys.argv[2], tmp)))
+"""
+
+    def test_every_probed_module_is_timed(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(lbstates.__file__))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, os.path.join(root, "bench"), src],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        times = json.loads(proc.stdout.splitlines()[-1])
+        assert set(times) == {"import.lbstates_s", "import.scipy_sparse_s",
+                              "import.scipy_integrate_s"}
+        assert all(math.isfinite(t) and t > 0 for t in times.values()), times

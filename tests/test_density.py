@@ -13,6 +13,8 @@ from lbstates.bicoherent import BicoherentSpec, build_bicoherent
 from lbstates.coherent import CoherentSpec, build_coherent
 from lbstates.densities import (MAX_GRID_POINTS, DensityField, GridSpec, density, export,
                                 gain_loss)
+from lbstates.levels import alpha_moduli
+from lbstates.params import discriminant
 from lbstates.spinor import ModeIndex, basis_vector_c
 
 CUT = FockCutoff(32, 32, 32)
@@ -127,39 +129,39 @@ class TestGainLoss:
         rep = gain_loss(st)
         # coefficient-space oracle: (1 + e^{-|z|^2}) / (1 - e^{-|z|^2})
         expect = (1 + math.exp(-2.0)) / (1 - math.exp(-2.0))
-        assert rep.ratio == pytest.approx(expect, rel=1e-10)
-        assert rep.ratio == pytest.approx(1.3130352854993312, rel=1e-12)
-        assert 0.4 < rep.ratio < 2.5
-        assert rep.per_level_alpha_table == []
+        assert rep["ratio"] == pytest.approx(expect, rel=1e-10)
+        assert rep["ratio"] == pytest.approx(1.3130352854993312, rel=1e-12)
+        assert 0.4 < rep["ratio"] < 2.5
+        assert (rep["mass_upper"], rep["mass_lower"]) == st.component_masses()
 
     def test_eta_plus_upper_dominated_at_large_v(self):
         params = PhysicalParams(V=9.5)
         cut = FockCutoff(4, 150, 150)
         st = build_bicoherent(BicoherentSpec(0.0, 1 - 1j, "theta", "ket", "plus", params, cut))
-        rep = gain_loss(st, params)
-        assert rep.ratio > 10
-        assert len(rep.per_level_alpha_table) == 90
-        assert rep.per_level_alpha_table[0]["abs_alpha_plus"] < 0.06
+        assert gain_loss(st)["ratio"] > 10
+        ps = np.arange(1, cut.pmax + 1)
+        broken = ps[discriminant(ps, params.V) < 0.0]
+        assert broken.size == 90
+        assert alpha_moduli(broken, params.V)[0][0] < 0.06
 
     def test_xi_minus_lower_dominated_at_large_v(self):
         params = PhysicalParams(V=9.5)
         cut = FockCutoff(4, 150, 150)
         st = build_bicoherent(BicoherentSpec(0.0, 1 - 1j, "theta", "bra", "minus", params, cut))
-        rep = gain_loss(st, params)
-        assert rep.mass_lower / rep.mass_upper > 10
+        rep = gain_loss(st)
+        assert rep["mass_lower"] / rep["mass_upper"] > 10
 
     @pytest.mark.parametrize("V", [1.7, 2.5, 9.5, 30.3])
     def test_alpha_table_equals_scalar_asymptotics(self, V):
-        from lbstates.levels import alpha_moduli
-
-        params = PhysicalParams(V=V)
-        st = build_bicoherent(BicoherentSpec(0.0, 1 - 1j, "standard", "ket", "plus", params,
-                                             FockCutoff(4, 1000, 1000)))
-        table = gain_loss(st, params).per_level_alpha_table
-        assert [row["p"] for row in table] == [p for p in range(1, 1001) if p < V ** 2]
-        for row in table:
-            ap, am = alpha_moduli([row["p"]], V)
-            assert (row["abs_alpha_plus"], row["abs_alpha_minus"]) == (float(ap[0]), float(am[0]))
+        # |alpha+-| over the broken levels of a window in one evaluation,
+        # against one-level calls
+        ps = np.arange(1, 1001)
+        broken = ps[discriminant(ps, V) < 0.0]
+        assert broken.tolist() == [p for p in range(1, 1001) if p < V ** 2]
+        aps, ams = alpha_moduli(broken, V)
+        for p, ap, am in zip(broken.tolist(), aps.tolist(), ams.tolist()):
+            one = alpha_moduli([p], V)
+            assert (ap, am) == (float(one[0][0]), float(one[1][0]))
 
     def test_level_snapped_to_exceptional_is_left_out(self, tmp_path, capsys):
         # V^2 = 9 + 4.8e-12: p = 9 lies below V^2 but its discriminant is
@@ -172,11 +174,8 @@ class TestGainLoss:
                          "--grid=-2:2:5,-2:2:5", "--out", out])
         assert code == 0, capsys.readouterr().err
         assert os.path.getsize(out) > 0
-        params = PhysicalParams(V=3.0000000000008)
-        st = build_bicoherent(BicoherentSpec(0.0, 0.01, "standard", "ket", "plus", params,
-                                             FockCutoff(4, 20, 20)))
-        assert [row["p"] for row in gain_loss(st, params).per_level_alpha_table] == list(
-            range(1, 9))
+        ps = np.arange(1, 21)
+        assert ps[discriminant(ps, 3.0000000000008) < 0.0].tolist() == list(range(1, 9))
 
     def test_standard_ket_ratio_grows_with_v(self):
         ratios = []
@@ -184,8 +183,23 @@ class TestGainLoss:
             params = PhysicalParams(V=v)
             st = build_bicoherent(BicoherentSpec(0.0, 1 - 1j, "standard", "ket", "plus",
                                                  params, FockCutoff(4, 48, 48)))
-            ratios.append(gain_loss(st, params).ratio)
+            ratios.append(gain_loss(st)["ratio"])
         assert ratios[1] > ratios[0]
+
+    def test_state_and_density_report_the_same_masses(self, tmp_path, capsys):
+        from lbstates.cli import cli_main
+
+        argv = ["--family", "xi", "--branch", "minus", "--V", "9.5", "--z2=1-1i",
+                "--nmax", "150", "--pmax", "150"]
+        assert cli_main(["state"] + argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        out = os.fspath(tmp_path / "d.csv")
+        assert cli_main(["density"] + argv + ["--grid=-2:2:5,-2:2:5", "--format", "csv",
+                                              "--out", out]) == 0
+        with open(out + ".meta.json", encoding="utf-8") as fh:
+            block = json.load(fh)["gain_loss"]
+        assert block == {"mass_upper": report["mass_upper"], "mass_lower": report["mass_lower"],
+                         "ratio": report["mass_ratio"]}
 
 
 class TestExport:

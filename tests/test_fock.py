@@ -14,7 +14,7 @@ from lbstates import (
     ladder_matrices,
     oscillator_psi,
 )
-from lbstates import fock
+from lbstates import ladders
 from lbstates.fock import circular_antidiagonals, oscillator_table
 
 SQRT2 = math.sqrt(2.0)
@@ -156,9 +156,9 @@ class TestCircularModes:
                     v = ops["A1"].matrix.conjugate().T.tocsr() @ v / math.sqrt(k + 1.0)
                 fresh.append(v)
         calls = []
-        real = fock.ladder_matrices
-        monkeypatch.setattr(fock, "ladder_matrices", lambda c: calls.append(c) or real(c))
-        fock._raising_matrices.cache_clear()
+        real = ladders.ladder_matrices
+        monkeypatch.setattr(ladders, "ladder_matrices", lambda c: calls.append(c) or real(c))
+        ladders._raising_matrices.cache_clear()
         modes = [circular_mode(n1, n2, cut).coeffs.ravel()
                  for n1 in range(11) for n2 in range(11 - n1)]
         assert len(calls) == 1

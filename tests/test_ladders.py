@@ -1,139 +1,132 @@
+"""The sparse oracle of the ladders: the V = 0 level ladders on the level
+window p = -pmax..pmax, A1 on the first register, and their realizations
+on the spinor register.  Each ladder acts on one index alone, so each is
+tested on its own window."""
+
 import math
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import norm as sparse_norm
 
-from lbstates import FockCutoff, LadderKind, SubspaceTag
+from lbstates import FockCutoff
 from lbstates.errors import ShapeError
-from lbstates.fock import SparseOperator
 from lbstates.ladders import (
-    _mode_grid,
-    build_ladder,
+    annihilator,
     commutator_defect,
-    decomposition_respected,
     factorization_defect_v0,
-    hamiltonian_mode_matrix,
+    hamiltonian_spinor_matrix,
     level_ladder_matrix,
     spinor_ladder_matrix,
     subspace_closure_check,
 )
-from lbstates.levels import level_spinors
-from lbstates.spinor import V0, ModeWindow, level_matrix
+from lbstates.levels import BRANCHES, V0_LADDERS, level_spinors, window_levels
+from lbstates.spinor import V0, level_matrix
 
 
 CUT = FockCutoff(3, 10, 8)
-WIN = ModeWindow.of(CUT)
+PS = window_levels(CUT.pmax)
+
+
+def col(mat, p):
+    """Column of level p of a level-window matrix, dense."""
+    return mat[:, p + CUT.pmax].toarray().ravel()
 
 
 class TestLadderActions:
-    @pytest.mark.parametrize("kind,amp,dp", [
-        (LadderKind.A2, lambda p: math.sqrt(abs(p)), -1),
-        (LadderKind.A2DAG, lambda p: math.sqrt(abs(p + 1)), +1),
-        (LadderKind.B2, lambda p: math.sqrt(abs(p)), +1),
-        (LadderKind.B2DAG, lambda p: math.sqrt(abs(p - 1)), -1),
+    @pytest.mark.parametrize("key,amp,dp", [
+        ("A2", lambda p: math.sqrt(abs(p)), -1),
+        ("A2dag", lambda p: math.sqrt(abs(p + 1)), +1),
+        ("B2", lambda p: math.sqrt(abs(p)), +1),
+        ("B2dag", lambda p: math.sqrt(abs(p - 1)), -1),
     ])
-    def test_entrywise_patterns(self, kind, amp, dp):
-        mat = build_ladder(kind, CUT).matrix
-        for n in range(CUT.nmax1 + 1):
-            for p in range(-CUT.pmax + 1, CUT.pmax):
-                col = np.asarray(mat[:, WIN.index(n, p)].todense()).ravel()
-                expect = np.zeros(WIN.dim, dtype=complex)
-                expect[WIN.index(n, p + dp)] = amp(p)
-                np.testing.assert_array_equal(col, expect)
+    def test_entrywise_patterns(self, key, amp, dp):
+        mat = level_ladder_matrix(key, CUT.pmax)
+        for p in range(-CUT.pmax + 1, CUT.pmax):
+            expect = np.zeros(PS.size, dtype=complex)
+            expect[p + dp + CUT.pmax] = amp(p)
+            np.testing.assert_array_equal(col(mat, p), expect)
 
     def test_a1_lowers_first_register(self):
-        mat = build_ladder(LadderKind.A1, CUT).matrix
-        col = np.asarray(mat[:, WIN.index(2, 1)].todense()).ravel()
-        assert col[WIN.index(1, 1)] == pytest.approx(math.sqrt(2))
-        assert np.count_nonzero(col) == 1
+        column = annihilator(CUT.nmax1)[:, 2].toarray().ravel()
+        assert column[1] == pytest.approx(math.sqrt(2))
+        assert np.count_nonzero(column) == 1
 
     def test_annihilation_points(self):
-        a2 = build_ladder(LadderKind.A2, CUT).matrix
-        assert np.abs(a2[:, WIN.index(3, 0)].todense()).max() == 0.0
-        a2dag = build_ladder(LadderKind.A2DAG, CUT).matrix
-        assert np.abs(a2dag[:, WIN.index(3, -1)].todense()).max() == 0.0
-        b2 = build_ladder(LadderKind.B2, CUT).matrix
-        assert np.abs(b2[:, WIN.index(1, 0)].todense()).max() == 0.0
-        b2dag = build_ladder(LadderKind.B2DAG, CUT).matrix
-        assert np.abs(b2dag[:, WIN.index(1, 1)].todense()).max() == 0.0
+        for key, p in (("A2", 0), ("A2dag", -1), ("B2", 0), ("B2dag", 1)):
+            assert np.abs(col(level_ladder_matrix(key, CUT.pmax), p)).max() == 0.0
 
     def test_a1_ccr_on_interior(self):
-        a1 = build_ladder(LadderKind.A1, CUT).matrix
+        a1 = annihilator(CUT.nmax1)
         comm = (a1 @ a1.conjugate().T - a1.conjugate().T @ a1).toarray()
-        interior = [WIN.index(n, p) for n in range(CUT.nmax1)
-                    for p in range(-CUT.pmax, CUT.pmax + 1)]
-        assert np.abs((comm - np.eye(WIN.dim))[np.ix_(interior, interior)]).max() < 1e-12
+        inner = CUT.nmax1
+        assert np.abs(comm[:inner, :inner] - np.eye(inner)).max() < 1e-12
 
     def test_adjoint_consistency(self):
-        a2 = build_ladder(LadderKind.A2, CUT).matrix.toarray()
-        a2dag = build_ladder(LadderKind.A2DAG, CUT).matrix.toarray()
-        interior = [WIN.index(n, p) for n in range(CUT.nmax1 + 1)
-                    for p in range(-CUT.pmax + 1, CUT.pmax)]
-        sub = np.ix_(interior, interior)
-        np.testing.assert_allclose(a2dag[sub], a2.conj().T[sub], atol=1e-14)
+        a2 = level_ladder_matrix("A2", CUT.pmax).toarray()
+        a2dag = level_ladder_matrix("A2dag", CUT.pmax).toarray()
+        sub = slice(1, -1)
+        np.testing.assert_allclose(a2dag[sub, sub], a2.conj().T[sub, sub], atol=1e-14)
 
     def test_number_operator_diagonal_and_positive(self):
-        a2 = build_ladder(LadderKind.A2, CUT).matrix
+        a2 = level_ladder_matrix("A2", CUT.pmax)
         num = (a2.conjugate().T @ a2).toarray()
         off = num - np.diag(np.diag(num))
         assert np.abs(off).max() == 0.0
         diag = np.diag(num).real
         assert diag.min() >= 0.0
-        for n in range(CUT.nmax1 + 1):
-            for p in range(-CUT.pmax + 1, CUT.pmax):
-                assert diag[WIN.index(n, p)] == pytest.approx(abs(p), abs=1e-12)
+        for p in range(-CUT.pmax + 1, CUT.pmax):
+            assert diag[p + CUT.pmax] == pytest.approx(abs(p), abs=1e-12)
 
 
-def quasi_vacua(kind):
-    """(n, p) of the basis vectors with |p| < pmax that the ladder's mode
-    matrix annihilates: its zero columns."""
-    ns, ps = _mode_grid(CUT)
-    hit = (sparse_norm(build_ladder(kind, CUT).matrix, axis=0) < 1e-14) & (np.abs(ps) < CUT.pmax)
-    return list(zip(ns[hit].tolist(), ps[hit].tolist()))
+def quasi_vacua(mat, labels):
+    """Labels (|label| < pmax) of the zero columns of a ladder's matrix:
+    the basis vectors it annihilates."""
+    hit = (sparse_norm(mat, axis=0) < 1e-14) & (np.abs(labels) < CUT.pmax)
+    return labels[hit].tolist()
 
 
 class TestQuasiVacua:
     def test_a2_family(self):
-        idxs = quasi_vacua(LadderKind.A2)
-        assert idxs and all(p == 0 for _, p in idxs)
-        assert len({n for n, _ in idxs}) == CUT.nmax1 + 1
+        assert quasi_vacua(level_ladder_matrix("A2", CUT.pmax), PS) == [0]
 
     def test_a2dag_family(self):
-        assert all(p == -1 for _, p in quasi_vacua(LadderKind.A2DAG))
+        assert quasi_vacua(level_ladder_matrix("A2dag", CUT.pmax), PS) == [-1]
 
     def test_b2_families(self):
-        assert all(p == 0 for _, p in quasi_vacua(LadderKind.B2))
-        assert all(p == 1 for _, p in quasi_vacua(LadderKind.B2DAG))
+        assert quasi_vacua(level_ladder_matrix("B2", CUT.pmax), PS) == [0]
+        assert quasi_vacua(level_ladder_matrix("B2dag", CUT.pmax), PS) == [1]
 
     def test_a1_row(self):
-        idxs = quasi_vacua(LadderKind.A1)
-        assert idxs and all(n == 0 for n, _ in idxs)
+        assert quasi_vacua(annihilator(CUT.nmax1), np.arange(CUT.nmax1 + 1)) == [0]
+
+
+def projected_hamiltonian(params):
+    """H of the spinor register on the level window, v^H H v over the V = 0
+    basis: built by applying the register's block matrix to each v_p (not
+    from the eigenvalue formula), so commutators with it cross-check."""
+    vm = level_matrix(CUT)
+    return vm.conj().T @ (hamiltonian_spinor_matrix(params, CUT).matrix @ vm)
 
 
 class TestCommutators:
     def test_h_commutes_with_number_products(self, params):
-        h = hamiltonian_mode_matrix(params, CUT)
-        a2 = build_ladder(LadderKind.A2, CUT)
-        n_op = SparseOperator(a2.matrix.conjugate().T @ a2.matrix, "mode", "A2+A2")
-        assert commutator_defect(h, n_op, CUT) < 1e-10
-        b2 = build_ladder(LadderKind.B2, CUT)
-        bb = SparseOperator(b2.matrix @ b2.matrix.conjugate().T, "mode", "B2B2+")
-        assert commutator_defect(h, bb, CUT) < 1e-10
+        h = projected_hamiltonian(params)
+        a2 = level_ladder_matrix("A2", CUT.pmax)
+        assert commutator_defect(h, (a2.conjugate().T @ a2).toarray(), CUT.pmax) < 1e-10
+        b2 = level_ladder_matrix("B2", CUT.pmax)
+        assert commutator_defect(h, (b2 @ b2.conjugate().T).toarray(), CUT.pmax) < 1e-10
 
-    def test_identity_commutes_exactly(self, params):
-        import scipy.sparse as sp
-
-        a2 = build_ladder(LadderKind.A2, CUT)
-        n_op = SparseOperator(a2.matrix.conjugate().T @ a2.matrix, "mode", "A2+A2")
-        eye = SparseOperator(sp.identity(WIN.dim, format="csr", dtype=complex), "mode", "1")
-        assert commutator_defect(eye, n_op, CUT) == 0.0
+    def test_identity_commutes_exactly(self):
+        a2 = level_ladder_matrix("A2", CUT.pmax)
+        n_op = (a2.conjugate().T @ a2).toarray()
+        assert commutator_defect(np.eye(PS.size), n_op, CUT.pmax) == 0.0
 
     def test_enumeration_mismatch_rejected(self, params):
-        h = hamiltonian_mode_matrix(params, CUT)
-        other = spinor_ladder_matrix(LadderKind.A2, CUT)
+        h = projected_hamiltonian(params)
+        other = spinor_ladder_matrix("A2", CUT).matrix.toarray()
         with pytest.raises(ShapeError):
-            commutator_defect(h, other, CUT)
+            commutator_defect(h, other, CUT.pmax)
 
 
 def _defect_at(cutoff, params):
@@ -175,32 +168,31 @@ class TestNonFactorizability:
 
 class TestSubspaceClosure:
     def test_a_pair_respects_h_split(self):
-        assert subspace_closure_check(LadderKind.A2, SubspaceTag.H2PLUS, CUT)
-        assert subspace_closure_check(LadderKind.A2DAG, SubspaceTag.H2MINUS, CUT)
-        assert decomposition_respected(LadderKind.A2, "H", CUT)
-        assert decomposition_respected(LadderKind.A2DAG, "H", CUT)
+        for key in ("A2", "A2dag"):
+            for branch in ("plus", "minus"):
+                assert subspace_closure_check(key, BRANCHES[("A", branch)], CUT.pmax)
 
     def test_b_pair_respects_k_split_not_h(self):
-        assert decomposition_respected(LadderKind.B2, "K", CUT)
-        assert decomposition_respected(LadderKind.B2DAG, "K", CUT)
-        # B2 pushes p = -1 into p = 0, leaving the lower H half
-        assert not subspace_closure_check(LadderKind.B2, SubspaceTag.H2MINUS, CUT)
-        assert not decomposition_respected(LadderKind.B2, "H", CUT)
-        assert not subspace_closure_check(LadderKind.B2DAG, SubspaceTag.H2PLUS, CUT)
+        for key in ("B2", "B2dag"):
+            for branch in ("plus", "minus"):
+                assert subspace_closure_check(key, BRANCHES[("B", branch)], CUT.pmax)
+        # B2 pushes p = -1 into p = 0, leaving the lower half of the A split
+        assert not subspace_closure_check("B2", BRANCHES[("A", "minus")], CUT.pmax)
+        assert not subspace_closure_check("B2dag", BRANCHES[("A", "plus")], CUT.pmax)
 
 
 class TestSpinorRealization:
-    @pytest.mark.parametrize("kind", [LadderKind.A2, LadderKind.A2DAG, LadderKind.B2, LadderKind.B2DAG])
-    def test_sparse_product_matches_dense(self, kind):
+    @pytest.mark.parametrize("key", V0_LADDERS)
+    def test_sparse_product_matches_dense(self, key):
         vm = level_matrix(CUT)
-        dense = vm @ level_ladder_matrix(kind, CUT.pmax).toarray() @ vm.conj().T
-        got = spinor_ladder_matrix(kind, CUT).matrix.toarray()
+        dense = vm @ level_ladder_matrix(key, CUT.pmax).toarray() @ vm.conj().T
+        got = spinor_ladder_matrix(key, CUT).matrix.toarray()
         np.testing.assert_allclose(got, dense, rtol=0, atol=1e-14 * np.abs(dense).max())
 
-    def test_matches_mode_action(self, params):
+    def test_matches_level_action(self):
         # applying the spinor-register realization to a basis spinor moves
-        # the level exactly like the mode matrix says
-        mat = spinor_ladder_matrix(LadderKind.A2, CUT).matrix
+        # the level exactly like the level matrix says
+        mat = spinor_ladder_matrix("A2", CUT).matrix
         for p in (-3, -1, 0, 2):
             out = mat @ level_spinors(p, V0, CUT.nmax2)[0]
             if p == 0:
@@ -208,3 +200,7 @@ class TestSpinorRealization:
             else:
                 target = math.sqrt(abs(p)) * level_spinors(p - 1, V0, CUT.nmax2)[0]
                 assert np.linalg.norm(out - target) < 1e-12
+
+    def test_a1_is_refused(self):
+        with pytest.raises(ShapeError):
+            spinor_ladder_matrix("A1", CUT)

@@ -160,21 +160,21 @@ class TestRefusals:
             levels.series_stack([0, 4, -5], xu, xl, np.ones(3), 4)
         with pytest.raises(CutoffError):
             levels.level_spinors(5, params, 4)
-        with pytest.raises(CutoffError):
-            levels.level_columns(range(-5, 6), params, 4)
 
 
 class TestDenseFills:
     @pytest.mark.parametrize("V", [0.0, 0.5, 1.7, 9.5])
-    def test_single_level_spinors_equal_the_sparse_columns(self, V):
+    def test_single_level_spinors_equal_the_two_entry_columns(self, V):
         params = PhysicalParams(V=V)
         nmax2 = 12
         for p in range(-nmax2, nmax2 + 1):
             if V == 0.0 or discriminant(max(abs(p), 1), V) != 0.0:
-                x, y = levels.level_columns([p], params, nmax2)
+                xu, xl, yu, yl = levels.level_table([p], params)
                 got = levels.level_spinors(p, params, nmax2)
-                assert np.array_equal(bits(got[0]), bits(x.toarray()[:, 0]))
-                assert np.array_equal(bits(got[1]), bits(y.toarray()[:, 0]))
+                x = levels.two_entry_columns([p], xu, xl, nmax2)
+                y = levels.two_entry_columns([p], yu, yl, nmax2)
+                assert np.array_equal(bits(got[0]), bits(x[:, 0]))
+                assert np.array_equal(bits(got[1]), bits(y[:, 0]))
 
     def test_series_stack_equals_the_term_by_term_sum(self):
         params = PhysicalParams(V=0.9)
@@ -185,7 +185,7 @@ class TestDenseFills:
         ref = np.zeros(82, dtype=complex)
         for k, p in enumerate(ps):
             ref += levels.two_entry_columns([p], w[k:k + 1] * xu[k:k + 1],
-                                            w[k:k + 1] * xl[k:k + 1], 40).toarray()[:, 0]
+                                            w[k:k + 1] * xl[k:k + 1], 40)[:, 0]
         assert np.array_equal(bits(got), bits(ref))
 
     def test_states_and_single_level_helpers_build_no_sparse_matrix(self, monkeypatch):

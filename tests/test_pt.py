@@ -17,10 +17,9 @@ from lbstates import (
     factorization_defect,
     normalization_K,
 )
-from lbstates.ladders import level_ladder_matrix
+from lbstates.ladders import hamiltonian_spinor_matrix, level_ladder_matrix
 from lbstates.levels import alpha_moduli, level_spinors, spectrum_table, theta_table
 from lbstates.pt import biorth_level_matrices, phi_norm_bound, pt_spinor_ladder
-from lbstates.spinor import hamiltonian_spinor_matrix
 
 CUT = FockCutoff(4, 16, 14)
 

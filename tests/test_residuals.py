@@ -1,11 +1,11 @@
 """Matrix-free ladder residuals against the sparse realizations.
 
 `coherent.eigen_residual` and `bicoherent.bicoherent_eigen_residual` apply
-the ladder that `ladders.PAIRINGS` pairs with the state as X(P(Y^H s))
-(`ladders.ladder_apply`) and A1 as sqrt(n+1) fr[n+1], without building a
+the ladder that `levels.PAIRINGS` pairs with the state as X(P(Y^H s))
+(`levels.ladder_apply`) and A1 as sqrt(n+1) fr[n+1], without building a
 matrix.  The oracle computes the same residual with
 `ladder_residual` below on the realized matrices: `ladders.ladder_matrix`
-(and its dagger) and `fock.annihilator` on the first register.  The
+(and its dagger) and `ladders.annihilator` on the first register.  The
 two sum in another order, so they agree to rounding only: to RTOL of the
 residual plus ATOL of |z| ||state||, the size of the two vectors whose
 difference the residual measures (theta states at V = 9.5 reach norms
@@ -17,12 +17,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lbstates import ContractError, FockCutoff, LadderKind, PhysicalParams, ShapeError
+from lbstates import ContractError, FockCutoff, PhysicalParams, ShapeError
 from lbstates import bicoherent as bc
 from lbstates import coherent as ch
-from lbstates.fock import SparseOperator, annihilator
-from lbstates.ladders import PAIRINGS, V0_LADDERS, ladder_apply, ladder_matrix, support_levels
-from lbstates.levels import level_rows, window_levels
+from lbstates.ladders import SparseOperator, annihilator, ladder_matrix
+from lbstates.levels import (PAIRINGS, V0_LADDERS, ladder_apply, level_rows, support_levels,
+                             window_levels)
 from lbstates.spinor import V0, SpinorState, lower_first_register
 
 RTOL, ATOL = 1e-12, 1e-15
@@ -41,24 +41,25 @@ BICOHERENT_KEYS = [key for key in PAIRINGS if key[0] in bc.FAMILIES]
 COHERENT_KEYS = [key for key in PAIRINGS if key[0] in ("A", "B")]
 
 
-def ladder_residual(state, op, z):
-    """|| O state - z state || with the realized matrix of O."""
+def ladder_residual(state, matrix, z):
+    """|| O state - z state || with the realized matrix of a ladder O of
+    the spinor register."""
+    own, other = state.spinor_stack(), state.first_register
+    return float(np.linalg.norm(matrix @ own - z * own) * np.linalg.norm(other))
+
+
+def a1_residual(state, z):
+    """|| A1 state - z state || with A1 realized on the first register."""
     own, other = state.first_register, state.spinor_stack()
-    if op.space == "kregister":
-        own, other = other, own
-    return float(np.linalg.norm(op.matrix @ own - z * own) * np.linalg.norm(other))
-
-
-def first_register_a1(nmax1):
-    """A1 realized on the first register."""
-    return SparseOperator(annihilator(nmax1), "first", "A1")
+    a1 = annihilator(own.size - 1)
+    return float(np.linalg.norm(a1 @ own - z * own) * np.linalg.norm(other))
 
 
 def realized(key, params, cut):
     """The sparse realization of the ladder paired with a (family, branch)."""
     _, ladder, adjoint = PAIRINGS[key]
-    op = SparseOperator(ladder_matrix(ladder, params, cut), "kregister", ladder)
-    return op.dagger() if adjoint else op
+    op = SparseOperator(ladder_matrix(ladder, params, cut), ladder)
+    return (op.dagger() if adjoint else op).matrix
 
 
 def bicoherent_spec(key, params, cut):
@@ -82,8 +83,7 @@ class TestBicoherentResiduals:
         assert_close(fast, ladder_residual(state, realized(key, params, cut), Z2), state, Z2)
         assert fast < 1e-8
         fast_a1 = bc.bicoherent_eigen_residual(spec, state, "A1")
-        assert_close(fast_a1, ladder_residual(state, first_register_a1(cut.nmax1), Z1),
-                     state, Z1)
+        assert_close(fast_a1, a1_residual(state, Z1), state, Z1)
 
     @pytest.mark.parametrize("V,cut", BICOHERENT_CASES)
     def test_off_branch_states_match_realization(self, V, cut):
@@ -119,8 +119,8 @@ class TestCoherentResiduals:
                 assert fast < 1e-8
             else:
                 assert fast > 0.1
-        fast_a1 = ch.eigen_residual(spec, state, LadderKind.A1)
-        slow_a1 = ladder_residual(state, first_register_a1(COHERENT_CUT.nmax1), Z1)
+        fast_a1 = ch.eigen_residual(spec, state, "A1")
+        slow_a1 = a1_residual(state, Z1)
         assert_close(fast_a1, slow_a1, state, Z1)
 
 

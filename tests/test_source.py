@@ -42,3 +42,70 @@ def test_a_stale_import_is_found():
     source = ("from __future__ import annotations\nimport math\nimport scipy.sparse as sp\n"
               "from .levels import alpha, theta_table\nalpha(1, 0.5, 'plus')\nsp.eye(2)\n")
     assert stale_imports(source) == {"math": 2, "theta_table": 4}
+
+
+# what no module that `cli` reaches at import time may import: the sparse
+# oracle and the modules built on it load only for `check` (whose function-
+# level import of `checks` is not followed) and for the tests
+ORACLE_IMPORTS = ("scipy.sparse", "lbstates.ladders", "lbstates.pt", "lbstates.checks")
+
+
+def module_imports(tree: ast.Module, package: str) -> set:
+    """Absolute names of the modules a module imports when it is loaded:
+    its imports outside function bodies, with `from x import y` read as
+    both x and x.y (y may be a submodule)."""
+    found = set()
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = package if node.level else ""
+            base = ".".join(filter(None, [base, node.module]))
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def command_path_violations(package_dir: pathlib.Path, start: str = "cli") -> dict:
+    """The modules of the package reached from `start` through module-level
+    imports, each mapped to the oracle imports it makes.  Neither the
+    oracle modules nor the package's `__init__` (which loads every module
+    for the library API) are followed."""
+    name = package_dir.name
+    seen, todo, bad = set(), [start], {}
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        imports = module_imports(ast.parse((package_dir / f"{module}.py").read_text()), name)
+        hits = sorted({o for o in ORACLE_IMPORTS for m in imports
+                       if m == o or m.startswith(o + ".")})
+        if hits:
+            bad[f"{name}.{module}"] = hits
+        subs = {m.split(".")[1] for m in imports if m.startswith(name + ".")}
+        todo.extend(sub for sub in subs if f"{name}.{sub}" not in ORACLE_IMPORTS
+                    and (package_dir / f"{sub}.py").exists())
+    return bad
+
+
+def test_command_path_imports_no_sparse_oracle():
+    assert command_path_violations(PACKAGE) == {}
+
+
+def test_command_path_rule_finds_an_oracle_import(tmp_path):
+    copy = tmp_path / "lbstates"
+    copy.mkdir()
+    for path in PACKAGE.glob("*.py"):
+        (copy / path.name).write_text(path.read_text())
+    levels = copy / "levels.py"
+    levels.write_text(levels.read_text() + "\nimport scipy.sparse\n")
+    (copy / "floattext.py").write_text((copy / "floattext.py").read_text()
+                                       + "\nfrom . import pt\n")
+    assert command_path_violations(copy) == {"lbstates.levels": ["scipy.sparse"],
+                                             "lbstates.floattext": ["lbstates.pt"]}

@@ -11,17 +11,9 @@ from lbstates import (
     basis_vector_c,
     dense_hamiltonian,
 )
-from lbstates.ladders import _mode_grid
+from lbstates.ladders import hamiltonian_spinor_matrix, restricted_spinor_block
 from lbstates.levels import level_spinors, spectrum_table, window_levels
-from lbstates.spinor import (
-    V0,
-    ModeWindow,
-    SpinorState,
-    first_register_basis,
-    hamiltonian_spinor_matrix,
-    level_matrix,
-    restricted_spinor_block,
-)
+from lbstates.spinor import V0, SpinorState, first_register_basis, level_matrix
 
 
 class TestBasisVectors:
@@ -117,7 +109,7 @@ class TestDenseHamiltonian:
     def test_interior_spectrum_from_cartesian_form(self, params):
         # restrict the Cartesian-spinor matrix to the invariant subspace
         # spanned by circular-mode spinors (upper total <= N, lower <= N-1)
-        from lbstates.fock import circular_mode
+        from lbstates.ladders import circular_mode
 
         cut = FockCutoff(0, 10)
         big_n = 8
@@ -159,26 +151,6 @@ class TestSubspaceOrthogonality:
             f = SpinorState(fr1, vp[:cut.nmax2 + 1], vp[cut.nmax2 + 1:])
             g = SpinorState(fr2, vq[:cut.nmax2 + 1], vq[cut.nmax2 + 1:])
             assert abs(f.inner(g)) < 1e-10 * f.norm() * g.norm()
-
-
-class TestModeWindow:
-    def test_row_major_offset_enumeration(self):
-        win = ModeWindow(2, 3)
-        assert win.dim == 3 * 7
-        assert win.index(0, -3) == 0
-        assert win.index(0, 3) == 6
-        assert win.index(1, -3) == 7
-        assert win.index(2, 0) == 2 * 7 + 3
-
-    def test_index_numbers_the_window_once(self):
-        # the (n, p) of each column that the ladder checks enumerate, in
-        # index order
-        win = ModeWindow(2, 3)
-        ns, ps = _mode_grid(FockCutoff(2, 4, 3))
-        assert [win.index(n, p) for n, p in zip(ns.tolist(), ps.tolist())] == list(range(win.dim))
-        for n, p in ((3, 0), (-1, 0), (0, 4), (2, -4)):
-            with pytest.raises(CutoffError):
-                win.index(n, p)
 
 
 class TestFirstRegister:
