@@ -62,28 +62,30 @@ def format_complex(z: complex) -> str:
     return f"{re_s}{sign}{im_s}i"
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--vf", type=float, default=1.0, help="Fermi velocity (default 1)")
-    p.add_argument("--xi", type=float, default=1.0, help="magnetic length (default 1)")
-    p.add_argument("--V", type=float, default=0.0, help="chemical-potential strength")
-    p.add_argument("--nmax", type=int, default=64, help="Fock cutoff for both registers")
-    p.add_argument("--pmax", type=int, default=32, help="level window |p| <= pmax")
-    p.add_argument("--tol", type=float, default=1e-12, help="series tail tolerance")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-
-
-def _z_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--z1", type=parse_complex, default="0", help="first-register label, 'a+bi'")
-    p.add_argument("--z2", type=parse_complex, default="0", help="level-register label, 'a+bi'")
-
-
-def _family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True,
-                   choices=("A", "B", "phi", "psi", "eta", "xi"),
-                   help="A/B: V=0 coherent; phi/psi: standard bicoherent ket/bra;"
-                        " eta/xi: theta-family ket/bra")
-    p.add_argument("--branch", choices=("plus", "minus"), default="plus")
+# Every flag of the CLI.  Each subparser adds only the flags its command
+# reads (`build_parser`), so a flag the command would ignore is a usage error.
+_FLAGS = {
+    "--vf": dict(type=float, default=1.0, help="Fermi velocity (default 1)"),
+    "--xi": dict(type=float, default=1.0, help="magnetic length (default 1)"),
+    "--V": dict(type=float, default=0.0, help="chemical-potential strength"),
+    "--nmax": dict(type=int, default=64, help="Fock cutoff for both registers"),
+    "--pmax": dict(type=int, default=32, help="level window |p| <= pmax"),
+    "--tol": dict(type=float, default=1e-12, help="series tail tolerance"),
+    "--z1": dict(type=parse_complex, default="0", help="first-register label, 'a+bi'"),
+    "--z2": dict(type=parse_complex, default="0", help="level-register label, 'a+bi'"),
+    "--family": dict(required=True, choices=("A", "B", "phi", "psi", "eta", "xi"),
+                     help="A/B: V=0 coherent; phi/psi: standard bicoherent ket/bra;"
+                          " eta/xi: theta-family ket/bra"),
+    "--branch": dict(choices=("plus", "minus"), default="plus"),
+    "--grid": dict(default=DEFAULT_GRID, help="xmin:xmax:nx,ymin:ymax:ny"),
+    "--from": dict(dest="v_from", type=float, required=True),
+    "--to": dict(dest="v_to", type=float, required=True),
+    "--steps": dict(type=int, default=50),
+    "--suite": dict(action="append", default=None,
+                    help="only run checks whose name contains this substring"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,37 +94,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coherent and bicoherent states of a graphene layer in a magnetic field",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_spec = sub.add_parser("spectrum", help="eigenvalues and level classification")
-    _common_flags(p_spec)
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_state = sub.add_parser("state", help="build a state and report its diagnostics")
-    _common_flags(p_state)
-    _z_flags(p_state)
-    _family_flags(p_state)
-    p_state.set_defaults(func=cmd_state)
-
-    p_dens = sub.add_parser("density", help="position-space density grid export")
-    _common_flags(p_dens)
-    _z_flags(p_dens)
-    _family_flags(p_dens)
-    p_dens.add_argument("--grid", default=DEFAULT_GRID, help="xmin:xmax:nx,ymin:ymax:ny")
-    p_dens.set_defaults(func=cmd_density)
-
-    p_check = sub.add_parser("check", help="run the invariant suites (CI entry point)")
-    _common_flags(p_check)
-    p_check.add_argument("--suite", action="append", default=None,
-                         help="only run checks whose name contains this substring")
-    p_check.set_defaults(func=cmd_check)
-
-    p_scan = sub.add_parser("scan-v", help="sweep V: eigenvalue trajectories and exceptional points")
-    _common_flags(p_scan)
-    p_scan.add_argument("--from", dest="v_from", type=float, required=True)
-    p_scan.add_argument("--to", dest="v_to", type=float, required=True)
-    p_scan.add_argument("--steps", type=int, default=50)
-    p_scan.set_defaults(func=cmd_scan)
-
+    state = ("--vf", "--xi", "--V", "--nmax", "--pmax", "--tol", "--z1", "--z2", "--family",
+             "--branch")
+    commands = {
+        "spectrum": (cmd_spectrum, "eigenvalues and level classification",
+                     ("--vf", "--xi", "--V", "--pmax", "--format", "--out")),
+        "state": (cmd_state, "build a state and report its diagnostics (JSON)",
+                  state + ("--out",)),
+        "density": (cmd_density, "position-space density grid export",
+                    state + ("--grid", "--format", "--out")),
+        "check": (cmd_check, "run the invariant suites (CI entry point)", ("--suite",)),
+        "scan-v": (cmd_scan, "sweep V: eigenvalue trajectories and exceptional points",
+                   ("--vf", "--xi", "--pmax", "--from", "--to", "--steps", "--format", "--out")),
+    }
+    for name, (func, text, flags) in commands.items():
+        p = sub.add_parser(name, help=text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -301,14 +290,17 @@ def cli_main(argv) -> int:
     parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
-        if min(args.nmax, args.pmax) < 0:
-            parser.error(f"--nmax and --pmax must be >= 0, got {args.nmax} and {args.pmax}")
+        # the window flags this command takes
+        window = {f"--{k}": getattr(args, k) for k in ("nmax", "pmax") if hasattr(args, k)}
+        if min(window.values(), default=0) < 0:
+            parser.error(f"{' and '.join(window)} must be >= 0,"
+                         f" got {' and '.join(map(str, window.values()))}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if max(args.nmax, args.pmax) > MAX_WINDOW:
-            raise ContractError(f"--nmax {args.nmax} and --pmax {args.pmax}: a window above the"
-                                f" limit MAX_WINDOW = {MAX_WINDOW} is refused")
+        if max(window.values(), default=0) > MAX_WINDOW:
+            raise ContractError(f"{' and '.join(f'{k} {v}' for k, v in window.items())}: a window"
+                                f" above the limit MAX_WINDOW = {MAX_WINDOW} is refused")
         return args.func(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -185,9 +185,8 @@ class TestWindowBound:
         ["state", "--family", "A", "--nmax", str(10 ** 9)],
         ["state", "--family", "eta", "--V", "0.5", "--pmax", str(10 ** 9)],
         ["density", "--family", "phi", "--V", "0.5", "--nmax", str(10 ** 9), "--pmax", "8"],
-        ["spectrum", "--nmax", str(MAX_WINDOW + 1)],
+        ["spectrum", "--pmax", str(MAX_WINDOW + 1)],
         ["scan-v", "--from=0.5", "--to=1", "--pmax", str(10 ** 9)],
-        ["check", "--suite", "pt.alpha", "--nmax", str(10 ** 9)],
     ])
     def test_over_the_bound_exits_one(self, argv):
         tracemalloc.start()
@@ -588,7 +587,7 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--pmax", "-3"],
-        ["spectrum", "--nmax=-1"],
+        ["spectrum", "--pmax=-1"],
         ["state", "--family", "A", "--nmax=-2"],
     ])
     def test_negative_window_is_usage_error(self, argv, capsys):
@@ -621,6 +620,84 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self):
         assert cli_main(["state"]) == 2
+
+
+# The flags each command takes (its `--help` lists these and no other)
+# and a cheap base call of each that exits 0.
+_STATE_TAKES = ["--vf", "--xi", "--V", "--nmax", "--pmax", "--tol", "--z1", "--z2", "--family",
+                "--branch", "--out"]
+_TAKES = {
+    "spectrum": ["--vf", "--xi", "--V", "--pmax", "--format", "--out"],
+    "state": _STATE_TAKES,
+    "density": _STATE_TAKES + ["--format", "--grid"],
+    "scan-v": ["--vf", "--xi", "--pmax", "--from", "--to", "--steps", "--format", "--out"],
+    "check": ["--suite"],
+}
+_BASE = {
+    "spectrum": ["spectrum", "--pmax", "2"],
+    "state": ["state", "--family", "phi", "--V", "0.5", "--z2=0.5", "--nmax", "24",
+              "--pmax", "24"],
+    "density": ["density", "--family", "phi", "--V", "0.5", "--z2=0.5", "--nmax", "24",
+                "--pmax", "24", "--grid=-2:2:5,-2:2:5"],
+    "scan-v": ["scan-v", "--from=0.5", "--to=1.5", "--steps", "3", "--pmax", "1"],
+    "check": ["check", "--suite", "pt.alpha"],
+}
+# a value of each flag other than the one its base call uses or defaults to
+_CHANGED = {"--vf": "2", "--xi": "2", "--V": "0.9", "--nmax": "12", "--pmax": "12",
+            "--tol": "1e-3", "--z1": "0.25", "--z2": "0.25", "--family": "psi",
+            "--branch": "minus", "--grid": "-2:2:3,-2:2:3", "--from": "0.25", "--to": "1.25",
+            "--steps": "4", "--suite": "fock.", "--format": "csv", "--out": "changed.out"}
+_KEPT = [(cmd, flag) for cmd, flags in _TAKES.items() for flag in flags]
+# the (command, flag) pairs of the common flags a command does not read
+_DROPPED = [("spectrum", "--nmax"), ("spectrum", "--tol"), ("state", "--format"),
+            ("scan-v", "--V"), ("scan-v", "--nmax"), ("scan-v", "--tol")] + [
+            ("check", flag) for flag in ("--vf", "--xi", "--V", "--nmax", "--pmax", "--tol",
+                                         "--format", "--out")]
+
+
+def _snapshot(argv, cwd) -> tuple:
+    """(exit code, stdout, stderr, {file name: bytes}) of one call run in
+    cwd; the files it wrote are removed."""
+    code, out, err = _run_in_process(argv)
+    files = {path.name: path.read_bytes() for path in cwd.iterdir()}
+    for path in cwd.iterdir():
+        path.unlink()
+    return code, out, err, files
+
+
+class TestDeclaredFlags:
+    """Each command takes exactly the flags it reads: 39 (command, flag)
+    pairs.  A common flag that a command would ignore is a usage error
+    that writes nothing, and changing any flag a command takes changes
+    what it writes or its exit code."""
+
+    @pytest.mark.parametrize("cmd", list(_TAKES))
+    def test_help_lists_the_flags_taken(self, cmd):
+        code, out, _ = _run_in_process([cmd, "--help"])
+        assert code == 0
+        assert set(re.findall(r"--[a-z][\w-]*", out, re.I)) == set(_TAKES[cmd]) | {"--help"}
+
+    def test_pair_counts(self):
+        assert len(_KEPT) == 39 and len(_DROPPED) == 14
+        assert not any(flag in _TAKES[cmd] for cmd, flag in _DROPPED)
+
+    @pytest.mark.parametrize("cmd,flag", _DROPPED, ids=[" ".join(pair) for pair in _DROPPED])
+    def test_dropped_flag_is_a_usage_error(self, cmd, flag, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        extra = ["--out", "report.out"] if "--out" in _TAKES[cmd] else []
+        dropped = f"{flag}={_CHANGED[flag]}"
+        code, out, err = _run_in_process(_BASE[cmd] + extra + [dropped])
+        assert code == 2 and out == "", (code, out)
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"lbstates: error: unrecognized arguments: {dropped}"], err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd,flag", _KEPT, ids=[" ".join(pair) for pair in _KEPT])
+    def test_every_flag_taken_is_read(self, cmd, flag, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        base = _snapshot(_BASE[cmd], tmp_path)
+        assert base[0] == 0, base
+        assert _snapshot(_BASE[cmd] + [f"{flag}={_CHANGED[flag]}"], tmp_path) != base
 
 
 class TestFailureExitCodes:
@@ -689,7 +766,8 @@ _CHECK_REPORT = re.compile(r"(PASS|FAIL) \S+: value=.* tol=.*|\d+/\d+ checks pas
 @st.composite
 def _small_argv(draw):
     """spectrum/state/scan-v/check argument lists over small windows and
-    cheap selections, legal or not, plus scan-v ranges over the row bound."""
+    cheap selections, legal or not, plus scan-v ranges over the row bound.
+    Each command draws only the flags it takes."""
     cmd = draw(st.sampled_from(["spectrum", "state", "scan-v", "check"]))
     argv = [cmd]
     if cmd == "check":
@@ -702,22 +780,26 @@ def _small_argv(draw):
                                                     "nan"])))
         if draw(st.booleans()):
             argv.append("--steps=" + draw(st.sampled_from(["1", "2", "3", "7", "1000000000"])))
-    if draw(st.booleans()):
+    elif draw(st.booleans()):
         argv.append("--V=" + draw(st.sampled_from(["0.5", "0", "0.9", "1.7", "2", "2.5", "9.5",
                                                    "-1", "nan"])))
     windows = [0, 1, 2, 3, 5, 8, 12, -1]
-    for flag, values in (("--pmax", windows), ("--nmax", windows)):
+    for flag in ("--pmax", "--nmax") if cmd == "state" else ("--pmax",):
         if draw(st.booleans()):
-            argv.append(f"{flag}={draw(st.sampled_from(values))}")
-    if draw(st.booleans()):
-        argv.append("--tol=" + draw(st.sampled_from(["1e-12", "1e-6", "0.5", "0", "1"])))
+            argv.append(f"{flag}={draw(st.sampled_from(windows))}")
     if cmd == "state":
+        if draw(st.booleans()):
+            argv.append("--tol=" + draw(st.sampled_from(["1e-12", "1e-6", "0.5", "0", "1"])))
         argv.append("--family=" + draw(st.sampled_from(["eta", "xi", "phi", "psi", "A", "B"])))
         argv.append("--branch=" + draw(st.sampled_from(["plus", "minus"])))
         for flag in ("--z1", "--z2"):
             if draw(st.booleans()):
                 argv.append(f"{flag}={draw(st.sampled_from(_LABELS))}")
     return argv
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a finite JSON number")
 
 
 class TestSharedParser:
@@ -734,7 +816,7 @@ class TestSharedParser:
             if out and argv[0] == "check":
                 assert all(_CHECK_REPORT.fullmatch(line) for line in out.splitlines()), argv
             elif out:
-                json.loads(out)
+                json.loads(out, parse_constant=_refuse_constant)
             if code == 0:
                 # the same call answers the same, whatever ran before it
                 assert _run_in_process(argv) == (code, out, err)
