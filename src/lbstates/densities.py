@@ -3,7 +3,9 @@
 A separable state (first register (x) spinor pair) is pushed to the
 Cartesian product basis one anti-diagonal at a time, as far as its
 weights reach, then evaluated on a rectangular grid as two matrix
-products per spinor component.
+products per spinor component.  A built state's first register is the
+coherent series of its label z1, which only translates the density, so
+its density is its z1 = 0 density on a shifted grid.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from . import floattext
+from .coherent import coherent_coefficients
 from .errors import ContractError
 from .fock import circular_antidiagonals, oscillator_table
 from .params import PhysicalParams
@@ -92,17 +95,20 @@ class DensityField:
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
-def _component_cartesian(blocks, w: np.ndarray, n_top: int) -> np.ndarray:
-    """Product-basis coefficients C[c, j, k] (j + k <= n_top) of sum w[n1,
-    n2, c] e_{n1,n2} for both spinor components c, one product per block."""
-    out = np.zeros((2, n_top + 1, n_top + 1), dtype=complex)
-    n1_top, n2_top = w.shape[0] - 1, w.shape[1] - 1
+def _component_cartesian(blocks, w: np.ndarray) -> np.ndarray:
+    """Product-basis coefficients C[c, j, k] (j + k < d) of sum w[n1, n2, c]
+    e_{n1,n2} for both spinor components c, w of shape (n1_top + 1, d, 2),
+    one product per block.  Anti-diagonal N of a flattened (d, d) array is
+    its strided slice [N : N d + 1 : d - 1], rows first, so C is written and
+    w (up to row n1_top) read that way."""
+    n1_top, d = w.shape[0] - 1, w.shape[1]
+    step = max(d - 1, 1)  # d = 1 holds N = 0 alone
+    flat, out = w.reshape(-1, 2), np.zeros((2, d * d), dtype=complex)
+    phases = _I_POWERS[np.arange(d) % 4]
     for big_n, block in blocks:
-        n1s = np.arange(max(0, big_n - n2_top), min(big_n, n1_top) + 1)
-        j = np.arange(big_n + 1)
-        out[:, j, big_n - j] = (_I_POWERS[(big_n - j) % 4, None]
-                                * (block[:, n1s] @ w[n1s, big_n - n1s])).T
-    return out
+        rows = flat[big_n:big_n + min(big_n, n1_top) * step + 1:step]
+        out[:, big_n:big_n * d + 1:step] = (phases[big_n::-1, None] * (block @ rows)).T
+    return out.reshape(2, d, d)
 
 
 def _support_end(mask: np.ndarray) -> int:
@@ -114,19 +120,27 @@ def _support_end(mask: np.ndarray) -> int:
 def density(state: SpinorState, grid: GridSpec, params: PhysicalParams | None = None) -> DensityField:
     """Evaluate |psi|^2 (total and per component) on the grid.
 
+    A first register that is, bit for bit, the coherent series of the
+    state's recorded meta["z1"] is read as e_0 on the grid moved by
+    (-Re z1, +Im z1), so the modes follow the spinor support alone.
     Weights below 1e-18 of a component's largest are dropped, and all work
     stops at the last anti-diagonal that keeps one.  The metadata echoes
     the state's construction record, the parameters (eps0 included) and
     the mass captured by the grid; a warning flag is set when the captured
     mass is not finite or differs from the coefficient-space mass by more
     than 0.1%.
-    Raises ContractError when the basis change does not preserve the
-    coefficient-space mass to 1e-8 relative.
+    Raises ContractError when the basis change does not preserve the mass
+    of the coefficients it is given to 1e-8 relative.
     """
     if params is None:
         params = PhysicalParams()
-    fr = state.first_register
+    fr, x, y = state.first_register, grid.x, grid.y
     nmax1, nmax2 = fr.size - 1, state.upper.size - 1
+    # a built state is D1(z1) (e_0 (x) spinor), and D1 translates the plane
+    # by (Re z1, -Im z1) up to a phase that |psi|^2 drops
+    z1, n1 = state.meta.get("z1"), _support_end(fr != 0)
+    if z1 is not None and n1 and np.array_equal(fr[:n1], coherent_coefficients(z1, n1)):
+        fr, x, y = np.ones(1, dtype=complex), x - z1.real, y + z1.imag
     comps = np.stack([state.upper, state.lower], axis=-1)
     fr_abs, comps_abs = np.abs(fr), np.abs(comps)
     scale = fr_abs.max() * comps_abs.max(axis=0)
@@ -142,18 +156,18 @@ def density(state: SpinorState, grid: GridSpec, params: PhysicalParams | None = 
     n_top, n1_top = int((n1s + n2s).max(initial=0)), int(n1s.max(initial=0))
     kept = np.where(keep, w, 0)[:n1_top + 1, :n_top + 1]
     # zero columns up to n_top: the basis change reads n2 = N - n1 for N <= n_top
-    w = np.zeros((n1_top + 1, min(nmax2, n_top) + 1, 2), dtype=complex)
+    w = np.zeros((n1_top + 1, n_top + 1, 2), dtype=complex)
     w[:kept.shape[0], :kept.shape[1]] = kept
-    px = oscillator_table(n_top, grid.x)
-    py = oscillator_table(n_top, grid.y)
-    carts = _component_cartesian(circular_antidiagonals(n_top, n1_top), w, n_top)
+    px = oscillator_table(n_top, x)
+    py = oscillator_table(n_top, y)
+    carts = _component_cartesian(circular_antidiagonals(n_top, n1_top), w)
 
-    norm2 = state.norm2()
+    norm2, fed = state.norm2(), SpinorState(fr, state.upper, state.lower).norm2()
     cart_mass = float(np.vdot(carts, carts).real)
-    if abs(cart_mass - norm2) > 1e-8 * norm2:
+    if abs(cart_mass - fed) > 1e-8 * fed:
         raise ContractError(
             f"the circular-to-Cartesian basis change is not isometric at this window:"
-            f" it maps coefficient mass {norm2:.6g} to {cart_mass:.6g}"
+            f" it maps coefficient mass {fed:.6g} to {cart_mass:.6g}"
         )
     upper, lower = (np.abs(px.T @ c @ py) ** 2 for c in carts)
     fld = DensityField(grid, upper + lower, upper, lower)

@@ -7,6 +7,7 @@ equals 2.  All parameters can be overridden.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,9 @@ class PhysicalParams:
         _square(self.V)  # refuses a V whose square overflows
         if self.vf <= 0 or self.xi <= 0:
             raise ContractError("vf and xi must be positive")
-        if not math.isfinite(self.eps0):
-            raise ContractError(f"eps0 = 2 vf / xi = 2 * {self.vf!r} / {self.xi!r} is not finite")
+        if not sys.float_info.min <= self.eps0 <= sys.float_info.max:
+            raise ContractError(f"eps0 = 2 vf / xi = 2 * {self.vf!r} / {self.xi!r} is"
+                                f" {self.eps0!r}, outside the range of normal floats")
         if self.V < 0:
             raise ContractError("V must be nonnegative")
 
@@ -62,7 +64,8 @@ class PhysicalParams:
         p = self.exceptional_level()
         if p is not None:
             raise ExceptionalPointError(
-                f"{what} cannot be constructed at the exceptional point p = V^2 = {p}",
+                f"{what} cannot be constructed at the exceptional point p = V^2 ="
+                f" {p if p < 10 ** 6 else format(p, '.3g')}",
                 p=p,
                 V=self.V,
             )

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import lbstates
 from lbstates.cli import MAX_ROWS, MAX_WINDOW, _require_rows, cli_main, format_complex, parse_complex
-from lbstates.errors import ContractError
+from lbstates.errors import ContractError, ExceptionalPointError
 from lbstates.params import PhysicalParams, discriminant
 from lbstates.levels import PAIRINGS
 
@@ -225,10 +225,13 @@ class TestOverflowingV:
 
 
 class TestOverflowingEnergyScale:
-    """vf and xi whose energy scale eps0 = 2 vf / xi overflows are refused
-    where the parameters are made: before any work, warning or output."""
+    """vf and xi whose energy scale eps0 = 2 vf / xi overflows, or
+    underflows to 0 or to a subnormal (a zero eps0 divided the theta
+    series, a subnormal one lost digits), are refused where the parameters
+    are made: before any work, warning or output."""
 
-    @pytest.mark.parametrize("vf,xi", [(1e308, 1.0), (1e300, 1e-10), (2.0, 1e-308)])
+    @pytest.mark.parametrize("vf,xi", [(1e308, 1.0), (1e300, 1e-10), (2.0, 1e-308),
+                                       (1e-300, 1e300), (1e-320, 1.0), (1e-310, 1.0)])
     def test_params_are_refused(self, vf, xi):
         with pytest.raises(ContractError, match="eps0 = 2 vf / xi"):
             PhysicalParams(vf=vf, xi=xi)
@@ -236,12 +239,21 @@ class TestOverflowingEnergyScale:
     def test_largest_finite_scale_is_accepted(self):
         assert PhysicalParams(vf=8.98e307).eps0 == 1.796e308
 
+    def test_smallest_normal_scale_is_accepted(self):
+        tiny = sys.float_info.min
+        assert PhysicalParams(vf=tiny / 2).eps0 == tiny
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--vf", "1e308", "--pmax", "1", "--format", "csv"],
         ["state", "--vf", "1e308", "--family", "eta", "--V", "0.5", "--z2=1"],
         ["density", "--vf", "1e308", "--family", "A", "--grid=-1:1:5,-1:1:5"],
         ["scan-v", "--vf", "2", "--xi", "1e-308", "--from=0.5", "--to=1.5", "--steps", "2"],
-    ], ids=["spectrum", "state", "density", "scan-v"])
+        ["state", "--family", "eta", "--vf", "1e-300", "--xi", "1e300", "--V", "0.5",
+         "--z1", "0.1", "--z2", "0.1", "--nmax", "12", "--pmax", "12"],
+        ["spectrum", "--vf", "1e-300", "--xi", "1e300"],
+        ["spectrum", "--vf", "1e-320", "--pmax", "2"],
+    ], ids=["spectrum", "state", "density", "scan-v", "state-eps0-zero", "spectrum-eps0-zero",
+            "spectrum-eps0-subnormal"])
     def test_cli_exits_one_and_writes_nothing(self, argv, tmp_path):
         out = tmp_path / "report.out"
         with warnings.catch_warnings():
@@ -252,7 +264,42 @@ class TestOverflowingEnergyScale:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestExceptionalPointMessage:
+    def test_refusal_prints_a_short_level(self):
+        # V^2 = 1e300 is a 301-digit integer level
+        code, stdout, err = _run_in_process(["state", "--family", "phi", "--V", "1e150",
+                                             "--z1", "0.1", "--z2", "0.1", "--nmax", "12",
+                                             "--pmax", "12"])
+        lines = err.splitlines()
+        assert code == 1 and stdout == ""
+        assert len(lines) == 1 and lines[0].startswith("error:") and len(lines[0]) < 120, err
+        assert lines[0].endswith("p = V^2 = 1e+300")
+
+    def test_a_small_level_is_printed_whole(self):
+        with pytest.raises(ExceptionalPointError, match=r"p = V\^2 = 999999$"):
+            PhysicalParams(V=math.sqrt(999999)).require_non_exceptional("x")
+
+
 class TestDensityCommand:
+    @pytest.mark.parametrize("z1, grid, fine", [
+        ("18", "-40:40:65,-40:40:65", False),
+        ("-18+5i", "-40:40:321,-40:40:321", True),
+    ])
+    def test_far_label_is_answered(self, z1, grid, fine, tmp_path):
+        # its modes reach index 537 (z1 = 18) if the first register is
+        # not moved into the grid; the coarse grid may miss mass
+        out = os.fspath(tmp_path / "far.csv")
+        code, stdout, err = _run_in_process([
+            "density", "--family", "A", "--z1=" + z1, "--z2", "0.5", "--nmax", "800",
+            "--pmax", "20", "--grid=" + grid, "--format", "csv", "--out", out])
+        assert code == 0, err
+        assert _DENSITY_WROTE.fullmatch(stdout.splitlines()[0])
+        if fine:
+            assert stdout.splitlines()[1:] == []
+            with open(out + ".meta.json", encoding="utf-8") as fh:
+                meta = json.load(fh)
+            assert meta["captured_mass"] == pytest.approx(meta["coefficient_norm2"], rel=1e-6)
+
     def test_csv_with_sidecar(self, tmp_path, capsys):
         out = os.fspath(tmp_path / "eta.csv")
         code = cli_main([

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lbstates import ContractError, FockCutoff, PhysicalParams, densities, floattext
+from lbstates import ContractError, CutoffError, FockCutoff, PhysicalParams, densities, floattext
 from lbstates.bicoherent import BicoherentSpec, build_bicoherent
 from lbstates.coherent import CoherentSpec, build_coherent
 from lbstates.densities import (MAX_GRID_POINTS, DensityField, GridSpec, density, export,
                                 gain_loss)
 from lbstates.levels import alpha_moduli
 from lbstates.params import discriminant
-from lbstates.spinor import ModeIndex, basis_vector_c
+from lbstates.spinor import ModeIndex, SpinorState, basis_vector_c, first_register_basis
 
 CUT = FockCutoff(32, 32, 32)
 GRID = GridSpec(-8, 8, 161, -8, 8, 161)
@@ -563,3 +563,100 @@ class TestSupportBoundedWork:
             fields.append(density(st, grid, PhysicalParams(V=V)))
         for name in ("total", "upper", "lower"):
             assert getattr(fields[0], name).tobytes() == getattr(fields[1], name).tobytes()
+
+
+def _built(family, z1, cut=FockCutoff(64, 48, 48)):
+    """A built state of the family at label z1 (z2 fixed) and its params."""
+    if family == "A":
+        return build_coherent(CoherentSpec(z1, 1 - 0.5j, "A", "plus", cut)), PhysicalParams()
+    params = PhysicalParams(V=0.5)
+    kind = "standard" if family == "phi" else "theta"
+    return build_bicoherent(BicoherentSpec(z1, 1 - 0.5j, kind, "ket", "minus", params,
+                                           cut)), params
+
+
+def _without_z1(state):
+    """The same registers with no z1 on record: density's general path."""
+    meta = {k: v for k, v in state.meta.items() if k != "z1"}
+    return SpinorState(state.first_register, state.upper, state.lower, meta)
+
+
+def _closed_form(state, z1, x, y):
+    """|sum_n c_n w^n / sqrt(pi n!)|^2 e^{-|w|^2}, w = x - iy - z1, summed
+    over each spinor component c: the density of a coherent first register
+    of label z1 times the component series."""
+    w = x - 1j * y - z1
+    terms = np.array([w ** n / math.sqrt(math.pi * math.factorial(n))
+                      for n in range(state.upper.size)])
+    return sum(abs(np.dot(c, terms)) ** 2 for c in (state.upper, state.lower)) * math.exp(
+        -abs(w) ** 2)
+
+
+class TestTranslatedDensity:
+    """A built state is its z1 = 0 density on a shifted grid: density reads
+    the first register as e_0 and moves the grid by (Re z1, -Im z1)."""
+
+    @staticmethod
+    def _n1_tops(monkeypatch):
+        """The n1_top each basis change of density is asked for."""
+        seen, real = [], densities.circular_antidiagonals
+        monkeypatch.setattr(densities, "circular_antidiagonals",
+                            lambda n_top, n1_top: seen.append(n1_top) or real(n_top, n1_top))
+        return seen
+
+    @pytest.mark.parametrize("family", ["A", "phi", "eta"])
+    @pytest.mark.parametrize("z1", [1.5 + 0.75j, -1 - 2j])
+    def test_equals_the_general_path(self, family, z1, monkeypatch):
+        st, params = _built(family, z1)
+        seen = self._n1_tops(monkeypatch)
+        grid = GridSpec(-9, 9, 73, -9, 9, 65)
+        fast, slow = density(st, grid, params), density(_without_z1(st), grid, params)
+        assert seen[0] == 0 and seen[1] > 20
+        peak = slow.total.max()
+        for name in ("total", "upper", "lower"):
+            assert np.abs(getattr(fast, name) - getattr(slow, name)).max() <= 1e-13 * peak
+        assert fast.meta["captured_mass"] == pytest.approx(slow.meta["captured_mass"],
+                                                           rel=1e-13)
+        assert fast.meta["coefficient_norm2"] == slow.meta["coefficient_norm2"]
+
+    def test_z1_zero_field_keeps_its_bytes(self):
+        st, params = _built("phi", 0.0)
+        grid = GridSpec(-6, 6, 41, -6, 6, 41)
+        fast, slow = density(st, grid, params), density(_without_z1(st), grid, params)
+        for name in ("total", "upper", "lower"):
+            assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
+
+    def test_a_first_register_that_is_not_the_series_takes_the_general_path(self,
+                                                                            monkeypatch):
+        st, params = _built("A", 0.5 + 0.5j)
+        other = SpinorState(first_register_basis(1, 64), st.upper, st.lower, dict(st.meta))
+        seen = self._n1_tops(monkeypatch)
+        grid = GridSpec(-6, 6, 41, -6, 6, 41)
+        fld = density(other, grid, params)
+        assert seen == [1]
+        ref = density(_without_z1(other), grid, params)
+        assert fld.total.tobytes() == ref.total.tobytes()
+
+    def test_closed_form_matches_the_general_path(self):
+        # checks the oracle of the next test on a path that uses no translation
+        z1 = 0.5 - 0.25j
+        st, _ = _built("A", z1)
+        grid = GridSpec(-4, 4, 9, -4, 4, 9)
+        fld = density(_without_z1(st), grid)
+        peak = fld.total.max()
+        for i, j in ((1, 2), (4, 4), (5, 3), (7, 8)):
+            assert abs(fld.total[i, j] - _closed_form(st, z1, grid.x[i], grid.y[j])) <= (
+                1e-12 * peak)
+
+    def test_far_label_matches_the_closed_form(self):
+        # the general path refuses this state: its modes reach index 537
+        z1 = -18 + 5j
+        st = build_coherent(CoherentSpec(z1, 0.5, "A", "plus", FockCutoff(800, 20, 20)))
+        grid = GridSpec(-24, -12, 13, -11, 1, 13)
+        fld = density(st, grid)
+        peak = fld.total.max()
+        for i, j in ((6, 6), (3, 8), (9, 2), (0, 12), (7, 5)):
+            assert abs(fld.total[i, j] - _closed_form(st, z1, grid.x[i], grid.y[j])) <= (
+                1e-12 * peak)
+        with pytest.raises(CutoffError, match="above hard limit"):
+            density(_without_z1(st), grid)

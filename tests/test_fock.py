@@ -15,7 +15,7 @@ from lbstates import (
     oscillator_psi,
 )
 from lbstates import ladders
-from lbstates.fock import circular_antidiagonals, oscillator_table
+from lbstates.fock import PSI_HARD_LIMIT, circular_antidiagonals, oscillator_table
 
 SQRT2 = math.sqrt(2.0)
 
@@ -209,6 +209,17 @@ class TestAntidiagonalBlocks:
                     for c in cols for j in rows)
         assert worst <= 1e-13
         assert np.abs(block.T @ block - np.eye(max(cols) + 1)).max() <= 1e-13
+
+    def test_column_zero_matches_its_closed_form(self):
+        # R_N[j, 0] = (-1)^(N-j) sqrt(C(N, j) / 2^N), the only column the
+        # density of a built state reads, at every N up to the psi limit;
+        # the integer quotient is rounded once to float before the root
+        worst = 0.0
+        for n, block in circular_antidiagonals(PSI_HARD_LIMIT, 0):
+            exact = [(-1) ** (n - j) * math.sqrt(math.comb(n, j) / 2 ** n) for j in range(n + 1)]
+            assert block.shape == (n + 1, 1)
+            worst = max(worst, float(np.abs(block[:, 0] - exact).max()))
+        assert worst <= 1e-13
 
     def test_columns_do_not_depend_on_how_many_are_kept(self):
         wide = list(circular_antidiagonals(40, 40))
