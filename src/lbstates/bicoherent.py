@@ -24,17 +24,17 @@ ket constant real positive and let the bra constant carry the phase, so
 modulus factorials is exposed separately as normalization_N.
 
 The shifted eigenvalues come from `levels.theta_table`.  The theta series
-is a cumulative product that stops at the first term whose geometric tail
-bound is below the tolerance, and its `tail_z2` is that bound at the cut;
-its terms and normalization_N come from one evaluation over the levels up
-to the cut, not over the window.  Both sides of a
-pair sit on the same levels with the same first register, so one build
-assembles the state and its dual from one level table.  The eigen
-residuals read the ladder paired with each family, side and branch from
-the one pairing table `levels.PAIRINGS` (phi/psi: the standard ket/bra,
-eta/xi: the theta ket/bra) and apply it through `levels.ladder_apply` on
-the level rows the state carries, without realizing a matrix, as the
-V = 0 coherent residuals do.
+and normalization_N are cumulative products cut by `coherent.series_cut`,
+with every later term ratio bounded through the smallest later |theta_k|;
+`tail_z2` and the normalization's tail are the bounds at the cuts, and
+both come from one evaluation over the levels up to the cuts, not over
+the window.  Both sides of a pair sit on the same levels with the same
+first register, so one build assembles the state and its dual from one
+level table.  The eigen residuals read the ladder paired with each
+family, side and branch from the one pairing table `levels.PAIRINGS`
+(phi/psi: the standard ket/bra, eta/xi: the theta ket/bra) and apply it
+through `levels.ladder_apply` on the level rows the state carries,
+without realizing a matrix, as the V = 0 coherent residuals do.
 """
 
 from __future__ import annotations
@@ -54,15 +54,11 @@ from .coherent import (
     DEFAULT_TAIL_TOL,
     first_register_coherent,
     gaussian_series,
+    require_gaussian_label,
     resolution_sum,
+    series_cut,
     series_state,
 )
-
-
-def theta_sequence(count: int, params: PhysicalParams, branch: str = "plus") -> np.ndarray:
-    """theta values along the branch: theta_{+k} (plus) or theta_{-k}
-    (minus) for k = 0..count."""
-    return theta_table(BRANCHES[("eta", branch)].step * np.arange(count + 1), params)
 
 
 class NormalizationN(NamedTuple):
@@ -71,42 +67,47 @@ class NormalizationN(NamedTuple):
     n_terms: int
 
 
-def _normalization(rho: float, mods: np.ndarray, pmax: int, tail_tol: float):
-    """normalization_N at |z2| = rho from the moduli |theta_0| .. |theta_K|
-    along the branch (K <= pmax): the sum of term_n = rho^(2n) / |theta_n|!
-    stops at the first n < pmax whose geometric tail term_n q / (1 - q),
-    q = rho^2 / |theta_(n+1)| < 1, is below tail_tol.  None when K < pmax
-    and the prefix holds no such n."""
+def _branch_thetas(params: PhysicalParams, branch: str, m: int) -> tuple:
+    """theta_0 .. theta_m along the branch and lows[n] = min_{k>n} |theta_k|
+    for n = 0..m, from one `theta_table` call.  |theta_k| rises with k
+    except through the broken levels k <= [V^2] of the minus branch, so
+    lows[n] is |theta_(n+1)|, or the smaller of the two levels around V^2
+    while n < [V^2] on the minus branch."""
+    v2 = math.floor(params.V ** 2)
+    step = BRANCHES[("eta", branch)].step
+    seq = theta_table(step * np.concatenate([np.arange(m + 2), [v2, v2 + 1]]), params)
+    mods = np.abs(seq)
+    lows = mods[1:m + 2].copy()
+    if step < 0:
+        lows[:v2] = mods[-2:].min()
+    return seq[:m + 1], lows
+
+
+def _normalization(rho: float, seq: np.ndarray, lows: np.ndarray, pmax: int,
+                   tail_tol: float):
+    """normalization_N at |z2| = rho from `_branch_thetas` over levels up to
+    K = lows.size - 1 <= pmax: the sum of term_n = rho^(2n) / |theta_n|!
+    up to its `series_cut` at tail_tol, the term ratios being at most
+    rho^2 / lows[n].  None when K < pmax and no n <= K is a cut; a
+    CutoffError when K = pmax and none is."""
     r2 = rho ** 2
-    terms = np.cumprod(np.concatenate([[1.0], r2 / mods[1:]]))  # term_n, n = 0..K
-    totals = np.cumsum(terms)
-    q = r2 / mods[2:]
-    tails = np.divide(terms[1:-1] * q, 1.0 - q, out=np.full(q.size, math.inf), where=q < 1.0)
-    hit = np.flatnonzero(tails < tail_tol)
-    if hit.size:
-        n = int(hit[0]) + 1
-        return NormalizationN(float(totals[n]) ** -0.5, float(tails[n - 1]), n + 1)
-    if mods.size <= pmax:
+    terms = np.cumprod(np.concatenate([[1.0], r2 / np.abs(seq[1:])]))
+    n, tail = series_cut(terms, r2 / lows, tail_tol)
+    if n is not None:
+        return NormalizationN(float(np.cumsum(terms[:n + 1])[-1]) ** -0.5, float(tail[n]), n + 1)
+    if lows.size <= pmax:
         return None
-    if r2 == 0.0:
-        return NormalizationN(1.0, 0.0, 1)
-    q = r2 / mods[-1] if mods[-1] > r2 else 1.0
-    tail = float(terms[-1] * q / (1.0 - q)) if q < 1.0 else math.inf
-    if tail < tail_tol:
-        return NormalizationN(float(totals[-1]) ** -0.5, tail, pmax + 1)
-    raise CutoffError(
-        f"normalization series for |z2|={rho:.3g} does not reach tail {tail_tol:.1e}"
-        f" within pmax={pmax} (tail estimate {tail:.3e})",
-        tail_estimate=tail,
-    )
+    raise CutoffError(f"normalization series for |z2|={rho:.3g} does not reach tail"
+                      f" {tail_tol:.1e} within pmax={pmax} (tail estimate {tail[-1]:.3e})",
+                      tail_estimate=float(tail[-1]))
 
 
 def normalization_N(z2: complex, params: PhysicalParams, cutoff: FockCutoff,
                     branch: str = "plus", tail_tol: float = 1e-14) -> NormalizationN:
     """(sum_n |z2|^(2n) / |theta_n|!)^(-1/2), in (0, 1], with the computed
     tail estimate.  Depends on z2 only through |z2|."""
-    mods = np.abs(theta_sequence(cutoff.pmax, params, branch))
-    return _normalization(abs(z2), mods, cutoff.pmax, tail_tol)
+    seq, lows = _branch_thetas(params, branch, cutoff.pmax)
+    return _normalization(abs(z2), seq, lows, cutoff.pmax, tail_tol)
 
 
 # CLI family -> (family, side)
@@ -135,8 +136,11 @@ class BicoherentSpec(BranchSeries):
             raise ContractError(f"unknown branch {self.branch!r}")
         if not 0.0 < self.tail_tol < 1.0:
             raise ContractError(f"tail tolerance must be in (0, 1), got {self.tail_tol!r}")
+        require_gaussian_label("z1", self.z1)
         if self.family == "theta":
             self.params.require_non_exceptional("theta-family bicoherent state")
+        else:
+            require_gaussian_label("z2", self.z2)
 
     @property
     def key(self) -> tuple:
@@ -162,61 +166,38 @@ def _theta_series(spec: BicoherentSpec) -> ThetaSeries:
     cumulative products cut at their tail bound, with normalization_N from
     the same theta values; raises CutoffError when the window is too small.
 
-    The terms are kept up to the first n with |c_n| r / (1 - r) <=
-    tail_tol max(1, max |c|), r = |z| / sqrt(min_{k>n} |theta_k|).  As
-    |theta_k| rises with k except through the broken levels k <= [V^2] of
-    the minus branch, the minimum is |theta_(n+1)|, or the smaller of the
-    two levels around V^2 while n < [V^2] on the minus branch.  A series
-    with no cut inside the window is judged at its edge.  One `theta_table`
-    call covers a first guess of levels (the broken ones, those up to where
-    |z| / sqrt|theta_k| falls to 1/sqrt(2), and 64 more), doubled until
-    both cuts lie inside it.  T comes from the arrays the states are built
-    from, so the bi-normalization is exact in floating point even when T
-    cancels heavily (broken-region terms rotate by pi/2 per step).
+    The terms are kept up to their `series_cut` at tail_tol max(1, max |c|),
+    with the ratios bounded by |z| / sqrt(min_{k>n} |theta_k|) from
+    `_branch_thetas`; a series with no cut inside the window is refused.
+    One `theta_table` call covers a first guess of levels (the broken ones,
+    those up to where |z| / sqrt|theta_k| falls to 1/sqrt(2), and 64 more),
+    doubled until both cuts lie inside it.  T comes from the arrays the
+    states are built from, so the bi-normalization is exact in floating
+    point even when T cancels heavily (broken-region terms rotate by pi/2
+    per step).
     """
     cap, pmax = spec.require_levels(), spec.cutoff.pmax
     params, z = spec.params, complex(spec.z2)
-    rho, v2 = abs(z), math.floor(params.V ** 2)
-    step = BRANCHES[("eta", spec.branch)].step
-    m = min(cap, v2 + 64 + math.ceil(4.0 * (rho * rho / params.eps0) ** 2))
+    rho = abs(z)
+    m = min(pmax, math.floor(params.V ** 2) + 64 + math.ceil(4.0 * (rho * rho / params.eps0) ** 2))
     while True:
-        # levels 0..m+1 along the branch, then the two around V^2
-        seq = theta_table(step * np.concatenate([np.arange(m + 2), [v2, v2 + 1]]), params)
-        mods = np.abs(seq)
-        lows = mods[1:m + 2].copy()  # min_{k>n} |theta_k| for n = 0..m
-        if step < 0:
-            lows[:v2] = mods[-2:].min()
-        ratio = rho / np.sqrt(lows)
-        bound = np.divide(ratio, 1.0 - ratio, out=np.full(m + 1, math.inf), where=ratio < 1.0)
-        steps = np.sqrt(seq[1:m + 1])
+        seq, lows = _branch_thetas(params, spec.branch, m)
+        steps = np.sqrt(seq[1:min(m, cap) + 1])
         ket = np.cumprod(np.concatenate([[1.0 + 0.0j], z / steps]))
         size = np.abs(ket)
-        tails = size * bound
-        hit = np.flatnonzero(tails <= spec.tail_tol * np.maximum.accumulate(np.maximum(size, 1.0)))
-        norm = _normalization(rho, mods[:min(m + 1, pmax) + 1], pmax, 1e-14) if hit.size else None
-        if norm is not None or m == cap:
+        n, tails = series_cut(size, rho / np.sqrt(lows[:size.size]),
+                              spec.tail_tol * np.maximum.accumulate(np.maximum(size, 1.0)))
+        norm = None if n is None else _normalization(rho, seq, lows, pmax, 1e-14)
+        if norm is not None:
             break
-        m = min(cap, 2 * m)
-    if hit.size:
-        n = int(hit[0])
-        ket, tail = ket[:n + 1], float(tails[n])
-    else:
-        # no cut inside the window: the whole window is kept, with the
-        # geometric bound from the first out-of-window term
-        edge = rho / math.sqrt(mods[cap + 1])
-        if edge >= 1.0:
+        if m == pmax:  # no cut inside the window (the normalization has raised if it had none)
             raise CutoffError(
-                f"theta series for |z2|={rho:.3g} is still growing at the window edge"
-                f" pmax={pmax}",
-                tail_estimate=math.inf,
-            )
-        tail = float(size[cap] * edge / (1.0 - edge))
-        if tail > spec.tail_tol * max(1.0, size.max()):
-            raise CutoffError(
-                f"theta series tail {tail:.3e} above tolerance at pmax={pmax}",
-                tail_estimate=tail,
-            )
-        norm = _normalization(rho, mods[:pmax + 1], pmax, 1e-14)
+                f"theta series for |z2|={rho:.3g} is still growing at the window edge pmax={pmax}"
+                if math.isinf(tails[cap]) else
+                f"theta series tail {tails[cap]:.3e} above tolerance at pmax={pmax}",
+                tail_estimate=float(tails[cap]))
+        m = min(pmax, 2 * m)
+    ket, tail = ket[:n + 1], float(tails[n])
     bra = np.cumprod(np.concatenate([[1.0 + 0.0j], z / np.conj(steps[:ket.size - 1])]))
     return ThetaSeries(ket, bra, complex(np.conj(np.vdot(ket, bra))), tail, norm)
 

@@ -10,6 +10,10 @@ decompositions of the level index:
 
 with the standard double series over (n1, n2), Gaussian prefactor and
 sqrt(n1! n2!) denominators; the levels are read from `levels.BRANCHES`.
+Every series of the package, these and the theta family's, stops where
+`series_cut` puts it: at the first term whose geometric bound on all the
+later terms meets the limit.  A Gaussian label with |z|^2 above 1416.79
+(a subnormal prefactor) is refused.
 Quadrature resolutions of identity (`resolution_sum`) are evaluated with
 the angular integrals done analytically (they enforce index matching)
 and the radial integrals by Gauss-Laguerre.
@@ -18,6 +22,7 @@ and the radial integrals by Gauss-Laguerre.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,58 +56,63 @@ class CoherentSpec(BranchSeries):
             raise ContractError(f"unknown branch {self.branch!r}")
         if not 0.0 < self.tail_tol < 1.0:
             raise ContractError(f"tail tolerance must be in (0, 1), got {self.tail_tol!r}")
+        require_gaussian_label("z1", self.z1)
+        require_gaussian_label("z2", self.z2)
 
     @property
     def key(self) -> tuple:
         return (self.family, self.branch)
 
 
-def gaussian_series_tail(z: complex, n_terms: int) -> float:
-    """Bound on the coefficient tail of exp(-|z|^2/2) sum z^n/sqrt(n!) past
-    the first n_terms terms (last kept index N = n_terms - 1):
+def series_cut(size, ratio, limit) -> tuple:
+    """Where a series stops, for every series the package builds: the
+    first n with
 
-        exp(-|z|^2/2) |z|^(N+1) / sqrt((N+1)!) * (1 - |z|/sqrt(N+2))^(-1),
+        tail[n] = size[n] ratio[n] / (1 - ratio[n]) <= limit[n],
 
-    valid once |z| < sqrt(N+2); +inf is returned before that.
+    where size[n] bounds the modulus of term n and ratio[n] bounds every
+    later term-to-predecessor ratio size[k+1] / size[k], k >= n, so tail[n]
+    bounds the sum of the moduli of all the terms after n.  No cut is
+    possible where ratio[n] >= 1 (tail +inf).  Returns (n, tail), with n
+    None when no index qualifies.
     """
-    r = abs(z)
-    if r == 0.0:
-        return 0.0
-    big_n = n_terms - 1
-    if r >= math.sqrt(big_n + 2):
-        return math.inf
-    log_head = -0.5 * r * r + (big_n + 1) * math.log(r) - 0.5 * math.lgamma(big_n + 2)
-    return math.exp(log_head) / (1.0 - r / math.sqrt(big_n + 2))
+    ok = ratio < 1.0
+    tail = np.where(ok, size * (ratio / np.where(ok, 1.0 - ratio, 1.0)), math.inf)
+    hit = tail <= limit
+    n = int(hit.argmax())
+    return (n if hit[n] else None), tail
 
 
-def coherent_series_length(z: complex, cap: int, tol: float) -> tuple:
-    """Smallest number of terms whose tail bound is below tol; raises
-    CutoffError (carrying the bound at the cap) when the cap is too small.
+def require_gaussian_label(name: str, z: complex) -> None:
+    """Refuse (ContractError) a label whose Gaussian prefactor exp(-|z|^2/2)
+    is below the smallest normal double, where the terms lose their digits
+    (and are all 0 past |z|^2 of about 1490)."""
+    if math.exp(-0.5 * abs(z) * abs(z)) < sys.float_info.min:
+        raise ContractError(f"label {name}={complex(z):.6g} is refused: |{name}|^2 above 1416.79"
+                            f" (|{name}| above 37.64) makes the series prefactor"
+                            f" exp(-|{name}|^2/2) subnormal")
 
-    The bound is +inf and then strictly decreasing in the count, and below
-    2^(1-m) from m >= 4e|z|^2 terms on, so the first count below tol is at
-    most max(4e|z|^2, 1 - log2(tol)); it is found by bisection on the
-    bound below that count (or the cap), a few scalar evaluations.
+
+def gaussian_terms(z: complex, cap: int, tol: float) -> tuple:
+    """(terms, tail): exp(-|z|^2/2) z^n / sqrt(n!) up to the `series_cut` of
+    the tail at tol, at most cap + 1 terms; raises CutoffError (carrying
+    the tail at the cap) when the cap is too small.
+
+    The term ratios |z| / sqrt(n + 1) fall with n.  The first omitted term
+    is charged to the budget as it is (limit tol - |c_n|) and the geometric
+    bound covers those after it, so the tail past n - 1 is |c_n| / (1 -
+    |z| / sqrt(n + 1)).  That is below 2^(1-n) from n >= 4e|z|^2 on, so the
+    cut comes by max(4e|z|^2, 1 - log2(tol)) terms, and no more are formed.
     """
-    r = abs(z)
-    need = max(4.0 * math.e * r * r, 1.0 - math.log2(tol)) if tol > 0.0 else math.inf
-    lo, hi = 1, max(1, math.ceil(min(need, cap + 1)))
-    while hi <= cap + 1 and not gaussian_series_tail(z, hi) < tol:
-        hi += 1
-    if hi > cap + 1:
-        est = gaussian_series_tail(z, cap + 1)
-        raise CutoffError(
-            f"series for |z|={abs(z):.3g} does not reach tail {tol:.1e} within {cap + 1} terms"
-            f" (tail estimate {est:.3e})",
-            tail_estimate=est,
-        )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if gaussian_series_tail(z, mid) < tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi, gaussian_series_tail(z, hi)
+    reach = max(4.0 * math.e * abs(z) ** 2, 1.0 - math.log2(tol))
+    terms = coherent_coefficients(z, min(cap + 2, math.ceil(reach) + 1))
+    size = np.abs(terms)
+    n, tail = series_cut(size, abs(z) / np.sqrt(np.arange(1, size.size + 1)), tol - size)
+    if n is None:
+        est = float(size[-1] + tail[-1])
+        raise CutoffError(f"series for |z|={abs(z):.3g} does not reach tail {tol:.1e} within"
+                          f" {cap + 1} terms (tail estimate {est:.3e})", tail_estimate=est)
+    return terms[:n], float(size[n] + tail[n])
 
 
 def coherent_coefficients(z: complex, n_terms: int) -> np.ndarray:
@@ -115,10 +125,10 @@ def coherent_coefficients(z: complex, n_terms: int) -> np.ndarray:
 
 
 def first_register_coherent(z1: complex, nmax1: int, tol: float) -> tuple:
-    n_terms, est = coherent_series_length(z1, nmax1, tol)
+    terms, tail = gaussian_terms(z1, nmax1, tol)
     fr = np.zeros(nmax1 + 1, dtype=complex)
-    fr[:n_terms] = coherent_coefficients(z1, n_terms)
-    return fr, est
+    fr[:terms.size] = terms
+    return fr, tail
 
 
 def gaussian_series(spec) -> tuple:
@@ -126,8 +136,8 @@ def gaussian_series(spec) -> tuple:
     sum_n exp(-|z2|^2/2) z2^n / sqrt(n!) over the spec's branch, for the
     V = 0 coherent and the standard bicoherent families (whose two sides
     share the weights)."""
-    n_terms, tail = coherent_series_length(spec.z2, spec.level_cap, spec.tail_tol)
-    return (*spec.series_rows(n_terms), coherent_coefficients(spec.z2, n_terms), tail)
+    terms, tail = gaussian_terms(spec.z2, spec.level_cap, spec.tail_tol)
+    return (*spec.series_rows(terms.size), terms, tail)
 
 
 def series_state(fr: np.ndarray, ps, rows, side: str, weights, nmax2: int,

@@ -17,7 +17,7 @@ from lbstates import (
     normalization_N,
     quasi_basis_check,
 )
-from lbstates.bicoherent import FAMILIES, BicoherentSpec, _theta_series, bi_product, theta_sequence
+from lbstates.bicoherent import FAMILIES, BicoherentSpec, _theta_series, bi_product
 from lbstates import bicoherent
 from lbstates.levels import PAIRINGS, level_spinors, level_table, theta_table
 from lbstates.pt import phi_norm_bound
@@ -31,6 +31,11 @@ CUT_BIG = FockCutoff(24, 150, 150)
 
 def spec(z2, family="theta", side="ket", branch="plus", params=P_HALF, cut=CUT, z1=0.0):
     return BicoherentSpec(z1, z2, family, side, branch, params, cut)
+
+
+def theta_sequence(count, params, branch="plus"):
+    """theta_(+-k) along the branch for k = 0..count, one `theta_table` call."""
+    return theta_table((1 if branch == "plus" else -1) * np.arange(count + 1), params)
 
 
 def theta_factorial(levels, params):
@@ -154,9 +159,11 @@ class TestConstruction:
 def full_window_series(spec):
     """The theta series as it was summed before the cut: every term of the
     window, one numpy-scalar step at a time, with the tail judged at the
-    window edge.  Returns (ket, bra, tail) or raises CutoffError."""
+    window edge by the smallest |theta_k| past it, found by scanning the
+    levels up to [V^2] + 1 beyond the edge.  Returns (ket, bra, tail) or
+    raises CutoffError."""
     cap = spec.require_levels()
-    seq = theta_sequence(cap + 1, spec.params, spec.branch)
+    seq = theta_sequence(cap + 2 + math.floor(spec.params.V ** 2), spec.params, spec.branch)
     z = complex(spec.z2)
     steps = np.sqrt(seq[1:cap + 1])
     ket, bra = [np.complex128(1.0)], [np.complex128(1.0)]
@@ -166,7 +173,7 @@ def full_window_series(spec):
     ket, bra = np.array(ket), np.array(bra)
     if abs(z) == 0.0:
         return ket, bra, 0.0
-    ratio = abs(z) / math.sqrt(abs(seq[cap + 1]))
+    ratio = abs(z) / math.sqrt(np.abs(seq[cap + 1:]).min())
     if ratio >= 1.0:
         raise CutoffError(f"theta series for |z2|={abs(z):.3g} is still growing at the window"
                           f" edge pmax={spec.cutoff.pmax}", tail_estimate=math.inf)

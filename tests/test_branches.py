@@ -1,5 +1,6 @@
 """The branch table `levels.BRANCHES` against the hand-written level maps
-it replaced, and every series builder against its tail tolerance."""
+it replaced, and every series builder against its tail tolerance and
+against the terms it drops."""
 
 import cmath
 import math
@@ -7,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from lbstates import CutoffError, FockCutoff, PhysicalParams
-from lbstates.bicoherent import FAMILIES, BicoherentSpec, build_bicoherent
-from lbstates.coherent import CoherentSpec, build_coherent
+import mp_reference
+from lbstates import CutoffError, FockCutoff, PhysicalParams, normalization_N
+from lbstates.bicoherent import FAMILIES, BicoherentSpec, _theta_series, build_bicoherent
+from lbstates.coherent import CoherentSpec, build_coherent, gaussian_series
 from lbstates.levels import BRANCHES, PAIRINGS, window_levels
 
 # (CLI family, branch) -> (sigma(n), level cap at pmax, support predicate),
@@ -145,3 +147,59 @@ def test_builders_meet_the_tolerance_or_refuse(key):
                         sp2 = state.norm2() / fr2
                         assert abs(1.0 - sp2) <= tails["tail_z2"] ** 2 + 1e-13
     assert built and refused
+
+
+def omitted(terms, kept: int) -> float:
+    """Summed moduli of the 50-digit terms from index `kept` on."""
+    return float(sum(abs(t) for t in terms[kept:]))
+
+
+def normalization_terms(rho: float, V: float, step: int, count: int) -> list:
+    """rho^(2n) / (|theta_1| ... |theta_n|) for n < count, in 50 digits."""
+    with mp_reference.mp.workdps(mp_reference.DPS):
+        terms = [mp_reference.mpf(1)]
+        for k in range(1, count):
+            terms.append(terms[-1] * mp_reference.mpf(rho) ** 2
+                         / abs(mp_reference.theta(step * k, V, 2.0)))
+        return terms
+
+
+# labels and the window: every series below stops well inside it, and the
+# terms past the cut are summed 300 further, where they no longer count
+TAIL_LABELS = (0.5 + 0.5j, 1.5 - 1j, -2 + 0.5j, 3j)
+TAIL_CUT = FockCutoff(150, 400, 400)
+EXTRA = 300
+
+
+class TestTailsBoundWhatTheyDrop:
+    """Every reported tail (tail_z1, tail_z2 and the normalization tail) is
+    at least the summed moduli of the terms its series omits."""
+
+    @pytest.mark.parametrize("V", [0.0, 0.5, 3.5, 9.5])
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_gaussian_tails(self, V, branch):
+        key = ("A" if V == 0.0 else "phi", branch)
+        for z in TAIL_LABELS:
+            spec = make_spec(key, z, z, PhysicalParams(V=V), TAIL_CUT)
+            state = build_coherent(spec) if V == 0.0 else build_bicoherent(spec)
+            kept1 = int(np.count_nonzero(state.first_register))
+            kept2 = gaussian_series(spec)[2].size
+            truth = mp_reference.gaussian_series(z, max(kept1, kept2) + EXTRA)
+            assert state.meta["tail_z1"] >= omitted(truth, kept1)
+            assert state.meta["tail_z2"] >= omitted(truth, kept2)
+
+    @pytest.mark.parametrize("V", [0.0, 0.5, 3.5, 9.5])
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_theta_and_normalization_tails(self, V, branch):
+        params, step = PhysicalParams(V=V), BRANCHES[("eta", branch)].step
+        for z in TAIL_LABELS:
+            spec = BicoherentSpec(0.0, z, "theta", "ket", branch, params, TAIL_CUT)
+            series = _theta_series(spec)
+            assert build_bicoherent(spec).meta["tail_z2"] == series.tail
+            ket = mp_reference.theta_series(z, V, 2.0, step, series.ket.size + EXTRA)[0]
+            assert series.tail >= omitted(ket, series.ket.size)
+            assert series.normalization == normalization_N(z, params, TAIL_CUT, branch)
+        for rho in (0.5, 1.5, 3.0, 4.0):
+            norm = normalization_N(rho, params, TAIL_CUT, branch)
+            truth = normalization_terms(rho, V, step, norm.n_terms + EXTRA)
+            assert norm.tail >= omitted(truth, norm.n_terms)

@@ -264,6 +264,43 @@ class TestOverflowingEnergyScale:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestGaussianLabelRange:
+    """A label summed as a Gaussian series whose prefactor exp(-|z|^2/2) is
+    below the smallest normal double (|z|^2 above 1416.79) is refused before
+    any work or file: its terms have lost digits (|z1| = 38.5 would give
+    norm2 1.035) or are all 0 (|z1| = 40).  |z1| = 37 is answered."""
+
+    FLAGS = ["--family", "A", "--z2", "0.1", "--nmax", "20000", "--pmax", "20"]
+    GRID = ["--grid=30:50:65,-10:10:65"]
+
+    @pytest.mark.parametrize("label", ["--z1=38.5", "--z1=40", "--z1=-30+30i", "--z2=40"])
+    @pytest.mark.parametrize("cmd", ["state", "density"])
+    def test_far_label_exits_one_and_writes_nothing(self, cmd, label, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = [cmd] + self.FLAGS + [label] + (self.GRID if cmd == "density" else [])
+        code, stdout, err = _run_in_process(argv)
+        name = label[2:4]
+        assert code == 1 and stdout == "", (code, stdout)
+        assert err.count("\n") == 1 and err.startswith(f"error: label {name}=")
+        assert f"|{name}|^2 above 1416.79" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_z2_of_the_theta_family_is_not_a_gaussian_label(self):
+        code, _, err = _run_in_process(["state", "--family", "eta", "--V", "0.5", "--z2", "40",
+                                        "--nmax", "64", "--pmax", "64"])
+        assert code == 1 and "still growing" in err
+
+    def test_label_inside_the_range_is_answered(self, tmp_path):
+        code, stdout, _ = _run_in_process(["state", "--z1", "37"] + self.FLAGS)
+        doc = json.loads(stdout)
+        assert code == 0 and abs(doc["norm2"] - 1.0) < 1e-13
+        assert doc["tails"]["tail_z1"] < 1e-12
+        out = os.fspath(tmp_path / "near.json")
+        code, stdout, _ = _run_in_process(["density", "--z1", "37"] + self.FLAGS + self.GRID
+                                          + ["--out", out])
+        assert code == 0 and stdout == f"wrote {out} (captured mass 1 of 1)\n"
+
+
 class TestExceptionalPointMessage:
     def test_refusal_prints_a_short_level(self):
         # V^2 = 1e300 is a 301-digit integer level

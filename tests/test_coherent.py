@@ -20,8 +20,8 @@ from lbstates import (
     resolution_identity_check,
 )
 from lbstates import coherent
-from lbstates.coherent import (CoherentSpec, coherent_coefficients, coherent_series_length,
-                               gaussian_series_tail, radial_factorial_ratio)
+from lbstates.coherent import (CoherentSpec, coherent_coefficients, gaussian_terms,
+                               radial_factorial_ratio, series_cut)
 
 CUT = FockCutoff(64, 64, 64)
 ZGRID = (0, 1, -1, 1j, -1j, 1 - 1j, 2 + 2j)
@@ -60,8 +60,10 @@ class TestConstruction:
             CoherentSpec(0.1, 0.1, "A", "plus", CUT, tol)
 
     def test_tail_bound_is_monotone_in_terms(self):
-        bounds = [gaussian_series_tail(2 + 2j, n) for n in range(12, 40)]
-        assert all(b <= a for a, b in zip(bounds, bounds[1:]))
+        size = np.abs(coherent_coefficients(2 + 2j, 41))
+        _, bounds = series_cut(size, abs(2 + 2j) / np.sqrt(np.arange(1, 42)), 0.0)
+        assert np.isinf(bounds[:8]).all()
+        assert all(b <= a for a, b in zip(bounds[12:], bounds[13:]))
 
 
 class TestEigenEquations:
@@ -185,18 +187,44 @@ class TestBruteForceQuadratureOracle:
         assert got == pytest.approx(radial(1) * radial(2), abs=1e-10)
 
 
+def lgamma_tail(z, n_terms):
+    """The closed-form bound on the terms past the first n_terms of the
+    Gaussian series, from math.lgamma (+inf while |z| >= sqrt(n_terms + 1)):
+
+        exp(-|z|^2/2) |z|^n_terms / sqrt(n_terms!) / (1 - |z| / sqrt(n_terms + 1))
+    """
+    r = abs(z)
+    if r == 0.0:
+        return 0.0
+    if r >= math.sqrt(n_terms + 1):
+        return math.inf
+    log_head = -0.5 * r * r + n_terms * math.log(r) - 0.5 * math.lgamma(n_terms + 1)
+    return math.exp(log_head) / (1.0 - r / math.sqrt(n_terms + 1))
+
+
 def scan_series_length(z, cap, tol):
-    """The term-by-term scan that coherent_series_length replaced."""
+    """The term-by-term scan over the closed-form bound: the oracle for
+    where `gaussian_terms` cuts."""
     for n_terms in range(1, cap + 2):
-        est = gaussian_series_tail(z, n_terms)
+        est = lgamma_tail(z, n_terms)
         if est < tol:
             return n_terms, est
-    return None, gaussian_series_tail(z, cap + 1)
+    return None, lgamma_tail(z, cap + 1)
+
+
+def same_tail(got, want, n_terms, z):
+    """Two roundings of one bound: the cumulative product (8 (n + 1 +
+    |z|^2) eps, as `test_coefficients_match_mpmath`) against lgamma in the
+    exponent."""
+    if math.isinf(want) or want == 0.0:
+        return got == want
+    return abs(got - want) <= 8 * (n_terms + 1 + abs(z) ** 2) * mp_reference.EPS * want
 
 
 class TestSeriesLength:
-    """The array pass must choose the count, and report the bound, that the
-    scalar scan does, byte for byte: both reach state metadata."""
+    """The cut on the computed terms must choose the count that the scalar
+    scan over the closed-form bound does, and report the same bound up to
+    rounding."""
 
     @pytest.mark.parametrize("tol", [10.0 ** -k for k in range(6, 16)])
     def test_matches_scalar_scan(self, tol):
@@ -207,20 +235,22 @@ class TestSeriesLength:
                     want = scan_series_length(z, cap, tol)
                     if want[0] is None:
                         with pytest.raises(CutoffError) as err:
-                            coherent_series_length(z, cap, tol)
-                        assert repr(err.value.tail_estimate) == repr(want[1])
+                            gaussian_terms(z, cap, tol)
+                        assert same_tail(err.value.tail_estimate, want[1], cap + 1, z)
                     else:
-                        got = coherent_series_length(z, cap, tol)
-                        assert (got[0], repr(got[1])) == (want[0], repr(want[1]))
+                        terms, tail = gaussian_terms(z, cap, tol)
+                        assert terms.size == want[0]
+                        assert same_tail(tail, want[1], want[0], z)
+                        assert np.array_equal(terms, coherent_coefficients(z, want[0]))
 
     def test_work_follows_the_series_not_the_cap(self):
         tracemalloc.start()
         try:
-            n_terms, _ = coherent_series_length(0.1, 10 ** 9, 1e-12)
+            terms, _ = gaussian_terms(0.1, 10 ** 9, 1e-12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert n_terms == scan_series_length(0.1, 100, 1e-12)[0]
+        assert terms.size == scan_series_length(0.1, 100, 1e-12)[0]
         assert peak < 1e5
 
 
@@ -259,19 +289,18 @@ class TestScipyFreeBounds:
                 for cap in (window, window - 1):
                     want = gammaln_series_length(z, cap, 1e-12)
                     assert want is not None
-                    assert coherent_series_length(z, cap, 1e-12)[0] == want
+                    assert gaussian_terms(z, cap, 1e-12)[0].size == want
                     checked += 1
         assert checked > 300
 
     def test_tail_bound_agrees_with_gammaln(self):
         for z in (0.1, 1 - 1j, 2.5j, 6.0):
-            for n_terms in range(1, 200):
-                r, big_n = abs(z), n_terms - 1
-                if r >= math.sqrt(big_n + 2):
-                    continue
-                head = -0.5 * r * r + (big_n + 1) * math.log(r) - 0.5 * float(gammaln(big_n + 2))
-                want = math.exp(head) / (1.0 - r / math.sqrt(big_n + 2))
-                assert gaussian_series_tail(z, n_terms) == pytest.approx(want, rel=1e-13)
+            for tol in 10.0 ** -np.arange(1.0, 60.0):
+                terms, tail = gaussian_terms(z, 400, tol)
+                r, n_terms = abs(z), terms.size
+                head = -0.5 * r * r + n_terms * math.log(r) - 0.5 * float(gammaln(n_terms + 1))
+                want = math.exp(head) / (1.0 - r / math.sqrt(n_terms + 1))
+                assert tail == pytest.approx(want, rel=1e-13)
 
     def test_radial_ratio_log_factorials(self):
         n = np.arange(301)
