@@ -160,6 +160,7 @@ class ThetaSeries(NamedTuple):
     normalization: NormalizationN
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing terms: still growing
 def _theta_series(spec: BicoherentSpec) -> ThetaSeries:
     """Ladder-determined series coefficients z^n / F_n (ket) and
     z^n / conj(F_n) (bra), F_n = sqrt(theta_1) ... sqrt(theta_n), as
@@ -168,7 +169,9 @@ def _theta_series(spec: BicoherentSpec) -> ThetaSeries:
 
     The terms are kept up to their `series_cut` at tail_tol max(1, max |c|),
     with the ratios bounded by |z| / sqrt(min_{k>n} |theta_k|) from
-    `_branch_thetas`; a series with no cut inside the window is refused.
+    `_branch_thetas`; a series with no cut inside the window is refused,
+    and so is one whose terms overflow (inf, then inf or nan to its end):
+    its bound on later ratios stays above 1 up to the overflow.
     One `theta_table` call covers a first guess of levels (the broken ones,
     those up to where |z| / sqrt|theta_k| falls to 1/sqrt(2), and 64 more),
     doubled until both cuts lie inside it.  T comes from the arrays the
@@ -179,7 +182,9 @@ def _theta_series(spec: BicoherentSpec) -> ThetaSeries:
     cap, pmax = spec.require_levels(), spec.cutoff.pmax
     params, z = spec.params, complex(spec.z2)
     rho = abs(z)
-    m = min(pmax, math.floor(params.V ** 2) + 64 + math.ceil(4.0 * (rho * rho / params.eps0) ** 2))
+    # the guess in floats (inf once rho^4 overflows), capped before ceil
+    spread = rho * rho / params.eps0
+    m = min(pmax, math.floor(params.V ** 2) + 64 + math.ceil(min(4.0 * spread * spread, pmax)))
     while True:
         seq, lows = _branch_thetas(params, spec.branch, m)
         steps = np.sqrt(seq[1:min(m, cap) + 1])
@@ -187,13 +192,14 @@ def _theta_series(spec: BicoherentSpec) -> ThetaSeries:
         size = np.abs(ket)
         n, tails = series_cut(size, rho / np.sqrt(lows[:size.size]),
                               spec.tail_tol * np.maximum.accumulate(np.maximum(size, 1.0)))
-        norm = None if n is None else _normalization(rho, seq, lows, pmax, 1e-14)
+        overflow = not math.isfinite(size[-1])
+        norm = None if n is None or overflow else _normalization(rho, seq, lows, pmax, 1e-14)
         if norm is not None:
             break
         if m == pmax:  # no cut inside the window (the normalization has raised if it had none)
             raise CutoffError(
                 f"theta series for |z2|={rho:.3g} is still growing at the window edge pmax={pmax}"
-                if math.isinf(tails[cap]) else
+                if overflow or math.isinf(tails[cap]) else
                 f"theta series tail {tails[cap]:.3e} above tolerance at pmax={pmax}",
                 tail_estimate=float(tails[cap]))
         m = min(pmax, 2 * m)

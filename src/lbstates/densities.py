@@ -1,11 +1,12 @@
 """Position-space probability densities and their export.
 
-A separable state (first register (x) spinor pair) is pushed to the
-Cartesian product basis one anti-diagonal at a time, as far as its
-weights reach, then evaluated on a rectangular grid as two matrix
-products per spinor component.  A built state's first register is the
-coherent series of its label z1, which only translates the density, so
-its density is its z1 = 0 density on a shifted grid.
+`density` takes built states: first register (x) spinor pair, the first
+register being the coherent series of the label z1, which only
+translates the density.  So a state's density is its z1 = 0 density on
+a shifted grid: the spinor weights of the modes e_{0,N} are pushed to
+the Cartesian product basis through the closed binomial table of
+`fock.circular_antidiagonals`, as far as the weights reach, then
+evaluated on the grid as two matrix products per spinor component.
 """
 
 from __future__ import annotations
@@ -92,78 +93,57 @@ class DensityField:
         return float(simpson(simpson(self.total, x=self.grid.y, axis=1), x=self.grid.x))
 
 
-_I_POWERS = np.array([1, 1j, -1, -1j])
+_NEG_I_POWERS = np.array([1, -1j, -1, 1j])
 
 
-def _component_cartesian(blocks, w: np.ndarray) -> np.ndarray:
-    """Product-basis coefficients C[c, j, k] (j + k < d) of sum w[n1, n2, c]
-    e_{n1,n2} for both spinor components c, w of shape (n1_top + 1, d, 2),
-    one product per block.  Anti-diagonal N of a flattened (d, d) array is
-    its strided slice [N : N d + 1 : d - 1], rows first, so C is written and
-    w (up to row n1_top) read that way."""
-    n1_top, d = w.shape[0] - 1, w.shape[1]
-    step = max(d - 1, 1)  # d = 1 holds N = 0 alone
-    flat, out = w.reshape(-1, 2), np.zeros((2, d * d), dtype=complex)
-    phases = _I_POWERS[np.arange(d) % 4]
-    for big_n, block in blocks:
-        rows = flat[big_n:big_n + min(big_n, n1_top) * step + 1:step]
-        out[:, big_n:big_n * d + 1:step] = (phases[big_n::-1, None] * (block @ rows)).T
-    return out.reshape(2, d, d)
-
-
-def _support_end(mask: np.ndarray) -> int:
-    """One past the last index where mask holds (0 when it never does)."""
-    idx = np.flatnonzero(mask)
-    return int(idx[-1]) + 1 if idx.size else 0
+def _component_cartesian(binomials: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Product-basis coefficients C[c, j, k] = (-i)^k B[j+k, j] w[j+k, c]
+    (zero for j + k >= d) of sum_N w[N, c] e_{0,N} for both spinor
+    components c, w of shape (d, 2), B = `circular_antidiagonals(d - 1)`,
+    in one gather over the pairs j <= N < d."""
+    d = w.shape[0]
+    big_n, j = np.tril_indices(d)
+    out = np.zeros((2, d, d), dtype=complex)
+    out[:, j, big_n - j] = w[big_n].T * (_NEG_I_POWERS[(big_n - j) % 4] * binomials[big_n, j])
+    return out
 
 
 def density(state: SpinorState, grid: GridSpec, params: PhysicalParams | None = None) -> DensityField:
     """Evaluate |psi|^2 (total and per component) on the grid.
 
-    A first register that is, bit for bit, the coherent series of the
-    state's recorded meta["z1"] is read as e_0 on the grid moved by
-    (-Re z1, +Im z1), so the modes follow the spinor support alone.
+    Only built states are taken: the first register must be, bit for bit,
+    the coherent series of the state's recorded meta["z1"] (of z1 = 0, so
+    e_0, when none is recorded) on its nonzero prefix, as every
+    `build_coherent`/`build_bicoherent` state's is.  Such a state is
+    D1(z1) (e_0 (x) spinor), and D1 translates the plane by (Re z1, -Im z1)
+    up to a phase that |psi|^2 drops, so its density is that of the
+    spinor's modes e_{0,n2} on the grid moved by (-Re z1, +Im z1).
     Weights below 1e-18 of a component's largest are dropped, and all work
     stops at the last anti-diagonal that keeps one.  The metadata echoes
     the state's construction record, the parameters (eps0 included) and
     the mass captured by the grid; a warning flag is set when the captured
     mass is not finite or differs from the coefficient-space mass by more
     than 0.1%.
-    Raises ContractError when the basis change does not preserve the mass
-    of the coefficients it is given to 1e-8 relative.
+    Raises ContractError for any other first register, and when the basis
+    change does not preserve the mass of the weights it is given to 1e-8
+    relative.
     """
     if params is None:
         params = PhysicalParams()
-    fr, x, y = state.first_register, grid.x, grid.y
-    nmax1, nmax2 = fr.size - 1, state.upper.size - 1
-    # a built state is D1(z1) (e_0 (x) spinor), and D1 translates the plane
-    # by (Re z1, -Im z1) up to a phase that |psi|^2 drops
-    z1, n1 = state.meta.get("z1"), _support_end(fr != 0)
-    if z1 is not None and n1 and np.array_equal(fr[:n1], coherent_coefficients(z1, n1)):
-        fr, x, y = np.ones(1, dtype=complex), x - z1.real, y + z1.imag
+    z1, fr = state.meta.get("z1", 0.0), state.first_register
+    n1 = int(np.flatnonzero(fr).max(initial=-1)) + 1
+    if not (n1 and np.array_equal(fr[:n1], coherent_coefficients(z1, n1))):
+        raise ContractError(f"density takes built states only: this first register is not the"
+                            f" coherent series of z1 = {complex(z1):.6g}")
     comps = np.stack([state.upper, state.lower], axis=-1)
-    fr_abs, comps_abs = np.abs(fr), np.abs(comps)
-    scale = fr_abs.max() * comps_abs.max(axis=0)
-    # a kept weight has each factor within 1e-18 of that factor's largest,
-    # so both are cut to that support first (with a factor-2 margin for
-    # rounding): w grows with the state's support, not with the window
-    n1_end = _support_end((fr_abs > 0) & (fr_abs >= 0.5e-18 * fr_abs.max()))
-    n2_end = _support_end(((comps_abs > 0) & (comps_abs >= 0.5e-18 * comps_abs.max(axis=0)))
-                          .any(axis=-1))
-    w = fr[:n1_end, None, None] * comps[None, :n2_end]
-    keep = (np.abs(w) >= 1e-18 * scale) & (w != 0)
-    n1s, n2s = np.nonzero(keep.any(axis=-1))
-    n_top, n1_top = int((n1s + n2s).max(initial=0)), int(n1s.max(initial=0))
-    kept = np.where(keep, w, 0)[:n1_top + 1, :n_top + 1]
-    # zero columns up to n_top: the basis change reads n2 = N - n1 for N <= n_top
-    w = np.zeros((n1_top + 1, n_top + 1, 2), dtype=complex)
-    w[:kept.shape[0], :kept.shape[1]] = kept
-    px = oscillator_table(n_top, x)
-    py = oscillator_table(n_top, y)
-    carts = _component_cartesian(circular_antidiagonals(n_top, n1_top), w)
-
-    norm2, fed = state.norm2(), SpinorState(fr, state.upper, state.lower).norm2()
-    cart_mass = float(np.vdot(carts, carts).real)
+    size = np.abs(comps)
+    keep = (size >= 1e-18 * size.max(axis=0)) & (comps != 0)
+    n_top = int(np.flatnonzero(keep.any(axis=-1)).max(initial=0))
+    w = np.where(keep[:n_top + 1], comps[:n_top + 1], 0)
+    px = oscillator_table(n_top, grid.x - z1.real)
+    py = oscillator_table(n_top, grid.y + z1.imag)
+    carts = _component_cartesian(circular_antidiagonals(n_top), w)
+    fed, cart_mass = float(np.vdot(w, w).real), float(np.vdot(carts, carts).real)
     if abs(cart_mass - fed) > 1e-8 * fed:
         raise ContractError(
             f"the circular-to-Cartesian basis change is not isometric at this window:"
@@ -172,10 +152,11 @@ def density(state: SpinorState, grid: GridSpec, params: PhysicalParams | None = 
     upper, lower = (np.abs(px.T @ c @ py) ** 2 for c in carts)
     fld = DensityField(grid, upper + lower, upper, lower)
     captured = fld.integral()
+    norm2 = state.norm2()
     meta = {
         "state": _jsonable(state.meta),
         "params": {"vf": params.vf, "xi": params.xi, "V": params.V, "eps0": params.eps0},
-        "cutoff": {"nmax1": nmax1, "nmax2": nmax2},
+        "cutoff": {"nmax1": fr.size - 1, "nmax2": state.upper.size - 1},
         "grid": {
             "x_min": grid.x_min, "x_max": grid.x_max, "nx": grid.nx,
             "y_min": grid.y_min, "y_max": grid.y_max, "ny": grid.ny,

@@ -10,7 +10,8 @@ matrices, the independent side of those checks:
 * the one-mode annihilator (`annihilator`), the Cartesian and circular
   ladders on the (j, k) oscillator grid (`ladder_matrices`), and the
   circular modes raised from the vacuum with them (`circular_mode`,
-  evaluated pointwise by `eval_mode`);
+  evaluated pointwise by `eval_mode`), the independent side of the
+  binomial modes e_{0,N} that `densities.density` reads;
 * the Hamiltonian block (2i v_F / xi) [[V, a^+], [-a, -V]] on the stacked
   (upper, lower) spinor register and on two stacked (j, k) grids;
 * each ladder of `levels.LADDERS`, as its bidiagonal matrix P on the level
@@ -97,8 +98,8 @@ def _raising_matrices(nmax2: int) -> tuple:
 
 def circular_mode(n1: int, n2: int, cutoff: FockCutoff) -> CartesianModeVector:
     """Normalized circular mode e_{n1,n2} built by repeated application of
-    the truncated raising matrices to the vacuum unit vector (the oracle of
-    `fock.circular_antidiagonals`).
+    the truncated raising matrices to the vacuum unit vector (at n1 = 0
+    the oracle of the closed binomial table `fock.circular_antidiagonals`).
 
     Requires n1 + n2 <= nmax2 so that no raising application exits the
     truncation window.

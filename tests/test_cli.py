@@ -301,6 +301,50 @@ class TestGaussianLabelRange:
         assert code == 0 and stdout == f"wrote {out} (captured mass 1 of 1)\n"
 
 
+class TestThetaLabelOverflow:
+    """A theta-family z2 whose series overflows a double is refused as
+    still growing at the window edge, with one error: line, no file and no
+    numpy warning (each would be an error here), from the first level
+    guess on: rho^4 / eps0^2 past the float range is capped at pmax before
+    math.ceil."""
+
+    FLAGS = ["--V", "0.5", "--nmax", "64", "--pmax", "64"]
+
+    @staticmethod
+    def _refusal(argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "density":
+            argv = argv + ["--grid=-2:2:5,-2:2:5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = _run_in_process(argv)
+        assert code == 1 and stdout == "", (code, stdout)
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert list(tmp_path.iterdir()) == []
+        return err
+
+    @pytest.mark.parametrize("z2", ["1e6", "1e60", "1e150", "1e200", "1e300"])
+    @pytest.mark.parametrize("family", ["eta", "xi"])
+    @pytest.mark.parametrize("cmd", ["state", "density"])
+    def test_overflowing_series_exits_one_and_writes_nothing(self, cmd, family, z2, tmp_path,
+                                                              monkeypatch):
+        err = self._refusal([cmd, "--family", family, "--z2", z2] + self.FLAGS, tmp_path,
+                            monkeypatch)
+        assert err == (f"error: theta series for |z2|={float(z2):.3g} is still growing at the"
+                       f" window edge pmax=64\n")
+
+    @pytest.mark.parametrize("cmd", ["state", "density"])
+    def test_growing_series_keeps_its_message(self, cmd, tmp_path, monkeypatch):
+        err = self._refusal([cmd, "--family", "eta", "--z2", "1e5"] + self.FLAGS, tmp_path,
+                            monkeypatch)
+        assert err == ("error: theta series for |z2|=1e+05 is still growing at the window edge"
+                       " pmax=64\n")
+        err = self._refusal([cmd, "--family", "eta", "--V", "0.5", "--z2", "1e200", "--nmax", "8",
+                             "--pmax", "8"], tmp_path, monkeypatch)
+        assert err == ("error: theta series for |z2|=1e+200 is still growing at the window edge"
+                       " pmax=8\n")
+
+
 class TestExceptionalPointMessage:
     def test_refusal_prints_a_short_level(self):
         # V^2 = 1e300 is a 301-digit integer level

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lbstates import ContractError, CutoffError, FockCutoff, PhysicalParams, densities, floattext
+from lbstates import ContractError, FockCutoff, PhysicalParams, densities, floattext
 from lbstates.bicoherent import BicoherentSpec, build_bicoherent
 from lbstates.coherent import CoherentSpec, build_coherent
 from lbstates.densities import (MAX_GRID_POINTS, DensityField, GridSpec, density, export,
@@ -111,16 +111,13 @@ class TestDensityField:
         assert density(st, GridSpec(-6, 6, 33, -6, 6, 33)).meta["mass_warning"] is True
 
     def test_non_isometric_basis_change_is_refused(self, monkeypatch):
-        from lbstates import densities, fock
+        from lbstates import fock
 
-        def doubled(n_top, n1_top):
-            for big_n, block in fock.circular_antidiagonals(n_top, n1_top):
-                yield big_n, 2.0 * block
-
-        monkeypatch.setattr(densities, "circular_antidiagonals", doubled)
-        st = basis_vector_c(ModeIndex(1, 3), FockCutoff(2, 6, 4))
+        monkeypatch.setattr(densities, "circular_antidiagonals",
+                            lambda n_top: 2.0 * fock.circular_antidiagonals(n_top))
+        st, params = _built("eta", 1.5 + 0.75j)
         with pytest.raises(ContractError, match="not isometric"):
-            density(st, GRID)
+            density(st, GRID, params)
 
 
 class TestGainLoss:
@@ -576,7 +573,7 @@ def _built(family, z1, cut=FockCutoff(64, 48, 48)):
 
 
 def _without_z1(state):
-    """The same registers with no z1 on record: density's general path."""
+    """The same registers with no z1 on record, which density reads as z1 = 0."""
     meta = {k: v for k, v in state.meta.items() if k != "z1"}
     return SpinorState(state.first_register, state.upper, state.lower, meta)
 
@@ -592,32 +589,57 @@ def _closed_form(state, z1, x, y):
         -abs(w) ** 2)
 
 
-class TestTranslatedDensity:
-    """A built state is its z1 = 0 density on a shifted grid: density reads
-    the first register as e_0 and moves the grid by (Re z1, -Im z1)."""
+def _raised_field(state, points):
+    """(upper, lower) |psi|^2 at each point by the general path: the
+    Cartesian coefficients sum fr[n1] c[n2] e_{n1,n2} of each component c,
+    every mode raised from the vacuum with the sparse ladder matrices,
+    evaluated by `eval_mode`.  No translation and no binomial table; the
+    window n1 + n2 <= nmax1 + nmax2 loses no raised term."""
+    from lbstates import eval_mode, ladder_matrices
+    from lbstates.ladders import CartesianModeVector
 
-    @staticmethod
-    def _n1_tops(monkeypatch):
-        """The n1_top each basis change of density is asked for."""
-        seen, real = [], densities.circular_antidiagonals
-        monkeypatch.setattr(densities, "circular_antidiagonals",
-                            lambda n_top, n1_top: seen.append(n1_top) or real(n_top, n1_top))
-        return seen
+    fr = state.first_register
+    window = fr.size + state.upper.size - 2
+    ops = ladder_matrices(FockCutoff(0, window))
+    a1dag, a2dag = (ops[name].matrix.conjugate().T.tocsr() for name in ("A1", "A2"))
+    modes = []
+    for c in (state.upper, state.lower):
+        spinor = np.zeros((window + 1) ** 2, dtype=complex)
+        raised = np.zeros_like(spinor)
+        raised[0] = 1.0
+        for n2, weight in enumerate(c):
+            spinor += weight * raised
+            raised = a2dag @ raised / math.sqrt(n2 + 1.0)
+        total, raised = np.zeros_like(spinor), spinor
+        for n1, weight in enumerate(fr):
+            total += weight * raised
+            raised = a1dag @ raised / math.sqrt(n1 + 1.0)
+        modes.append(CartesianModeVector(total.reshape(window + 1, window + 1)))
+    return [tuple(abs(eval_mode(m, x, y)) ** 2 for m in modes) for x, y in points]
+
+
+class TestTranslatedDensity:
+    """density takes built states only and reads each as its z1 = 0
+    density on a shifted grid: the spinor weights of the modes e_{0,N}
+    through the closed binomial table, on the grid moved by (-Re z1,
+    +Im z1).  Its oracles: the closed form `_closed_form` and the general
+    path `_raised_field`, which raises every mode e_{n1,n2} of the state."""
 
     @pytest.mark.parametrize("family", ["A", "phi", "eta"])
-    @pytest.mark.parametrize("z1", [1.5 + 0.75j, -1 - 2j])
-    def test_equals_the_general_path(self, family, z1, monkeypatch):
+    @pytest.mark.parametrize("z1", [0, 1.5 + 0.75j, -1 - 2j])
+    def test_equals_the_general_path(self, family, z1):
         st, params = _built(family, z1)
-        seen = self._n1_tops(monkeypatch)
         grid = GridSpec(-9, 9, 73, -9, 9, 65)
-        fast, slow = density(st, grid, params), density(_without_z1(st), grid, params)
-        assert seen[0] == 0 and seen[1] > 20
-        peak = slow.total.max()
-        for name in ("total", "upper", "lower"):
-            assert np.abs(getattr(fast, name) - getattr(slow, name)).max() <= 1e-13 * peak
-        assert fast.meta["captured_mass"] == pytest.approx(slow.meta["captured_mass"],
-                                                           rel=1e-13)
-        assert fast.meta["coefficient_norm2"] == slow.meta["coefficient_norm2"]
+        fld = density(st, grid, params)
+        peak = fld.total.max()
+        probes = [(i, j) for i in range(2, 73, 7) for j in range(1, 65, 9)]
+        raised = _raised_field(st, [(grid.x[i], grid.y[j]) for i, j in probes])
+        for (i, j), (up, lo) in zip(probes, raised):
+            assert abs(fld.upper[i, j] - up) <= 1e-13 * peak
+            assert abs(fld.lower[i, j] - lo) <= 1e-13 * peak
+            closed = _closed_form(st, z1, grid.x[i], grid.y[j])
+            assert abs(fld.total[i, j] - closed) <= 1e-13 * peak
+        assert fld.meta["captured_mass"] == pytest.approx(st.norm2(), rel=1e-12)
 
     def test_z1_zero_field_keeps_its_bytes(self):
         st, params = _built("phi", 0.0)
@@ -626,30 +648,33 @@ class TestTranslatedDensity:
         for name in ("total", "upper", "lower"):
             assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
 
-    def test_a_first_register_that_is_not_the_series_takes_the_general_path(self,
-                                                                            monkeypatch):
+    def test_a_first_register_that_is_not_the_series_is_refused(self):
         st, params = _built("A", 0.5 + 0.5j)
-        other = SpinorState(first_register_basis(1, 64), st.upper, st.lower, dict(st.meta))
-        seen = self._n1_tops(monkeypatch)
-        grid = GridSpec(-6, 6, 41, -6, 6, 41)
-        fld = density(other, grid, params)
-        assert seen == [1]
-        ref = density(_without_z1(other), grid, params)
-        assert fld.total.tobytes() == ref.total.tobytes()
+        nudged = st.first_register.copy()
+        nudged[3] = np.nextafter(nudged[3].real, 1.0) + 1j * nudged[3].imag
+        others = [SpinorState(first_register_basis(1, 64), st.upper, st.lower, dict(st.meta)),
+                  SpinorState(nudged, st.upper, st.lower, dict(st.meta)),
+                  SpinorState(0 * nudged, st.upper, st.lower, dict(st.meta)),
+                  SpinorState(st.first_register, st.upper, st.lower, dict(st.meta, z1=0.5)),
+                  _without_z1(st)]
+        for other in others:
+            with pytest.raises(ContractError, match="built states only"):
+                density(other, GRID, params)
 
     def test_closed_form_matches_the_general_path(self):
         # checks the oracle of the next test on a path that uses no translation
         z1 = 0.5 - 0.25j
         st, _ = _built("A", z1)
         grid = GridSpec(-4, 4, 9, -4, 4, 9)
-        fld = density(_without_z1(st), grid)
-        peak = fld.total.max()
-        for i, j in ((1, 2), (4, 4), (5, 3), (7, 8)):
-            assert abs(fld.total[i, j] - _closed_form(st, z1, grid.x[i], grid.y[j])) <= (
-                1e-12 * peak)
+        probes = ((1, 2), (4, 4), (5, 3), (7, 8))
+        raised = _raised_field(st, [(grid.x[i], grid.y[j]) for i, j in probes])
+        peak = max(up + lo for up, lo in raised)
+        for (i, j), (up, lo) in zip(probes, raised):
+            assert abs(up + lo - _closed_form(st, z1, grid.x[i], grid.y[j])) <= 1e-12 * peak
 
     def test_far_label_matches_the_closed_form(self):
-        # the general path refuses this state: its modes reach index 537
+        # its modes e_{n1,n2} would reach index 537, past the oscillator
+        # tables' limit; translated, they reach 17
         z1 = -18 + 5j
         st = build_coherent(CoherentSpec(z1, 0.5, "A", "plus", FockCutoff(800, 20, 20)))
         grid = GridSpec(-24, -12, 13, -11, 1, 13)
@@ -658,5 +683,3 @@ class TestTranslatedDensity:
         for i, j in ((6, 6), (3, 8), (9, 2), (0, 12), (7, 5)):
             assert abs(fld.total[i, j] - _closed_form(st, z1, grid.x[i], grid.y[j])) <= (
                 1e-12 * peak)
-        with pytest.raises(CutoffError, match="above hard limit"):
-            density(_without_z1(st), grid)

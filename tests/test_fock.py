@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,58 +172,39 @@ class TestCircularModes:
             circular_mode(7, 6, small_cutoff)
 
     def test_antidiagonal_blocks_match_matrix_path(self, small_cutoff):
-        # e_{n1,N-n1} = sum_j i^(N-j) R_N[j, n1] |j, N-j>
-        for big_n, block in circular_antidiagonals(9, 9):
+        # e_{0,N} = sum_j (-i)^(N-j) B[N, j] |j, N-j>, and nothing off its
+        # anti-diagonal, against the mode raised with the sparse A2^+
+        table = circular_antidiagonals(small_cutoff.nmax2)
+        for big_n in range(small_cutoff.nmax2 + 1):
             j = np.arange(big_n + 1)
-            for n1 in range(big_n + 1):
-                full = circular_mode(n1, big_n - n1, small_cutoff).coeffs
-                np.testing.assert_allclose((1j) ** (big_n - j) * block[:, n1],
-                                           full[j, big_n - j], rtol=0, atol=1e-13)
-            assert block.shape == (big_n + 1, big_n + 1)
-
-
-def kravchuk_block_entry(big_n, n1, j):
-    """Exact R_N[j, n1] = K sqrt(j! k! / (2^N n1! n2!)) with the integer
-    Kravchuk sum K = sum_a C(n1, a) C(n2, j-a) (-1)^(n2-j+a), from the two
-    binomial expansions of (A1^+)^n1 (A2^+)^n2 |00>; k = N-j, n2 = N-n1."""
-    n2, k = big_n - n1, big_n - j
-    kr = sum(math.comb(n1, a) * math.comb(n2, j - a) * (-1) ** (n2 - j + a)
-             for a in range(max(0, j - n2), min(n1, j) + 1))
-    num = kr * kr * math.factorial(j) * math.factorial(k)
-    den = 2 ** big_n * math.factorial(n1) * math.factorial(n2)
-    # the exact rational square is rounded once to float before the root
-    mag = math.sqrt(Fraction(num, den)) if num else 0.0
-    return math.copysign(mag, kr)
+            full = circular_mode(0, big_n, small_cutoff).coeffs
+            np.testing.assert_allclose((-1j) ** (big_n - j) * table[big_n, :big_n + 1],
+                                       full[j, big_n - j], rtol=0, atol=1e-14)
+            full[j, big_n - j] = 0.0
+            assert np.abs(full).max() == 0.0
 
 
 class TestAntidiagonalBlocks:
-    @pytest.mark.parametrize("big_n, cols", [(60, (0, 7, 30, 60)), (150, (1, 75, 149)),
-                                             (300, (0, 3, 150, 299)), (512, (5, 256, 512))])
-    def test_blocks_match_exact_kravchuk_sums(self, big_n, cols):
-        for n, block in circular_antidiagonals(big_n, max(cols)):
-            pass
-        assert n == big_n and block.shape == (big_n + 1, max(cols) + 1)
-        rows = range(0, big_n + 1, max(1, big_n // 64))
-        worst = max(abs(block[j, c] - kravchuk_block_entry(big_n, c, j))
-                    for c in cols for j in rows)
-        assert worst <= 1e-13
-        assert np.abs(block.T @ block - np.eye(max(cols) + 1)).max() <= 1e-13
-
     def test_column_zero_matches_its_closed_form(self):
-        # R_N[j, 0] = (-1)^(N-j) sqrt(C(N, j) / 2^N), the only column the
-        # density of a built state reads, at every N up to the psi limit;
-        # the integer quotient is rounded once to float before the root
-        worst = 0.0
-        for n, block in circular_antidiagonals(PSI_HARD_LIMIT, 0):
-            exact = [(-1) ** (n - j) * math.sqrt(math.comb(n, j) / 2 ** n) for j in range(n + 1)]
-            assert block.shape == (n + 1, 1)
-            worst = max(worst, float(np.abs(block[:, 0] - exact).max()))
-        assert worst <= 1e-13
+        # B[N, j] = sqrt(C(N, j) / 2^N), the only column the density of a
+        # built state reads, at every N up to the psi limit, and 0 for
+        # j > N; the integer quotient is rounded once to float before the root
+        table = circular_antidiagonals(PSI_HARD_LIMIT)
+        exact = np.zeros_like(table)
+        for n in range(PSI_HARD_LIMIT + 1):
+            exact[n, :n + 1] = [math.sqrt(math.comb(n, j) / 2 ** n) for j in range(n + 1)]
+        assert np.abs(table - exact).max() <= 1e-15
+        assert np.array_equal(table == 0, exact == 0)
+        # each row has unit norm: sum_j C(N, j) / 2^N = 1
+        assert np.abs(np.square(table).sum(axis=1) - 1.0).max() <= 1e-14
 
     def test_columns_do_not_depend_on_how_many_are_kept(self):
-        wide = list(circular_antidiagonals(40, 40))
-        for (n, narrow), (_, full) in zip(circular_antidiagonals(40, 6), wide):
-            np.testing.assert_array_equal(narrow, full[:, :7])
+        # a row does not depend on how many rows the table holds, so a
+        # density's bytes do not depend on how far its weights reach
+        wide = circular_antidiagonals(PSI_HARD_LIMIT)
+        for n_top in (0, 1, 6, 40):
+            np.testing.assert_array_equal(circular_antidiagonals(n_top),
+                                          wide[:n_top + 1, :n_top + 1])
 
 
 class TestLadderMatrices:
