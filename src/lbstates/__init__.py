@@ -1,45 +1,15 @@
 """Coherent and bicoherent states for a graphene layer in a magnetic field,
 with and without a PT-symmetric chemical potential, on truncated Fock
-spaces."""
+spaces.  The root exports the command path's entry points only; every
+other name, the sparse oracle (`ladders`, `pt`, `checks`) included, is
+imported from its module."""
 
-from .errors import (
-    ContractError,
-    CutoffError,
-    ExceptionalPointError,
-    LbError,
-    ShapeError,
-)
-from .fock import FockCutoff, oscillator_psi
+from .errors import ContractError, CutoffError, ExceptionalPointError, LbError, ShapeError
+from .fock import FockCutoff
 from .params import PhysicalParams
-from .spinor import ModeIndex, SpinorState, basis_vector_c
-from .ladders import (
-    CartesianModeVector,
-    SparseOperator,
-    circular_mode,
-    commutator_defect,
-    dense_hamiltonian,
-    eval_mode,
-    factorization_defect_v0,
-    ladder_matrices,
-    subspace_closure_check,
-)
-from .coherent import (
-    CoherentSpec,
-    build_coherent,
-    combined_state_defect,
-    eigen_residual,
-    resolution_identity_check,
-)
-from .levels import alpha, alpha_moduli, normalization_K, spectrum_table
-from .pt import exceptional_diagnostics, factorization_defect
-from .bicoherent import (
-    BicoherentSpec,
-    bicoherent_eigen_residual,
-    build_bicoherent,
-    normalization_N,
-    quasi_basis_check,
-)
-from .densities import DensityField, GridSpec, density, export, gain_loss
+from .coherent import CoherentSpec, build_coherent
+from .bicoherent import BicoherentSpec, build_bicoherent
+from .densities import GridSpec, density, export
 
 __version__ = "0.1.0"
 

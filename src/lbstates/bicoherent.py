@@ -54,11 +54,15 @@ from .coherent import (
     DEFAULT_TAIL_TOL,
     first_register_coherent,
     gaussian_series,
+    require_finite_label,
     require_gaussian_label,
     resolution_sum,
     series_cut,
     series_state,
 )
+
+
+NORM_TAIL_TOL = 1e-14  # the tail tolerance of every normalization_N series
 
 
 class NormalizationN(NamedTuple):
@@ -83,31 +87,30 @@ def _branch_thetas(params: PhysicalParams, branch: str, m: int) -> tuple:
     return seq[:m + 1], lows
 
 
-def _normalization(rho: float, seq: np.ndarray, lows: np.ndarray, pmax: int,
-                   tail_tol: float):
+def _normalization(rho: float, seq: np.ndarray, lows: np.ndarray, pmax: int):
     """normalization_N at |z2| = rho from `_branch_thetas` over levels up to
     K = lows.size - 1 <= pmax: the sum of term_n = rho^(2n) / |theta_n|!
-    up to its `series_cut` at tail_tol, the term ratios being at most
+    up to its `series_cut` at NORM_TAIL_TOL, the term ratios being at most
     rho^2 / lows[n].  None when K < pmax and no n <= K is a cut; a
     CutoffError when K = pmax and none is."""
     r2 = rho ** 2
     terms = np.cumprod(np.concatenate([[1.0], r2 / np.abs(seq[1:])]))
-    n, tail = series_cut(terms, r2 / lows, tail_tol)
+    n, tail = series_cut(terms, r2 / lows, NORM_TAIL_TOL)
     if n is not None:
         return NormalizationN(float(np.cumsum(terms[:n + 1])[-1]) ** -0.5, float(tail[n]), n + 1)
     if lows.size <= pmax:
         return None
     raise CutoffError(f"normalization series for |z2|={rho:.3g} does not reach tail"
-                      f" {tail_tol:.1e} within pmax={pmax} (tail estimate {tail[-1]:.3e})",
+                      f" {NORM_TAIL_TOL:.1e} within pmax={pmax} (tail estimate {tail[-1]:.3e})",
                       tail_estimate=float(tail[-1]))
 
 
 def normalization_N(z2: complex, params: PhysicalParams, cutoff: FockCutoff,
-                    branch: str = "plus", tail_tol: float = 1e-14) -> NormalizationN:
+                    branch: str = "plus") -> NormalizationN:
     """(sum_n |z2|^(2n) / |theta_n|!)^(-1/2), in (0, 1], with the computed
     tail estimate.  Depends on z2 only through |z2|."""
     seq, lows = _branch_thetas(params, branch, cutoff.pmax)
-    return _normalization(abs(z2), seq, lows, cutoff.pmax, tail_tol)
+    return _normalization(abs(z2), seq, lows, cutoff.pmax)
 
 
 # CLI family -> (family, side)
@@ -139,6 +142,7 @@ class BicoherentSpec(BranchSeries):
         require_gaussian_label("z1", self.z1)
         if self.family == "theta":
             self.params.require_non_exceptional("theta-family bicoherent state")
+            require_finite_label("z2", self.z2)
         else:
             require_gaussian_label("z2", self.z2)
 
@@ -193,7 +197,7 @@ def _theta_series(spec: BicoherentSpec) -> ThetaSeries:
         n, tails = series_cut(size, rho / np.sqrt(lows[:size.size]),
                               spec.tail_tol * np.maximum.accumulate(np.maximum(size, 1.0)))
         overflow = not math.isfinite(size[-1])
-        norm = None if n is None or overflow else _normalization(rho, seq, lows, pmax, 1e-14)
+        norm = None if n is None or overflow else _normalization(rho, seq, lows, pmax)
         if norm is not None:
             break
         if m == pmax:  # no cut inside the window (the normalization has raised if it had none)

@@ -30,7 +30,7 @@ from .params import PhysicalParams
 
 def parse_complex(text: str) -> complex:
     """Parse 'a+bi' with optional parts: '2', '-1.5', '1-1i', 'i', '-2i'.
-    Both parts must be finite."""
+    Both parts and the modulus must be finite."""
     s = text.strip().replace(" ", "")
     body = s[:-1]
     m = re.match(
@@ -50,8 +50,8 @@ def parse_complex(text: str) -> complex:
             z = complex(0.0, float(body))
     except ValueError:
         raise ValueError(f"bad complex literal {text!r}") from None
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"complex literal {text!r} is not finite")
+    if not math.isfinite(math.hypot(z.real, z.imag)):
+        raise ValueError(f"complex literal {text!r} or its modulus is not finite")
     return z
 
 

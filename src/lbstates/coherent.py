@@ -83,11 +83,20 @@ def series_cut(size, ratio, limit) -> tuple:
     return (n if hit[n] else None), tail
 
 
+def require_finite_label(name: str, z: complex) -> float:
+    """|z| by hypot (inf where abs(z) raises OverflowError); ContractError unless finite."""
+    modulus = math.hypot(z.real, z.imag)
+    if not math.isfinite(modulus):
+        raise ContractError(f"label {name}={complex(z)} is refused: its modulus is not finite")
+    return modulus
+
+
 def require_gaussian_label(name: str, z: complex) -> None:
-    """Refuse (ContractError) a label whose Gaussian prefactor exp(-|z|^2/2)
-    is below the smallest normal double, where the terms lose their digits
-    (and are all 0 past |z|^2 of about 1490)."""
-    if math.exp(-0.5 * abs(z) * abs(z)) < sys.float_info.min:
+    """Refuse (ContractError) a label whose modulus is not finite or whose
+    Gaussian prefactor exp(-|z|^2/2) is below the smallest normal double,
+    where the terms lose their digits (all 0 past |z|^2 of about 1490)."""
+    modulus = require_finite_label(name, z)
+    if math.exp(-0.5 * modulus * modulus) < sys.float_info.min:
         raise ContractError(f"label {name}={complex(z):.6g} is refused: |{name}|^2 above 1416.79"
                             f" (|{name}| above 37.64) makes the series prefactor"
                             f" exp(-|{name}|^2/2) subnormal")

@@ -33,6 +33,9 @@ DEFAULT_GRID = "-8:8:257,-8:8:257"
 # density() peaks near 40 bytes a grid point (three float fields and the
 # complex grid product), so this bounds a density near 170 MB
 MAX_GRID_POINTS = 2049 ** 2
+# the largest |bound|: past it the cube of a spacing in scipy's `simpson`
+# (even point counts) or x^2 in `oscillator_table` can overflow a double
+MAX_GRID_BOUND = 1e102
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,9 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        spans = (self.x_min, self.x_max, self.x_max - self.x_min,
-                 self.y_min, self.y_max, self.y_max - self.y_min)
-        if not all(math.isfinite(v) for v in spans):
-            raise ContractError("grid bounds and their spans must be finite")
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not all(abs(v) <= MAX_GRID_BOUND for v in bounds):
+            raise ContractError(f"grid bounds must be finite with |bound| <= {MAX_GRID_BOUND:.0e}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ContractError("grid bounds must be increasing")
         if self.nx < 2 or self.ny < 2:

@@ -53,11 +53,6 @@ class FockCutoff:
         if not (0 <= self.pmax <= self.nmax2):
             raise CutoffError("pmax must satisfy 0 <= pmax <= nmax2")
 
-    @property
-    def cart_dim(self) -> int:
-        """Dimension of the truncated (j, k) grid."""
-        return (self.nmax2 + 1) ** 2
-
 
 def oscillator_psi(n: int, x):
     """Normalized 1D oscillator eigenfunction psi_n(x): row n of

@@ -2,10 +2,10 @@
 
 No command builds a matrix.  States, residuals and densities are filled
 from the level table and the ladder table of `levels` (`ladder_apply`
-moves a level without a matrix), so only `checks`, `pt`, the package's
-`__init__` (for the library API) and the tests import this module, and no
-command but `check` reaches it.  Here the same operators are scipy sparse
-matrices, the independent side of those checks:
+moves a level without a matrix), so only `checks`, `pt` and the tests
+import this module: neither `import lbstates` nor any command but `check`
+loads it.  Here the same operators are scipy sparse matrices, the
+independent side of those checks:
 
 * the one-mode annihilator (`annihilator`), the Cartesian and circular
   ladders on the (j, k) oscillator grid (`ladder_matrices`), and the

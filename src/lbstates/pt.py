@@ -15,7 +15,7 @@ eigenvalues theta_p = E_p - E_0 are the tables of `levels`.  The four
 ladders A_K_V, B_K_V, c2 and d2 are entries of the one ladder table of
 `levels`; `pt_spinor_ladder` is the sparse spinor-register realization
 X P Y^H of one of them, from the oracle module `ladders`.  Like `ladders`,
-this module serves `check` and the tests; no other command imports it.
+this module serves `check` and the tests; no other command loads it.
 """
 
 from __future__ import annotations

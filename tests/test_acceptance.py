@@ -14,26 +14,18 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from lbstates import (
-    ExceptionalPointError,
-    FockCutoff,
-    ModeIndex,
-    PhysicalParams,
-    alpha,
-    basis_vector_c,
-    combined_state_defect,
-    exceptional_diagnostics,
-    factorization_defect,
-    normalization_N,
-)
-from lbstates.bicoherent import BicoherentSpec, bi_product, bicoherent_eigen_residual, build_bicoherent
-from lbstates.coherent import CoherentSpec, build_coherent, eigen_residual, resolution_identity_check
+from lbstates import ExceptionalPointError, FockCutoff, PhysicalParams
+from lbstates.bicoherent import (BicoherentSpec, bi_product, bicoherent_eigen_residual,
+                                 build_bicoherent, normalization_N)
+from lbstates.coherent import (CoherentSpec, build_coherent, combined_state_defect, eigen_residual,
+                               resolution_identity_check)
 from lbstates.densities import GridSpec, density, gain_loss
 from lbstates.ladders import (annihilator, factorization_defect_v0, hamiltonian_spinor_matrix,
                               ladder_matrices, restricted_spinor_block)
-from lbstates.levels import alpha_moduli, level_spinors, spectrum_table
-from lbstates.pt import biorth_level_matrices, pt_spinor_ladder
-from lbstates.spinor import level_matrix
+from lbstates.levels import alpha, alpha_moduli, level_spinors, spectrum_table
+from lbstates.pt import (biorth_level_matrices, exceptional_diagnostics, factorization_defect,
+                         pt_spinor_ladder)
+from lbstates.spinor import ModeIndex, basis_vector_c, level_matrix
 
 DESK = FockCutoff(64, 64, 32)
 DESK_WIDE = FockCutoff(64, 64, 64)   # level window for |z2| up to 2*sqrt(2)

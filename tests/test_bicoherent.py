@@ -6,18 +6,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mp_reference
-from lbstates import (
-    ContractError,
-    CutoffError,
-    ExceptionalPointError,
-    FockCutoff,
-    PhysicalParams,
-    bicoherent_eigen_residual,
-    build_bicoherent,
-    normalization_N,
-    quasi_basis_check,
-)
-from lbstates.bicoherent import FAMILIES, BicoherentSpec, _theta_series, bi_product
+from lbstates import (ContractError, CutoffError, ExceptionalPointError, FockCutoff,
+                      PhysicalParams, build_bicoherent)
+from lbstates.bicoherent import (FAMILIES, BicoherentSpec, _theta_series, bi_product,
+                                 bicoherent_eigen_residual, normalization_N, quasi_basis_check)
 from lbstates import bicoherent
 from lbstates.levels import PAIRINGS, level_spinors, level_table, theta_table
 from lbstates.pt import phi_norm_bound
@@ -150,6 +142,13 @@ class TestConstruction:
     def test_tolerance_outside_unit_interval_is_refused(self, tol, family):
         with pytest.raises(ContractError, match=r"tail tolerance must be in \(0, 1\)"):
             BicoherentSpec(0.1, 0.1, family, "ket", "plus", P_HALF, CUT, tol)
+
+    @pytest.mark.parametrize("z1, z2", [(complex(1.7e308, 1.7e308), 0.1),
+                                        (0.1, complex(1.7e308, -1.7e308)), (0.1, math.nan)])
+    @pytest.mark.parametrize("family", ["standard", "theta"])
+    def test_label_whose_modulus_is_not_finite_is_refused(self, z1, z2, family):
+        with pytest.raises(ContractError, match="modulus is not finite"):
+            BicoherentSpec(z1, z2, family, "ket", "plus", P_HALF, CUT)
 
     def test_window_too_small(self):
         with pytest.raises(CutoffError):

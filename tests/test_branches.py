@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import mp_reference
-from lbstates import CutoffError, FockCutoff, PhysicalParams, normalization_N
-from lbstates.bicoherent import FAMILIES, BicoherentSpec, _theta_series, build_bicoherent
+from lbstates import CutoffError, FockCutoff, PhysicalParams
+from lbstates.bicoherent import (FAMILIES, BicoherentSpec, _theta_series, build_bicoherent,
+                                 normalization_N)
 from lbstates.coherent import CoherentSpec, build_coherent, gaussian_series
 from lbstates.levels import BRANCHES, PAIRINGS, window_levels
 

@@ -38,7 +38,8 @@ class TestComplexParsing:
         assert parse_complex(text) == value
 
     def test_bad_literals(self):
-        for bad in ("", "abc", "1+2", "i2", "1+", "nan", "inf", "-inf", "1+nani", "infi", "1e999"):
+        for bad in ("", "abc", "1+2", "i2", "1+", "nan", "inf", "-inf", "1+nani", "infi", "1e999",
+                    "1.7e308+1.7e308i", "-1.7e308-1.7e308i"):
             with pytest.raises(ValueError):
                 parse_complex(bad)
 
@@ -639,8 +640,10 @@ class TestInputBoundary:
         assert captured.out == ""
         assert "error" in captured.err
 
-    @pytest.mark.parametrize("label", ["abc", "1+", "nan", "inf", "1+nani"])
-    @pytest.mark.parametrize("cmd,flag", [("state", "--z1"), ("state", "--z2"), ("density", "--z1")])
+    # the last label has finite parts and a modulus that overflows a double
+    @pytest.mark.parametrize("label", ["abc", "1+", "nan", "inf", "1+nani", "1.7e308+1.7e308i"])
+    @pytest.mark.parametrize("cmd,flag", [("state", "--z1"), ("state", "--z2"), ("density", "--z1"),
+                                          ("density", "--z2")])
     def test_bad_label_is_usage_error(self, cmd, flag, label, tmp_path, capsys):
         argv = [cmd, "--family", "A", f"{flag}={label}", "--nmax", "8", "--pmax", "8"]
         if cmd == "density":
@@ -648,7 +651,8 @@ class TestInputBoundary:
         assert cli_main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument {flag}: invalid" in captured.err
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}: invalid" in errors[0], captured.err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tol", ["2", "1", "0", "-1e-12", "nan", "inf"])
@@ -667,8 +671,13 @@ class TestInputBoundary:
         assert "0/0" not in captured.out
         assert "error" in captured.err
 
+    # bounds past MAX_GRID_BOUND = 1e102 are refused before the warnings
+    # (errors here) of simpson's cubed spacing, from 1e103, and of x^2 in
+    # oscillator_table, from about 1.34e154
     @pytest.mark.parametrize("grid", ["-inf:inf:5,-1:1:5", "0:1:5,0:1e400:5",
-                                      "0:1:40000,0:1:40000"])
+                                      "0:1:40000,0:1:40000", "-1e103:1e103:4,-1:1:3",
+                                      "-1:1:3,-1e103:1e103:4", "-1.34e154:1.34e154:4,-1:1:3",
+                                      "-1e170:1e170:5,-1:1:3", "-1e200:1e200:4,-1:1:3"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unbounded_grid_exits_one_and_writes_nothing(self, grid, fmt, tmp_path, capsys):
         out = os.fspath(tmp_path / f"d.{fmt}")
@@ -678,8 +687,19 @@ class TestInputBoundary:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "grid" in captured.err
+        assert captured.err.startswith("error: grid") and captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("grid", ["-1e102:1e102:4,-1:1:3", "-1:1:3,-1e102:1e102:4"])
+    def test_grid_at_the_bound_runs_clean(self, grid, tmp_path):
+        out = os.fspath(tmp_path / "d.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = _run_in_process(["density", "--family", "A", "--z2", "1",
+                                                 "--nmax", "40", "--pmax", "40",
+                                                 f"--grid={grid}", "--out", out])
+        assert code == 0 and err == "", err
+        assert stdout.startswith(f"wrote {out} (captured mass ")
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--pmax", "1"],

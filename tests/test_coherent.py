@@ -8,20 +8,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 import mp_reference
-from lbstates import (
-    ContractError,
-    CutoffError,
-    FockCutoff,
-    ModeIndex,
-    basis_vector_c,
-    build_coherent,
-    combined_state_defect,
-    eigen_residual,
-    resolution_identity_check,
-)
+from lbstates import ContractError, CutoffError, FockCutoff, build_coherent
 from lbstates import coherent
-from lbstates.coherent import (CoherentSpec, coherent_coefficients, gaussian_terms,
-                               radial_factorial_ratio, series_cut)
+from lbstates.coherent import (CoherentSpec, coherent_coefficients, combined_state_defect,
+                               eigen_residual, gaussian_terms, radial_factorial_ratio,
+                               resolution_identity_check, series_cut)
+from lbstates.spinor import ModeIndex, basis_vector_c
 
 CUT = FockCutoff(64, 64, 64)
 ZGRID = (0, 1, -1, 1j, -1j, 1 - 1j, 2 + 2j)
@@ -58,6 +50,13 @@ class TestConstruction:
     def test_tolerance_outside_unit_interval_is_refused(self, tol):
         with pytest.raises(ContractError, match=r"tail tolerance must be in \(0, 1\)"):
             CoherentSpec(0.1, 0.1, "A", "plus", CUT, tol)
+
+    @pytest.mark.parametrize("z1, z2", [(complex(1.7e308, 1.7e308), 0.1),
+                                        (0.1, complex(-1.7e308, 1.7e308)),
+                                        (math.nan, 0.1), (0.1, complex(0.0, math.inf))])
+    def test_label_whose_modulus_is_not_finite_is_refused(self, z1, z2):
+        with pytest.raises(ContractError, match="modulus is not finite"):
+            CoherentSpec(z1, z2, "A", "plus", CUT)
 
     def test_tail_bound_is_monotone_in_terms(self):
         size = np.abs(coherent_coefficients(2 + 2j, 41))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from lbstates import ContractError, FockCutoff, PhysicalParams, densities, floattext
 from lbstates.bicoherent import BicoherentSpec, build_bicoherent
 from lbstates.coherent import CoherentSpec, build_coherent
-from lbstates.densities import (MAX_GRID_POINTS, DensityField, GridSpec, density, export,
+from lbstates.densities import (MAX_GRID_BOUND, MAX_GRID_POINTS, DensityField, GridSpec, density, export,
                                 gain_loss)
 from lbstates.levels import alpha_moduli
 from lbstates.params import discriminant
@@ -43,6 +43,14 @@ class TestGridSpec:
     def test_non_finite_bounds_rejected(self, bad):
         with pytest.raises(ContractError, match="finite"):
             GridSpec.parse(bad)
+
+    def test_bounds_beyond_the_limit_are_refused(self):
+        beyond = math.nextafter(MAX_GRID_BOUND, math.inf)
+        for i in range(4):
+            bounds = [-1.0, 1.0, -1.0, 1.0]
+            bounds[i] = beyond if i % 2 else -beyond
+            with pytest.raises(ContractError, match=r"\|bound\| <= 1e\+102"):
+                GridSpec(bounds[0], bounds[1], 4, bounds[2], bounds[3], 4)
 
     def test_point_count_is_bounded_before_allocating(self):
         tracemalloc.start()
@@ -497,8 +505,7 @@ def _direct(state, points):
     every mode raised from the vacuum with the sparse ladder matrices,
     evaluated by `eval_mode`.  No translation and no binomial table; the
     window n1 + n2 <= nmax1 + nmax2 loses no raised term."""
-    from lbstates import eval_mode, ladder_matrices
-    from lbstates.ladders import CartesianModeVector
+    from lbstates.ladders import CartesianModeVector, eval_mode, ladder_matrices
 
     fr = state.first_register
     window = fr.size + state.upper.size - 2

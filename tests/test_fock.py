@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from lbstates import (
-    CutoffError,
-    FockCutoff,
-    circular_mode,
-    eval_mode,
-    ladder_matrices,
-    oscillator_psi,
-)
+from lbstates import CutoffError, FockCutoff
 from lbstates import ladders
-from lbstates.fock import PSI_HARD_LIMIT, circular_antidiagonals, oscillator_table
+from lbstates.fock import PSI_HARD_LIMIT, circular_antidiagonals, oscillator_psi, oscillator_table
+from lbstates.ladders import circular_mode, eval_mode, ladder_matrices
 
 SQRT2 = math.sqrt(2.0)
 

@@ -14,16 +14,9 @@ import pytest
 import scipy.sparse as sp
 
 import mp_reference as ref
-from lbstates import (
-    CoherentSpec,
-    ContractError,
-    CutoffError,
-    ExceptionalPointError,
-    FockCutoff,
-    PhysicalParams,
-    alpha,
-    normalization_K,
-)
+from lbstates import (CoherentSpec, ContractError, CutoffError, ExceptionalPointError,
+                      FockCutoff, PhysicalParams)
+from lbstates.levels import alpha, normalization_K
 from lbstates import bicoherent, coherent, levels, pt, spinor
 from lbstates.bicoherent import BicoherentSpec
 from lbstates.params import discriminant

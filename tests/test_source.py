@@ -1,7 +1,11 @@
 """Source hygiene of the package, read with the standard library's `ast`."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -44,9 +48,10 @@ def test_a_stale_import_is_found():
     assert stale_imports(source) == {"math": 2, "theta_table": 4}
 
 
-# what no module that `cli` reaches at import time may import: the sparse
-# oracle and the modules built on it load only for `check` (whose function-
-# level import of `checks` is not followed) and for the tests
+# what no module that the package's `__init__` or `cli` reaches at import
+# time may import: the sparse oracle and the modules built on it load only
+# for `check` (whose function-level import of `checks` is not followed) and
+# for the tests
 ORACLE_IMPORTS = ("scipy.sparse", "lbstates.ladders", "lbstates.pt", "lbstates.checks")
 
 
@@ -71,13 +76,13 @@ def module_imports(tree: ast.Module, package: str) -> set:
     return found
 
 
-def command_path_violations(package_dir: pathlib.Path, start: str = "cli") -> dict:
-    """The modules of the package reached from `start` through module-level
-    imports, each mapped to the oracle imports it makes.  Neither the
-    oracle modules nor the package's `__init__` (which loads every module
-    for the library API) are followed."""
+def command_path_violations(package_dir: pathlib.Path) -> dict:
+    """The modules of the package reached from its `__init__` (which every
+    command process runs first) and from `cli` through module-level imports,
+    each mapped to the oracle imports it makes.  The oracle modules are not
+    followed."""
     name = package_dir.name
-    seen, todo, bad = set(), [start], {}
+    seen, todo, bad = set(), ["__init__", "cli"], {}
     while todo:
         module = todo.pop()
         if module in seen:
@@ -107,5 +112,40 @@ def test_command_path_rule_finds_an_oracle_import(tmp_path):
     levels.write_text(levels.read_text() + "\nimport scipy.sparse\n")
     (copy / "floattext.py").write_text((copy / "floattext.py").read_text()
                                        + "\nfrom . import pt\n")
+    (copy / "__init__.py").write_text((copy / "__init__.py").read_text()
+                                      + "\nfrom .ladders import ladder_matrices\n")
     assert command_path_violations(copy) == {"lbstates.levels": ["scipy.sparse"],
-                                             "lbstates.floattext": ["lbstates.pt"]}
+                                             "lbstates.floattext": ["lbstates.pt"],
+                                             "lbstates.__init__": ["lbstates.ladders"]}
+
+
+ORACLE_MODULES = sorted(m for m in ORACLE_IMPORTS if m.startswith("lbstates."))
+
+# runs the CLI as `python -m lbstates.cli` does, then prints its exit code
+# and the oracle modules in sys.modules as its last stdout line
+_LOADED_SCRIPT = """
+import json, runpy, sys
+sys.argv = ["lbstates"] + sys.argv[1:]
+try:
+    runpy.run_module("lbstates.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(set(sys.modules) & {%s})]))
+""" % ", ".join(map(repr, ORACLE_MODULES))
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["spectrum", "--pmax", "4"], []),
+    (["state", "--family", "A", "--z2", "1", "--nmax", "40", "--pmax", "40"], []),
+    (["density", "--family", "eta", "--V", "0.5", "--z2", "1", "--nmax", "40", "--pmax", "40",
+      "--grid=-2:2:5,-2:2:5", "--out", "d.json"], []),
+    (["scan-v", "--from", "0.5", "--to", "1.5", "--steps", "3", "--pmax", "4"], []),
+    (["check", "--suite", "pt.theta"], ORACLE_MODULES),
+], ids=["spectrum", "state", "density", "scan-v", "check"])
+def test_a_command_process_loads_the_oracle_for_check_only(argv, loaded, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded]

@@ -3,17 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lbstates import (
-    CutoffError,
-    FockCutoff,
-    ModeIndex,
-    PhysicalParams,
-    basis_vector_c,
-    dense_hamiltonian,
-)
-from lbstates.ladders import hamiltonian_spinor_matrix, restricted_spinor_block
+from lbstates import CutoffError, FockCutoff, PhysicalParams
+from lbstates.ladders import dense_hamiltonian, hamiltonian_spinor_matrix, restricted_spinor_block
 from lbstates.levels import level_spinors, spectrum_table, window_levels
-from lbstates.spinor import V0, SpinorState, first_register_basis, level_matrix
+from lbstates.spinor import (V0, ModeIndex, SpinorState, basis_vector_c, first_register_basis,
+                             level_matrix)
 
 
 class TestBasisVectors:
@@ -114,7 +108,7 @@ class TestDenseHamiltonian:
         cut = FockCutoff(0, 10)
         big_n = 8
         h = dense_hamiltonian(params, cut).matrix.toarray()
-        d2 = cut.cart_dim
+        d2 = (cut.nmax2 + 1) ** 2
         cols = []
         for total_cap, offset in ((big_n, 0), (big_n - 1, d2)):
             for n1 in range(total_cap + 1):
