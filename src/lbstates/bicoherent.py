@@ -10,7 +10,7 @@ Two families per branch and side:
     eigenvalue equations.
 
 The plus branch runs over levels p = n >= 0, the minus branch over
-p = -n-1 (`levels.BRANCHES`); the minus branch's denominator sequence is
+p = -n-1 (`levels.PAIRINGS`); the minus branch's denominator sequence is
 built from the negative-level shifts (their moduli differ from the
 positive ones once V > 1, which is why the two branches carry separate
 normalizations).
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
-from .levels import BRANCHES, BranchSeries, level_table, theta_table
+from .levels import PAIRINGS, BranchSeries, level_table, theta_table
 from .params import PhysicalParams
 from .spinor import SpinorState, pairing_residual
 from .coherent import (
@@ -78,7 +78,7 @@ def _branch_thetas(params: PhysicalParams, branch: str, m: int) -> tuple:
     lows[n] is |theta_(n+1)|, or the smaller of the two levels around V^2
     while n < [V^2] on the minus branch."""
     v2 = math.floor(params.V ** 2)
-    step = BRANCHES[("eta", branch)].step
+    step = PAIRINGS[("eta", branch)].step
     seq = theta_table(step * np.concatenate([np.arange(m + 2), [v2, v2 + 1]]), params)
     mods = np.abs(seq)
     lows = mods[1:m + 2].copy()
@@ -87,13 +87,14 @@ def _branch_thetas(params: PhysicalParams, branch: str, m: int) -> tuple:
     return seq[:m + 1], lows
 
 
+@np.errstate(over="ignore")  # overflowing terms: no cut, as for rho^2 = inf
 def _normalization(rho: float, seq: np.ndarray, lows: np.ndarray, pmax: int):
     """normalization_N at |z2| = rho from `_branch_thetas` over levels up to
     K = lows.size - 1 <= pmax: the sum of term_n = rho^(2n) / |theta_n|!
     up to its `series_cut` at NORM_TAIL_TOL, the term ratios being at most
     rho^2 / lows[n].  None when K < pmax and no n <= K is a cut; a
     CutoffError when K = pmax and none is."""
-    r2 = rho ** 2
+    r2 = float(np.float64(rho) ** 2)  # C pow, as rho ** 2, but inf where that raises
     terms = np.cumprod(np.concatenate([[1.0], r2 / np.abs(seq[1:])]))
     n, tail = series_cut(terms, r2 / lows, NORM_TAIL_TOL)
     if n is not None:
@@ -108,9 +109,11 @@ def _normalization(rho: float, seq: np.ndarray, lows: np.ndarray, pmax: int):
 def normalization_N(z2: complex, params: PhysicalParams, cutoff: FockCutoff,
                     branch: str = "plus") -> NormalizationN:
     """(sum_n |z2|^(2n) / |theta_n|!)^(-1/2), in (0, 1], with the computed
-    tail estimate.  Depends on z2 only through |z2|."""
+    tail estimate.  Depends on z2 only through |z2|, which must be finite
+    (ContractError)."""
+    rho = require_finite_label("z2", z2)
     seq, lows = _branch_thetas(params, branch, cutoff.pmax)
-    return _normalization(abs(z2), seq, lows, cutoff.pmax)
+    return _normalization(rho, seq, lows, cutoff.pmax)
 
 
 # CLI family -> (family, side)
@@ -131,12 +134,9 @@ class BicoherentSpec(BranchSeries):
     tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
-        if self.family not in ("standard", "theta"):
-            raise ContractError(f"unknown family {self.family!r}")
-        if self.side not in ("ket", "bra"):
-            raise ContractError(f"unknown side {self.side!r}")
-        if self.branch not in ("plus", "minus"):
-            raise ContractError(f"unknown branch {self.branch!r}")
+        if self.key not in PAIRINGS:
+            raise ContractError(f"unknown family/side/branch"
+                                f" {self.family!r}/{self.side!r}/{self.branch!r}")
         if not 0.0 < self.tail_tol < 1.0:
             raise ContractError(f"tail tolerance must be in (0, 1), got {self.tail_tol!r}")
         require_gaussian_label("z1", self.z1)
@@ -148,7 +148,7 @@ class BicoherentSpec(BranchSeries):
 
     @property
     def key(self) -> tuple:
-        return (_LABELS[(self.family, self.side)], self.branch)
+        return (_LABELS.get((self.family, self.side)), self.branch)
 
     def dual(self) -> "BicoherentSpec":
         other = "bra" if self.side == "ket" else "ket"
@@ -265,11 +265,10 @@ def build_bicoherent(spec: BicoherentSpec) -> SpinorState:
     return state
 
 
-def bi_product(ket_spec: BicoherentSpec, bra_spec: BicoherentSpec | None = None) -> complex:
-    """<ket, bra> for the matching dual pair (defaults to the spec's dual,
-    built with it)."""
+def bi_product(ket_spec: BicoherentSpec) -> complex:
+    """<ket, bra> for the spec's state and its dual, built with it."""
     ket = build_bicoherent(ket_spec)
-    return ket.inner(ket.dual if bra_spec is None else build_bicoherent(bra_spec))
+    return ket.inner(ket.dual)
 
 
 def bicoherent_eigen_residual(spec: BicoherentSpec, state: SpinorState, operator: str) -> float:
@@ -292,7 +291,7 @@ def quasi_basis_check(f: SpinorState, g: SpinorState, params: PhysicalParams,
     """
     if order not in ("phi_psi", "psi_phi"):
         raise ContractError(f"unknown order {order!r}: expected 'phi_psi' or 'psi_phi'")
-    row = BRANCHES[("phi", branch)]
+    row = PAIRINGS[("phi", branch)]
     ps = row.sigma(np.arange(row.cap(cutoff.pmax) + 1))
     table = level_table(ps, params)
     x, y = table[:2], table[2:]

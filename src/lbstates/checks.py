@@ -232,9 +232,9 @@ def check_k_closure():
     # each V = 0 ladder keeps both halves of its family's split (A: p >= 0 /
     # p <= -1, B: p >= 1 / p <= 0); B2 leaves the lower A half
     pmax = 6
-    ok = all(ld.subspace_closure_check(key, lv.BRANCHES[(key[0], branch)], pmax)
-             for key in lv.V0_LADDERS for branch in ("plus", "minus"))
-    ok = ok and not ld.subspace_closure_check("B2", lv.BRANCHES[("A", "minus")], pmax)
+    rows = [(fam, row) for (fam, _), row in lv.PAIRINGS.items() if fam in ("A", "B")]
+    ok = all(ld.subspace_closure_check(a.ladder, b, pmax) for f, a in rows for g, b in rows if f == g)
+    ok = ok and not ld.subspace_closure_check("B2", lv.PAIRINGS[("A", "minus")], pmax)
     return _result(0.0 if ok else 1.0, 0.5, ok=ok)
 
 
@@ -258,12 +258,12 @@ def check_coherent_norms():
 def check_coherent_residuals():
     cut = fock.FockCutoff(40, 40, 40)
     worst = 0.0
-    for (family, branch), (op, _, _) in lv.PAIRINGS.items():
+    for (family, branch), row in lv.PAIRINGS.items():
         if family not in ("A", "B"):
             continue  # the V != 0 families
         spec = ch.CoherentSpec(1 - 1j, 1 + 0.5j, family, branch, cut)
         st = ch.build_coherent(spec)
-        worst = max(worst, ch.eigen_residual(spec, st, op))
+        worst = max(worst, ch.eigen_residual(spec, st, row.op))
         worst = max(worst, ch.eigen_residual(spec, st, "A1"))
     return _result(worst, 1e-8)
 
@@ -433,12 +433,12 @@ def check_bicoherent_residuals():
     for v, window in ((0.5, 48), (9.5, 150)):
         params = PhysicalParams(V=v)
         cut = fock.FockCutoff(10, window, window)
-        for (family, branch), (op, _, _) in lv.PAIRINGS.items():
+        for (family, branch), row in lv.PAIRINGS.items():
             if family not in bc.FAMILIES:
                 continue  # the V = 0 families
             spec = bc.BicoherentSpec(0.0, 1 - 1j, *bc.FAMILIES[family], branch, params, cut)
             st = bc.build_bicoherent(spec)
-            worst = max(worst, bc.bicoherent_eigen_residual(spec, st, op))
+            worst = max(worst, bc.bicoherent_eigen_residual(spec, st, row.op))
             worst = max(worst, bc.bicoherent_eigen_residual(spec, st, "A1"))
     return _result(worst, 1e-8)
 

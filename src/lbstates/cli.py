@@ -73,7 +73,7 @@ _FLAGS = {
     "--tol": dict(type=float, default=1e-12, help="series tail tolerance"),
     "--z1": dict(type=parse_complex, default="0", help="first-register label, 'a+bi'"),
     "--z2": dict(type=parse_complex, default="0", help="level-register label, 'a+bi'"),
-    "--family": dict(required=True, choices=("A", "B", "phi", "psi", "eta", "xi"),
+    "--family": dict(required=True, choices=tuple(dict.fromkeys(fam for fam, _ in PAIRINGS)),
                      help="A/B: V=0 coherent; phi/psi: standard bicoherent ket/bra;"
                           " eta/xi: theta-family ket/bra"),
     "--branch": dict(choices=("plus", "minus"), default="plus"),
@@ -152,9 +152,16 @@ def _require_rows(pmax: int, steps: int = 1, v_from: float = 0.0, v_to: float = 
 
 
 def _level_records(params: PhysicalParams, pmax: int) -> list:
-    """One record per level of the window, from one `spectrum_table` call."""
+    """One record per level of the window, from one `spectrum_table` call.
+    E_p (one part of it zero) is 0 at exceptional levels and at p = V = 0
+    only; one that underflows has lost digits and is refused."""
     ps = window_levels(pmax)
     energies, labels = spectrum_table(ps, params)
+    size = np.maximum(np.abs(energies.real), np.abs(energies.imag))
+    lost = (size < sys.float_info.min) & (labels != "exceptional") & ((ps != 0) | (params.V != 0.0))
+    if lost.any():
+        raise ContractError(f"energy E_{ps[lost][0]} = {format_complex(energies[lost][0])}"
+                            f" underflows and loses digits; eps0 = {params.eps0!r}")
     return [{"p": p, "energy": format_complex(e), "re": e.real, "im": e.imag, "class": label}
             for p, e, label in zip(ps.tolist(), energies.tolist(), labels.tolist())]
 
@@ -207,7 +214,7 @@ def cmd_state(args, parser) -> int:
         "mass_ratio": masses["ratio"],
         "tails": {k: v for k, v in state.meta.items() if k.startswith("tail")},
     }
-    op = PAIRINGS[(args.family, args.branch)][0]
+    op = PAIRINGS[(args.family, args.branch)].op
     residual = eigen_residual if isinstance(spec, CoherentSpec) else bicoherent_eigen_residual
     report["eigen_residuals"] = {"A1": residual(spec, state, "A1"), op: residual(spec, state, op)}
     if isinstance(spec, BicoherentSpec):

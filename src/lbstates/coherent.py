@@ -9,7 +9,7 @@ decompositions of the level index:
     family B, minus:  levels p = -n2       (lowered by B2)
 
 with the standard double series over (n1, n2), Gaussian prefactor and
-sqrt(n1! n2!) denominators; the levels are read from `levels.BRANCHES`.
+sqrt(n1! n2!) denominators; the levels are read from `levels.PAIRINGS`.
 Every series of the package, these and the theta family's, stops where
 `series_cut` puts it: at the first term whose geometric bound on all the
 later terms meets the limit.  A Gaussian label with |z|^2 above 1416.79
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
-from .levels import (BRANCHES, BranchSeries, column_coefficients, level_table, series_stack,
+from .levels import (PAIRINGS, BranchSeries, column_coefficients, level_table, series_stack,
                      window_levels)
 from .spinor import V0, SpinorState, pairing_residual
 
@@ -50,10 +50,8 @@ class CoherentSpec(BranchSeries):
     side = "ket"
 
     def __post_init__(self):
-        if self.family not in ("A", "B"):
-            raise ContractError(f"unknown family {self.family!r}")
-        if self.branch not in ("plus", "minus"):
-            raise ContractError(f"unknown branch {self.branch!r}")
+        if self.family not in ("A", "B") or self.key not in PAIRINGS:
+            raise ContractError(f"unknown family/branch {self.family!r}/{self.branch!r}")
         if not 0.0 < self.tail_tol < 1.0:
             raise ContractError(f"tail tolerance must be in (0, 1), got {self.tail_tol!r}")
         require_gaussian_label("z1", self.z1)
@@ -177,12 +175,10 @@ def build_coherent(spec: CoherentSpec) -> SpinorState:
     return series_state(fr, ps, rows, spec.side, weights, cut.nmax2, meta)
 
 
-def eigen_residual(spec: CoherentSpec, state: SpinorState, operator, strict: bool = True) -> float:
-    """|| O Phi - z Phi || (`spinor.pairing_residual`).  With strict=True
-    (the contract), a ladder without an eigenvalue equation on the branch
-    raises ContractError; strict=False computes the residual anyway, which
-    is how the branch asymmetry is documented."""
-    return pairing_residual(spec, state, operator, strict=strict)
+def eigen_residual(spec: CoherentSpec, state: SpinorState, operator) -> float:
+    """|| O Phi - z Phi || (`spinor.pairing_residual`) for A1 or the ladder
+    paired with the spec's family and branch; ContractError for any other."""
+    return pairing_residual(spec, state, operator)
 
 
 # Gauss-Laguerre order of the radial integrals: exact for the monomials up
@@ -202,7 +198,9 @@ def radial_factorial_ratio(nmax: int) -> np.ndarray:
     n = np.arange(nmax + 1)
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(n[1:]))])  # log(n!)
     log_terms = np.log(weights)[None, :] + n[:, None] * np.log(nodes)[None, :] - log_fact[:, None]
-    return np.exp(log_terms).sum(axis=1)
+    ratio = np.exp(log_terms).sum(axis=1)
+    ratio.setflags(write=False)  # one cached array serves every caller: read only
+    return ratio
 
 
 def resolution_sum(f: SpinorState, g: SpinorState, cutoff: FockCutoff, terms) -> complex:
@@ -224,12 +222,12 @@ def resolution_sum(f: SpinorState, g: SpinorState, cutoff: FockCutoff, terms) ->
     return complex(fr * np.sum(r2 * np.conj(left) * right))
 
 
-def _v0_terms(branches, cutoff: FockCutoff, scale: float = 1.0) -> list:
-    """`resolution_sum` terms L = R = scale v_p over the branches' levels,
-    on the series indices all of them reach."""
-    n = np.arange(min(b.cap(cutoff.pmax) for b in branches) + 1)
-    rows = [(b.sigma(n), scale * level_table(b.sigma(n), V0)[:2]) for b in branches]
-    return [(ps, v, v) for ps, v in rows]
+def _v0_terms(rows, cutoff: FockCutoff, scale: float = 1.0) -> list:
+    """`resolution_sum` terms L = R = scale v_p over the levels of the
+    `PAIRINGS` rows, on the series indices all of them reach."""
+    n = np.arange(min(row.cap(cutoff.pmax) for row in rows) + 1)
+    pairs = [(row.sigma(n), scale * level_table(row.sigma(n), V0)[:2]) for row in rows]
+    return [(ps, v, v) for ps, v in pairs]
 
 
 def resolution_identity_check(branch: str, f: SpinorState, g: SpinorState,
@@ -239,7 +237,7 @@ def resolution_identity_check(branch: str, f: SpinorState, g: SpinorState,
     The result reproduces <f, g> when both states live in the branch
     subspace (which is checked).
     """
-    row = BRANCHES[(family, branch)]
+    row = PAIRINGS[(family, branch)]
     ps = window_levels(cutoff.pmax)
     off = ps[~row.support(ps)]
     for state in (f, g):
@@ -255,6 +253,6 @@ def combined_state_defect(f: SpinorState, g: SpinorState, cutoff: FockCutoff) ->
     two A-family branches, (Phi+ + Phi-)/sqrt(2): the double integral minus
     <f, g>.  Nonzero in general: the branch projectors each contribute only
     half of <f, g>, plus two cross terms coupling the halves."""
-    branches = [BRANCHES[("A", "plus")], BRANCHES[("A", "minus")]]
-    integral = resolution_sum(f, g, cutoff, _v0_terms(branches, cutoff, math.sqrt(0.5)))
+    rows = [PAIRINGS[("A", "plus")], PAIRINGS[("A", "minus")]]
+    integral = resolution_sum(f, g, cutoff, _v0_terms(rows, cutoff, math.sqrt(0.5)))
     return complex(integral - f.inner(g))

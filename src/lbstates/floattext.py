@@ -48,30 +48,25 @@ _UNITS = 10 ** np.arange(17, dtype=np.int64)
 _LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # the low k bytes
 # the lead of fixed notation below 1 ("0." and zeros) as a word, zeros after
 _LEAD = np.frombuffer(b"0.000000", dtype="<u8")[0]
-# Column X - _XMIN: 10^(16 - X) as hi + lo, with hi cut into a 26-bit head
-# and a tail of at most 27 bits, so that every partial product with a
-# 26-bit half of |v| is exact; rows hi, head, tail, lo.  A column is
-# computed, exactly, when an exponent of its span is first met, so no call
-# sees what an earlier one left but the same values.
-_POW10 = np.full((4, _XMAX - _XMIN + 1), np.nan)
 
 
-def _pow10(x: np.ndarray) -> np.ndarray:
-    """Rows hi, head, tail and lo of 10^(16 - X) for each X of x."""
-    col = x - _XMIN
-    first = int(col.min()) if col.size else 0
-    span = _POW10[:, first:int(col.max()) + 1 if col.size else 0]
-    new = np.isnan(span[0]).nonzero()[0]
-    for k in new.tolist():
-        s = 16 - (first + k + _XMIN)
+@functools.cache
+def _pow10() -> np.ndarray:
+    """Column X - _XMIN: 10^(16 - X) as hi + lo, with hi cut into a 26-bit
+    head and a tail of at most 27 bits, so that every partial product with
+    a 26-bit half of |v| is exact; rows hi, head, tail, lo, built once and
+    read only."""
+    table = np.empty((4, _XMAX - _XMIN + 1))
+    for k, s in enumerate(range(16 - _XMIN, 15 - _XMAX, -1)):  # s = 16 - X
         # int / int is correctly rounded, and hi = num / den exactly
         hi = 10 ** s / 1 if s >= 0 else 1 / 10 ** -s
         num, den = hi.as_integer_ratio()
         scale = 10 ** max(-s, 0)
-        span[[0, 3], k] = hi, (10 ** max(s, 0) * den - num * scale) / (den * scale)
-    span[1, new] = (span[0, new].view(np.uint64) & ~np.uint64(2 ** 27 - 1)).view(np.float64)
-    span[2, new] = span[0, new] - span[1, new]
-    return _POW10.take(col, axis=1)
+        table[[0, 3], k] = hi, (10 ** max(s, 0) * den - num * scale) / (den * scale)
+    table[1] = (table[0].view(np.uint64) & ~np.uint64(2 ** 27 - 1)).view(np.float64)
+    table[2] = table[0] - table[1]
+    table.setflags(write=False)
+    return table
 
 
 @functools.cache
@@ -80,7 +75,9 @@ def _chunk_text() -> np.ndarray:
     little-endian uint64 each."""
     k = np.arange(100, dtype=np.uint64)
     pair = k // 10 + ord("0") | (k % 10 + ord("0")) << 8
-    return (pair[:, None] | pair << 16).ravel()
+    text = (pair[:, None] | pair << 16).ravel()
+    text.setflags(write=False)
+    return text
 
 
 @functools.cache
@@ -106,12 +103,15 @@ def _layout(style: str) -> tuple:
     text[:, 2] = np.where(big, ord("e"), 0)
     text[~expo] = 0
     counts = (lead, point, least, np.where(expo, 4 + big, 0))
-    return (*(t.astype(np.int8) for t in counts), text.view("<u8").ravel())
+    out = (*(t.astype(np.int8) for t in counts), text.view("<u8").ravel())
+    for t in out:
+        t.setflags(write=False)
+    return out
 
 
 def _scaled(a: np.ndarray, x: np.ndarray) -> tuple:
     """floor(S) as int64 and S - floor(S), for S = a 10^(16 - x), a > 0."""
-    hi, head, tail, lo = _pow10(x)
+    hi, head, tail, lo = _pow10().take(x - _XMIN, axis=1)
     ah = a * _SPLIT
     ah -= ah - a
     al = a - ah
@@ -159,7 +159,7 @@ def _decimal(a: np.ndarray, shortest: bool) -> tuple:
         # two steps, taken on all of them; the few left go on alone.
         m, e = np.frexp(a)
         undecided |= m == 0.5  # a power of two: its interval is lopsided
-        half = np.ldexp(_POW10[0].take(x - _XMIN), e - 54)
+        half = np.ldexp(_pow10()[0].take(x - _XMIN), e - 54)
         alive = np.ones(a.size, dtype=bool)
         for k in (1, 2):
             near = _near(f, frac, k)

@@ -36,7 +36,7 @@ import scipy.sparse as sp
 
 from .errors import CutoffError, ShapeError
 from .fock import SQRT2, FockCutoff, oscillator_table
-from .levels import (V0_LADDERS, Branch, _bases, _ladder, level_table, two_entry_columns,
+from .levels import (V0_LADDERS, Pairing, _bases, _ladder, level_table, two_entry_columns,
                      window_levels)
 from .params import PhysicalParams
 from .spinor import V0, level_matrix
@@ -236,11 +236,11 @@ def factorization_defect_v0(cutoff: FockCutoff, params: PhysicalParams) -> np.nd
     return np.linalg.norm((h - a2.conjugate().T @ a2) @ vm, axis=0)
 
 
-def subspace_closure_check(key: str, row: Branch, pmax: int, tol: float = 1e-12) -> bool:
-    """True iff the V = 0 ladder maps every level of the branch's support
-    inside the window |p| < pmax to a vector with no component off it."""
+def subspace_closure_check(key: str, row: Pairing, pmax: int) -> bool:
+    """True iff the V = 0 ladder maps every level of the `PAIRINGS` row's
+    support inside the window |p| < pmax to no component above 1e-12 off it."""
     ps = window_levels(pmax)
     on = row.support(ps)
     inside = np.flatnonzero(on & (np.abs(ps) < pmax))
     leak = level_ladder_matrix(key, pmax)[~on][:, inside].toarray()
-    return bool(np.abs(leak).max(initial=0.0) <= tol)
+    return bool(np.abs(leak).max(initial=0.0) <= 1e-12)

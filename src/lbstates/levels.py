@@ -45,10 +45,10 @@ levels with the A2 and A2+ amplitudes, and c2 (sqrt(theta_p), down) and
 d2 (sqrt(theta_{p+1}), up) factorize the shifted Hamiltonian, d2 c2 =
 H - E_0; all four act between phi_p (X) and its regime dual (Y).
 
-`LADDERS` names each ladder once and `PAIRINGS` the one with an eigenvalue
-equation on each family and branch.  `BRANCHES` gives the levels each
-family and branch builds its series on; the specs of both state modules
-read them through `BranchSeries`.  `ladder_apply` applies a ladder to a
+`LADDERS` names each ladder once.  `PAIRINGS` holds one row per family
+and branch: the levels its series is built on and the one ladder with an
+eigenvalue equation on it; the specs of both state modules read it
+through `BranchSeries`.  `ladder_apply` applies a ladder to a
 stacked spinor without a matrix.  Nothing here builds a matrix: the
 sparse realizations, which only `check` and the tests use, are in
 `ladders`.
@@ -287,24 +287,16 @@ LADDERS = {
 # the ladders on the V = 0 basis v_p; the others pair phi_p with its dual
 V0_LADDERS = ("A2", "A2dag", "B2", "B2dag")
 
-# (CLI family, branch) -> (reported operator name, ladder key, adjoint): the
-# ladder whose eigenvector the state is, with eigenvalue z2
-PAIRINGS = {
-    ("A", "plus"): ("A2", "A2", False), ("A", "minus"): ("A2dag", "A2dag", False),
-    ("B", "plus"): ("B2dag", "B2dag", False), ("B", "minus"): ("B2", "B2", False),
-    ("phi", "plus"): ("A_K_V", "A_K_V", False), ("phi", "minus"): ("B_K_V", "B_K_V", False),
-    ("psi", "minus"): ("A_K_V_dag", "A_K_V", True), ("psi", "plus"): ("B_K_V_dag", "B_K_V", True),
-    ("eta", "plus"): ("C2", "c2", False), ("eta", "minus"): ("D2", "d2", False),
-    ("xi", "minus"): ("C2dag", "c2", True), ("xi", "plus"): ("D2dag", "d2", True),
-}
-
-
-class Branch(NamedTuple):
-    """The levels of one series branch: term n (an int or an integer array)
-    sits on level first + step n, with step +1 on plus and -1 on minus."""
+class Pairing(NamedTuple):
+    """One family and branch: series term n (an int or an integer array) on
+    level first + step n, step +1 on plus and -1 on minus, and the ladder
+    (or its adjoint) whose eigenvector the state is, reported as `op`."""
 
     first: int
     step: int
+    op: str
+    ladder: str
+    adjoint: bool
 
     def sigma(self, n):
         return self.first + self.step * n
@@ -318,27 +310,33 @@ class Branch(NamedTuple):
         return self.step * (np.asarray(ps) - self.first) >= 0
 
 
-# (CLI family, branch) -> the levels of its series, from the first one.  With
-# no ground state to start from, each family builds on one half of a split:
-# A and the V != 0 families on p >= 0 / p <= -1, B on p >= 1 / p <= 0.
-BRANCHES = {key: Branch(first, 1 if key[1] == "plus" else -1) for key, first in {
-    ("A", "plus"): 0, ("A", "minus"): -1, ("B", "plus"): 1, ("B", "minus"): 0,
-    ("phi", "plus"): 0, ("phi", "minus"): -1, ("psi", "plus"): 0, ("psi", "minus"): -1,
-    ("eta", "plus"): 0, ("eta", "minus"): -1, ("xi", "plus"): 0, ("xi", "minus"): -1,
-}.items()}
+# (CLI family, branch) -> its row, the one table of legal operator/state pairings.
+# With no ground state to start from, each family builds on one half of a
+# split: A and the V != 0 families on p >= 0 / p <= -1, B on p >= 1 / p <= 0.
+PAIRINGS = {
+    ("A", "plus"): Pairing(0, 1, "A2", "A2", False),
+    ("A", "minus"): Pairing(-1, -1, "A2dag", "A2dag", False),
+    ("B", "plus"): Pairing(1, 1, "B2dag", "B2dag", False),
+    ("B", "minus"): Pairing(0, -1, "B2", "B2", False),
+    ("phi", "plus"): Pairing(0, 1, "A_K_V", "A_K_V", False),
+    ("phi", "minus"): Pairing(-1, -1, "B_K_V", "B_K_V", False),
+    ("psi", "minus"): Pairing(-1, -1, "A_K_V_dag", "A_K_V", True),
+    ("psi", "plus"): Pairing(0, 1, "B_K_V_dag", "B_K_V", True),
+    ("eta", "plus"): Pairing(0, 1, "C2", "c2", False),
+    ("eta", "minus"): Pairing(-1, -1, "D2", "d2", False),
+    ("xi", "minus"): Pairing(-1, -1, "C2dag", "c2", True),
+    ("xi", "plus"): Pairing(0, 1, "D2dag", "d2", True),
+}
 
 
 class BranchSeries:
-    """The series layout of a state spec from its `BRANCHES` row `key`; a
+    """The series layout of a state spec from its `PAIRINGS` row `key`; a
     spec also provides `cutoff` and `params`."""
-
-    def sigma(self, n):
-        return BRANCHES[self.key].sigma(n)
 
     @property
     def level_cap(self) -> int:
-        """Largest usable series index so sigma stays inside the p window."""
-        return BRANCHES[self.key].cap(self.cutoff.pmax)
+        """Largest usable series index, its level inside the p window."""
+        return PAIRINGS[self.key].cap(self.cutoff.pmax)
 
     def require_levels(self) -> int:
         """level_cap, refusing (CutoffError) a branch with no level inside
@@ -356,7 +354,7 @@ class BranchSeries:
         which serves both sides and the residuals.  At an exceptional V only
         the series levels are evaluated: a neighbour may be the exceptional
         level, and no ladder pairs with the state there (`_ladder` refuses)."""
-        ps = self.sigma(np.arange(n_terms))
+        ps = PAIRINGS[self.key].sigma(np.arange(n_terms))
         if self.params.exceptional_level() is None:
             return ps, level_rows(near_levels(np.abs(ps), self.cutoff.pmax), self.params)
         return ps, level_rows(np.sort(ps), self.params)

@@ -129,29 +129,24 @@ def lower_first_register(fr: np.ndarray) -> np.ndarray:
     return out
 
 
-_BY_NAME = {name: (key, adjoint) for name, key, adjoint in PAIRINGS.values()}
-
-
-def pairing_residual(spec, state, operator: str, strict: bool = True) -> float:
+def pairing_residual(spec, state, operator: str) -> float:
     """|| O state - z state || for the state built from spec: O = A1 with
-    z = z1 on the first register, or the ladder `PAIRINGS` pairs with the
-    spec's family and branch (`spec.key`), with z = z2 on the
-    spinor register, applied without a matrix on the level rows the state
-    carries; the other register enters through its norm.  Any other ladder
-    of the table raises ContractError unless strict=False, and so does a
-    state without rows at the spec's parameters."""
+    z = z1 on the first register, or `op` of the spec's `PAIRINGS` row with
+    z = z2, its ladder applied without a matrix on the level rows the state
+    carries; the other register enters through its norm.  Any other O, or
+    a state without rows at the spec's parameters, raises ContractError."""
     if operator == "A1":
         own, other, z = state.first_register, state.spinor_stack(), spec.z1
         moved = lower_first_register(own)
     else:
-        if operator not in _BY_NAME:
-            raise ContractError(f"unknown operator {operator!r}")
-        if strict and PAIRINGS[spec.key][0] != operator:
+        row = PAIRINGS[spec.key]
+        if operator != row.op:
+            if all(r.op != operator for r in PAIRINGS.values()):
+                raise ContractError(f"unknown operator {operator!r}")
             raise ContractError(f"{operator} has no eigenvalue equation on {'/'.join(spec.key)}")
-        key, adjoint = _BY_NAME[operator]
         if state.rows is None or state.rows.params != spec.params:
             raise ContractError(f"{operator} reads the level rows a state carries; this state"
                                 f" carries none built at V = {spec.params.V}")
         own, other, z = state.spinor_stack(), state.first_register, spec.z2
-        moved = ladder_apply(key, state.rows, own, spec.cutoff, adjoint)
+        moved = ladder_apply(row.ladder, state.rows, own, spec.cutoff, row.adjoint)
     return float(np.linalg.norm(moved - z * own)) * float(np.linalg.norm(other))

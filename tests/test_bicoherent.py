@@ -94,6 +94,19 @@ class TestNormalizationN:
             normalization_N(3.0, P_HALF, FockCutoff(2, 6, 6))
         assert err.value.tail_estimate is None or err.value.tail_estimate > 0
 
+    @pytest.mark.parametrize("z2", [complex(1.7e308, 1.7e308), math.nan])
+    def test_label_without_finite_modulus_is_refused(self, z2):
+        # abs() raised OverflowError on the first, and nan ended in a
+        # CutoffError that printed |z2|=nan
+        with pytest.raises(ContractError, match="modulus is not finite"):
+            normalization_N(z2, P_HALF, FockCutoff(8, 8))
+
+    def test_label_whose_square_overflows_does_not_reach_its_tail(self):
+        # rho ** 2 raised OverflowError; pytest turns a numpy warning into an error
+        with pytest.raises(CutoffError, match="does not reach tail") as err:
+            normalization_N(1e200, P_HALF, FockCutoff(8, 8))
+        assert err.value.tail_estimate == math.inf
+
 
 class TestConstruction:
     def test_standard_binormalized(self):

@@ -1,4 +1,4 @@
-"""The branch table `levels.BRANCHES` against the hand-written level maps
+"""The pairing table `levels.PAIRINGS` against the hand-written level maps
 it replaced, and every series builder against its tail tolerance and
 against the terms it drops."""
 
@@ -13,7 +13,7 @@ from lbstates import CutoffError, FockCutoff, PhysicalParams
 from lbstates.bicoherent import (FAMILIES, BicoherentSpec, _theta_series, build_bicoherent,
                                  normalization_N)
 from lbstates.coherent import CoherentSpec, build_coherent, gaussian_series
-from lbstates.levels import BRANCHES, PAIRINGS, window_levels
+from lbstates.levels import PAIRINGS, window_levels
 
 # (CLI family, branch) -> (sigma(n), level cap at pmax, support predicate),
 # as each spec class and check wrote them before the table
@@ -39,6 +39,16 @@ OLD_SUBSPACES = {
     "K2plus": (("B", "plus"), lambda p: p >= 1),
     "K2minus": (("B", "minus"), lambda p: p <= 0),
 }
+# (CLI family, branch) -> (reported operator name, ladder key, adjoint), as
+# the pairing table held them before it carried the levels
+OLD_LADDERS = {
+    ("A", "plus"): ("A2", "A2", False), ("A", "minus"): ("A2dag", "A2dag", False),
+    ("B", "plus"): ("B2dag", "B2dag", False), ("B", "minus"): ("B2", "B2", False),
+    ("phi", "plus"): ("A_K_V", "A_K_V", False), ("phi", "minus"): ("B_K_V", "B_K_V", False),
+    ("psi", "minus"): ("A_K_V_dag", "A_K_V", True), ("psi", "plus"): ("B_K_V_dag", "B_K_V", True),
+    ("eta", "plus"): ("C2", "c2", False), ("eta", "minus"): ("D2", "d2", False),
+    ("xi", "minus"): ("C2dag", "c2", True), ("xi", "plus"): ("D2dag", "d2", True),
+}
 PMAXES = range(0, 13)
 
 
@@ -50,13 +60,16 @@ def make_spec(key, z1, z2, params, cut):
 
 
 def test_one_row_per_pairing():
-    assert set(BRANCHES) == set(PAIRINGS) == set(OLD_MAPS)
+    assert list(PAIRINGS) == list(OLD_LADDERS) and set(PAIRINGS) == set(OLD_MAPS)
+    for key, row in PAIRINGS.items():
+        assert (row.op, row.ladder, row.adjoint) == OLD_LADDERS[key]
+        assert row.step == (1 if key[1] == "plus" else -1)
 
 
 @pytest.mark.parametrize("key", sorted(OLD_MAPS))
 def test_table_matches_old_maps(key):
     sigma, cap, pred = OLD_MAPS[key]
-    row = BRANCHES[key]
+    row = PAIRINGS[key]
     for pmax in PMAXES:
         assert row.cap(pmax) == cap(pmax)
         n = np.arange(cap(pmax) + 2)
@@ -76,14 +89,14 @@ def test_specs_read_the_table(key):
         assert spec.key == key
         assert spec.level_cap == cap(pmax)
         n = np.arange(max(cap(pmax), 0) + 1)
-        assert spec.sigma(n).tolist() == [sigma(k) for k in n]
+        assert spec.series_rows(n.size)[0].tolist() == [sigma(k) for k in n]
 
 
 @pytest.mark.parametrize("tag", list(OLD_SUBSPACES))
 def test_subspace_tags_read_the_table(tag):
     key, pred = OLD_SUBSPACES[tag]
     ps = window_levels(12)
-    assert BRANCHES[key].support(ps).tolist() == [pred(p) for p in ps]
+    assert PAIRINGS[key].support(ps).tolist() == [pred(p) for p in ps]
 
 
 def theta_modulus(p: int, V: float, eps0: float = 2.0) -> float:
@@ -101,7 +114,7 @@ def theta_scale(spec) -> float:
     theta series' tail is held to tol times max(1, this)."""
     r, best, term = abs(spec.z2), 1.0, 1.0
     for n in range(1, spec.level_cap + 1):
-        term *= r / math.sqrt(theta_modulus(spec.sigma(n), spec.params.V))
+        term *= r / math.sqrt(theta_modulus(PAIRINGS[spec.key].sigma(n), spec.params.V))
         best = max(best, term)
     return best
 
@@ -192,7 +205,7 @@ class TestTailsBoundWhatTheyDrop:
     @pytest.mark.parametrize("V", [0.0, 0.5, 3.5, 9.5])
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     def test_theta_and_normalization_tails(self, V, branch):
-        params, step = PhysicalParams(V=V), BRANCHES[("eta", branch)].step
+        params, step = PhysicalParams(V=V), PAIRINGS[("eta", branch)].step
         for z in TAIL_LABELS:
             spec = BicoherentSpec(0.0, z, "theta", "ket", branch, params, TAIL_CUT)
             series = _theta_series(spec)

@@ -12,8 +12,10 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpc, mpf
 
 import lbstates
+import mp_reference
 from lbstates.cli import MAX_ROWS, MAX_WINDOW, _require_rows, cli_main, format_complex, parse_complex
 from lbstates.errors import ContractError, ExceptionalPointError
 from lbstates.params import PhysicalParams, discriminant
@@ -1040,6 +1042,60 @@ class TestDensityProperty:
         assert match and match["out"] == out_path, argv
         assert lines[1:] in ([], [_MASS_WARNING]), argv
         assert written == (["d.csv", "d.csv.meta.json"] if fmt == "csv" else ["d.json"]), argv
+
+
+@st.composite
+def _extreme_spectrum_argv(draw):
+    """spectrum argument lists with extreme finite values: V next to sqrt(m)
+    (a few ulps or a relative 1e-15..1e-8 off, m up to 2^53) or anywhere
+    from 1e-300 to 1e300; vf and xi with eps0 = 2 vf / xi near 1, near
+    overflow or near and below the smallest normal double; windows 0-50."""
+    kind = draw(st.sampled_from(["root", "wide", "zero"]))
+    if kind == "root":
+        V = math.sqrt(draw(st.one_of(st.integers(1, 60), st.integers(1, 2 ** 53))))
+        for _ in range(draw(st.integers(0, 3))):
+            V = math.nextafter(V, draw(st.sampled_from([0.0, math.inf])))
+        V *= 1.0 + draw(st.sampled_from([0.0, 1e-15, -1e-14, 1e-13, -1e-12, 1e-11, -1e-8]))
+    else:
+        V = 10.0 ** draw(st.floats(-300, 300)) if kind == "wide" else 0.0
+    # eps0 about 2 * 10^u; vf = 10^a and xi = 10^(a - u) stay finite
+    u = draw(st.sampled_from([(-3.0, 3.0), (305.5, 308.6), (-309.0, -305.0), (-325.0, -309.0)]))
+    u = draw(st.floats(*u))
+    a = draw(st.floats(max(-307.0, u - 307.0), min(307.0, u + 307.0)))
+    vf, xi = 10.0 ** a, 10.0 ** (a - u)
+    return ["spectrum", f"--vf={vf!r}", f"--xi={xi!r}", f"--V={V!r}",
+            f"--pmax={draw(st.integers(0, 50))}"]
+
+
+class TestSpectrumProperty:
+    """`spectrum` over extreme finite inputs answers right or refuses: exit
+    0 with energies within 1e-14 relative of their 50-digit values, or exit
+    1 or 2 with one error line, and never a traceback."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(argv=_extreme_spectrum_argv())
+    def test_energies_or_one_error_line(self, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run_in_process(argv)
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+        if code != 0:
+            assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+            return
+        doc = json.loads(out, parse_constant=_refuse_constant)
+        V, eps0 = doc["meta"]["V"], doc["meta"]["eps0"]
+        assert eps0 == 2.0 * doc["meta"]["vf"] / doc["meta"]["xi"]
+        with mp.workdps(mp_reference.DPS):
+            for rec in doc["levels"]:
+                got = mpc(rec["re"], rec["im"])
+                if rec["class"] == "exceptional":
+                    # snapped: |p| - V^2 is within EXCEPTIONAL_RTOL of zero
+                    assert got == 0, (argv, rec)
+                    gap = abs(abs(rec["p"]) - mpf(V) ** 2)
+                    assert gap <= mpf(1e-12) * (1 + 1e-9) * max(1, mpf(V) ** 2), (argv, rec)
+                    continue
+                want = mp_reference.energy(rec["p"], V, eps0)
+                assert abs(got - want) <= 1e-14 * abs(want), (argv, rec, want)
 
 
 class TestTracedRunHooks:

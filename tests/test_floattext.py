@@ -70,3 +70,14 @@ def test_block_is_read_in_row_major_order():
     assert floattext.texts(values, "g17") == [b"0.5", b"-9.9999999999999995e-08",
                                                b"123456.789", b"0"]
     assert floattext.texts(values, "repr") == [b"0.5", b"-1e-07", b"123456.789", b"0.0"]
+
+
+
+@pytest.mark.parametrize("name", ["_pow10", "_chunk_text", "_layout"])
+def test_cached_tables_are_read_only(name):
+    # each table is built once and shared by every call, so a write must fail
+    build = getattr(floattext, name)
+    tables = [*build("g17"), *build("repr")] if name == "_layout" else [build()]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0

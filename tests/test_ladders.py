@@ -20,7 +20,7 @@ from lbstates.ladders import (
     spinor_ladder_matrix,
     subspace_closure_check,
 )
-from lbstates.levels import BRANCHES, V0_LADDERS, level_spinors, window_levels
+from lbstates.levels import PAIRINGS, V0_LADDERS, level_spinors, window_levels
 from lbstates.spinor import V0, level_matrix
 
 
@@ -170,15 +170,15 @@ class TestSubspaceClosure:
     def test_a_pair_respects_h_split(self):
         for key in ("A2", "A2dag"):
             for branch in ("plus", "minus"):
-                assert subspace_closure_check(key, BRANCHES[("A", branch)], CUT.pmax)
+                assert subspace_closure_check(key, PAIRINGS[("A", branch)], CUT.pmax)
 
     def test_b_pair_respects_k_split_not_h(self):
         for key in ("B2", "B2dag"):
             for branch in ("plus", "minus"):
-                assert subspace_closure_check(key, BRANCHES[("B", branch)], CUT.pmax)
+                assert subspace_closure_check(key, PAIRINGS[("B", branch)], CUT.pmax)
         # B2 pushes p = -1 into p = 0, leaving the lower half of the A split
-        assert not subspace_closure_check("B2", BRANCHES[("A", "minus")], CUT.pmax)
-        assert not subspace_closure_check("B2dag", BRANCHES[("A", "plus")], CUT.pmax)
+        assert not subspace_closure_check("B2", PAIRINGS[("A", "minus")], CUT.pmax)
+        assert not subspace_closure_check("B2dag", PAIRINGS[("A", "plus")], CUT.pmax)
 
 
 class TestSpinorRealization:
