@@ -21,7 +21,9 @@ cumulative products, whose phases do not cancel.  The pairing therefore
 fixes only the product of the two normalization constants; we keep the
 ket constant real positive and let the bra constant carry the phase, so
 <ket, bra> = 1 holds exactly.  The classical real normalization over the
-modulus factorials is exposed separately as normalization_N.
+modulus factorials, normalization_N, is recorded apart in the state's
+meta; `checks.normalization_N` evaluates it alone, for `check` and the
+tests.
 
 The shifted eigenvalues come from `levels.theta_table`.  The theta series
 and normalization_N are cumulative products cut by `coherent.series_cut`,
@@ -47,7 +49,7 @@ import numpy as np
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
-from .levels import PAIRINGS, BranchSeries, level_table, theta_table
+from .levels import PAIRINGS, BranchSeries, theta_table
 from .params import PhysicalParams
 from .spinor import SpinorState, pairing_residual
 from .coherent import (
@@ -56,7 +58,6 @@ from .coherent import (
     gaussian_series,
     require_finite_label,
     require_gaussian_label,
-    resolution_sum,
     series_cut,
     series_state,
 )
@@ -104,16 +105,6 @@ def _normalization(rho: float, seq: np.ndarray, lows: np.ndarray, pmax: int):
     raise CutoffError(f"normalization series for |z2|={rho:.3g} does not reach tail"
                       f" {NORM_TAIL_TOL:.1e} within pmax={pmax} (tail estimate {tail[-1]:.3e})",
                       tail_estimate=float(tail[-1]))
-
-
-def normalization_N(z2: complex, params: PhysicalParams, cutoff: FockCutoff,
-                    branch: str = "plus") -> NormalizationN:
-    """(sum_n |z2|^(2n) / |theta_n|!)^(-1/2), in (0, 1], with the computed
-    tail estimate.  Depends on z2 only through |z2|, which must be finite
-    (ContractError)."""
-    rho = require_finite_label("z2", z2)
-    seq, lows = _branch_thetas(params, branch, cutoff.pmax)
-    return _normalization(rho, seq, lows, cutoff.pmax)
 
 
 # CLI family -> (family, side)
@@ -265,35 +256,9 @@ def build_bicoherent(spec: BicoherentSpec) -> SpinorState:
     return state
 
 
-def bi_product(ket_spec: BicoherentSpec) -> complex:
-    """<ket, bra> for the spec's state and its dual, built with it."""
-    ket = build_bicoherent(ket_spec)
-    return ket.inner(ket.dual)
-
-
 def bicoherent_eigen_residual(spec: BicoherentSpec, state: SpinorState, operator: str) -> float:
     """|| O state - z state || for the state built from spec; the
     first-register lowering operator pairs with every state at eigenvalue
     z1, the spinor-register ladders only with their own family/side/branch
     (eigenvalue z2; `spinor.pairing_residual`)."""
     return pairing_residual(spec, state, operator)
-
-
-def quasi_basis_check(f: SpinorState, g: SpinorState, params: PhysicalParams,
-                      cutoff: FockCutoff, branch: str = "plus",
-                      order: str = "phi_psi") -> complex:
-    """Evaluate the standard-family double integral (Lebesgue measure over
-    both z planes) between f and g, with analytic angular reduction and
-    Gauss-Laguerre radial integrals.
-
-    order='phi_psi' evaluates int <f, phi><psi, g>; 'psi_phi' swaps the
-    roles.  Either reproduces <f, g> on the branch span.
-    """
-    if order not in ("phi_psi", "psi_phi"):
-        raise ContractError(f"unknown order {order!r}: expected 'phi_psi' or 'psi_phi'")
-    row = PAIRINGS[("phi", branch)]
-    ps = row.sigma(np.arange(row.cap(cutoff.pmax) + 1))
-    table = level_table(ps, params)
-    x, y = table[:2], table[2:]
-    terms = [(ps, x, y) if order == "phi_psi" else (ps, y, x)]
-    return resolution_sum(f, g, cutoff, terms)

@@ -4,6 +4,15 @@ Each check returns a CheckResult with the measured value and the pinned
 tolerance.  Cutoffs here are kept modest so the full registry runs in a
 few seconds; the test suite exercises the same invariants at the desk
 scale.
+
+The oracles that only these checks and the tests evaluate live here too:
+the quadrature resolutions of identity (`resolution_sum` and the three
+checks built on it), the classical normalization `normalization_N` of the
+theta family on its own, the V = 0 eigenvectors c_{n,p} as states
+(`basis_vector_c`) and the text of each value of an array (`texts`).
+Quadrature resolutions are evaluated with the angular integrals done
+analytically (they enforce index matching) and the radial integrals by
+Gauss-Laguerre.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from . import pt
 from . import floattext
 from . import spinor as spn
 from .densities import GridSpec, density, export, gain_loss
+from .errors import ContractError, CutoffError
 from .params import PhysicalParams
 
 
@@ -77,9 +87,9 @@ def _hermite_poly_psi(n, x):
 @_check("fock.psi_recurrence_vs_polynomial")
 def check_psi_recurrence():
     x = np.linspace(-10, 10, 401)
+    table = fock.oscillator_table(20, x)
     worst = 0.0
-    for n in range(21):
-        a = fock.oscillator_psi(n, x)
+    for n, a in enumerate(table):
         b = _hermite_poly_psi(n, x)
         scale = np.maximum(np.abs(b), 1e-30)
         worst = max(worst, float(np.max(np.abs(a - b) / scale)))
@@ -166,7 +176,7 @@ def check_subspace_orthogonality():
     rng = np.random.default_rng(7)
     for p, q in ((0, 1), (2, -2), (-1, -3)):
         fr = rng.normal(size=cut.nmax1 + 1) + 1j * rng.normal(size=cut.nmax1 + 1)
-        vp, vq = (lv.level_spinors(k, spn.V0, cut.nmax2)[0] for k in (p, q))
+        vp, vq = (pt.level_spinors(k, spn.V0, cut.nmax2)[0] for k in (p, q))
         f = spn.SpinorState(fr, vp[:half], vp[half:])
         g = spn.SpinorState(fr, vq[:half], vq[half:])
         worst = max(worst, abs(f.inner(g)))
@@ -279,6 +289,137 @@ def check_coherent_orthogonality():
     return _result(worst, 1e-12)
 
 
+def first_register_basis(n: int, nmax1: int) -> np.ndarray:
+    if not (0 <= n <= nmax1):
+        raise CutoffError(f"first-register index n={n} outside [0, {nmax1}]")
+    fr = np.zeros(nmax1 + 1, dtype=complex)
+    fr[n] = 1.0
+    return fr
+
+
+def basis_vector_c(idx, cutoff: fock.FockCutoff) -> spn.SpinorState:
+    """The relabeled eigenvector c_{n,p}, idx = (n, p), as a SpinorState
+    (unit norm)."""
+    n, p = idx
+    if abs(p) > cutoff.pmax:
+        raise CutoffError(f"|p|={abs(p)} exceeds pmax={cutoff.pmax}")
+    stack = pt.level_spinors(p, spn.V0, cutoff.nmax2)[0]
+    half = cutoff.nmax2 + 1
+    return spn.SpinorState(first_register_basis(n, cutoff.nmax1), stack[:half], stack[half:])
+
+
+# Gauss-Laguerre order of the radial integrals: exact for the monomials up
+# to n = 255, and raised for a larger nmax
+QUADRATURE_ORDER = 128
+
+
+@functools.lru_cache(maxsize=16)
+def radial_factorial_ratio(nmax: int) -> np.ndarray:
+    """Gauss-Laguerre values of the radial integrals, divided by n!.
+
+    R_n = (2 int_0^inf r^{2n+1} e^{-r^2} dr) / n!  ->  1 exactly; computing
+    it by quadrature keeps the resolution-of-identity checks honest.
+    """
+    order = max(QUADRATURE_ORDER, (nmax + 2) // 2 + 1)
+    nodes, weights = np.polynomial.laguerre.laggauss(order)
+    n = np.arange(nmax + 1)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(n[1:]))])  # log(n!)
+    log_terms = np.log(weights)[None, :] + n[:, None] * np.log(nodes)[None, :] - log_fact[:, None]
+    ratio = np.exp(log_terms).sum(axis=1)
+    ratio.setflags(write=False)  # one cached array serves every caller: read only
+    return ratio
+
+
+def resolution_sum(f: spn.SpinorState, g: spn.SpinorState, cutoff: fock.FockCutoff,
+                   terms) -> complex:
+    """The double coherent-state integral between f and g: the angular
+    integrals are exact (index Kronecker deltas) and the radial ones
+    Gauss-Laguerre, which leaves
+
+        sum_n1 r1[n1] conj(f1[n1]) g1[n1]  x  sum_n r2[n] conj(<L_n, f>) <R_n, g>.
+
+    `terms` lists (levels, L rows, R rows) over the series indices n;
+    L_n and R_n are the sums over the terms of their two-entry columns n."""
+    r1 = radial_factorial_ratio(cutoff.nmax1)
+    m = min(f.first_register.size, g.first_register.size, r1.size)
+    fr = np.sum(r1[:m] * np.conj(f.first_register[:m]) * g.first_register[:m])
+    fs, gs = f.spinor_stack(), g.spinor_stack()
+    left = sum(lv.column_coefficients(ps, *rows, fs, cutoff.nmax2) for ps, rows, _ in terms)
+    right = sum(lv.column_coefficients(ps, *rows, gs, cutoff.nmax2) for ps, _, rows in terms)
+    r2 = radial_factorial_ratio(left.size - 1)
+    return complex(fr * np.sum(r2 * np.conj(left) * right))
+
+
+def _v0_terms(rows, cutoff: fock.FockCutoff, scale: float = 1.0) -> list:
+    """`resolution_sum` terms L = R = scale v_p over the levels of the
+    `PAIRINGS` rows, on the series indices all of them reach."""
+    n = np.arange(min(row.cap(cutoff.pmax) for row in rows) + 1)
+    pairs = [(row.sigma(n), scale * lv.level_table(row.sigma(n), spn.V0)[:2]) for row in rows]
+    return [(ps, v, v) for ps, v in pairs]
+
+
+def resolution_identity_check(branch: str, f: spn.SpinorState, g: spn.SpinorState,
+                              cutoff: fock.FockCutoff, family: str = "A") -> complex:
+    """Evaluate the double coherent-state integral against f, g.
+
+    The result reproduces <f, g> when both states live in the branch
+    subspace (which is checked).
+    """
+    row = lv.PAIRINGS[(family, branch)]
+    ps = lv.window_levels(cutoff.pmax)
+    off = ps[~row.support(ps)]
+    for state in (f, g):
+        coefs = lv.column_coefficients(off, *lv.level_table(off, spn.V0)[:2],
+                                       state.spinor_stack(), cutoff.nmax2)
+        bad = np.abs(coefs).max(initial=0.0)
+        if bad > 1e-12 * max(state.norm(), 1.0):
+            raise ContractError(f"state has weight {bad:.3e} outside the {family}/{branch} subspace")
+    return resolution_sum(f, g, cutoff, _v0_terms([row], cutoff))
+
+
+def combined_state_defect(f: spn.SpinorState, g: spn.SpinorState,
+                          cutoff: fock.FockCutoff) -> complex:
+    """Defect of the resolution of identity for the normalized sum of the
+    two A-family branches, (Phi+ + Phi-)/sqrt(2): the double integral minus
+    <f, g>.  Nonzero in general: the branch projectors each contribute only
+    half of <f, g>, plus two cross terms coupling the halves."""
+    rows = [lv.PAIRINGS[("A", "plus")], lv.PAIRINGS[("A", "minus")]]
+    integral = resolution_sum(f, g, cutoff, _v0_terms(rows, cutoff, math.sqrt(0.5)))
+    return complex(integral - f.inner(g))
+
+
+def quasi_basis_check(f: spn.SpinorState, g: spn.SpinorState, params: PhysicalParams,
+                      cutoff: fock.FockCutoff, branch: str = "plus",
+                      order: str = "phi_psi") -> complex:
+    """Evaluate the standard-family double integral (Lebesgue measure over
+    both z planes) between f and g, with analytic angular reduction and
+    Gauss-Laguerre radial integrals.
+
+    order='phi_psi' evaluates int <f, phi><psi, g>; 'psi_phi' swaps the
+    roles.  Either reproduces <f, g> on the branch span.
+    """
+    if order not in ("phi_psi", "psi_phi"):
+        raise ContractError(f"unknown order {order!r}: expected 'phi_psi' or 'psi_phi'")
+    row = lv.PAIRINGS[("phi", branch)]
+    ps = row.sigma(np.arange(row.cap(cutoff.pmax) + 1))
+    table = lv.level_table(ps, params)
+    x, y = table[:2], table[2:]
+    terms = [(ps, x, y) if order == "phi_psi" else (ps, y, x)]
+    return resolution_sum(f, g, cutoff, terms)
+
+
+def normalization_N(z2: complex, params: PhysicalParams, cutoff: fock.FockCutoff,
+                    branch: str = "plus") -> bc.NormalizationN:
+    """(sum_n |z2|^(2n) / |theta_n|!)^(-1/2), in (0, 1], with the computed
+    tail estimate: the normalization a theta-family build records, summed
+    alone over the window.  Depends on z2 only through |z2|, which must be
+    finite (ContractError) and is taken as the build takes it, abs(z2)."""
+    ch.require_finite_label("z2", z2)
+    rho = abs(complex(z2))
+    seq, lows = bc._branch_thetas(params, branch, cutoff.pmax)
+    return bc._normalization(rho, seq, lows, cutoff.pmax)
+
+
 @_check("coherent.resolution_identity")
 def check_resolution_identity():
     cut = fock.FockCutoff(8, 10, 8)
@@ -286,9 +427,9 @@ def check_resolution_identity():
     for branch, pairs in (("plus", ((0, 0, 0, 0), (0, 1, 0, 2), (1, 2, 1, 2))),
                           ("minus", ((0, -1, 0, -1), (1, -2, 1, -2), (0, -1, 0, -3)))):
         for n1, p1, n2, p2 in pairs:
-            f = spn.basis_vector_c(spn.ModeIndex(n1, p1), cut)
-            g = spn.basis_vector_c(spn.ModeIndex(n2, p2), cut)
-            got = ch.resolution_identity_check(branch, f, g, cut)
+            f = basis_vector_c((n1, p1), cut)
+            g = basis_vector_c((n2, p2), cut)
+            got = resolution_identity_check(branch, f, g, cut)
             worst = max(worst, abs(got - f.inner(g)))
     return _result(worst, 1e-6)
 
@@ -296,8 +437,8 @@ def check_resolution_identity():
 @_check("coherent.combined_state_defect")
 def check_combined_defect():
     cut = fock.FockCutoff(8, 10, 8)
-    f = spn.basis_vector_c(spn.ModeIndex(0, 0), cut)
-    defect = ch.combined_state_defect(f, f, cut)
+    f = basis_vector_c((0, 0), cut)
+    defect = combined_state_defect(f, f, cut)
     ok = abs(defect + 0.5) < 1e-10 and abs(defect) > 0.1
     return _result(abs(defect + 0.5), 1e-10, ok=ok,
                    detail=f"defect={defect:.6f}")
@@ -312,7 +453,7 @@ def check_alpha_identities():
     for v in (1.5, 9.5):
         ap, am = lv.alpha_moduli(np.arange(1, int(v * v)), v)
         worst = max(worst, float(np.abs(ap * am - 1.0).max()))
-    worst = max(worst, abs(lv.alpha(2, math.sqrt(2), "plus") + 1.0))
+    worst = max(worst, abs(pt.alpha(2, math.sqrt(2), "plus") + 1.0))
     return _result(worst, 1e-12)
 
 
@@ -419,11 +560,12 @@ def check_binormalization():
         cut = fock.FockCutoff(10, window, window)
         for branch in ("plus", "minus"):
             for family in ("standard", "theta"):
-                spec = bc.BicoherentSpec(0.0, 1 - 1j, family, "ket", branch, params, cut)
-                worst = max(worst, abs(bc.bi_product(spec) - 1.0))
+                ket = bc.build_bicoherent(bc.BicoherentSpec(0.0, 1 - 1j, family, "ket", branch,
+                                                            params, cut))
+                worst = max(worst, abs(ket.inner(ket.dual) - 1.0))
                 other = bc.BicoherentSpec(0.0, 1 - 1j, family, "bra",
                                           "minus" if branch == "plus" else "plus", params, cut)
-                worst = max(worst, abs(bc.build_bicoherent(spec).inner(bc.build_bicoherent(other))))
+                worst = max(worst, abs(ket.inner(bc.build_bicoherent(other))))
     return _result(worst, 1e-8)
 
 
@@ -462,9 +604,9 @@ def check_theta_family_v0_limit():
 def check_normalization_monotone():
     params = PhysicalParams(V=0.5)
     cut = fock.FockCutoff(2, 64, 64)
-    values = [bc.normalization_N(r, params, cut).value for r in (0.0, 0.5, 1.0, 1.5, 2.0)]
+    values = [normalization_N(r, params, cut).value for r in (0.0, 0.5, 1.0, 1.5, 2.0)]
     ok = values[0] == 1.0 and all(b < a for a, b in zip(values, values[1:]))
-    phase_same = bc.normalization_N(1.0, params, cut).value == bc.normalization_N(
+    phase_same = normalization_N(1.0, params, cut).value == normalization_N(
         np.exp(0.7j), params, cut).value
     return _result(0.0 if (ok and phase_same) else 1.0,
                    0.5, ok=ok and phase_same)
@@ -477,12 +619,12 @@ def check_quasi_basis():
     worst = 0.0
     half = cut.nmax2 + 1
     for n, p in ((0, 0), (1, 2), (0, 1)):
-        xstack, ystack = lv.level_spinors(p, params, cut.nmax2)
-        f = spn.SpinorState(spn.first_register_basis(n, cut.nmax1), ystack[:half], ystack[half:])
-        g = spn.SpinorState(spn.first_register_basis(n, cut.nmax1), xstack[:half], xstack[half:])
-        got = bc.quasi_basis_check(f, g, params, cut, branch="plus")
+        xstack, ystack = pt.level_spinors(p, params, cut.nmax2)
+        f = spn.SpinorState(first_register_basis(n, cut.nmax1), ystack[:half], ystack[half:])
+        g = spn.SpinorState(first_register_basis(n, cut.nmax1), xstack[:half], xstack[half:])
+        got = quasi_basis_check(f, g, params, cut, branch="plus")
         worst = max(worst, abs(got - 1.0))
-        swapped = bc.quasi_basis_check(g, f, params, cut, branch="plus", order="psi_phi")
+        swapped = quasi_basis_check(g, f, params, cut, branch="plus", order="psi_phi")
         worst = max(worst, abs(swapped - 1.0))
     return _result(worst, 1e-6)
 
@@ -525,6 +667,16 @@ _FLOAT_EDGES = (0.0, 5e-324, 2.2250738585072014e-308, 1e-290, 9.9999999999999995
                 1000000000000000.25, 1e16, 1e17, 1e22, 1e23, 1e290, 1.7976931348623157e308)
 
 
+def texts(values: np.ndarray, style: str) -> list:
+    """The text of each value of the flattened array, as bytes: one
+    `floattext.Texts` written to one buffer, split at its separators."""
+    t = floattext.Texts(values, style, ord("\n"))
+    ends = np.cumsum(t.length)
+    out = np.empty(ends[-1] if ends.size else 0, dtype=np.uint8)
+    t.write(out, ends - t.length)
+    return out.tobytes().split(b"\n")[:-1]
+
+
 def _reference_csv(fld) -> bytes:
     lines = ["x,y,total,upper,lower\n"]
     for i, x in enumerate(fld.grid.x.tolist()):
@@ -557,7 +709,7 @@ def check_export_determinism():
     edges = np.concatenate([edges, -edges])
     for style, fmt in (("g17", "%.17g".__mod__), ("repr", float.__repr__)):
         bad += sum(got != fmt(v).encode()
-                   for got, v in zip(floattext.texts(edges, style), edges.tolist()))
+                   for got, v in zip(texts(edges, style), edges.tolist()))
     return _result(float(bad), 0.5, detail=f"{bad} documents or edge values differ")
 
 

@@ -14,9 +14,8 @@ Every series of the package, these and the theta family's, stops where
 `series_cut` puts it: at the first term whose geometric bound on all the
 later terms meets the limit.  A Gaussian label with |z|^2 above 1416.79
 (a subnormal prefactor) is refused.
-Quadrature resolutions of identity (`resolution_sum`) are evaluated with
-the angular integrals done analytically (they enforce index matching)
-and the radial integrals by Gauss-Laguerre.
+The resolutions of identity of these families, the quadrature oracle
+`checks.resolution_sum`, are evaluated only by `check` and the tests.
 """
 
 from __future__ import annotations
@@ -24,14 +23,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ContractError, CutoffError
 from .fock import FockCutoff
-from .levels import (PAIRINGS, BranchSeries, column_coefficients, level_table, series_stack,
-                     window_levels)
+from .levels import PAIRINGS, BranchSeries, series_stack
 from .spinor import V0, SpinorState, pairing_residual
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -179,80 +176,3 @@ def eigen_residual(spec: CoherentSpec, state: SpinorState, operator) -> float:
     """|| O Phi - z Phi || (`spinor.pairing_residual`) for A1 or the ladder
     paired with the spec's family and branch; ContractError for any other."""
     return pairing_residual(spec, state, operator)
-
-
-# Gauss-Laguerre order of the radial integrals: exact for the monomials up
-# to n = 255, and raised for a larger nmax
-QUADRATURE_ORDER = 128
-
-
-@lru_cache(maxsize=16)
-def radial_factorial_ratio(nmax: int) -> np.ndarray:
-    """Gauss-Laguerre values of the radial integrals, divided by n!.
-
-    R_n = (2 int_0^inf r^{2n+1} e^{-r^2} dr) / n!  ->  1 exactly; computing
-    it by quadrature keeps the resolution-of-identity checks honest.
-    """
-    order = max(QUADRATURE_ORDER, (nmax + 2) // 2 + 1)
-    nodes, weights = np.polynomial.laguerre.laggauss(order)
-    n = np.arange(nmax + 1)
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(n[1:]))])  # log(n!)
-    log_terms = np.log(weights)[None, :] + n[:, None] * np.log(nodes)[None, :] - log_fact[:, None]
-    ratio = np.exp(log_terms).sum(axis=1)
-    ratio.setflags(write=False)  # one cached array serves every caller: read only
-    return ratio
-
-
-def resolution_sum(f: SpinorState, g: SpinorState, cutoff: FockCutoff, terms) -> complex:
-    """The double coherent-state integral between f and g: the angular
-    integrals are exact (index Kronecker deltas) and the radial ones
-    Gauss-Laguerre, which leaves
-
-        sum_n1 r1[n1] conj(f1[n1]) g1[n1]  x  sum_n r2[n] conj(<L_n, f>) <R_n, g>.
-
-    `terms` lists (levels, L rows, R rows) over the series indices n;
-    L_n and R_n are the sums over the terms of their two-entry columns n."""
-    r1 = radial_factorial_ratio(cutoff.nmax1)
-    m = min(f.first_register.size, g.first_register.size, r1.size)
-    fr = np.sum(r1[:m] * np.conj(f.first_register[:m]) * g.first_register[:m])
-    fs, gs = f.spinor_stack(), g.spinor_stack()
-    left = sum(column_coefficients(ps, *rows, fs, cutoff.nmax2) for ps, rows, _ in terms)
-    right = sum(column_coefficients(ps, *rows, gs, cutoff.nmax2) for ps, _, rows in terms)
-    r2 = radial_factorial_ratio(left.size - 1)
-    return complex(fr * np.sum(r2 * np.conj(left) * right))
-
-
-def _v0_terms(rows, cutoff: FockCutoff, scale: float = 1.0) -> list:
-    """`resolution_sum` terms L = R = scale v_p over the levels of the
-    `PAIRINGS` rows, on the series indices all of them reach."""
-    n = np.arange(min(row.cap(cutoff.pmax) for row in rows) + 1)
-    pairs = [(row.sigma(n), scale * level_table(row.sigma(n), V0)[:2]) for row in rows]
-    return [(ps, v, v) for ps, v in pairs]
-
-
-def resolution_identity_check(branch: str, f: SpinorState, g: SpinorState,
-                              cutoff: FockCutoff, family: str = "A") -> complex:
-    """Evaluate the double coherent-state integral against f, g.
-
-    The result reproduces <f, g> when both states live in the branch
-    subspace (which is checked).
-    """
-    row = PAIRINGS[(family, branch)]
-    ps = window_levels(cutoff.pmax)
-    off = ps[~row.support(ps)]
-    for state in (f, g):
-        coefs = column_coefficients(off, *level_table(off, V0)[:2], state.spinor_stack(), cutoff.nmax2)
-        bad = np.abs(coefs).max(initial=0.0)
-        if bad > 1e-12 * max(state.norm(), 1.0):
-            raise ContractError(f"state has weight {bad:.3e} outside the {family}/{branch} subspace")
-    return resolution_sum(f, g, cutoff, _v0_terms([row], cutoff))
-
-
-def combined_state_defect(f: SpinorState, g: SpinorState, cutoff: FockCutoff) -> complex:
-    """Defect of the resolution of identity for the normalized sum of the
-    two A-family branches, (Phi+ + Phi-)/sqrt(2): the double integral minus
-    <f, g>.  Nonzero in general: the branch projectors each contribute only
-    half of <f, g>, plus two cross terms coupling the halves."""
-    rows = [PAIRINGS[("A", "plus")], PAIRINGS[("A", "minus")]]
-    integral = resolution_sum(f, g, cutoff, _v0_terms(rows, cutoff, math.sqrt(0.5)))
-    return complex(integral - f.inner(g))

@@ -310,11 +310,3 @@ def words(buf: np.ndarray) -> np.ndarray:
     every byte: words(buf)[k] is buf[k:k + 8]."""
     return np.ndarray((max(buf.size - 7, 0),), dtype="<u8", buffer=buf, strides=(1,))
 
-
-def texts(values: np.ndarray, style: str) -> list:
-    """The text of each value of the flattened array, as bytes."""
-    t = Texts(values, style, ord("\n"))
-    ends = np.cumsum(t.length)
-    out = np.empty(ends[-1] if ends.size else 0, dtype=np.uint8)
-    t.write(out, ends - t.length)
-    return out.tobytes().split(b"\n")[:-1]

@@ -1,8 +1,9 @@
 """Truncated one- and two-mode bosonic Fock machinery.
 
 Provides the truncation window (`FockCutoff`), the 1D oscillator
-eigenfunctions (stable normalized recurrence) and the map of the circular
-modes e_{n1,n2}, the normalized excitations of
+eigenfunctions (`oscillator_table`, whose row n is psi_n, by a stable
+normalized recurrence) and the map of the circular modes e_{n1,n2}, the
+normalized excitations of
 
     A1 = (a_X - i a_Y) / sqrt(2),      A2 = (a_X + i a_Y) / sqrt(2),
 
@@ -52,13 +53,6 @@ class FockCutoff:
             object.__setattr__(self, "pmax", self.nmax2)
         if not (0 <= self.pmax <= self.nmax2):
             raise CutoffError("pmax must satisfy 0 <= pmax <= nmax2")
-
-
-def oscillator_psi(n: int, x):
-    """Normalized 1D oscillator eigenfunction psi_n(x): row n of
-    `oscillator_table` (a float for scalar x)."""
-    row = oscillator_table(n, x)[n]
-    return float(row[0]) if np.ndim(x) == 0 else row
 
 
 def oscillator_table(nmax: int, x) -> np.ndarray:

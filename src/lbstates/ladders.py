@@ -9,9 +9,9 @@ independent side of those checks:
 
 * the one-mode annihilator (`annihilator`), the Cartesian and circular
   ladders on the (j, k) oscillator grid (`ladder_matrices`), and the
-  circular modes raised from the vacuum with them (`circular_mode`,
-  evaluated pointwise by `eval_mode`), the independent side of the
-  binomial modes e_{0,N} that `densities.density` reads;
+  circular modes raised from the vacuum with them (`circular_mode`), the
+  independent side of the binomial modes e_{0,N} that `densities.density`
+  reads;
 * the Hamiltonian block (2i v_F / xi) [[V, a^+], [-a, -V]] on the stacked
   (upper, lower) spinor register and on two stacked (j, k) grids;
 * each ladder of `levels.LADDERS`, as its bidiagonal matrix P on the level
@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CutoffError, ShapeError
-from .fock import SQRT2, FockCutoff, oscillator_table
+from .fock import SQRT2, FockCutoff
 from .levels import (V0_LADDERS, Pairing, _bases, _ladder, level_table, two_entry_columns,
                      window_levels)
 from .params import PhysicalParams
@@ -119,14 +119,6 @@ def circular_mode(n1: int, n2: int, cutoff: FockCutoff) -> CartesianModeVector:
     for k in range(n1):
         v = a1dag @ v / math.sqrt(k + 1.0)
     return CartesianModeVector(v.reshape(d, d), float(np.linalg.norm(v)))
-
-
-def eval_mode(vec: CartesianModeVector, x: float, y: float) -> complex:
-    """Position-space value sum_{j,k} coeffs[j,k] psi_j(X) psi_k(Y)."""
-    top = vec.coeffs.shape[0] - 1
-    px = oscillator_table(top, np.atleast_1d(float(x)))[:, 0]
-    py = oscillator_table(top, np.atleast_1d(float(y)))[:, 0]
-    return complex(px @ vec.coeffs @ py)
 
 
 def _hamiltonian_block(params: PhysicalParams, a: sp.spmatrix) -> sp.csr_matrix:

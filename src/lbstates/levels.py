@@ -15,19 +15,20 @@ V > 1 the dual paired with phi_p is re-paired on broken levels
 orthonormal basis v_p of the V=0 problem.
 
 One coefficient table, `level_table`, evaluates these over any set of
-levels as plain numpy complex expressions; the scalars `alpha` and
-`normalization_K` are one-level evaluations of the same code.  States and
-the stacked spinors of one level (`level_spinors`: phi_p and its dual,
-or v_p at V = 0) are filled from its rows, and a built state keeps the
-rows it was filled from (`LevelRows`) for its residuals.  The shifted
-eigenvalues theta_p = E_p - E_0 (behind the theta family and the c2/d2
-ladders) come from `theta_table`, and the eigenvalues E_p with each
-level's PT class from `spectrum_table`; `alpha_moduli` gives |alpha+-|
-over any set of levels.  The tables take p - V^2 from
-`params.discriminant`, which is exact next to the exceptional points, and
-avoid every cancelling difference, so each entry is within 1e-14 relative
-of its 50-digit value (`tests/test_levels.py` checks this with mpmath over
-whole windows and at V within 1e-4 to 1e-11 of sqrt(p)).
+levels as plain numpy complex expressions; the one-level evaluations of
+the same code that only the checks read are elsewhere: `pt.alpha` and
+`pt.level_spinors` (phi_p and its dual, or v_p at V = 0), and
+`normalization_K` in the tests.  States are filled from its rows, and a
+built state keeps the rows it was filled from (`LevelRows`) for its
+residuals.  The shifted eigenvalues theta_p = E_p - E_0 (behind the
+theta family and the c2/d2 ladders) come from `theta_table`, and the
+eigenvalues E_p with each level's PT class from `spectrum_table`;
+`alpha_moduli` gives |alpha+-| over any set of levels.  The tables take
+p - V^2 from `params.discriminant`, which is exact next to the exceptional
+points, and avoid every cancelling difference, so each entry is within
+1e-14 relative of its 50-digit value (`tests/test_levels.py` checks this
+with mpmath over whole windows and at V within 1e-4 to 1e-11 of
+sqrt(p)).
 
 Each ladder moves level p to p + shift with an amplitude and acts on the
 spinor register as X P Y^H over two-entry level spinors.  At V = 0,
@@ -196,31 +197,6 @@ def alpha_moduli(ps, V: float) -> tuple:
     return np.abs(a_plus), np.abs(a_minus)
 
 
-def alpha(p: int, V: float, branch: str) -> complex:
-    """Spinor mixing coefficient of level p >= 1.
-
-    Unimodular for p > V^2; real with |alpha^+||alpha^-| = 1 in the broken
-    region; exactly -V/sqrt(p) = -1 at the exceptional point (the
-    discriminant is snapped to zero within tolerance).
-    """
-    if p < 1:
-        raise ContractError("alpha is defined for p >= 1")
-    pair = _mixing(np.array([p]), discriminant(np.array([p]), V), V)
-    return complex(pair[{"plus": 0, "minus": 1}[branch]][0])
-
-
-def normalization_K(p: int, params: PhysicalParams, branch: str = "plus") -> tuple:
-    """(K_phi, K_psi) of level p >= 1 on the branch, with the product
-    constraint satisfied against the branch's biorthogonal dual (on broken
-    levels, the dual constant of the mirrored level)."""
-    if p < 1:
-        raise ContractError("normalization_K is defined for p >= 1")
-    level = {"plus": p, "minus": -p}[branch]
-    k_phi, _, k_psi, _ = level_table([level, -level], params)
-    mirrored = discriminant(p, params.V) < 0.0
-    return complex(k_phi[0]), complex(k_psi[1] if mirrored else k_psi[0])
-
-
 def _rows(ps, nmax2: int) -> tuple:
     """Stacked-register rows of e_|p| (upper component) and e_(|p|-1)
     (lower component; none for p = 0) of each level p."""
@@ -260,12 +236,6 @@ def column_coefficients(ps, upper, lower, stack, nmax2: int) -> np.ndarray:
     up, lo = _rows(ps, nmax2)
     # the lower entry of level 0 is zero, so its row index lo = nmax2 adds nothing
     return np.conj(upper) * stack[up] + np.conj(lower) * stack[lo]
-
-
-def level_spinors(p: int, params: PhysicalParams, nmax2: int) -> tuple:
-    """Stacked spinors of phi_p and of its regime dual (one-term series)."""
-    xu, xl, yu, yl = level_table([p], params)
-    return series_stack([p], xu, xl, np.ones(1), nmax2), series_stack([p], yu, yl, np.ones(1), nmax2)
 
 
 def window_levels(pmax: int) -> np.ndarray:
@@ -385,15 +355,6 @@ def near_levels(q, pmax: int) -> np.ndarray:
     return np.concatenate([-near[::-1], near[near > 0]])
 
 
-def support_levels(stack: np.ndarray, cutoff: FockCutoff) -> np.ndarray:
-    """The levels of the window whose two rows carry weight in a bare
-    stacked spinor, and their neighbours, in increasing order."""
-    half, pmax = cutoff.nmax2 + 1, cutoff.pmax
-    live = stack[:pmax + 1] != 0
-    live[1:] |= stack[half:half + pmax] != 0
-    return near_levels(np.flatnonzero(live), pmax)
-
-
 def ladder_apply(key: str, rows: LevelRows, stack: np.ndarray, cutoff: FockCutoff,
                  adjoint: bool = False) -> np.ndarray:
     """The ladder X P Y^H (or its adjoint Y P^H X^H; `ladders.ladder_matrix`
@@ -401,7 +362,8 @@ def ladder_apply(key: str, rows: LevelRows, stack: np.ndarray, cutoff: FockCutof
     building a matrix: gather one coefficient per level from its two rows,
     move it one level with its amplitude and scatter it back as
     `series_stack` does.  Only the levels of `rows` are evaluated (a built
-    state's carried rows, or those of `support_levels` for a bare stack);
+    state's carried rows, or for a bare stack those of its weighted rows
+    and their `near_levels`);
     they must hold every level whose rows carry weight and its neighbours,
     and the others add exact zeros, so the result does not depend on the
     window.  The rows are at the ladder's parameters; the V = 0 ladders

@@ -42,8 +42,11 @@ class PhysicalParams:
 
     @property
     def eps0(self) -> float:
-        """Energy scale 2 v_F / xi."""
-        return 2.0 * self.vf / self.xi
+        """Energy scale 2 v_F / xi, as 2 vf / xi while 2 vf is finite and as
+        2 (vf / xi) past that, where vf / xi cannot be subnormal: the same
+        bits wherever the first form is finite."""
+        twice = 2.0 * self.vf
+        return twice / self.xi if math.isfinite(twice) else 2.0 * (self.vf / self.xi)
 
     def regime(self) -> str:
         """'small' for V < 1, 'large' for V > 1.  V = 1 is the boundary

@@ -8,14 +8,17 @@ conjugate eigenvalue pairs), |p| > V^2 unbroken (real eigenvalues), and
 every construction below refuses to proceed.
 
 The eigenvectors phi_p and their biorthogonal duals are the two-entry
-level spinors of `levels`; for V > 1 the dual family is re-paired on
-broken levels (psi-tilde), restoring biorthonormality of the x/y pairing.
-The eigenvalues E_p with each level's class, |alpha+-| and the shifted
-eigenvalues theta_p = E_p - E_0 are the tables of `levels`.  The four
-ladders A_K_V, B_K_V, c2 and d2 are entries of the one ladder table of
-`levels`; `pt_spinor_ladder` is the sparse spinor-register realization
-X P Y^H of one of them, from the oracle module `ladders`.  Like `ladders`,
-this module serves `check` and the tests; no other command loads it.
+level spinors of `levels`, here as window matrices
+(`biorth_level_matrices`) and one level at a time (`level_spinors`); for
+V > 1 the dual family is re-paired on broken levels (psi-tilde),
+restoring biorthonormality of the x/y pairing.  The eigenvalues E_p with
+each level's class, |alpha+-| and the shifted eigenvalues theta_p = E_p -
+E_0 are the tables of `levels`; `alpha` is one level of its mixing
+coefficients.  The four ladders A_K_V, B_K_V, c2 and d2 are entries of
+the one ladder table of `levels`; `pt_spinor_ladder` is the sparse
+spinor-register realization X P Y^H of one of them, from the oracle
+module `ladders`.  Like `ladders`, this module serves `check` and the
+tests; no other command loads it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ import numpy as np
 from .errors import ContractError
 from .fock import FockCutoff
 from .ladders import SparseOperator, hamiltonian_spinor_matrix, ladder_matrix
-from .levels import alpha, level_table, spectrum_table, two_entry_columns, window_levels
-from .params import PhysicalParams
+from .levels import (_mixing, level_table, series_stack, spectrum_table, two_entry_columns,
+                     window_levels)
+from .params import PhysicalParams, discriminant
 
 
 def biorth_level_matrices(params: PhysicalParams, cutoff: FockCutoff) -> tuple:
@@ -37,6 +41,27 @@ def biorth_level_matrices(params: PhysicalParams, cutoff: FockCutoff) -> tuple:
     table = level_table(ps, params)
     return (two_entry_columns(ps, *table[:2], cutoff.nmax2),
             two_entry_columns(ps, *table[2:], cutoff.nmax2))
+
+
+def level_spinors(p: int, params: PhysicalParams, nmax2: int) -> tuple:
+    """Stacked spinors of phi_p and of its regime dual (one-term series):
+    one level of `biorth_level_matrices`, on any window nmax2 >= |p|."""
+    xu, xl, yu, yl = level_table([p], params)
+    return series_stack([p], xu, xl, np.ones(1), nmax2), series_stack([p], yu, yl, np.ones(1), nmax2)
+
+
+def alpha(p: int, V: float, branch: str) -> complex:
+    """Spinor mixing coefficient of level p >= 1 (`levels.alpha_moduli`
+    gives the moduli over many levels).
+
+    Unimodular for p > V^2; real with |alpha^+||alpha^-| = 1 in the broken
+    region; exactly -V/sqrt(p) = -1 at the exceptional point (the
+    discriminant is snapped to zero within tolerance).
+    """
+    if p < 1:
+        raise ContractError("alpha is defined for p >= 1")
+    pair = _mixing(np.array([p]), discriminant(np.array([p]), V), V)
+    return complex(pair[{"plus": 0, "minus": 1}[branch]][0])
 
 
 def pt_spinor_ladder(name: str, params: PhysicalParams, cutoff: FockCutoff) -> SparseOperator:
@@ -61,34 +86,6 @@ def factorization_defect(params: PhysicalParams, cutoff: FockCutoff) -> float:
     x = two_entry_columns(ps, *level_table(ps, params)[:2], cutoff.nmax2)
     defect = d2 @ (c2 @ x) - h @ x + e0 * x
     return float((np.linalg.norm(defect, axis=0) / np.linalg.norm(x, axis=0)).max(initial=0.0))
-
-
-def exceptional_diagnostics(p: int, v_star: float, cutoff: FockCutoff) -> dict:
-    """Measured coalescence at the exceptional point p = V*^2: distance of
-    the unit-normalized branch eigenvectors, the (vanishing) eigenvalue of
-    the coincident pair, and the self-orthogonality defect |<phi_p, psi_p>|.
-    """
-    if abs(v_star * v_star - p) > 1e-9 * max(1.0, p):
-        raise ContractError(f"V*^2 = {v_star * v_star} does not match p = {p}")
-    params = PhysicalParams(V=v_star)
-    a_plus, a_minus = alpha(p, v_star, "plus"), alpha(p, v_star, "minus")
-
-    # the two branch vectors, then the duals with the lower sign flipped,
-    # as in the psi family
-    cols = two_entry_columns([p] * 4, np.ones(4), [a_plus, a_minus, -a_minus, -a_plus],
-                             cutoff.nmax2)
-    u_plus, u_minus, w_plus, w_minus = (cols / np.linalg.norm(cols, axis=0)).T
-    coincidence = float(np.linalg.norm(u_plus - u_minus))
-    self_orth = max(abs(np.vdot(u_plus, w_plus)), abs(np.vdot(u_minus, w_minus)))
-    return {
-        "p": p,
-        "V": v_star,
-        "alpha_plus": a_plus,
-        "alpha_minus": a_minus,
-        "coincidence_defect": coincidence,
-        "pair_eigenvalue": complex(spectrum_table([p], params)[0][0]),
-        "self_orthogonality": float(self_orth),
-    }
 
 
 def phi_norm_bound(params: PhysicalParams) -> float:

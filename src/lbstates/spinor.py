@@ -10,11 +10,12 @@ eigenbasis c_{n,p} has
     p <= -1 ->  (e_{|p|}, +i e_{|p|-1}) / sqrt(2)
 
 on the spinor register, with first-register factor e_n: the level
-spinors of `levels` at V = 0 (`levels.level_spinors`), whose energies
-sign(p) eps0 sqrt(|p|) are `levels.spectrum_table` at V = 0.  Each
-register is acted on alone: A1 lowers n (`lower_first_register`) and the
-level ladders move p (`levels.ladder_apply`), which is how
-`pairing_residual` measures a state's eigenvalue equation.  This module
+spinors of `levels` at V = 0, whose energies sign(p) eps0 sqrt(|p|) are
+`levels.spectrum_table` at V = 0 (`checks.basis_vector_c` builds c_{n,p}
+as a state, for `check` and the tests).  Each register is acted on
+alone: A1 lowers n (`lower_first_register`) and the level ladders move p
+(`levels.ladder_apply`), which is how `pairing_residual` measures a
+state's eigenvalue equation.  This module
 builds no matrix; their sparse realizations (the Hamiltonian block among
 them) are in `ladders`, which no command but `check` imports.
 """
@@ -23,25 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, CutoffError
+from .errors import ContractError
 from .fock import FockCutoff
-from .levels import (PAIRINGS, LevelRows, ladder_apply, level_spinors, level_table,
-                     two_entry_columns, window_levels)
+from .levels import (PAIRINGS, LevelRows, ladder_apply, level_table, two_entry_columns,
+                     window_levels)
 from .params import PhysicalParams
 
 # The V=0 basis spinors v_p are the level table at V = 0.
 V0 = PhysicalParams()
-
-
-class ModeIndex(NamedTuple):
-    """Pair (n, p): degeneracy index and level index."""
-
-    n: int
-    p: int
 
 
 @dataclass
@@ -91,24 +84,6 @@ class SpinorState:
 def _padded_vdot(a: np.ndarray, b: np.ndarray) -> complex:
     m = min(a.size, b.size)
     return complex(np.vdot(a[:m], b[:m]))
-
-
-def first_register_basis(n: int, nmax1: int) -> np.ndarray:
-    if not (0 <= n <= nmax1):
-        raise CutoffError(f"first-register index n={n} outside [0, {nmax1}]")
-    fr = np.zeros(nmax1 + 1, dtype=complex)
-    fr[n] = 1.0
-    return fr
-
-
-def basis_vector_c(idx: ModeIndex, cutoff: FockCutoff) -> SpinorState:
-    """The relabeled eigenvector c_{n,p} as a SpinorState (unit norm)."""
-    n, p = idx
-    if abs(p) > cutoff.pmax:
-        raise CutoffError(f"|p|={abs(p)} exceeds pmax={cutoff.pmax}")
-    stack = level_spinors(p, V0, cutoff.nmax2)[0]
-    half = cutoff.nmax2 + 1
-    return SpinorState(first_register_basis(n, cutoff.nmax1), stack[:half], stack[half:])
 
 
 def level_matrix(cutoff: FockCutoff) -> np.ndarray:

@@ -14,18 +14,19 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from helpers import exceptional_diagnostics
 from lbstates import ExceptionalPointError, FockCutoff, PhysicalParams
-from lbstates.bicoherent import (BicoherentSpec, bi_product, bicoherent_eigen_residual,
-                                 build_bicoherent, normalization_N)
-from lbstates.coherent import (CoherentSpec, build_coherent, combined_state_defect, eigen_residual,
-                               resolution_identity_check)
+from lbstates.bicoherent import BicoherentSpec, bicoherent_eigen_residual, build_bicoherent
+from lbstates.checks import (basis_vector_c, combined_state_defect, normalization_N,
+                             resolution_identity_check)
+from lbstates.coherent import CoherentSpec, build_coherent, eigen_residual
 from lbstates.densities import GridSpec, density, gain_loss
 from lbstates.ladders import (annihilator, factorization_defect_v0, hamiltonian_spinor_matrix,
                               ladder_matrices, restricted_spinor_block)
-from lbstates.levels import alpha, alpha_moduli, level_spinors, spectrum_table
-from lbstates.pt import (biorth_level_matrices, exceptional_diagnostics, factorization_defect,
+from lbstates.levels import alpha_moduli, spectrum_table
+from lbstates.pt import (alpha, biorth_level_matrices, factorization_defect, level_spinors,
                          pt_spinor_ladder)
-from lbstates.spinor import ModeIndex, basis_vector_c, level_matrix
+from lbstates.spinor import level_matrix
 
 DESK = FockCutoff(64, 64, 32)
 DESK_WIDE = FockCutoff(64, 64, 64)   # level window for |z2| up to 2*sqrt(2)
@@ -55,7 +56,7 @@ def test_criterion_01_spectrum():
         # against E_p of the spectrum table
         for n in (0, 17, 64):
             for p, e in zip((-32, -5, 0, 1, 32), spectrum_table([-32, -5, 0, 1, 32], PARAMS)[0]):
-                st = basis_vector_c(ModeIndex(n, p), DESK)
+                st = basis_vector_c((n, p), DESK)
                 res = np.linalg.norm(h @ st.spinor_stack() - e * st.spinor_stack())
                 assert res * np.linalg.norm(st.first_register) < 1e-10
         block = restricted_spinor_block(PARAMS, DESK)
@@ -112,11 +113,11 @@ def test_criterion_03_coherent_states():
                     for n in range(3) for k in range(3)]
             for i in idxs:
                 for j in idxs:
-                    f = basis_vector_c(ModeIndex(*i), small)
-                    g = basis_vector_c(ModeIndex(*j), small)
+                    f = basis_vector_c(i, small)
+                    g = basis_vector_c(j, small)
                     got = resolution_identity_check(branch, f, g, small)
                     assert abs(got - f.inner(g)) < 1e-6
-        f0 = basis_vector_c(ModeIndex(0, 0), small)
+        f0 = basis_vector_c((0, 0), small)
         defect = combined_state_defect(f0, f0, small)
         assert abs(defect) > 0.1
         assert defect == pytest.approx(-0.5, abs=1e-10)
@@ -197,8 +198,9 @@ def test_criterion_10_bicoherent_identities():
         n1 = normalization_N(1.0, params, DESK_WIDE)
         print(f"  N(1) = {n1.value:.6f}")
         assert n1.value == pytest.approx(0.75718, abs=1e-4)
-        spec = BicoherentSpec(0.0, 1 - 1j, "theta", "ket", "plus", params, DESK_WIDE)
-        assert bi_product(spec) == pytest.approx(1.0, abs=1e-8)
+        ket = build_bicoherent(BicoherentSpec(0.0, 1 - 1j, "theta", "ket", "plus", params,
+                                              DESK_WIDE))
+        assert ket.inner(ket.dual) == pytest.approx(1.0, abs=1e-8)
         for op, (family, side, branch) in (
             ("C2", ("theta", "ket", "plus")),
             ("D2", ("theta", "ket", "minus")),
@@ -212,8 +214,9 @@ def test_criterion_10_bicoherent_identities():
         assert bicoherent_eigen_residual(s1, build_bicoherent(s1), "A1") < 1e-8
         # the same identities hold deep in the broken phase
         s95 = BicoherentSpec(0.0, 1 - 1j, "theta", "ket", "plus", PhysicalParams(V=9.5), BIG)
-        assert bi_product(s95) == pytest.approx(1.0, abs=1e-8)
-        assert bicoherent_eigen_residual(s95, build_bicoherent(s95), "C2") < 1e-8
+        ket95 = build_bicoherent(s95)
+        assert ket95.inner(ket95.dual) == pytest.approx(1.0, abs=1e-8)
+        assert bicoherent_eigen_residual(s95, ket95, "C2") < 1e-8
 
 
 def test_criterion_11_figure_reproduction():

@@ -10,8 +10,8 @@ import pytest
 
 import mp_reference
 from lbstates import CutoffError, FockCutoff, PhysicalParams
-from lbstates.bicoherent import (FAMILIES, BicoherentSpec, _theta_series, build_bicoherent,
-                                 normalization_N)
+from lbstates.bicoherent import FAMILIES, BicoherentSpec, _theta_series, build_bicoherent
+from lbstates.checks import normalization_N
 from lbstates.coherent import CoherentSpec, build_coherent, gaussian_series
 from lbstates.levels import PAIRINGS, window_levels
 

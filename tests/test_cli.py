@@ -246,6 +246,29 @@ class TestOverflowingEnergyScale:
         tiny = sys.float_info.min
         assert PhysicalParams(vf=tiny / 2).eps0 == tiny
 
+    def test_scale_is_accepted_where_twice_vf_overflows(self, tmp_path):
+        # 2 vf = 2e308 overflows, eps0 = 2e298 does not
+        out = tmp_path / "spectrum.json"
+        code, stdout, err = _run_in_process(["spectrum", "--vf", "1e308", "--xi", "1e10",
+                                             "--pmax", "1", "--out", os.fspath(out)])
+        assert (code, stdout, err) == (0, "", "")
+        assert json.loads(out.read_text())["meta"]["eps0"] == 2e298
+
+    def test_scale_keeps_its_bits_where_twice_vf_is_finite(self):
+        # vf and xi across the normal range, with their neighbours: eps0 is
+        # 2 vf / xi, bit for bit, wherever that is a normal double
+        decades = [10.0 ** k for k in range(-307, 309, 7)] + [0.3, 1.0, 7.5, 8.98e307]
+        grid = sorted({x for d in decades for x in (d, math.nextafter(d, 0.0),
+                                                    math.nextafter(d, math.inf))})
+        checked = 0
+        for vf in grid:
+            for xi in grid:
+                want = 2.0 * vf / xi
+                if sys.float_info.min <= want <= sys.float_info.max:
+                    assert PhysicalParams(vf=vf, xi=xi).eps0.hex() == want.hex(), (vf, xi)
+                    checked += 1
+        assert checked > 10_000
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--vf", "1e308", "--pmax", "1", "--format", "csv"],
         ["state", "--vf", "1e308", "--family", "eta", "--V", "0.5", "--z2=1"],

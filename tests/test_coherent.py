@@ -10,11 +10,11 @@ from scipy.special import gammaln
 import mp_reference
 from lbstates import ContractError, CutoffError, FockCutoff, build_coherent
 from lbstates import coherent
-from lbstates.coherent import (CoherentSpec, coherent_coefficients, combined_state_defect,
-                               eigen_residual, gaussian_terms, radial_factorial_ratio,
-                               resolution_identity_check, series_cut)
+from lbstates.checks import (basis_vector_c, combined_state_defect, radial_factorial_ratio,
+                             resolution_identity_check)
+from lbstates.coherent import (CoherentSpec, coherent_coefficients, eigen_residual, gaussian_terms,
+                               series_cut)
 from lbstates.levels import ladder_apply
-from lbstates.spinor import ModeIndex, basis_vector_c
 
 CUT = FockCutoff(64, 64, 64)
 ZGRID = (0, 1, -1, 1j, -1j, 1 - 1j, 2 + 2j)
@@ -23,13 +23,13 @@ ZGRID = (0, 1, -1, 1j, -1j, 1 - 1j, 2 + 2j)
 class TestConstruction:
     def test_zero_labels_give_quasi_vacuum(self):
         st = build_coherent(CoherentSpec(0.0, 0.0, "A", "plus", CUT))
-        ref = basis_vector_c(ModeIndex(0, 0), CUT)
+        ref = basis_vector_c((0, 0), CUT)
         assert abs(st.inner(ref) - 1.0) < 1e-14
         assert abs(st.norm() - 1.0) < 1e-14
 
     def test_b_family_zero_label_sits_on_first_level(self):
         st = build_coherent(CoherentSpec(0.0, 0.0, "B", "plus", CUT))
-        ref = basis_vector_c(ModeIndex(0, 1), CUT)
+        ref = basis_vector_c((0, 1), CUT)
         assert abs(st.inner(ref) - 1.0) < 1e-14
 
     @pytest.mark.parametrize("family", ["A", "B"])
@@ -123,21 +123,21 @@ class TestResolutionOfIdentity:
             radial_factorial_ratio(40)[0] = 0.0
 
     def test_vacuum_pair(self):
-        f = basis_vector_c(ModeIndex(0, 0), self.SMALL)
+        f = basis_vector_c((0, 0), self.SMALL)
         assert resolution_identity_check("plus", f, f, self.SMALL) == pytest.approx(1.0, abs=1e-6)
 
     def test_orthogonal_targets(self):
-        f = basis_vector_c(ModeIndex(0, 1), self.SMALL)
-        g = basis_vector_c(ModeIndex(0, 2), self.SMALL)
+        f = basis_vector_c((0, 1), self.SMALL)
+        g = basis_vector_c((0, 2), self.SMALL)
         assert abs(resolution_identity_check("plus", f, g, self.SMALL)) < 1e-8
 
     def test_minus_branch_pair(self):
-        f = basis_vector_c(ModeIndex(1, -2), self.SMALL)
+        f = basis_vector_c((1, -2), self.SMALL)
         assert resolution_identity_check("minus", f, f, self.SMALL) == pytest.approx(1.0, abs=1e-6)
 
     def test_reproduces_subspace_gram(self):
         idxs = [(n, p) for n in range(3) for p in range(4)]
-        states = {i: basis_vector_c(ModeIndex(*i), self.SMALL) for i in idxs}
+        states = {i: basis_vector_c(i, self.SMALL) for i in idxs}
         for i in idxs:
             for j in idxs:
                 got = resolution_identity_check("plus", states[i], states[j], self.SMALL)
@@ -145,12 +145,12 @@ class TestResolutionOfIdentity:
                 assert got == pytest.approx(want, abs=1e-6)
 
     def test_subspace_mismatch_rejected(self):
-        f = basis_vector_c(ModeIndex(0, -1), self.SMALL)
+        f = basis_vector_c((0, -1), self.SMALL)
         with pytest.raises(ContractError):
             resolution_identity_check("plus", f, f, self.SMALL)
 
     def test_b_family_resolution(self):
-        f = basis_vector_c(ModeIndex(0, 1), self.SMALL)
+        f = basis_vector_c((0, 1), self.SMALL)
         assert resolution_identity_check("plus", f, f, self.SMALL, family="B") == pytest.approx(
             1.0, abs=1e-6
         )
@@ -160,21 +160,21 @@ class TestCombinedState:
     SMALL = FockCutoff(10, 12, 10)
 
     def test_pure_plus_pair_loses_half(self):
-        f = basis_vector_c(ModeIndex(0, 0), self.SMALL)
+        f = basis_vector_c((0, 0), self.SMALL)
         defect = combined_state_defect(f, f, self.SMALL)
         assert defect == pytest.approx(-0.5, abs=1e-10)
         assert abs(defect) > 0.1
 
     def test_cross_subspace_pair_keeps_cross_integral(self):
-        f = basis_vector_c(ModeIndex(0, 1), self.SMALL)
-        g = basis_vector_c(ModeIndex(0, -2), self.SMALL)
+        f = basis_vector_c((0, 1), self.SMALL)
+        g = basis_vector_c((0, -2), self.SMALL)
         # <f,g> = 0; the integral reduces to the surviving cross term, which
         # couples c_{0,n2} to c_{0,-n2-1}: here n2 = 1 pairs f with g exactly
         defect = combined_state_defect(f, g, self.SMALL)
         assert defect == pytest.approx(0.5, abs=1e-10)
 
     def test_zero_states(self):
-        f = basis_vector_c(ModeIndex(0, 0), self.SMALL)
+        f = basis_vector_c((0, 0), self.SMALL)
         zero = type(f)(f.first_register * 0, f.upper * 0, f.lower * 0)
         assert combined_state_defect(zero, zero, self.SMALL) == 0.0
 
@@ -184,7 +184,7 @@ class TestBruteForceQuadratureOracle:
         # fully independent route for the double-label integral: dense polar
         # trapezoid instead of the analytic-angular + Gauss-Laguerre path
         small = FockCutoff(12, 8, 6)
-        f = basis_vector_c(ModeIndex(1, 2), small)
+        f = basis_vector_c((1, 2), small)
         got = resolution_identity_check("plus", f, f, small)
         rs = np.linspace(1e-9, 7.0, 4000)
 

@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from lbstates import ContractError, FockCutoff, PhysicalParams, densities, floattext
 from lbstates.bicoherent import BicoherentSpec, build_bicoherent
+from lbstates.checks import basis_vector_c, first_register_basis
 from lbstates.coherent import CoherentSpec, build_coherent
 from lbstates.densities import (MAX_GRID_BOUND, MAX_GRID_POINTS, DensityField, GridSpec, density, export,
                                 gain_loss)
 from lbstates.levels import alpha_moduli
 from lbstates.params import discriminant
-from lbstates.spinor import ModeIndex, SpinorState, basis_vector_c, first_register_basis
+from lbstates.spinor import SpinorState
 
 CUT = FockCutoff(32, 32, 32)
 GRID = GridSpec(-8, 8, 161, -8, 8, 161)
@@ -77,7 +78,7 @@ class TestDensityField:
         assert not fld.meta["mass_warning"]
 
     def test_vacuum_peak_value(self):
-        st = basis_vector_c(ModeIndex(0, 0), FockCutoff(2, 6, 4))
+        st = basis_vector_c((0, 0), FockCutoff(2, 6, 4))
         fld = density(st, GridSpec(-6, 6, 121, -6, 6, 121))
         # |e_00|^2 peaks at 1/pi at the origin
         assert fld.total.max() == pytest.approx(1 / math.pi, abs=1e-6)
@@ -98,7 +99,7 @@ class TestDensityField:
     def test_warning_on_overshooting_grid(self):
         # Simpson's rule on three points per axis overestimates the vacuum
         # Gaussian's integral (2.3 instead of 1)
-        st = basis_vector_c(ModeIndex(0, 0), FockCutoff(2, 6, 4))
+        st = basis_vector_c((0, 0), FockCutoff(2, 6, 4))
         fld = density(st, GridSpec(-2, 2, 3, -2, 2, 3))
         assert fld.meta["captured_mass"] > 2.0
         assert fld.meta["mass_warning"]
@@ -115,7 +116,7 @@ class TestDensityField:
 
     def test_non_finite_captured_mass_warns(self, monkeypatch):
         monkeypatch.setattr(DensityField, "integral", lambda self: math.nan)
-        st = basis_vector_c(ModeIndex(0, 0), FockCutoff(2, 6, 4))
+        st = basis_vector_c((0, 0), FockCutoff(2, 6, 4))
         assert density(st, GridSpec(-6, 6, 33, -6, 6, 33)).meta["mass_warning"] is True
 
     def test_non_isometric_basis_change_is_refused(self, monkeypatch):
@@ -505,7 +506,8 @@ def _direct(state, points):
     every mode raised from the vacuum with the sparse ladder matrices,
     evaluated by `eval_mode`.  No translation and no binomial table; the
     window n1 + n2 <= nmax1 + nmax2 loses no raised term."""
-    from lbstates.ladders import CartesianModeVector, eval_mode, ladder_matrices
+    from helpers import eval_mode
+    from lbstates.ladders import CartesianModeVector, ladder_matrices
 
     fr = state.first_register
     window = fr.size + state.upper.size - 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lbstates import floattext
+from lbstates.checks import texts
 
 STYLES = [("g17", "%.17g".__mod__), ("repr", float.__repr__)]
 
@@ -13,7 +14,7 @@ def _mismatches(values, style, fmt):
     out = []
     for start in range(0, values.size, 1 << 16):
         chunk = values[start:start + (1 << 16)]
-        for v, got in zip(chunk.tolist(), floattext.texts(chunk, style)):
+        for v, got in zip(chunk.tolist(), texts(chunk, style)):
             if got != fmt(v).encode():
                 out.append((v, got, fmt(v)))
     return out
@@ -67,9 +68,8 @@ def test_fast_path_decides_almost_every_normal_value(shortest):
 
 def test_block_is_read_in_row_major_order():
     values = np.array([[0.5, -1e-7], [123456.789, 0.0]])
-    assert floattext.texts(values, "g17") == [b"0.5", b"-9.9999999999999995e-08",
-                                               b"123456.789", b"0"]
-    assert floattext.texts(values, "repr") == [b"0.5", b"-1e-07", b"123456.789", b"0.0"]
+    assert texts(values, "g17") == [b"0.5", b"-9.9999999999999995e-08", b"123456.789", b"0"]
+    assert texts(values, "repr") == [b"0.5", b"-1e-07", b"123456.789", b"0.0"]
 
 
 

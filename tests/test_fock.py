@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
+from helpers import eval_mode
 from lbstates import CutoffError, FockCutoff
 from lbstates import ladders
-from lbstates.fock import PSI_HARD_LIMIT, circular_antidiagonals, oscillator_psi, oscillator_table
-from lbstates.ladders import circular_mode, eval_mode, ladder_matrices
+from lbstates.fock import PSI_HARD_LIMIT, circular_antidiagonals, oscillator_table
+from lbstates.ladders import circular_mode, ladder_matrices
 
 SQRT2 = math.sqrt(2.0)
 
@@ -31,42 +32,46 @@ def psi_polynomial_oracle(n, x):
 
 
 class TestOscillatorPsi:
+    """psi_n is row n of `oscillator_table`."""
+
     def test_ground_state_at_origin(self):
-        assert oscillator_psi(0, 0.0) == pytest.approx(0.7511255444649425, abs=1e-14)
+        assert oscillator_table(0, 0.0)[0, 0] == pytest.approx(0.7511255444649425, abs=1e-14)
 
     def test_odd_function_vanishes_at_origin(self):
-        assert oscillator_psi(1, 0.0) == 0.0
+        assert oscillator_table(1, 0.0)[1, 0] == 0.0
 
     def test_n2_matches_polynomial_oracle(self):
         # H_2(x) = 4x^2 - 2 with the closed-form normalization
         expected = (4.0 - 2.0) * math.exp(-0.5) / math.sqrt(4 * 2 * math.sqrt(math.pi))
         assert expected == pytest.approx(0.3221441825567376, abs=1e-15)
-        assert oscillator_psi(2, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert oscillator_table(2, 1.0)[2, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_hard_limit(self):
         with pytest.raises(CutoffError):
-            oscillator_psi(513, 0.0)
+            oscillator_table(513, 0.0)
         # indices up to the limit evaluate
-        assert np.isfinite(oscillator_psi(200, 3.0))
+        assert np.isfinite(oscillator_table(PSI_HARD_LIMIT, 3.0)).all()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 20), st.floats(-10, 10))
     def test_recurrence_matches_polynomial(self, n, x):
-        a = oscillator_psi(n, x)
+        a = float(oscillator_table(n, x)[n, 0])
         b = float(psi_polynomial_oracle(n, np.array([x]))[0])
         assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
     def test_normalization_by_quadrature(self):
         x = np.linspace(-12, 12, 2001)
+        table = oscillator_table(17, x)
         for n in (0, 3, 17):
-            vals = oscillator_psi(n, x)
-            assert simpson(vals ** 2, x=x) == pytest.approx(1.0, abs=1e-8)
+            assert simpson(table[n] ** 2, x=x) == pytest.approx(1.0, abs=1e-8)
 
     def test_table_agrees_with_single_evaluations(self):
+        # row n does not depend on how many rows the table holds, so one
+        # table serves every n below its height bit for bit
         x = np.linspace(-4, 4, 9)
         table = oscillator_table(6, x)
         for n in range(7):
-            np.testing.assert_array_equal(table[n], oscillator_psi(n, x))
+            np.testing.assert_array_equal(table[n], oscillator_table(n, x)[n])
 
 
 def vacuum_2d(x, y):

@@ -20,7 +20,8 @@ from lbstates.ladders import (
     spinor_ladder_matrix,
     subspace_closure_check,
 )
-from lbstates.levels import PAIRINGS, V0_LADDERS, level_spinors, window_levels
+from lbstates.levels import PAIRINGS, V0_LADDERS, window_levels
+from lbstates.pt import level_spinors
 from lbstates.spinor import V0, level_matrix
 
 

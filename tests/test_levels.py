@@ -14,13 +14,12 @@ import pytest
 import scipy.sparse as sp
 
 import mp_reference as ref
+from helpers import normalization_K
 from lbstates import (CoherentSpec, ContractError, CutoffError, ExceptionalPointError,
                       FockCutoff, PhysicalParams)
-from lbstates.levels import alpha, normalization_K
-from lbstates import bicoherent, coherent, levels, pt, spinor
+from lbstates import bicoherent, checks, coherent, levels, pt, spinor
 from lbstates.bicoherent import BicoherentSpec
 from lbstates.params import discriminant
-from lbstates.spinor import ModeIndex
 
 REL = 1e-14
 
@@ -73,15 +72,14 @@ class TestMpmathOracle:
             for branch, sign in (("plus", 1), ("minus", -1)):
                 if discriminant(p, V) == 0.0:
                     # snapped exceptional level: alpha is -V / sqrt(p) by definition
-                    assert alpha(p, V, branch) == -V / math.sqrt(p)
+                    assert pt.alpha(p, V, branch) == -V / math.sqrt(p)
                     continue
-                assert ref.rel_errors([alpha(p, V, branch)], [ref.alpha(p, V, sign)]).max() <= REL
+                assert ref.rel_errors([pt.alpha(p, V, branch)], [ref.alpha(p, V, sign)]).max() <= REL
                 level = sign * p
                 want = ref.level_entries(level, V)
                 k_psi = ref.level_entries(-level, V)[2] if discriminant(p, V) < 0 else want[2]
                 got = normalization_K(p, params, branch)
                 assert ref.rel_errors(got, [want[0], k_psi]).max() <= REL
-        assert pt.alpha is alpha
 
     def test_exact_discriminant(self):
         # p - V^2 rounded once from its exact value, next to p = V^2 where
@@ -142,7 +140,7 @@ class TestRefusals:
         with pytest.raises(ContractError):
             normalization_K(0, PhysicalParams(V=0.5))
         with pytest.raises(ContractError):
-            alpha(0, 0.5, "plus")
+            pt.alpha(0, 0.5, "plus")
 
     def test_levels_beyond_the_register_raise_cutoff(self):
         params = PhysicalParams(V=0.5)
@@ -152,7 +150,7 @@ class TestRefusals:
         with pytest.raises(CutoffError):
             levels.series_stack([0, 4, -5], xu, xl, np.ones(3), 4)
         with pytest.raises(CutoffError):
-            levels.level_spinors(5, params, 4)
+            pt.level_spinors(5, params, 4)
 
 
 class TestDenseFills:
@@ -163,7 +161,7 @@ class TestDenseFills:
         for p in range(-nmax2, nmax2 + 1):
             if V == 0.0 or discriminant(max(abs(p), 1), V) != 0.0:
                 xu, xl, yu, yl = levels.level_table([p], params)
-                got = levels.level_spinors(p, params, nmax2)
+                got = pt.level_spinors(p, params, nmax2)
                 x = levels.two_entry_columns([p], xu, xl, nmax2)
                 y = levels.two_entry_columns([p], yu, yl, nmax2)
                 assert np.array_equal(bits(got[0]), bits(x[:, 0]))
@@ -194,7 +192,7 @@ class TestDenseFills:
         for fam, side in (("standard", "ket"), ("theta", "bra")):
             bicoherent.build_bicoherent(
                 BicoherentSpec(0.5, 0.5 + 0.5j, fam, side, "plus", params, cut))
-        levels.level_spinors(-3, spinor.V0, cut.nmax2)
-        spinor.basis_vector_c(ModeIndex(1, 2), cut)
-        levels.level_spinors(3, params, cut.nmax2)
-        levels.level_spinors(-3, params, cut.nmax2)
+        pt.level_spinors(-3, spinor.V0, cut.nmax2)
+        checks.basis_vector_c((1, 2), cut)
+        pt.level_spinors(3, params, cut.nmax2)
+        pt.level_spinors(-3, params, cut.nmax2)

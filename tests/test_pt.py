@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import exceptional_diagnostics, normalization_K
 from lbstates import ContractError, ExceptionalPointError, FockCutoff, PhysicalParams
 from lbstates.ladders import hamiltonian_spinor_matrix, level_ladder_matrix
-from lbstates.levels import (alpha, alpha_moduli, level_spinors, normalization_K, spectrum_table,
-                             theta_table)
-from lbstates.pt import (biorth_level_matrices, exceptional_diagnostics, factorization_defect,
+from lbstates.levels import alpha_moduli, spectrum_table, theta_table
+from lbstates.pt import (alpha, biorth_level_matrices, factorization_defect, level_spinors,
                          phi_norm_bound, pt_spinor_ladder)
 
 CUT = FockCutoff(4, 16, 14)

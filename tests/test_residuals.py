@@ -21,7 +21,7 @@ from lbstates import ContractError, FockCutoff, PhysicalParams, ShapeError
 from lbstates import bicoherent as bc
 from lbstates import coherent as ch
 from lbstates.ladders import SparseOperator, annihilator, ladder_matrix
-from lbstates.levels import (PAIRINGS, V0_LADDERS, ladder_apply, level_rows, support_levels,
+from lbstates.levels import (PAIRINGS, V0_LADDERS, ladder_apply, level_rows, near_levels,
                              window_levels)
 from lbstates.spinor import V0, SpinorState, lower_first_register
 
@@ -186,9 +186,12 @@ class TestWindowIndependence:
 
 
 def bare_rows(stack, cut, params):
-    """The rows a bare stack is evaluated on: the levels whose rows carry
-    weight, and their neighbours."""
-    return level_rows(support_levels(stack, cut), params)
+    """The rows a bare stack is evaluated on: the levels of the window
+    whose two rows carry weight, and their neighbours."""
+    half, pmax = cut.nmax2 + 1, cut.pmax
+    live = stack[:pmax + 1] != 0
+    live[1:] |= stack[half:half + pmax] != 0
+    return level_rows(near_levels(np.flatnonzero(live), pmax), params)
 
 
 class TestLadderApplication:

@@ -5,35 +5,36 @@ import pytest
 
 from lbstates import CutoffError, FockCutoff, PhysicalParams
 from lbstates.ladders import dense_hamiltonian, hamiltonian_spinor_matrix, restricted_spinor_block
-from lbstates.levels import level_spinors, spectrum_table, window_levels
-from lbstates.spinor import (V0, ModeIndex, SpinorState, basis_vector_c, first_register_basis,
-                             level_matrix)
+from lbstates.checks import basis_vector_c, first_register_basis
+from lbstates.levels import spectrum_table, window_levels
+from lbstates.pt import level_spinors
+from lbstates.spinor import V0, SpinorState, level_matrix
 
 
 class TestBasisVectors:
     def test_zero_level_structure(self, small_cutoff):
-        st = basis_vector_c(ModeIndex(0, 0), small_cutoff)
+        st = basis_vector_c((0, 0), small_cutoff)
         assert st.upper[0] == 1.0
         assert np.all(st.lower == 0)
         assert np.all(st.upper[1:] == 0)
 
     def test_positive_level_structure(self, small_cutoff):
-        st = basis_vector_c(ModeIndex(2, 3), small_cutoff)
+        st = basis_vector_c((2, 3), small_cutoff)
         assert st.first_register[2] == 1.0
         assert st.upper[3] == pytest.approx(1 / math.sqrt(2))
         assert st.lower[2] == pytest.approx(-1j / math.sqrt(2))
 
     def test_negative_level_conjugate_sign(self, small_cutoff):
-        st = basis_vector_c(ModeIndex(0, -2), small_cutoff)
+        st = basis_vector_c((0, -2), small_cutoff)
         assert st.upper[2] == pytest.approx(1 / math.sqrt(2))
         assert st.lower[1] == pytest.approx(+1j / math.sqrt(2))
 
     def test_unit_norm(self, small_cutoff):
-        assert basis_vector_c(ModeIndex(2, 3), small_cutoff).norm() == pytest.approx(1.0, abs=1e-12)
+        assert basis_vector_c((2, 3), small_cutoff).norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_plus_minus_orthogonal(self, small_cutoff):
-        a = basis_vector_c(ModeIndex(0, 1), small_cutoff)
-        b = basis_vector_c(ModeIndex(0, -1), small_cutoff)
+        a = basis_vector_c((0, 1), small_cutoff)
+        b = basis_vector_c((0, -1), small_cutoff)
         assert abs(a.inner(b)) < 1e-14
 
     def test_orthonormality_gram(self, small_cutoff):
@@ -43,9 +44,9 @@ class TestBasisVectors:
 
     def test_window_violations(self, small_cutoff):
         with pytest.raises(CutoffError):
-            basis_vector_c(ModeIndex(0, small_cutoff.pmax + 1), small_cutoff)
+            basis_vector_c((0, small_cutoff.pmax + 1), small_cutoff)
         with pytest.raises(CutoffError):
-            basis_vector_c(ModeIndex(small_cutoff.nmax1 + 1, 0), small_cutoff)
+            basis_vector_c((small_cutoff.nmax1 + 1, 0), small_cutoff)
         with pytest.raises(CutoffError):
             level_spinors(small_cutoff.nmax2 + 1, V0, small_cutoff.nmax2)
 
@@ -54,19 +55,19 @@ class TestHamiltonianAction:
     """The V = 0 Hamiltonian (params has V = 0) on the stacked spinors."""
 
     def test_eigen_level_one(self, params, small_cutoff):
-        st = basis_vector_c(ModeIndex(0, 1), small_cutoff).spinor_stack()
+        st = basis_vector_c((0, 1), small_cutoff).spinor_stack()
         out = hamiltonian_spinor_matrix(params, small_cutoff).matrix @ st
         assert np.linalg.norm(out - 2.0 * st) < 1e-10
 
     def test_zero_mode_annihilated(self, params, small_cutoff):
         cut = FockCutoff(6, 12, 10)
-        st = basis_vector_c(ModeIndex(5, 0), cut).spinor_stack()
+        st = basis_vector_c((5, 0), cut).spinor_stack()
         out = hamiltonian_spinor_matrix(params, cut).matrix @ st
         assert np.linalg.norm(out) < 1e-12
 
     def test_negative_level_eigenvalue(self, params):
         cut = FockCutoff(2, 12, 10)
-        st = basis_vector_c(ModeIndex(0, -4), cut).spinor_stack()
+        st = basis_vector_c((0, -4), cut).spinor_stack()
         out = hamiltonian_spinor_matrix(params, cut).matrix @ st
         assert np.linalg.norm(out - (-4.0) * st) < 1e-12
 
